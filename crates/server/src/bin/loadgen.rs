@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use hypart_core::derive_seed;
-use hypart_server::protocol::{EvalRequest, InstanceRef, PartitionRequest, Request};
+use hypart_server::protocol::{EvalRequest, InstanceRef, PartitionRequest, Request, MAX_WIRE_INT};
 use hypart_server::{ChaosPlan, ChaosProxy, Client, JobOutcome, RetryPolicy, Server, ServerConfig};
 
 struct Options {
@@ -314,7 +314,11 @@ fn client_worker(cfg: &WorkerCfg) -> Result<Tally, String> {
             .map_err(|e| format!("connect failed: {e}"))?,
         None => Client::connect(&cfg.addr).map_err(|e| format!("connect failed: {e}"))?,
     };
-    let token_for = |id: u64| cfg.token_base.map(|base| derive_seed(base, id));
+    // Masked to the integers a JSON number carries exactly.
+    let token_for = |id: u64| {
+        cfg.token_base
+            .map(|base| derive_seed(base, id) & MAX_WIRE_INT)
+    };
     let mut tally = Tally::default();
 
     // Upload once, then re-query by digest.

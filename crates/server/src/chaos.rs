@@ -302,6 +302,14 @@ fn accept_loop(
             // client observes a clean close and retries.
             continue;
         };
+        // Both legs forward chunks as they arrive; with Nagle's algorithm
+        // each chunk could wait for the peer's delayed ACK (~40 ms).
+        // Faults are positioned in bytes, not segments, so scripts are
+        // unaffected. A leg that refuses the option is dropped like a
+        // refused upstream.
+        if client.set_nodelay(true).is_err() || server.set_nodelay(true).is_err() {
+            continue;
+        }
         let conn = conn_index;
         conn_index += 1;
         spawn_pumps(client, server, plan, conn, shared);

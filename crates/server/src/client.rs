@@ -29,7 +29,7 @@ use hypart_trace::RunEvent;
 
 use crate::protocol::{
     read_frame, write_frame, FrameError, Health, JobResult, Request, Response, StatsSnapshot,
-    DEFAULT_MAX_FRAME_BYTES,
+    DEFAULT_MAX_FRAME_BYTES, MAX_WIRE_INT,
 };
 
 /// Default client-side read timeout: long enough for any queued job in
@@ -112,6 +112,15 @@ pub enum ClientError {
         /// lost), `false` when it happened cleanly between frames.
         mid_frame: bool,
     },
+    /// A request integer the wire cannot carry exactly (above
+    /// [`MAX_WIRE_INT`]); the request was not sent, because the daemon
+    /// would have received a rounded value.
+    Unrepresentable {
+        /// The offending request field (`id`, `seed` or `token`).
+        field: &'static str,
+        /// Its value.
+        value: u64,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -139,6 +148,11 @@ impl std::fmt::Display for ClientError {
                     }
                 )
             }
+            ClientError::Unrepresentable { field, value } => write!(
+                f,
+                "request `{field}` {value} exceeds {MAX_WIRE_INT}, \
+                 the largest integer a JSON number carries exactly"
+            ),
         }
     }
 }
@@ -223,22 +237,8 @@ impl Client {
     ///
     /// Propagates connection/setup failures.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = writer.try_clone()?;
-        reader.set_read_timeout(Some(READ_TIMEOUT))?;
-        Ok(Client {
-            writer,
-            reader: CountingReader {
-                stream: reader,
-                bytes: 0,
-            },
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            pending: HashMap::new(),
-            addr: None,
-            retry: None,
-            journal: BTreeMap::new(),
-            retries: 0,
-        })
+        let (writer, reader) = Self::open(addr, READ_TIMEOUT)?;
+        Ok(Client::from_streams(writer, reader, None, None))
     }
 
     /// Connects with a retry policy: the initial connection and every
@@ -256,19 +256,12 @@ impl Client {
             }
             match Self::open(addr, policy.read_timeout) {
                 Ok((writer, reader)) => {
-                    return Ok(Client {
+                    return Ok(Client::from_streams(
                         writer,
-                        reader: CountingReader {
-                            stream: reader,
-                            bytes: 0,
-                        },
-                        max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-                        pending: HashMap::new(),
-                        addr: Some(addr.to_string()),
-                        retry: Some(policy),
-                        journal: BTreeMap::new(),
-                        retries: 0,
-                    })
+                        reader,
+                        Some(addr.to_string()),
+                        Some(policy),
+                    ))
                 }
                 Err(e) => last = Some(e),
             }
@@ -278,11 +271,40 @@ impl Client {
         })))
     }
 
-    fn open(addr: &str, read_timeout: Duration) -> std::io::Result<(TcpStream, TcpStream)> {
+    /// The one place a client socket is opened and configured: write
+    /// half, cloned read half with its timeout, and `TCP_NODELAY` (each
+    /// frame is one write awaiting a reply, so Nagle's algorithm would
+    /// only hold it for the daemon's delayed ACK, ~40 ms).
+    fn open(
+        addr: impl ToSocketAddrs,
+        read_timeout: Duration,
+    ) -> std::io::Result<(TcpStream, TcpStream)> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = writer.try_clone()?;
         reader.set_read_timeout(Some(read_timeout))?;
         Ok((writer, reader))
+    }
+
+    fn from_streams(
+        writer: TcpStream,
+        reader: TcpStream,
+        addr: Option<String>,
+        retry: Option<RetryPolicy>,
+    ) -> Client {
+        Client {
+            writer,
+            reader: CountingReader {
+                stream: reader,
+                bytes: 0,
+            },
+            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
+            pending: HashMap::new(),
+            addr,
+            retry,
+            journal: BTreeMap::new(),
+            retries: 0,
+        }
     }
 
     /// How many times this client has healed (reconnected) so far.
@@ -298,8 +320,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// The write failure, when unhealable or healing is exhausted.
+    /// [`ClientError::Unrepresentable`] before anything is written, when
+    /// an `id`, `seed` or `token` exceeds [`MAX_WIRE_INT`]; otherwise the
+    /// write failure, when unhealable or healing is exhausted.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        check_wire_ints(request)?;
         match request {
             Request::Partition(req) => {
                 self.journal.insert(req.id, request.clone());
@@ -438,10 +463,12 @@ impl Client {
     ///
     /// Transport failures or protocol violations (never healed: after a
     /// reconnect the job's fate is already decided, so a retried cancel
-    /// would race it).
+    /// would race it); [`ClientError::Unrepresentable`] before writing
+    /// when `id` exceeds [`MAX_WIRE_INT`].
     pub fn cancel(&mut self, id: u64) -> Result<bool, ClientError> {
-        write_frame(&mut self.writer, &Request::Cancel { id }.to_json())
-            .map_err(ClientError::Io)?;
+        let request = Request::Cancel { id };
+        check_wire_ints(&request)?;
+        write_frame(&mut self.writer, &request.to_json()).map_err(ClientError::Io)?;
         loop {
             match self.read_response()? {
                 Response::Ok { id: acked } if acked == id => return Ok(true),
@@ -631,6 +658,23 @@ impl Client {
     }
 }
 
+/// Rejects a request whose `id`, `seed` or `token` would reach the
+/// daemon rounded.
+fn check_wire_ints(request: &Request) -> Result<(), ClientError> {
+    let (id, seed, token) = match request {
+        Request::Partition(r) => (Some(r.id), Some(r.seed), r.request_token),
+        Request::Eval(r) => (Some(r.id), None, r.request_token),
+        Request::Cancel { id } => (Some(*id), None, None),
+        Request::Stats | Request::Ping | Request::Shutdown => (None, None, None),
+    };
+    for (field, value) in [("id", id), ("seed", seed), ("token", token)] {
+        if let Some(value) = value.filter(|&v| v > MAX_WIRE_INT) {
+            return Err(ClientError::Unrepresentable { field, value });
+        }
+    }
+    Ok(())
+}
+
 /// Attributes a job-agnostic disconnect to the job being waited on.
 fn stamp_job(e: ClientError, id: u64) -> ClientError {
     match e {
@@ -644,5 +688,82 @@ fn stamp_job(e: ClientError, id: u64) -> ClientError {
             mid_frame,
         },
         other => other,
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::protocol::{EvalRequest, InstanceRef, PartitionRequest};
+    use std::net::TcpListener;
+
+    #[test]
+    fn unrepresentable_integers_are_rejected_before_writing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+
+        let over = MAX_WIRE_INT + 1;
+        let mut seeded = PartitionRequest::new(1, InstanceRef::Digest(7), over);
+        let mut tokened = PartitionRequest::new(2, InstanceRef::Digest(7), 3);
+        tokened.request_token = Some(u64::MAX);
+        let eval = EvalRequest {
+            id: over,
+            instance: InstanceRef::Digest(7),
+            assignment: vec![0, 1],
+            k: 2,
+            fraction: 0.1,
+            request_token: None,
+        };
+        for (request, field, value) in [
+            (Request::Partition(seeded.clone()), "seed", over),
+            (Request::Partition(tokened), "token", u64::MAX),
+            (Request::Eval(eval), "id", over),
+            (Request::Cancel { id: over }, "id", over),
+        ] {
+            match client.send(&request) {
+                Err(ClientError::Unrepresentable { field: f, value: v }) => {
+                    assert_eq!((f, v), (field, value));
+                }
+                other => panic!("expected Unrepresentable for {field}, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            client.cancel(over),
+            Err(ClientError::Unrepresentable {
+                field: "id",
+                value
+            }) if value == over
+        ));
+        assert!(client.journal.is_empty(), "rejected jobs are not journaled");
+
+        // The largest exact integer is accepted and is the only frame the
+        // peer ever sees.
+        seeded.seed = MAX_WIRE_INT;
+        client.send(&Request::Partition(seeded.clone())).unwrap();
+        drop(client);
+        let frame = read_frame(&mut peer, DEFAULT_MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            Request::from_json(&frame).unwrap(),
+            Request::Partition(seeded)
+        );
+        assert!(read_frame(&mut peer, DEFAULT_MAX_FRAME_BYTES)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn client_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let plain = Client::connect(&addr).unwrap();
+        let healing = Client::connect_with_retry(&addr, RetryPolicy::default()).unwrap();
+        for client in [&plain, &healing] {
+            assert!(client.writer.nodelay().unwrap());
+            assert!(client.reader.stream.nodelay().unwrap());
+        }
     }
 }

@@ -10,8 +10,8 @@
 //! client.
 //!
 //! All numbers travel as JSON numbers (f64), which round-trip integers
-//! up to 2^53; the 128-bit instance digest therefore travels as a
-//! 32-digit lowercase hex *string*.
+//! up to [`MAX_WIRE_INT`]; the 128-bit instance digest therefore travels
+//! as a 32-digit lowercase hex *string*.
 
 use std::io::{Read, Write};
 
@@ -23,6 +23,10 @@ use hypart_trace::{RunEvent, StopReason};
 /// instances of millions of pins fit; a corrupt length prefix does not
 /// allocate unboundedly).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Largest integer a JSON number (f64) carries exactly, 2^53 − 1. A
+/// larger `id`, `seed` or `token` would reach the daemon rounded.
+pub const MAX_WIRE_INT: u64 = (1 << 53) - 1;
 
 /// A framing or decoding failure while reading one frame.
 #[derive(Debug)]
@@ -71,17 +75,23 @@ pub fn is_timeout(e: &std::io::Error) -> bool {
 
 /// Writes one frame: big-endian `u32` length, then the serialized JSON.
 ///
+/// Prefix and payload go out in a single `write_all`. Two writes on a
+/// TCP socket put the payload behind the prefix's unacknowledged
+/// segment (Nagle), and the peer's delayed ACK then holds every frame
+/// for ~40 ms on Linux.
+///
 /// # Errors
 ///
 /// Propagates the underlying write failure; a value serializing to more
 /// than `u32::MAX` bytes is rejected without writing.
 pub fn write_frame<W: Write>(writer: &mut W, value: &JsonValue) -> std::io::Result<()> {
     let text = value.to_string();
-    let bytes = text.as_bytes();
-    let len = u32::try_from(bytes.len())
+    let len = u32::try_from(text.len())
         .map_err(|_| std::io::Error::other("frame payload exceeds u32 length prefix"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + text.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -880,6 +890,25 @@ mod tests {
         assert!(read_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn frame_is_one_write_call() {
+        // A `Write` that records the size of every `write` call.
+        struct Counting(Vec<usize>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let value = JsonValue::object([("op", JsonValue::string("ping"))]);
+        let mut sink = Counting(Vec::new());
+        write_frame(&mut sink, &value).unwrap();
+        assert_eq!(sink.0, vec![4 + value.to_string().len()]);
     }
 
     #[test]

@@ -621,8 +621,10 @@ fn reader_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
     // A connection whose read timeout cannot be installed would block
     // its reader thread indefinitely (it could never poll the shutdown
     // flag); count the failure and refuse the connection instead of
-    // silently entering the un-pollable state.
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    // silently entering the un-pollable state. Likewise without
+    // `TCP_NODELAY`: Nagle's algorithm would hold every response frame
+    // for the client's delayed ACK (~40 ms each).
+    if stream.set_read_timeout(Some(READ_POLL)).is_err() || stream.set_nodelay(true).is_err() {
         shared.stats.io_failures.fetch_add(1, Ordering::Relaxed);
         return;
     }

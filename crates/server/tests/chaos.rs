@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use hypart_core::derive_seed;
 use hypart_server::chaos::{ChaosPlan, ChaosProxy};
-use hypart_server::protocol::{EvalRequest, InstanceRef, PartitionRequest, Request};
+use hypart_server::protocol::{EvalRequest, InstanceRef, PartitionRequest, Request, MAX_WIRE_INT};
 use hypart_server::{Client, JobOutcome, RetryPolicy, Server, ServerConfig};
 use hypart_trace::StopReason;
 
@@ -84,7 +84,7 @@ fn run_soak(seed: u64) -> SoakRun {
     // upload itself may be torn mid-frame and resubmitted).
     let mut upload = PartitionRequest::new(1, InstanceRef::Inline(hgr_text(120, 0xD00D)), 17);
     upload.include_assignment = true;
-    upload.request_token = Some(derive_seed(seed, 1));
+    upload.request_token = Some(derive_seed(seed, 1) & MAX_WIRE_INT);
     client.send(&Request::Partition(upload)).unwrap();
     let (digest, assignment) = match client.wait_outcome(1).unwrap() {
         JobOutcome::Finished { result, .. } => (result.digest, result.assignment.unwrap()),
@@ -97,8 +97,9 @@ fn run_soak(seed: u64) -> SoakRun {
         let id = 10 + i;
         // The token is a pure function of (chaos seed, job id): reruns
         // stamp identical tokens, and a resubmission after a fault
-        // carries the same token as the original.
-        let token = Some(derive_seed(seed, id));
+        // carries the same token as the original. Masked to the
+        // integers a JSON number carries exactly.
+        let token = Some(derive_seed(seed, id) & MAX_WIRE_INT);
         let request = match i % 4 {
             0 => {
                 // Plain 2-way, fresh seed per job.

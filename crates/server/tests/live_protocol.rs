@@ -49,6 +49,63 @@ fn malformed_frame_gets_typed_parse_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// Each frame leaves in one write on a `TCP_NODELAY` socket, so a round
+/// trip costs no delayed-ACK wait (≥ 40 ms per frame on Linux when a
+/// frame was split into prefix and payload writes under Nagle).
+#[test]
+fn ping_round_trip_has_no_delayed_ack_stall() {
+    let server = start_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_median_below_10ms("ping", || {
+        client.ping().unwrap();
+    });
+    server.shutdown();
+}
+
+/// A job answers with two frames back to back (`accepted`, then the
+/// result); under Nagle on the daemon's socket the second would wait for
+/// the client's delayed ACK of the first.
+#[test]
+fn job_round_trip_has_no_delayed_ack_stall() {
+    let server = start_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let upload = PartitionRequest::new(1, InstanceRef::Inline(hgr_text(40, 3)), 5);
+    client.send(&Request::Partition(upload)).unwrap();
+    let digest = match client.wait_outcome(1).unwrap() {
+        JobOutcome::Finished { result, .. } => result.digest,
+        other => panic!("upload failed: {other:?}"),
+    };
+    let mut id = 1;
+    assert_median_below_10ms("re-query", || {
+        id += 1;
+        let requery = PartitionRequest::new(id, InstanceRef::Digest(digest), 5);
+        client.send(&Request::Partition(requery)).unwrap();
+        assert!(matches!(
+            client.wait_outcome(id).unwrap(),
+            JobOutcome::Finished { .. }
+        ));
+    });
+    server.shutdown();
+}
+
+/// Times 20 sequential calls of `round_trip` and asserts their median is
+/// below 10 ms (a delayed-ACK stall is ≥ 40 ms).
+fn assert_median_below_10ms(what: &str, mut round_trip: impl FnMut()) {
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            round_trip();
+            start.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median {what} round trip {median:?} (all: {rtts:?})"
+    );
+}
+
 #[test]
 fn unknown_digest_and_bad_requests_fail_typed() {
     let server = start_default();
