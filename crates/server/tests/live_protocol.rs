@@ -8,7 +8,10 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hypart_server::protocol::{digest_to_hex, EvalRequest, InstanceRef, PartitionRequest, Request};
+use hypart_server::protocol::{
+    digest_to_hex, read_frame, write_frame, EvalRequest, InstanceRef, PartitionRequest, Request,
+    Response, DEFAULT_MAX_FRAME_BYTES,
+};
 use hypart_server::{Client, JobOutcome, Server, ServerConfig};
 use hypart_trace::{RunEvent, StopReason};
 
@@ -46,6 +49,38 @@ fn malformed_frame_gets_typed_parse_error_and_connection_survives() {
     assert!(matches!(outcome, JobOutcome::Finished { .. }));
     let stats = client.stats().unwrap();
     assert!(stats.errors >= 1, "the junk frame must be counted");
+    server.shutdown();
+}
+
+/// Without the parser's nesting cap, a frame of 100,000 `[` overflows
+/// the reader thread's stack and aborts the daemon. With it, the frame
+/// gets a typed `parse` error and the same connection keeps serving.
+#[test]
+fn deeply_nested_frame_gets_parse_error_and_connection_keeps_serving() {
+    let server = start_default();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let deep = "[".repeat(100_000);
+    raw.write_all(&(deep.len() as u32).to_be_bytes()).unwrap();
+    raw.write_all(deep.as_bytes()).unwrap();
+    let reply = read_frame(&mut raw, DEFAULT_MAX_FRAME_BYTES)
+        .unwrap()
+        .unwrap();
+    match Response::from_json(&reply).unwrap() {
+        Response::Error { code, detail, .. } => {
+            assert_eq!(code, "parse");
+            assert!(detail.contains("nesting"), "{detail}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    write_frame(&mut raw, &Request::Ping.to_json()).unwrap();
+    let pong = read_frame(&mut raw, DEFAULT_MAX_FRAME_BYTES)
+        .unwrap()
+        .unwrap();
+    assert!(matches!(
+        Response::from_json(&pong).unwrap(),
+        Response::Pong(_)
+    ));
     server.shutdown();
 }
 
