@@ -16,7 +16,7 @@
 use std::io::{Read, Write};
 
 use hypart_core::EngineKind;
-use hypart_trace::json::JsonValue;
+use hypart_trace::json::{self, JsonValue};
 use hypart_trace::{RunEvent, StopReason};
 
 /// Default cap on a single frame's payload size (64 MiB — inline `.hgr`
@@ -86,14 +86,58 @@ pub fn is_timeout(e: &std::io::Error) -> bool {
 /// Propagates the underlying write failure; a value serializing to more
 /// than `u32::MAX` bytes is rejected without writing.
 pub fn write_frame<W: Write>(writer: &mut W, value: &JsonValue) -> std::io::Result<()> {
-    let text = value.to_string();
-    let len = u32::try_from(text.len())
-        .map_err(|_| std::io::Error::other("frame payload exceeds u32 length prefix"))?;
-    let mut frame = Vec::with_capacity(4 + text.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(text.as_bytes());
+    let mut frame = Vec::new();
+    encode_value_frame(&mut frame, value)?;
     writer.write_all(&frame)?;
     writer.flush()
+}
+
+/// Appends one frame holding `value` to `out`.
+pub(crate) fn encode_value_frame(out: &mut Vec<u8>, value: &JsonValue) -> std::io::Result<()> {
+    encode_frame(out, |payload| write!(payload, "{value}"))
+}
+
+/// Appends one `event` frame to `out`: the bytes of [`write_frame`] of
+/// `Response::Event { id, event }.to_json()`, written by
+/// [`RunEvent::write_json`] without building the JSON tree.
+pub(crate) fn encode_event_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    event: &RunEvent,
+) -> std::io::Result<()> {
+    encode_frame(out, |payload| {
+        payload.extend_from_slice(b"{\"event\":");
+        event.write_json(payload);
+        payload.extend_from_slice(b",\"id\":");
+        json::push_number(payload, id as f64);
+        payload.extend_from_slice(b",\"reply\":\"event\"}");
+        Ok(())
+    })
+}
+
+/// The one framing function: appends a big-endian `u32` length prefix
+/// and the payload `encode` appends after it. A payload longer than
+/// `u32::MAX` bytes is an error and leaves `out` as it was.
+fn encode_frame(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let len = encode(out).and_then(|()| {
+        u32::try_from(out.len() - start - 4)
+            .map_err(|_| std::io::Error::other("frame payload exceeds u32 length prefix"))
+    });
+    match len {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// Reads one frame. Returns `Ok(None)` on clean end-of-stream at a frame
@@ -921,6 +965,62 @@ mod tests {
         let mut sink = Counting(Vec::new());
         write_frame(&mut sink, &value).unwrap();
         assert_eq!(sink.0, vec![4 + value.to_string().len()]);
+    }
+
+    #[test]
+    fn event_frames_match_write_frame_of_the_tree() {
+        let events = [
+            RunEvent::Move {
+                vertex: 17,
+                gain: -3,
+                cut: 503,
+            },
+            RunEvent::Rollback {
+                vertex: u64::MAX,
+                cut: 1 << 53,
+            },
+            RunEvent::PassEnd {
+                pass: 2,
+                cut: 480,
+                moves_made: 9,
+                moves_rolled_back: 4,
+                leftovers: true,
+                corked: false,
+            },
+            RunEvent::TrialBegin {
+                trial: 0,
+                seed: 9_000_000_000_000_001,
+                heuristic: "ML \"LIFO\"\\\t".into(),
+                instance: "ibm01\u{1}é😀".into(),
+            },
+            RunEvent::BudgetExhausted {
+                reason: StopReason::Cancelled,
+            },
+        ];
+        for id in [0, 7, MAX_WIRE_INT, u64::MAX] {
+            for event in &events {
+                let response = Response::Event {
+                    id,
+                    event: event.clone(),
+                };
+                let mut expected = b"earlier frames".to_vec();
+                write_frame(&mut expected, &response.to_json()).unwrap();
+                let mut batch = b"earlier frames".to_vec();
+                encode_event_frame(&mut batch, id, event).unwrap();
+                assert_eq!(batch, expected, "{id} {event:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_encode_leaves_the_buffer_as_it_was() {
+        let mut out = b"whole frames".to_vec();
+        let failed = encode_frame(&mut out, |payload| {
+            payload.extend_from_slice(b"{\"half\":");
+            Err(std::io::Error::other("encoder failed"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(out, b"whole frames");
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! escaped in runs between the characters that need escaping, and
 //! nesting is capped at [`MAX_NESTING`] levels so hostile input ends in
 //! an error instead of a stack overflow.
+//!
+//! [`push_number`] appends the text of one number to a byte buffer
+//! through the same formatting code as `Display`, and so does a string
+//! escaper inside this crate, so writers of flat records
+//! (`RunEvent::write_json`, the daemon's `event` frames) produce the
+//! bytes of the tree without building it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -185,15 +191,7 @@ impl fmt::Display for JsonValue {
         match self {
             JsonValue::Null => write!(f, "null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Number(x) => {
-                if !x.is_finite() {
-                    write!(f, "null")
-                } else if x.fract() == 0.0 && x.abs() < 9e15 {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
+            JsonValue::Number(x) => write_number(f, *x),
             JsonValue::String(s) => write_escaped(f, s),
             JsonValue::Array(items) => {
                 write!(f, "[")?;
@@ -220,10 +218,49 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// Appends the text of `JsonValue::Number(x)` to `out`, without building
+/// the value.
+pub fn push_number(out: &mut Vec<u8>, x: f64) {
+    // Appending to a `Vec` cannot fail.
+    let _ = write_number(&mut Bytes(out), x);
+}
+
+/// Appends the text of `JsonValue::String(s)` to `out`, without building
+/// the value.
+pub(crate) fn push_string(out: &mut Vec<u8>, s: &str) {
+    // Appending to a `Vec` cannot fail.
+    let _ = write_escaped(&mut Bytes(out), s);
+}
+
+/// A byte buffer as a `fmt::Write` target, so [`push_number`] and
+/// `push_string` share the formatting code of `Display`.
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Writes a number: integral values below 9e15 in magnitude without a
+/// fractional part, other finite values in Rust's shortest round-trip
+/// decimal (never in exponent form), and non-finite values as `null`, as
+/// `JSON.stringify` does.
+fn write_number<W: fmt::Write>(w: &mut W, x: f64) -> fmt::Result {
+    if !x.is_finite() {
+        w.write_str("null")
+    } else if x.fract() == 0.0 && x.abs() < 9e15 {
+        write!(w, "{}", x as i64)
+    } else {
+        write!(w, "{x}")
+    }
+}
+
 /// Writes `s` as a JSON string literal. Each run of characters that need
 /// no escaping goes out in one `write_str`; every character that does is
 /// ASCII, so the runs split `s` on char boundaries.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+fn write_escaped<W: fmt::Write>(f: &mut W, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     let mut run_start = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -472,7 +509,7 @@ impl Parser<'_> {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -518,7 +555,7 @@ mod tests {
     /// Characters from every class the escaper treats differently: the
     /// two escaped printables, C0 controls, DEL, plain ASCII, non-ASCII
     /// in the BMP, and astral characters.
-    fn wire_char() -> impl Strategy<Value = char> {
+    pub(crate) fn wire_char() -> impl Strategy<Value = char> {
         prop_oneof![
             Just(u32::from('"')),
             Just(u32::from('\\')),

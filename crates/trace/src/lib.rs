@@ -38,9 +38,13 @@
 //! let events = sink.events();
 //! assert_eq!(events.len(), 2);
 //! assert_eq!(events[1].kind(), "run_end");
-//! // Each event serializes to one JSONL line and parses back.
-//! let line = events[1].to_json().to_string();
-//! let back = RunEvent::from_json(&hypart_trace::json::JsonValue::parse(&line).unwrap());
+//! // Each event writes one JSONL line straight into a byte buffer, with
+//! // no JSON tree in between, and parses back.
+//! let mut line = Vec::new();
+//! events[1].write_json(&mut line);
+//! assert_eq!(line, br#"{"cut":7,"ev":"run_end","passes":2}"#);
+//! let text = std::str::from_utf8(&line).unwrap();
+//! let back = RunEvent::from_json(&hypart_trace::json::JsonValue::parse(text).unwrap());
 //! assert_eq!(back.unwrap(), events[1]);
 //! ```
 

@@ -128,14 +128,16 @@ impl TraceSink for MemorySink {
 }
 
 /// Streams events as newline-delimited JSON (one
-/// [`RunEvent::to_json`] object per line) into any [`Write`].
+/// [`RunEvent::to_json`] object per line, written by
+/// [`RunEvent::write_json`] with one `write_all`) into any [`Write`].
 ///
 /// Write errors do not panic the engine mid-run: the first failure flips
 /// an internal flag, subsequent writes are skipped, and
 /// [`finish`](JsonlSink::finish) reports the failure.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
-    writer: Mutex<W>,
+    /// The writer and a line buffer reused across events.
+    writer: Mutex<(W, Vec<u8>)>,
     failed: AtomicBool,
 }
 
@@ -144,7 +146,7 @@ impl<W: Write> JsonlSink<W> {
     /// [`std::io::BufWriter`]).
     pub fn new(writer: W) -> Self {
         JsonlSink {
-            writer: Mutex::new(writer),
+            writer: Mutex::new((writer, Vec::new())),
             failed: AtomicBool::new(false),
         }
     }
@@ -167,7 +169,7 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// Any write or flush failure.
     pub fn finish(self) -> std::io::Result<W> {
-        let mut writer = self.writer.into_inner().unwrap_or_else(|e| e.into_inner());
+        let (mut writer, _) = self.writer.into_inner().unwrap_or_else(|e| e.into_inner());
         if self.failed.load(Ordering::Relaxed) {
             return Err(std::io::Error::other("a trace write failed"));
         }
@@ -181,8 +183,12 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.failed.load(Ordering::Relaxed) {
             return;
         }
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if writeln!(writer, "{}", event.to_json()).is_err() {
+        let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let (writer, line) = &mut *guard;
+        line.clear();
+        event.write_json(line);
+        line.push(b'\n');
+        if writer.write_all(line).is_err() {
             self.failed.store(true, Ordering::Relaxed);
         }
     }

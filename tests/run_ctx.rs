@@ -4,11 +4,17 @@
 //! with a legal best-so-far, and cancellation must interrupt a parallel
 //! multi-start from another thread.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hypart::benchgen::ispd98_like;
 use hypart::ml::multi_start_parallel_with;
 use hypart::prelude::*;
+
+/// Serializes this binary's tests. `budgeted_multi_start_hits_deadline`
+/// needs a start to finish inside its 50 ms budget, which a debug build
+/// misses while the two other tests load both cores.
+static TIMING_LOCK: Mutex<()> = Mutex::new(());
 
 fn jsonl_of(f: impl FnOnce(&JsonlSink<Vec<u8>>)) -> String {
     let sink = JsonlSink::new(Vec::new());
@@ -21,6 +27,7 @@ fn jsonl_of(f: impl FnOnce(&JsonlSink<Vec<u8>>)) -> String {
 /// streams must stay bitwise identical to a hand-built `RunCtx` run.
 #[test]
 fn wrappers_reproduce_canonical_jsonl_streams() {
+    let _serial = TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let h = ispd98_like(1, 0.02, 23);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
 
@@ -76,6 +83,7 @@ fn wrappers_reproduce_canonical_jsonl_streams() {
 /// trace stream.
 #[test]
 fn budgeted_multi_start_hits_deadline() {
+    let _serial = TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let h = ispd98_like(1, 0.05, 11);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let ml = MlPartitioner::new(MlConfig::ml_lifo());
@@ -136,6 +144,7 @@ fn budgeted_multi_start_hits_deadline() {
 /// `StopReason::Cancelled` and a well-formed best-so-far.
 #[test]
 fn cancellation_interrupts_parallel_multi_start() {
+    let _serial = TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let h = ispd98_like(2, 0.06, 31);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let ml = MlPartitioner::new(MlConfig::ml_lifo());
