@@ -70,16 +70,16 @@ macro_rules! impl_heuristic {
                 &self.name
             }
 
-            fn solve(
+            fn solve_with(
                 &self,
                 h: &Hypergraph,
                 constraint: &BalanceConstraint,
-                seed: u64,
+                ctx: &mut hypart_core::RunCtx<'_>,
             ) -> hypart_eval::runner::Trial {
                 let t = std::time::Instant::now();
-                let out = self.run(h, constraint, seed);
+                let out = self.run(h, constraint, ctx.seed);
                 hypart_eval::runner::Trial {
-                    seed,
+                    seed: ctx.seed,
                     cut: out.cut,
                     balanced: out.balanced,
                     stopped: hypart_core::StopReason::Completed,

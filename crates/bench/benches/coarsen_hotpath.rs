@@ -16,10 +16,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hypart_benchgen::ispd98_like;
-use hypart_core::BalanceConstraint;
+use hypart_core::{BalanceConstraint, RunCtx};
 use hypart_hypergraph::PartId;
 use hypart_ml::coarsen::{build_hierarchy, CoarsenConfig};
-use hypart_ml::{multi_start, MlConfig, MlPartitioner};
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -56,7 +56,15 @@ fn bench_multilevel(c: &mut Criterion) {
     let ml = MlPartitioner::new(MlConfig::ml_lifo());
     let mut group = c.benchmark_group("coarsen_hotpath_ml");
     group.bench_function("multi_start4", |b| {
-        b.iter(|| multi_start(&ml, &h, &constraint, 4, SEED, 1))
+        b.iter(|| {
+            multi_start_with(
+                &ml,
+                &h,
+                &constraint,
+                &MultiStartPlan::count(4, 1),
+                &mut RunCtx::new(SEED),
+            )
+        })
     });
     group.finish();
 }

@@ -14,10 +14,10 @@
 //! at the repository root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner};
+use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner, RunCtx};
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder};
 use hypart_kway::{KWayBalance, KWayConfig, KWayFmPartitioner};
-use hypart_ml::{multi_start, MlConfig, MlPartitioner};
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 
 /// Fixed seed: every sample runs the identical move sequence.
 const SEED: u64 = 11;
@@ -54,7 +54,15 @@ fn bench_multilevel(c: &mut Criterion) {
     let ml = MlPartitioner::new(MlConfig::ml_lifo());
     let mut group = c.benchmark_group("fm_hotpath_ml");
     group.bench_function("multi_start4", |b| {
-        b.iter(|| multi_start(&ml, &h, &constraint, 4, SEED, 1))
+        b.iter(|| {
+            multi_start_with(
+                &ml,
+                &h,
+                &constraint,
+                &MultiStartPlan::count(4, 1),
+                &mut RunCtx::new(SEED),
+            )
+        })
     });
     group.finish();
 }

@@ -16,7 +16,7 @@ use hypart_core::{
     select_contractions, BalanceConstraint, ContractScratch, ContractionLimits, DynHypergraph,
     EngineKind, RunCtx, SparseScores,
 };
-use hypart_ml::{multi_start_with, MlConfig, MlPartitioner};
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 
 /// Fixed seed: every sample runs the identical contraction sequence.
 const SEED: u64 = 11;
@@ -96,7 +96,16 @@ fn bench_engines(c: &mut Criterion) {
     // the first should run on warm arenas.
     group.bench_function("nlevel_multi_start4", |b| {
         let mut ctx = RunCtx::new(SEED);
-        b.iter(|| multi_start_with(&nlevel, &h, &constraint, 4, 1, &mut ctx).cut)
+        b.iter(|| {
+            multi_start_with(
+                &nlevel,
+                &h,
+                &constraint,
+                &MultiStartPlan::count(4, 1),
+                &mut ctx,
+            )
+            .cut
+        })
     });
     group.finish();
 }

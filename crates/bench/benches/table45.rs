@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hypart_bench::{instance, tol2, ExperimentConfig};
-use hypart_ml::{multi_start, MlConfig, MlPartitioner};
+use hypart_core::RunCtx;
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 
 fn bench_multi_start(c: &mut Criterion) {
     let cfg = ExperimentConfig {
@@ -23,7 +24,15 @@ fn bench_multi_start(c: &mut Criterion) {
                     seed += 1;
                     seed
                 },
-                |s| multi_start(&ml, &h, &constraint, nruns, s, 1),
+                |s| {
+                    multi_start_with(
+                        &ml,
+                        &h,
+                        &constraint,
+                        &MultiStartPlan::count(nruns, 1),
+                        &mut RunCtx::new(s),
+                    )
+                },
                 BatchSize::SmallInput,
             )
         });

@@ -22,12 +22,12 @@
 #![warn(missing_docs)]
 
 use hypart_benchgen::{ispd98_like, mcnc_like};
-use hypart_core::{BalanceConstraint, FmConfig, SelectionRule, TieBreak, ZeroDeltaPolicy};
+use hypart_core::{BalanceConstraint, FmConfig, RunCtx, SelectionRule, TieBreak, ZeroDeltaPolicy};
 use hypart_eval::bsf::BsfCurve;
 use hypart_eval::pareto::{frontier_report, pareto_frontier, PerfPoint};
 use hypart_eval::ranking::{RankingDiagram, RankingRow};
 use hypart_eval::runner::{
-    run_trials, FlatFmHeuristic, Heuristic, MlHeuristic, MultiStartHeuristic, TrialSet,
+    run_trials_with, FlatFmHeuristic, Heuristic, MlHeuristic, MultiStartHeuristic, TrialSet,
 };
 use hypart_eval::stats::wilcoxon_rank_sum;
 use hypart_eval::table::Table;
@@ -156,7 +156,13 @@ pub fn table1(cfg: &ExperimentConfig) -> Table {
                 };
                 let mut cells = Vec::with_capacity(3);
                 for h in &instances {
-                    let set = run_trials(heuristic.as_ref(), h, &tol2(h), cfg.trials, cfg.seed);
+                    let set = run_trials_with(
+                        heuristic.as_ref(),
+                        h,
+                        &tol2(h),
+                        cfg.trials,
+                        &mut RunCtx::new(cfg.seed),
+                    );
                     cells.push(set.min_avg_cell());
                 }
                 table.add_row([
@@ -194,7 +200,8 @@ fn ours_vs_reported(
             let mut cells = Vec::with_capacity(3);
             for h in &instances {
                 let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tol_fraction);
-                let set = run_trials(&heuristic, h, &c, cfg.trials, cfg.seed);
+                let set =
+                    run_trials_with(&heuristic, h, &c, cfg.trials, &mut RunCtx::new(cfg.seed));
                 cells.push(set.min_avg_cell());
             }
             table.add_row([
@@ -275,7 +282,7 @@ pub fn table45(
         for &starts in &TABLE45_STARTS {
             let heuristic =
                 MultiStartHeuristic::new(format!("hML x{starts}"), MlConfig::default(), starts, 4);
-            let set = run_trials(&heuristic, &h, &c, repetitions, cfg.seed);
+            let set = run_trials_with(&heuristic, &h, &c, repetitions, &mut RunCtx::new(cfg.seed));
             row.push(format!("{:.1}/{:.2}", set.avg_cut(), set.avg_seconds()));
         }
         table.add_row(row);
@@ -301,7 +308,13 @@ pub fn bsf_experiment(cfg: &ExperimentConfig) -> String {
     out.push_str("heuristic,starts,budget_seconds,expected_best_cut\n");
     let mut plots = String::new();
     for heuristic in &heuristics {
-        let set = run_trials(heuristic.as_ref(), &h, &c, cfg.trials, cfg.seed);
+        let set = run_trials_with(
+            heuristic.as_ref(),
+            &h,
+            &c,
+            cfg.trials,
+            &mut RunCtx::new(cfg.seed),
+        );
         let curve = BsfCurve::from_trials(&set, 100);
         for p in &curve.points {
             out.push_str(&format!(
@@ -346,7 +359,13 @@ pub fn pareto_experiment(cfg: &ExperimentConfig) -> String {
         ),
     ];
     for (label, heuristic) in &configs {
-        let set = run_trials(heuristic.as_ref(), &h, &c, cfg.trials, cfg.seed);
+        let set = run_trials_with(
+            heuristic.as_ref(),
+            &h,
+            &c,
+            cfg.trials,
+            &mut RunCtx::new(cfg.seed),
+        );
         points.push(PerfPoint::new(
             label.clone(),
             set.avg_cut(),
@@ -377,7 +396,13 @@ pub fn ranking_experiment(cfg: &ExperimentConfig) -> String {
             ("Flat LIFO", flat(FmConfig::lifo(), "Flat LIFO")),
             ("ML LIFO", ml(FmConfig::lifo(), "ML LIFO")),
         ] {
-            let set = run_trials(heuristic.as_ref(), &h, &c, cfg.trials, cfg.seed);
+            let set = run_trials_with(
+                heuristic.as_ref(),
+                &h,
+                &c,
+                cfg.trials,
+                &mut RunCtx::new(cfg.seed),
+            );
             let curve = BsfCurve::from_trials(&set, 100);
             min_budget = min_budget.min(curve.min_budget());
             max_budget = max_budget.max(curve.points.last().expect("points").seconds);
@@ -526,12 +551,12 @@ pub fn ablation_experiment(cfg: &ExperimentConfig) -> Table {
         ));
 
     let run_flat = |dimension: &str, setting: &str, fm: FmConfig, table: &mut Table| {
-        let set = run_trials(
+        let set = run_trials_with(
             &FlatFmHeuristic::new(setting, fm),
             &h,
             &c,
             cfg.trials,
-            cfg.seed,
+            &mut RunCtx::new(cfg.seed),
         );
         table.add_row([
             dimension.to_string(),
@@ -572,12 +597,12 @@ pub fn ablation_experiment(cfg: &ExperimentConfig) -> Table {
             },
             ..MlConfig::default()
         };
-        let set = run_trials(
+        let set = run_trials_with(
             &MlHeuristic::new(setting, ml_cfg),
             &h,
             &c,
             cfg.trials,
-            cfg.seed,
+            &mut RunCtx::new(cfg.seed),
         );
         table.add_row([
             "coarsening".to_string(),
@@ -621,12 +646,12 @@ pub fn fixed_terminals_experiment(cfg: &ExperimentConfig) -> Table {
             with_pad_ring(&base, count, cfg.seed)
         };
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let set = run_trials(
+        let set = run_trials_with(
             &MlHeuristic::new("ML LIFO", MlConfig::ml_lifo()),
             &h,
             &c,
             cfg.trials,
-            cfg.seed,
+            &mut RunCtx::new(cfg.seed),
         );
         let summary = Summary::of(&set.cuts()).expect("trials exist");
         table.add_row([

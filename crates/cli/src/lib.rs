@@ -39,7 +39,7 @@ use hypart_eval::runner::{run_trials_with, FlatFmHeuristic, MlHeuristic};
 use hypart_eval::stats::wilcoxon_rank_sum;
 use hypart_hypergraph::{io, Hypergraph, PartId};
 use hypart_kway::{recursive_bisection_with, KWayBalance, KWayConfig, KWayFmPartitioner};
-use hypart_ml::{multi_start_budgeted_with, multi_start_with, EngineKind, MlConfig, MlPartitioner};
+use hypart_ml::{multi_start_with, EngineKind, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_place::{hpwl, PlacerConfig, Rect, RowLegalizer, TopDownPlacer};
 use hypart_trace::{CounterSink, JsonlSink, TeeSink};
 
@@ -1123,9 +1123,9 @@ fn run_two_way_with(
     deterministic: bool,
     ctx: &mut RunCtx<'_>,
 ) -> PartitionRun {
-    let base_seed = ctx.seed;
     match engine {
         Engine::Lifo | Engine::Clip => {
+            let base_seed = ctx.seed;
             let fm = if engine == Engine::Lifo {
                 FmConfig::lifo()
             } else {
@@ -1159,49 +1159,19 @@ fn run_two_way_with(
                 audit_failure: audit_failure.map(|e| e.to_string()),
             }
         }
-        Engine::MlLifo | Engine::MlClip | Engine::NLevel => {
+        Engine::MlLifo | Engine::MlClip | Engine::NLevel | Engine::Hmetis | Engine::Kway => {
             let ml = MlPartitioner::new(engine_ml_config(engine, threads, deterministic));
-            let mut best = ml.run_with(h, c, ctx);
-            let mut stopped = best.stopped;
-            let mut audit_failure = best.audit_failure.clone();
-            for i in 1..starts.max(1) as u64 {
-                if stopped.is_stopped() {
-                    break;
+            let plan = match engine {
+                // The hMetis-style driver V-cycles the best start; Kway with
+                // k == 2 degrades gracefully to it. With a budget it launches
+                // starts until the deadline instead of a fixed count.
+                Engine::Hmetis | Engine::Kway if ctx.deadline().is_some() => {
+                    MultiStartPlan::until_budget()
                 }
-                ctx.seed = base_seed.wrapping_add(i);
-                let out = ml.run_with(h, c, ctx);
-                stopped = out.stopped;
-                if audit_failure.is_none() {
-                    audit_failure = out.audit_failure.clone();
-                }
-                if (!out.balanced, out.cut) < (!best.balanced, best.cut) {
-                    best = out;
-                }
-            }
-            ctx.seed = base_seed;
-            PartitionRun {
-                assignment: best.assignment.iter().map(|p| p.index() as u16).collect(),
-                cut: best.cut,
-                balanced: best.balanced,
-                stopped,
-                failed_starts: 0,
-                audit_failure: audit_failure.map(|e| e.to_string()),
-            }
-        }
-        Engine::Hmetis | Engine::Kway => {
-            // Kway with k == 2 degrades gracefully to the multistart driver.
-            let ml = MlPartitioner::new(
-                MlConfig::default()
-                    .with_threads(threads)
-                    .with_deterministic(deterministic),
-            );
-            // With a budget the driver launches starts until the deadline
-            // instead of a fixed count.
-            let out = if ctx.deadline().is_some() {
-                multi_start_budgeted_with(&ml, h, c, ctx)
-            } else {
-                multi_start_with(&ml, h, c, starts.max(1), 4, ctx)
+                Engine::Hmetis | Engine::Kway => MultiStartPlan::count(starts.max(1), 4),
+                _ => MultiStartPlan::count(starts.max(1), 0),
             };
+            let out = multi_start_with(&ml, h, c, &plan, ctx);
             PartitionRun {
                 assignment: out.assignment.iter().map(|p| p.index() as u16).collect(),
                 cut: out.cut,
@@ -1361,6 +1331,31 @@ mod tests {
         let b = essence(run_at(Some(4)));
         assert_eq!(a, b, "deterministic runs must not depend on lane count");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--engine ml-lifo --starts 4` runs the multi-start driver: a start
+    /// that panics is isolated and counted, and the report is the best of
+    /// the surviving starts — the fault-free sweep's best over starts 0,
+    /// 2 and 3.
+    #[test]
+    fn panicked_ml_start_is_isolated_by_the_cli_loop() {
+        let h = hypart_benchgen::mcnc_like(300, 8);
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        let mut ctx = RunCtx::new(5).with_fault_plan(hypart_core::FaultPlan::panic_in_start(1));
+        let run = run_two_way_with(&h, &c, Engine::MlLifo, 4, 0, true, &mut ctx);
+        assert_eq!(run.failed_starts, 1);
+
+        let ml = MlPartitioner::new(engine_ml_config(Engine::MlLifo, 0, true));
+        let best = [0, 2, 3]
+            .map(|i| ml.run_with(&h, &c, &mut RunCtx::new(5 + i)))
+            .into_iter()
+            .min_by_key(|out| (!out.balanced, out.cut))
+            .unwrap();
+        assert_eq!(run.cut, best.cut);
+        assert_eq!(run.balanced, best.balanced);
+        let assignment: Vec<u16> = best.assignment.iter().map(|p| p.index() as u16).collect();
+        assert_eq!(run.assignment, assignment);
+        assert_eq!(run.stopped, StopReason::Completed);
     }
 
     #[test]

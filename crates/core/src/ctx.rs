@@ -301,8 +301,8 @@ impl<'s> RunCtx<'s> {
     /// A derived context for one unit of parallel work: same deadline,
     /// same (shared) cancellation token, check interval, audit level,
     /// and fault plan, but its own sink, seed, and fresh workspace.
-    /// Parallel drivers give each start a child whose sink is a
-    /// per-start buffer, preserving the sequential trace stream.
+    /// A parallel caller gives each unit a child whose sink is a
+    /// per-unit buffer, preserving the sequential trace stream.
     pub fn child<'t>(&self, sink: &'t dyn TraceSink, seed: u64) -> RunCtx<'t> {
         RunCtx {
             sink,

@@ -20,14 +20,14 @@
 //! # Example
 //!
 //! ```
-//! use hypart_core::{BalanceConstraint, FmConfig};
-//! use hypart_eval::runner::{run_trials, FlatFmHeuristic};
+//! use hypart_core::{BalanceConstraint, FmConfig, RunCtx};
+//! use hypart_eval::runner::{run_trials_with, FlatFmHeuristic};
 //! use hypart_benchgen::toys::two_clusters;
 //!
 //! let h = two_clusters(8, 2);
 //! let c = BalanceConstraint::with_slack(h.total_vertex_weight(), 1);
 //! let heuristic = FlatFmHeuristic::new("LIFO FM", FmConfig::lifo());
-//! let trials = run_trials(&heuristic, &h, &c, 10, 0);
+//! let trials = run_trials_with(&heuristic, &h, &c, 10, &mut RunCtx::new(0));
 //! assert_eq!(trials.len(), 10);
 //! assert_eq!(trials.min_cut(), 2);
 //! ```

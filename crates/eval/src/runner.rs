@@ -1,6 +1,6 @@
 //! Seeded multi-trial execution of partitioning heuristics.
 //!
-//! Both trial runners isolate panics at the trial boundary: a trial that
+//! The trial runner isolates panics at the trial boundary: a trial that
 //! panics is counted in [`TrialSet::failed_trials`], announced with a
 //! [`RunEvent::StartAborted`], and skipped — the surviving trials are
 //! unaffected, so one crashing configuration cannot take down a whole
@@ -9,10 +9,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner, RunCtx, StopReason};
+use hypart_core::{
+    BalanceConstraint, CoarsenWorkspace, FmConfig, FmPartitioner, FmWorkspace, NLevelWorkspace,
+    RunCtx, StopReason,
+};
 use hypart_hypergraph::Hypergraph;
-use hypart_ml::{multi_start_with, MlConfig, MlPartitioner};
-use hypart_trace::{MemorySink, NullSink, RunEvent, TraceSink};
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
+use hypart_trace::RunEvent;
 
 /// One trial's outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,50 +35,23 @@ pub struct Trial {
 
 /// An algorithm under experimental evaluation.
 ///
-/// Implementations must be deterministic functions of `seed` so that
-/// experiments are reproducible — one of the paper's core demands.
+/// Implementations must be deterministic functions of the context's seed
+/// so that experiments are reproducible — one of the paper's core
+/// demands.
 pub trait Heuristic {
     /// Display name used in tables and diagrams.
     fn name(&self) -> &str;
 
-    /// Solves one instance from one seed.
-    fn solve(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Trial;
-
-    /// Solves one instance from one seed, narrating into `sink`.
-    ///
-    /// The default implementation ignores the sink and calls
-    /// [`solve`](Heuristic::solve), so existing heuristics keep working;
-    /// the built-in heuristics override it to thread the sink through to
-    /// their engines. (`&dyn TraceSink` rather than a generic keeps the
-    /// trait object-safe for `&dyn Heuristic` harness code.)
-    fn solve_traced(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-        sink: &dyn TraceSink,
-    ) -> Trial {
-        let _ = sink;
-        self.solve(h, constraint, seed)
-    }
-
-    /// The canonical entry point: solves one instance under the context's
-    /// sink, workspace, seed, and budget.
-    ///
-    /// The default implementation forwards the seed and sink to
-    /// [`solve_traced`](Heuristic::solve_traced) — so pre-existing
-    /// heuristics keep working but ignore the budget. The built-in
-    /// heuristics override it to thread the full context through to their
-    /// engines, which then stop cooperatively at the context's deadline
-    /// or cancellation and record the fact in [`Trial::stopped`].
+    /// Solves one instance from `ctx.seed` under the context's sink,
+    /// workspaces and budget. Engines that honour the budget stop
+    /// cooperatively at the context's deadline or cancellation and
+    /// record the fact in [`Trial::stopped`].
     fn solve_with(
         &self,
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> Trial {
-        self.solve_traced(h, constraint, ctx.seed, ctx.sink)
-    }
+    ) -> Trial;
 }
 
 /// Flat FM / CLIP heuristic (single start of [`FmPartitioner`]).
@@ -98,20 +74,6 @@ impl FlatFmHeuristic {
 impl Heuristic for FlatFmHeuristic {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn solve(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Trial {
-        self.solve_with(h, constraint, &mut RunCtx::new(seed))
-    }
-
-    fn solve_traced(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-        sink: &dyn TraceSink,
-    ) -> Trial {
-        self.solve_with(h, constraint, &mut RunCtx::new(seed).with_sink(sink))
     }
 
     fn solve_with(
@@ -152,20 +114,6 @@ impl MlHeuristic {
 impl Heuristic for MlHeuristic {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn solve(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Trial {
-        self.solve_with(h, constraint, &mut RunCtx::new(seed))
-    }
-
-    fn solve_traced(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-        sink: &dyn TraceSink,
-    ) -> Trial {
-        self.solve_with(h, constraint, &mut RunCtx::new(seed).with_sink(sink))
     }
 
     fn solve_with(
@@ -224,20 +172,6 @@ impl Heuristic for MultiStartHeuristic {
         &self.name
     }
 
-    fn solve(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Trial {
-        self.solve_with(h, constraint, &mut RunCtx::new(seed))
-    }
-
-    fn solve_traced(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-        sink: &dyn TraceSink,
-    ) -> Trial {
-        self.solve_with(h, constraint, &mut RunCtx::new(seed).with_sink(sink))
-    }
-
     fn solve_with(
         &self,
         h: &Hypergraph,
@@ -245,14 +179,8 @@ impl Heuristic for MultiStartHeuristic {
         ctx: &mut RunCtx<'_>,
     ) -> Trial {
         let t = Instant::now();
-        let out = multi_start_with(
-            &self.partitioner,
-            h,
-            constraint,
-            self.nruns,
-            self.max_vcycles,
-            ctx,
-        );
+        let plan = MultiStartPlan::count(self.nruns, self.max_vcycles);
+        let out = multi_start_with(&self.partitioner, h, constraint, &plan, ctx);
         Trial {
             seed: ctx.seed,
             cut: out.cut,
@@ -338,83 +266,11 @@ impl TrialSet {
     }
 }
 
-/// Runs `num_trials` independent single-start trials of `heuristic` with
-/// seeds `base_seed..base_seed + num_trials`.
-///
-/// Equivalent to [`run_trials_with`] with a default [`RunCtx`] (no sink,
-/// no deadline).
-pub fn run_trials(
-    heuristic: &dyn Heuristic,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    num_trials: usize,
-    base_seed: u64,
-) -> TrialSet {
-    run_trials_with(
-        heuristic,
-        h,
-        constraint,
-        num_trials,
-        &mut RunCtx::new(base_seed),
-    )
-}
-
-/// Runs one trial with `TrialBegin`/`TrialEnd` bracketing in the
-/// context's sink.
-fn solve_one_with(
-    heuristic: &dyn Heuristic,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    trial_index: usize,
-    seed: u64,
-    ctx: &mut RunCtx<'_>,
-) -> Trial {
-    if ctx.sink.is_enabled() {
-        ctx.sink.emit(RunEvent::TrialBegin {
-            trial: trial_index as u64,
-            seed,
-            heuristic: heuristic.name().to_string(),
-            instance: h.name().to_string(),
-        });
-    }
-    ctx.seed = seed;
-    let trial = heuristic.solve_with(h, constraint, ctx);
-    if ctx.sink.is_enabled() {
-        ctx.sink.emit(RunEvent::TrialEnd {
-            trial: trial_index as u64,
-            seed,
-            cut: trial.cut,
-            balanced: trial.balanced,
-        });
-    }
-    trial
-}
-
-/// [`run_trials`] with event emission: each trial's engine events are
-/// bracketed by [`RunEvent::TrialBegin`]/[`RunEvent::TrialEnd`], in seed
-/// order.
-///
-/// Equivalent to [`run_trials_with`] with a sink-only [`RunCtx`].
-pub fn run_trials_traced(
-    heuristic: &dyn Heuristic,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    num_trials: usize,
-    base_seed: u64,
-    sink: &dyn TraceSink,
-) -> TrialSet {
-    run_trials_with(
-        heuristic,
-        h,
-        constraint,
-        num_trials,
-        &mut RunCtx::new(base_seed).with_sink(sink),
-    )
-}
-
-/// The canonical trial runner: `num_trials` independent trials with seeds
-/// `ctx.seed..ctx.seed + num_trials` under the context's sink, workspace,
-/// and budget. One workspace serves every trial.
+/// The trial runner: `num_trials` independent trials of `heuristic` with
+/// seeds `ctx.seed..ctx.seed + num_trials`, in seed order, under the
+/// context's sink, workspaces and budget. One set of workspaces serves
+/// every trial. Each trial's engine events are bracketed by
+/// [`RunEvent::TrialBegin`]/[`RunEvent::TrialEnd`].
 ///
 /// On a deadline or cancellation the in-flight trial returns its
 /// best-so-far (flagged in [`Trial::stopped`]) and the remaining trials
@@ -444,15 +300,34 @@ pub fn run_trials_with(
         let seed = base_seed.wrapping_add(i as u64);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             fault.trip_start(i as u64);
-            solve_one_with(heuristic, h, constraint, i, seed, ctx)
+            if ctx.sink.is_enabled() {
+                ctx.sink.emit(RunEvent::TrialBegin {
+                    trial: i as u64,
+                    seed,
+                    heuristic: heuristic.name().to_string(),
+                    instance: h.name().to_string(),
+                });
+            }
+            ctx.seed = seed;
+            let trial = heuristic.solve_with(h, constraint, ctx);
+            if ctx.sink.is_enabled() {
+                ctx.sink.emit(RunEvent::TrialEnd {
+                    trial: i as u64,
+                    seed,
+                    cut: trial.cut,
+                    balanced: trial.balanced,
+                });
+            }
+            trial
         }));
         let trial = match attempt {
             Ok(trial) => trial,
             Err(_) => {
                 // The heuristic may have unwound mid-run: replace the
-                // shared workspace and press on with the next seed.
-                ctx.workspace = hypart_core::FmWorkspace::new();
-                ctx.coarsen = hypart_core::CoarsenWorkspace::new();
+                // shared workspaces and press on with the next seed.
+                ctx.workspace = FmWorkspace::new();
+                ctx.coarsen = CoarsenWorkspace::new();
+                ctx.nlevel = NLevelWorkspace::new();
                 ctx.sink.emit(RunEvent::StartAborted {
                     index: i as u64,
                     seed,
@@ -476,164 +351,12 @@ pub fn run_trials_with(
     }
 }
 
-/// Parallel variant of [`run_trials`]: trials execute on up to `threads`
-/// OS threads (0 = one per core). Results are **identical** to the
-/// sequential version — each trial is a pure function of its seed and the
-/// output is assembled in seed order — so parallelism only changes
-/// wall-clock time, never the reported distribution. (Per-trial `elapsed`
-/// values are measured under concurrency and may differ slightly from a
-/// sequential run; cut values cannot.)
-pub fn run_trials_parallel(
-    heuristic: &(dyn Heuristic + Sync),
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    num_trials: usize,
-    base_seed: u64,
-    threads: usize,
-) -> TrialSet {
-    run_trials_parallel_with(
-        heuristic,
-        h,
-        constraint,
-        num_trials,
-        threads,
-        &mut RunCtx::new(base_seed),
-    )
-}
-
-/// [`run_trials_parallel`] with event emission. Each trial buffers its
-/// events (including its own `TrialBegin`/`TrialEnd` bracket) into a
-/// private [`MemorySink`] on its worker thread; buffers are flushed into
-/// `sink` in seed order once all trials finish, so the stream is
-/// **identical** to [`run_trials_traced`]'s for any thread count.
-pub fn run_trials_parallel_traced(
-    heuristic: &(dyn Heuristic + Sync),
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    num_trials: usize,
-    base_seed: u64,
-    threads: usize,
-    sink: &dyn TraceSink,
-) -> TrialSet {
-    run_trials_parallel_with(
-        heuristic,
-        h,
-        constraint,
-        num_trials,
-        threads,
-        &mut RunCtx::new(base_seed).with_sink(sink),
-    )
-}
-
-/// The canonical parallel trial runner: trials execute on up to `threads`
-/// OS threads (0 = one per core) under the context's sink, seed, and
-/// budget.
-///
-/// Unbudgeted results and event streams are **identical** to
-/// [`run_trials_with`]'s for any thread count: each trial is a pure
-/// function of its seed, outputs are assembled in seed order, and
-/// per-trial event buffers are flushed in seed order. (Per-trial
-/// `elapsed` values are measured under concurrency and may differ
-/// slightly from a sequential run; cut values cannot.)
-///
-/// Under a budget every trial still executes — the work is already
-/// distributed when the deadline hits — but each trial individually
-/// observes the shared deadline and cancellation token and returns its
-/// best-so-far, flagged in [`Trial::stopped`]. Trials do not share the
-/// context's workspace; each worker trial allocates its own.
-pub fn run_trials_parallel_with(
-    heuristic: &(dyn Heuristic + Sync),
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    num_trials: usize,
-    threads: usize,
-    ctx: &mut RunCtx<'_>,
-) -> TrialSet {
-    let traced = ctx.sink.is_enabled();
-    let base_seed = ctx.seed;
-    let audit = ctx.audit();
-    let fault = ctx.fault_plan().clone();
-    let deadline = ctx.deadline();
-    let token = ctx.cancel_token();
-    let check_moves = ctx.move_check_interval();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
-    }
-    .min(num_trials.max(1))
-    .max(1);
-
-    // `None` never survives the scope below: every index gets `Some(Ok)`
-    // from a finished trial or `Some(Err)` from its panic boundary. Locks
-    // are recovered, never unwrapped.
-    type TrialSlot = std::sync::Mutex<Option<Result<(Trial, MemorySink), ()>>>;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<TrialSlot> = (0..num_trials)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= num_trials {
-                    break;
-                }
-                let seed = base_seed.wrapping_add(i as u64);
-                let buffer = MemorySink::new();
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    fault.trip_start(i as u64);
-                    let trial_sink: &dyn TraceSink = if traced { &buffer } else { &NullSink };
-                    let mut trial_ctx = RunCtx::new(seed)
-                        .with_sink(trial_sink)
-                        .with_cancel_token(token.clone())
-                        .with_audit(audit)
-                        .with_move_check_interval(check_moves);
-                    if let Some(d) = deadline {
-                        trial_ctx = trial_ctx.with_deadline(d);
-                    }
-                    solve_one_with(heuristic, h, constraint, i, seed, &mut trial_ctx)
-                }));
-                let slot = match attempt {
-                    Ok(trial) => Ok((trial, buffer)),
-                    Err(_) => Err(()),
-                };
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(slot);
-            });
-        }
-    });
-    let mut trials = Vec::with_capacity(num_trials);
-    let mut failed_trials = 0usize;
-    for (i, cell) in slots.into_iter().enumerate() {
-        match cell.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok((trial, buffer))) => {
-                if traced {
-                    buffer.flush_into(ctx.sink);
-                }
-                trials.push(trial);
-            }
-            Some(Err(())) | None => {
-                ctx.sink.emit(RunEvent::StartAborted {
-                    index: i as u64,
-                    seed: base_seed.wrapping_add(i as u64),
-                });
-                failed_trials += 1;
-            }
-        }
-    }
-    TrialSet {
-        heuristic: heuristic.name().to_string(),
-        instance: h.name().to_string(),
-        trials,
-        failed_trials,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hypart_benchgen::toys::two_clusters;
-    use hypart_core::FmConfig;
+    use hypart_core::{FaultPlan, FmConfig};
+    use hypart_trace::MemorySink;
 
     fn setup() -> (Hypergraph, BalanceConstraint) {
         let h = two_clusters(8, 2);
@@ -641,11 +364,22 @@ mod tests {
         (h, c)
     }
 
+    /// `num_trials` unbudgeted, untraced trials from `seed`.
+    fn unbudgeted_trials(
+        heuristic: &dyn Heuristic,
+        h: &Hypergraph,
+        c: &BalanceConstraint,
+        num_trials: usize,
+        seed: u64,
+    ) -> TrialSet {
+        run_trials_with(heuristic, h, c, num_trials, &mut RunCtx::new(seed))
+    }
+
     #[test]
     fn flat_trials_find_optimum() {
         let (h, c) = setup();
         let heur = FlatFmHeuristic::new("LIFO", FmConfig::lifo());
-        let set = run_trials(&heur, &h, &c, 8, 0);
+        let set = unbudgeted_trials(&heur, &h, &c, 8, 0);
         assert_eq!(set.len(), 8);
         assert_eq!(set.min_cut(), 2);
         assert!(set.avg_cut() >= 2.0);
@@ -657,8 +391,8 @@ mod tests {
     fn trials_are_reproducible() {
         let (h, c) = setup();
         let heur = FlatFmHeuristic::new("CLIP", FmConfig::clip());
-        let a = run_trials(&heur, &h, &c, 5, 42);
-        let b = run_trials(&heur, &h, &c, 5, 42);
+        let a = unbudgeted_trials(&heur, &h, &c, 5, 42);
+        let b = unbudgeted_trials(&heur, &h, &c, 5, 42);
         let cuts_a: Vec<u64> = a.trials.iter().map(|t| t.cut).collect();
         let cuts_b: Vec<u64> = b.trials.iter().map(|t| t.cut).collect();
         assert_eq!(cuts_a, cuts_b);
@@ -668,7 +402,7 @@ mod tests {
     fn ml_heuristic_runs() {
         let (h, c) = setup();
         let heur = MlHeuristic::new("ML LIFO", MlConfig::ml_lifo());
-        let set = run_trials(&heur, &h, &c, 3, 0);
+        let set = unbudgeted_trials(&heur, &h, &c, 3, 0);
         assert_eq!(set.min_cut(), 2);
     }
 
@@ -677,24 +411,8 @@ mod tests {
         let (h, c) = setup();
         let heur = MultiStartHeuristic::new("hMetis-like x4", MlConfig::ml_lifo(), 4, 1);
         assert_eq!(heur.nruns(), 4);
-        let set = run_trials(&heur, &h, &c, 2, 0);
+        let set = unbudgeted_trials(&heur, &h, &c, 2, 0);
         assert_eq!(set.min_cut(), 2);
-    }
-
-    #[test]
-    fn parallel_trials_match_sequential() {
-        let (h, c) = setup();
-        let heur = FlatFmHeuristic::new("LIFO", FmConfig::lifo());
-        let seq = run_trials(&heur, &h, &c, 12, 3);
-        for threads in [0, 1, 3] {
-            let par = run_trials_parallel(&heur, &h, &c, 12, 3, threads);
-            let seq_cuts: Vec<u64> = seq.trials.iter().map(|t| t.cut).collect();
-            let par_cuts: Vec<u64> = par.trials.iter().map(|t| t.cut).collect();
-            assert_eq!(seq_cuts, par_cuts, "threads={threads}");
-            let seq_seeds: Vec<u64> = seq.trials.iter().map(|t| t.seed).collect();
-            let par_seeds: Vec<u64> = par.trials.iter().map(|t| t.seed).collect();
-            assert_eq!(seq_seeds, par_seeds, "threads={threads}");
-        }
     }
 
     #[test]
@@ -702,7 +420,7 @@ mod tests {
         let (h, c) = setup();
         let heur = MlHeuristic::new("ML", MlConfig::ml_lifo());
         let sink = MemorySink::new();
-        let set = run_trials_traced(&heur, &h, &c, 3, 10, &sink);
+        let set = run_trials_with(&heur, &h, &c, 3, &mut RunCtx::new(10).with_sink(&sink));
         let events = sink.take();
         let begins: Vec<(u64, u64)> = events
             .iter()
@@ -724,39 +442,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_traced_trials_match_sequential_stream() {
-        let (h, c) = setup();
-        let heur = FlatFmHeuristic::new("CLIP", FmConfig::clip());
-        let seq_sink = MemorySink::new();
-        let seq = run_trials_traced(&heur, &h, &c, 9, 5, &seq_sink);
-        let seq_events = seq_sink.take();
-        assert!(!seq_events.is_empty());
-        for threads in [1, 3, 0] {
-            let par_sink = MemorySink::new();
-            let par = run_trials_parallel_traced(&heur, &h, &c, 9, 5, threads, &par_sink);
-            let seq_cuts: Vec<u64> = seq.trials.iter().map(|t| t.cut).collect();
-            let par_cuts: Vec<u64> = par.trials.iter().map(|t| t.cut).collect();
-            assert_eq!(seq_cuts, par_cuts, "threads={threads}");
-            assert_eq!(par_sink.take(), seq_events, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn panicked_trial_is_isolated_in_both_runners() {
-        use hypart_core::FaultPlan;
+    fn panicked_trial_is_isolated() {
         let (h, c) = setup();
         let heur = FlatFmHeuristic::new("LIFO", FmConfig::lifo());
-        let clean = run_trials(&heur, &h, &c, 6, 3);
+        let clean = unbudgeted_trials(&heur, &h, &c, 6, 3);
 
-        let mut seq_ctx = RunCtx::new(3).with_fault_plan(FaultPlan::panic_in_start(2));
-        let seq = run_trials_with(&heur, &h, &c, 6, &mut seq_ctx);
-        assert_eq!(seq.failed_trials, 1);
-        assert_eq!(seq.len(), 5);
-
-        let mut par_ctx = RunCtx::new(3).with_fault_plan(FaultPlan::panic_in_start(2));
-        let par = run_trials_parallel_with(&heur, &h, &c, 6, 2, &mut par_ctx);
-        assert_eq!(par.failed_trials, 1);
-        // Survivors are bitwise the fault-free trials minus #2.
+        let sink = MemorySink::new();
+        let mut ctx = RunCtx::new(3)
+            .with_sink(&sink)
+            .with_fault_plan(FaultPlan::panic_in_start(2));
+        let set = run_trials_with(&heur, &h, &c, 6, &mut ctx);
+        assert_eq!(set.failed_trials, 1);
+        assert_eq!(set.len(), 5);
+        // The trial is announced as aborted at its seed, and the
+        // survivors are bitwise the fault-free trials minus #2.
+        let aborted: Vec<RunEvent> = sink
+            .take()
+            .into_iter()
+            .filter(|e| matches!(e, RunEvent::StartAborted { .. }))
+            .collect();
+        assert_eq!(aborted, vec![RunEvent::StartAborted { index: 2, seed: 5 }]);
         let expect: Vec<u64> = clean
             .trials
             .iter()
@@ -764,10 +469,8 @@ mod tests {
             .filter(|(i, _)| *i != 2)
             .map(|(_, t)| t.cut)
             .collect();
-        let seq_cuts: Vec<u64> = seq.trials.iter().map(|t| t.cut).collect();
-        let par_cuts: Vec<u64> = par.trials.iter().map(|t| t.cut).collect();
-        assert_eq!(seq_cuts, expect);
-        assert_eq!(par_cuts, expect);
+        let cuts: Vec<u64> = set.trials.iter().map(|t| t.cut).collect();
+        assert_eq!(cuts, expect);
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //!
 //! "We run hMetis-1.5 using number of starts equal to 1, 2, 4, 8, 16 and
 //! 100 […] hMetis-1.5 will V-cycle the best result among these starts."
-//! [`multi_start`] reproduces that protocol: `nruns` independent seeded
-//! multilevel starts, then repeated V-cycles on the best until a cycle
-//! stops improving.
+//! [`multi_start_with`] reproduces that protocol under
+//! [`Starts::Count`]: `nruns` independent seeded multilevel starts, then
+//! repeated V-cycles on the best until a cycle stops improving.
 //!
-//! For the paper's §3 quality–runtime methodology there is also
-//! [`multi_start_budgeted`]: instead of a fixed start count it keeps
+//! For the paper's §3 quality–runtime methodology the same loop runs
+//! under [`Starts::UntilBudget`]: instead of a fixed start count it keeps
 //! launching starts until the wall-clock budget of its [`RunCtx`] runs
 //! out, reporting the best among the fully completed starts — real
 //! deadlines instead of post-hoc trial truncation.
 //!
-//! Every start — sequential or parallel — runs inside a panic boundary:
-//! a start that panics is isolated, recorded as
-//! [`StartOutcome::Panicked`] and announced with
+//! Every start runs inside a panic boundary: a start that panics is
+//! isolated, recorded as [`StartOutcome::Panicked`] and announced with
 //! [`RunEvent::StartAborted`], and the sweep returns the best of the
 //! surviving starts. The reported best stays a pure function of the set
 //! of seeds that completed, so a crash in start *i* never perturbs what
@@ -30,7 +29,7 @@ use hypart_core::{
     RunCtx, StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
-use hypart_trace::{MemorySink, NullSink, RunEvent, TraceSink};
+use hypart_trace::RunEvent;
 
 /// Record of one independent start inside a multi-start run.
 #[derive(Clone, Debug)]
@@ -67,8 +66,8 @@ pub enum StartOutcome {
 }
 
 /// Per-start dispositions of a multi-start sweep, in seed order. One
-/// entry per *attempted* start: a sequential sweep that runs out of
-/// budget records only the starts it launched.
+/// entry per *attempted* start: a sweep that runs out of budget records
+/// only the starts it launched.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MultiStartStats {
     /// One disposition per attempted start, in seed order.
@@ -196,83 +195,111 @@ fn displaces(best: &MlOutcome, out: &MlOutcome) -> bool {
     (!best.balanced && out.balanced) || (best.balanced == out.balanced && out.cut < best.cut)
 }
 
-/// Runs `nruns` independent multilevel starts (seeds `base_seed`,
-/// `base_seed + 1`, …), then V-cycles the best result until a V-cycle
-/// fails to improve the cut (at most `max_vcycles`).
+/// How many starts a multi-start sweep launches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Starts {
+    /// Exactly this many starts (at least one), then the V-cycle tail —
+    /// the hMetis-1.5 protocol of the paper's Tables 4–5.
+    Count(usize),
+    /// Starts until the context's deadline or cancellation token stops
+    /// the sweep — the §3 "quality at time τ" protocol. The context must
+    /// carry a budget or a token that is eventually cancelled.
+    UntilBudget,
+}
+
+/// What one multi-start sweep runs: the stopping rule, the V-cycle
+/// allowance, and an optional pre-built coarsening hierarchy.
+#[derive(Clone, Copy, Debug)]
+pub struct MultiStartPlan<'h> {
+    /// How many starts to launch.
+    pub starts: Starts,
+    /// Upper bound on the V-cycles applied to the best start. The tail
+    /// runs only after a sweep that was not stopped, so it never runs
+    /// under [`Starts::UntilBudget`].
+    pub max_vcycles: usize,
+    /// A coarsening hierarchy every start reuses via
+    /// [`run_from_hierarchy_with`](MlPartitioner::run_from_hierarchy_with),
+    /// so a start costs initial partitioning and refinement only. `None`
+    /// coarsens afresh per start.
+    pub hierarchy: Option<&'h Hierarchy>,
+}
+
+impl MultiStartPlan<'_> {
+    /// `nruns` starts, then at most `max_vcycles` V-cycles of the best.
+    pub fn count(nruns: usize, max_vcycles: usize) -> Self {
+        MultiStartPlan {
+            starts: Starts::Count(nruns),
+            max_vcycles,
+            hierarchy: None,
+        }
+    }
+
+    /// Starts until the context's budget runs out; no V-cycles.
+    pub fn until_budget() -> Self {
+        MultiStartPlan {
+            starts: Starts::UntilBudget,
+            max_vcycles: 0,
+            hierarchy: None,
+        }
+    }
+}
+
+/// The multi-start driver: independent starts with seeds `ctx.seed`,
+/// `ctx.seed + 1`, …, as many as `plan.starts` allows, then V-cycles of
+/// the best result until a cycle stops improving (at most
+/// `plan.max_vcycles`), all under the context's sink, workspaces and
+/// budget. One set of workspaces serves the whole sweep.
+///
+/// The first start always runs, so the outcome is well-formed even with
+/// an expired deadline: the engines then return a legal, merely
+/// unrefined solution. Before every later start the launch gate consults
+/// the budget; once it reports a stop the sweep emits
+/// [`RunEvent::BudgetExhausted`] and ends. A start the budget truncated
+/// also ends the sweep, and a stopped sweep skips the V-cycle tail.
+///
+/// # Start brackets
+///
+/// Under [`Starts::UntilBudget`] every start is bracketed, so
+/// best-so-far-vs-time reports can be rebuilt from the trace alone:
+/// [`RunEvent::StartBegin`] is closed by exactly one
+/// [`RunEvent::StartEnd`] (carrying the start's cut and whether it
+/// completed) or [`RunEvent::StartAborted`] (the start panicked). The
+/// launch gate sits immediately before the bracket opens, so an expired
+/// budget never opens a `StartBegin` it cannot close, and no start event
+/// follows the gate's `BudgetExhausted`. A [`Starts::Count`] sweep opens
+/// no brackets: its stream is the starts' own events in seed order, a
+/// `StartAborted` per panicked start, the gate's `BudgetExhausted` if
+/// the budget stops it, and `VcycleBegin`/`VcycleEnd` around each
+/// V-cycle.
 ///
 /// # Panics
 ///
-/// Panics if `nruns == 0`.
-pub fn multi_start(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    nruns: usize,
-    base_seed: u64,
-    max_vcycles: usize,
-) -> MultiStartOutcome {
-    multi_start_with(
-        partitioner,
-        h,
-        constraint,
-        nruns,
-        max_vcycles,
-        &mut RunCtx::new(base_seed),
-    )
-}
-
-/// [`multi_start`] with event emission: each start's multilevel events in
-/// seed order, then [`RunEvent::VcycleBegin`]/[`RunEvent::VcycleEnd`]
-/// brackets around every V-cycle applied to the best result.
-pub fn multi_start_traced<S: TraceSink + ?Sized>(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    nruns: usize,
-    base_seed: u64,
-    max_vcycles: usize,
-    sink: &S,
-) -> MultiStartOutcome {
-    multi_start_with(
-        partitioner,
-        h,
-        constraint,
-        nruns,
-        max_vcycles,
-        &mut RunCtx::new(base_seed).with_sink(&sink),
-    )
-}
-
-/// The canonical multi-start entry point: `nruns` independent starts
-/// (seeds `ctx.seed`, `ctx.seed + 1`, …) and the V-cycle tail, all under
-/// the context's sink, workspace, and budget. One workspace serves the
-/// whole sweep. When the budget runs out, remaining starts and V-cycles
-/// are skipped and the best result so far is returned (the first start
-/// always runs, so the outcome is well-formed even with an expired
-/// deadline).
-///
-/// # Panics
-///
-/// Panics if `nruns == 0`.
+/// Panics if the plan asks for `Starts::Count(0)`, or if every start
+/// panicked.
 pub fn multi_start_with(
     partitioner: &MlPartitioner,
     h: &Hypergraph,
     constraint: &BalanceConstraint,
-    nruns: usize,
-    max_vcycles: usize,
+    plan: &MultiStartPlan<'_>,
     ctx: &mut RunCtx<'_>,
 ) -> MultiStartOutcome {
-    assert!(nruns >= 1, "multi_start needs at least one run");
+    let (limit, bracketed) = match plan.starts {
+        Starts::Count(nruns) => {
+            assert!(nruns >= 1, "multi_start needs at least one run");
+            (nruns as u64, false)
+        }
+        Starts::UntilBudget => (u64::MAX, true),
+    };
     let t0 = Instant::now();
     let base_seed = ctx.seed;
     let fault = ctx.fault_plan().clone();
     let mut probe = ctx.probe();
-    let mut starts = Vec::with_capacity(nruns);
+    let mut starts = Vec::new();
     let mut stats = MultiStartStats::default();
     let mut audit_failure: Option<AuditError> = None;
     let mut best: Option<MlOutcome> = None;
     let mut stopped = StopReason::Completed;
-    for i in 0..nruns {
+    for i in 0..limit {
         if i > 0 {
             if let Some(reason) = probe.stop_now() {
                 stopped = reason;
@@ -280,12 +307,20 @@ pub fn multi_start_with(
                 break;
             }
         }
-        let seed = base_seed.wrapping_add(i as u64);
+        let seed = base_seed.wrapping_add(i);
+        if bracketed {
+            ctx.sink.emit(RunEvent::StartBegin { index: i, seed });
+        }
         let t = Instant::now();
         ctx.seed = seed;
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            fault.trip_start(i as u64);
-            partitioner.run_with(h, constraint, ctx)
+            fault.trip_start(i);
+            match plan.hierarchy {
+                Some(hierarchy) => {
+                    partitioner.run_from_hierarchy_with(h, hierarchy, constraint, ctx)
+                }
+                None => partitioner.run_with(h, constraint, ctx),
+            }
         }));
         let out = match attempt {
             Ok(out) => out,
@@ -296,197 +331,19 @@ pub fn multi_start_with(
                 ctx.workspace = FmWorkspace::new();
                 ctx.coarsen = CoarsenWorkspace::new();
                 ctx.nlevel = NLevelWorkspace::new();
-                ctx.sink.emit(RunEvent::StartAborted {
-                    index: i as u64,
-                    seed,
-                });
-                stats.push_panicked(i, payload_string(payload));
-                continue;
-            }
-        };
-        stats.push(out.stopped);
-        if audit_failure.is_none() {
-            audit_failure = out.audit_failure.clone();
-        }
-        starts.push(StartRecord {
-            seed,
-            cut: out.cut,
-            stopped: out.stopped,
-            elapsed: t.elapsed(),
-        });
-        let start_stop = out.stopped;
-        if best.as_ref().is_none_or(|b| displaces(b, &out)) {
-            best = Some(out);
-        }
-        if start_stop.is_stopped() {
-            stopped = start_stop;
-            break;
-        }
-    }
-    ctx.seed = base_seed;
-    let best = best_or_all_panicked(best, &stats);
-    let (best, vcycles_applied, stopped) = if stopped.is_stopped() {
-        (best, 0, stopped)
-    } else {
-        vcycle_best(
-            partitioner,
-            h,
-            constraint,
-            base_seed,
-            max_vcycles,
-            best,
-            ctx,
-            &mut audit_failure,
-        )
-    };
-
-    MultiStartOutcome {
-        assignment: best.assignment,
-        cut: best.cut,
-        balanced: best.balanced,
-        starts,
-        vcycles_applied,
-        stopped,
-        total_elapsed: t0.elapsed(),
-        stats,
-        audit_failure,
-    }
-}
-
-/// Runs multilevel starts (seeds `base_seed`, `base_seed + 1`, …) until
-/// the wall-clock `budget` is exhausted, then returns the best among the
-/// fully completed starts — the Table 4/5-style "quality at time τ"
-/// protocol. No V-cycling is applied: the budget is by definition spent
-/// when the driver exits.
-///
-/// The driver brackets every start with [`RunEvent::StartBegin`] /
-/// [`RunEvent::StartEnd`] events (the latter carrying the start's cut and
-/// whether it completed), so best-so-far-vs-time reports can be
-/// reconstructed from the trace stream alone.
-pub fn multi_start_budgeted(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    base_seed: u64,
-    budget: Duration,
-) -> MultiStartOutcome {
-    multi_start_budgeted_with(
-        partitioner,
-        h,
-        constraint,
-        &mut RunCtx::new(base_seed).with_budget(budget),
-    )
-}
-
-/// [`multi_start_budgeted`] under an existing context (sink, workspace,
-/// deadline, cancellation token). The first start always runs — even with
-/// an already-expired deadline the engines return a legal, merely
-/// unrefined solution — so the outcome is always well-formed.
-///
-/// # Bracket pairing contract
-///
-/// Every emitted [`RunEvent::StartBegin`] is closed by exactly one
-/// [`RunEvent::StartEnd`] (the start finished, possibly truncated) or
-/// [`RunEvent::StartAborted`] (the start panicked and was isolated). The
-/// launch gate consults the budget probe *immediately* before opening a
-/// bracket, so a deadline that has already expired can never open a
-/// `StartBegin` it cannot close — the sweep emits
-/// [`RunEvent::BudgetExhausted`] and stops instead. No start events
-/// follow `BudgetExhausted`. The only exemption from the gate is the
-/// mandatory first start, and its bracket, too, is always closed: with an
-/// expired deadline it runs construction-only and closes with
-/// `StartEnd { completed: false, .. }`.
-pub fn multi_start_budgeted_with(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    ctx: &mut RunCtx<'_>,
-) -> MultiStartOutcome {
-    let fault = ctx.fault_plan().clone();
-    budgeted_sweep(ctx, |i, ctx| {
-        fault.trip_start(i);
-        partitioner.run_with(h, constraint, ctx)
-    })
-}
-
-/// [`multi_start_budgeted_with`] on a pre-built coarsening hierarchy:
-/// every start reuses `hierarchy` via
-/// [`run_from_hierarchy_with`](MlPartitioner::run_from_hierarchy_with),
-/// so the per-start cost is initial partitioning + refinement only. This
-/// is the sweep a hierarchy-cache hit runs in the partitioning service.
-///
-/// The launch gating, bracket pairing, and best-of-completed selection
-/// are byte-for-byte those of [`multi_start_budgeted_with`] (one shared
-/// sweep loop), and each start remains a pure function of its seed — so
-/// two sweeps over the same hierarchy, budget permitting the same start
-/// count, emit identical traces.
-pub fn multi_start_budgeted_from_hierarchy_with(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    hierarchy: &Hierarchy,
-    constraint: &BalanceConstraint,
-    ctx: &mut RunCtx<'_>,
-) -> MultiStartOutcome {
-    let fault = ctx.fault_plan().clone();
-    budgeted_sweep(ctx, |i, ctx| {
-        fault.trip_start(i);
-        partitioner.run_from_hierarchy_with(h, hierarchy, constraint, ctx)
-    })
-}
-
-/// The shared budgeted sweep loop: seeds `ctx.seed + i`, launch-gates on
-/// the budget probe, brackets every launched start with
-/// `StartBegin`/`StartEnd` (or `StartAborted` on a caught panic), and
-/// returns the best among the fully completed starts. `run_start(i, ctx)`
-/// runs start `i` with `ctx.seed` already set to the start's seed; it is
-/// called inside the panic boundary.
-fn budgeted_sweep<'s, F>(ctx: &mut RunCtx<'s>, mut run_start: F) -> MultiStartOutcome
-where
-    F: FnMut(u64, &mut RunCtx<'s>) -> MlOutcome,
-{
-    let t0 = Instant::now();
-    let base_seed = ctx.seed;
-    let mut probe = ctx.probe();
-    let mut starts = Vec::new();
-    let mut stats = MultiStartStats::default();
-    let mut audit_failure: Option<AuditError> = None;
-    let mut best: Option<MlOutcome> = None;
-    let mut stopped = StopReason::Deadline;
-    for i in 0u64.. {
-        // Launch gate: a `StartBegin` bracket may only open when the
-        // probe does not already report expiry, so an exhausted budget
-        // can never produce a dangling bracket. The mandatory first
-        // start is exempt (the sweep must return a well-formed
-        // solution), but its bracket is still closed by `StartEnd`.
-        if i > 0 {
-            if let Some(reason) = probe.stop_now() {
-                stopped = reason;
-                ctx.sink.emit(RunEvent::BudgetExhausted { reason });
-                break;
-            }
-        }
-        let seed = base_seed.wrapping_add(i);
-        ctx.sink.emit(RunEvent::StartBegin { index: i, seed });
-        let t = Instant::now();
-        ctx.seed = seed;
-        let attempt = catch_unwind(AssertUnwindSafe(|| run_start(i, ctx)));
-        let out = match attempt {
-            Ok(out) => out,
-            Err(payload) => {
-                ctx.workspace = FmWorkspace::new();
-                ctx.coarsen = CoarsenWorkspace::new();
-                ctx.nlevel = NLevelWorkspace::new();
                 ctx.sink.emit(RunEvent::StartAborted { index: i, seed });
                 stats.push_panicked(i as usize, payload_string(payload));
                 continue;
             }
         };
-        ctx.sink.emit(RunEvent::StartEnd {
-            index: i,
-            seed,
-            cut: out.cut,
-            completed: !out.stopped.is_stopped(),
-        });
+        if bracketed {
+            ctx.sink.emit(RunEvent::StartEnd {
+                index: i,
+                seed,
+                cut: out.cut,
+                completed: !out.stopped.is_stopped(),
+            });
+        }
         stats.push(out.stopped);
         if audit_failure.is_none() {
             audit_failure = out.audit_failure.clone();
@@ -507,320 +364,54 @@ where
         }
     }
     ctx.seed = base_seed;
-    let best = best_or_all_panicked(best, &stats);
+    let mut best = best_or_all_panicked(best, &stats);
 
-    MultiStartOutcome {
-        assignment: best.assignment,
-        cut: best.cut,
-        balanced: best.balanced,
-        starts,
-        vcycles_applied: 0,
-        stopped,
-        total_elapsed: t0.elapsed(),
-        stats,
-        audit_failure,
-    }
-}
-
-/// V-cycles `best` until a cycle stops improving (at most `max_vcycles`)
-/// or the context's budget runs out, bracketing each cycle with
-/// `VcycleBegin`/`VcycleEnd` events. Shared tail of the sequential and
-/// parallel drivers — both must pick the same V-cycle seeds so their
-/// outcomes stay bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn vcycle_best(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    base_seed: u64,
-    max_vcycles: usize,
-    mut best: MlOutcome,
-    ctx: &mut RunCtx<'_>,
-    audit_failure: &mut Option<AuditError>,
-) -> (MlOutcome, usize, StopReason) {
-    let mut probe = ctx.probe();
+    // V-cycle the best until a cycle stops improving or the budget runs
+    // out. The seeds are offset from the start seeds so a cycle never
+    // replays a start.
     let mut vcycles_applied = 0usize;
-    let mut stopped = StopReason::Completed;
-    for i in 0..max_vcycles {
-        if let Some(reason) = probe.stop_now() {
-            stopped = reason;
-            ctx.sink.emit(RunEvent::BudgetExhausted { reason });
-            break;
-        }
-        if ctx.sink.is_enabled() {
-            ctx.sink.emit(RunEvent::VcycleBegin {
-                index: i,
-                cut: best.cut,
-            });
-        }
-        ctx.seed = base_seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(i as u64);
-        let cycled = partitioner.vcycle_with(h, constraint, &best.assignment, ctx);
-        vcycles_applied += 1;
-        if audit_failure.is_none() {
-            *audit_failure = cycled.audit_failure.clone();
-        }
-        if ctx.sink.is_enabled() {
-            ctx.sink.emit(RunEvent::VcycleEnd {
-                index: i,
-                cut: cycled.cut,
-            });
-        }
-        let cycle_stop = cycled.stopped;
-        let improved = cycled.cut < best.cut;
-        if improved {
-            best = cycled;
-        }
-        if cycle_stop.is_stopped() {
-            stopped = cycle_stop;
-            break;
-        }
-        if !improved {
-            break;
-        }
-    }
-    ctx.seed = base_seed;
-    (best, vcycles_applied, stopped)
-}
-
-/// Parallel variant of [`multi_start`]: the independent starts run on up
-/// to `threads` OS threads (0 = one per available core). The result is
-/// **bitwise identical** to the sequential version for the same
-/// arguments — each start is a pure function of its seed, and the best is
-/// chosen by the same deterministic (balanced, cut, seed-order) rule —
-/// so parallelism changes wall-clock time only, never reported quality.
-/// Per-start wall times remain meaningful; `total_elapsed` reflects the
-/// parallel schedule.
-///
-/// # Panics
-///
-/// Panics if `nruns == 0`.
-pub fn multi_start_parallel(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    nruns: usize,
-    base_seed: u64,
-    max_vcycles: usize,
-    threads: usize,
-) -> MultiStartOutcome {
-    multi_start_parallel_with(
-        partitioner,
-        h,
-        constraint,
-        nruns,
-        max_vcycles,
-        threads,
-        &mut RunCtx::new(base_seed),
-    )
-}
-
-/// [`multi_start_parallel`] with event emission. Each start buffers its
-/// events into a private [`MemorySink`] on its worker thread; the buffers
-/// are flushed into `sink` in seed order after all starts finish, so the
-/// emitted stream is **identical** to [`multi_start_traced`]'s regardless
-/// of thread count — trace equality is a test oracle, not an accident.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_start_parallel_traced<S: TraceSink + ?Sized>(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    nruns: usize,
-    base_seed: u64,
-    max_vcycles: usize,
-    threads: usize,
-    sink: &S,
-) -> MultiStartOutcome {
-    multi_start_parallel_with(
-        partitioner,
-        h,
-        constraint,
-        nruns,
-        max_vcycles,
-        threads,
-        &mut RunCtx::new(base_seed).with_sink(&sink),
-    )
-}
-
-/// The canonical parallel multi-start entry point. Worker threads derive
-/// per-start child contexts from `ctx` — same deadline, same shared
-/// cancellation token, own buffer sink and workspace — so a deadline or a
-/// token flip stops every in-flight start cooperatively; each start still
-/// returns a well-formed (possibly truncated) result and every trace
-/// buffer is flushed in seed order.
-///
-/// # Panics
-///
-/// Panics if `nruns == 0`.
-pub fn multi_start_parallel_with(
-    partitioner: &MlPartitioner,
-    h: &Hypergraph,
-    constraint: &BalanceConstraint,
-    nruns: usize,
-    max_vcycles: usize,
-    threads: usize,
-    ctx: &mut RunCtx<'_>,
-) -> MultiStartOutcome {
-    assert!(nruns >= 1, "multi_start needs at least one run");
-    let t0 = Instant::now();
-    let base_seed = ctx.seed;
-    let traced = ctx.sink.is_enabled();
-    let deadline = ctx.deadline();
-    let token = ctx.cancel_token();
-    let check_moves = ctx.move_check_interval();
-    let audit = ctx.audit();
-    let fault = ctx.fault_plan().clone();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
-    }
-    .min(nruns)
-    .max(1);
-
-    // One slot per start: `Ok` carries the result + buffered trace, `Err`
-    // carries the rendered payload of a panic the worker caught. Locks are
-    // recovered (never unwrapped) so a poisoned slot cannot cascade.
-    type Slot = Option<Result<(MlOutcome, StartRecord, MemorySink), String>>;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Slot> = Vec::new();
-    slots.resize_with(nruns, || None);
-    let slot_cells: Vec<std::sync::Mutex<Slot>> =
-        slots.into_iter().map(std::sync::Mutex::new).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Workspaces are owned, not shared: one per worker thread,
-                // reused across every start that thread picks up.
-                let mut workspace = FmWorkspace::new();
-                let mut coarsen_ws = CoarsenWorkspace::new();
-                let mut nlevel_ws = NLevelWorkspace::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= nruns {
-                        break;
-                    }
-                    let seed = base_seed.wrapping_add(i as u64);
-                    let buffer = MemorySink::new();
-                    let ws = std::mem::take(&mut workspace);
-                    let cws = std::mem::take(&mut coarsen_ws);
-                    let nws = std::mem::take(&mut nlevel_ws);
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        fault.trip_start(i as u64);
-                        let start_sink: &dyn TraceSink = if traced { &buffer } else { &NullSink };
-                        let mut child = RunCtx::new(seed)
-                            .with_cancel_token(token.clone())
-                            .with_move_check_interval(check_moves)
-                            .with_audit(audit)
-                            .with_workspace(ws)
-                            .with_coarsen_workspace(cws)
-                            .with_nlevel_workspace(nws)
-                            .with_sink(start_sink);
-                        if let Some(d) = deadline {
-                            child = child.with_deadline(d);
-                        }
-                        let t = Instant::now();
-                        let out = partitioner.run_with(h, constraint, &mut child);
-                        (
-                            out,
-                            t.elapsed(),
-                            std::mem::take(&mut child.workspace),
-                            std::mem::take(&mut child.coarsen),
-                            std::mem::take(&mut child.nlevel),
-                        )
-                    }));
-                    let slot = match attempt {
-                        Ok((out, elapsed, ws, cws, nws)) => {
-                            workspace = ws;
-                            coarsen_ws = cws;
-                            nlevel_ws = nws;
-                            let record = StartRecord {
-                                seed,
-                                cut: out.cut,
-                                stopped: out.stopped,
-                                elapsed,
-                            };
-                            Ok((out, record, buffer))
-                        }
-                        Err(payload) => {
-                            // The workspaces unwound with the start; the
-                            // partial trace buffer is discarded so the
-                            // flushed stream stays a pure function of the
-                            // completed seeds.
-                            workspace = FmWorkspace::new();
-                            coarsen_ws = CoarsenWorkspace::new();
-                            nlevel_ws = NLevelWorkspace::new();
-                            Err(payload_string(payload))
-                        }
-                    };
-                    *slot_cells[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(slot);
-                }
-            });
-        }
-    });
-
-    let mut starts = Vec::with_capacity(nruns);
-    let mut stats = MultiStartStats::default();
-    let mut audit_failure: Option<AuditError> = None;
-    let mut best: Option<MlOutcome> = None;
-    let mut stopped = StopReason::Completed;
-    for (i, cell) in slot_cells.into_iter().enumerate() {
-        let slot = cell.into_inner().unwrap_or_else(|e| e.into_inner());
-        match slot {
-            Some(Ok((out, record, buffer))) => {
-                if traced {
-                    buffer.flush_into(ctx.sink);
-                }
-                if record.stopped.is_stopped() && !stopped.is_stopped() {
-                    stopped = record.stopped;
-                }
-                stats.push(record.stopped);
-                if audit_failure.is_none() {
-                    audit_failure = out.audit_failure.clone();
-                }
-                starts.push(record);
-                if best.as_ref().is_none_or(|b| displaces(b, &out)) {
-                    best = Some(out);
-                }
+    if !stopped.is_stopped() {
+        for i in 0..plan.max_vcycles {
+            if let Some(reason) = probe.stop_now() {
+                stopped = reason;
+                ctx.sink.emit(RunEvent::BudgetExhausted { reason });
+                break;
             }
-            Some(Err(payload)) => {
-                let seed = base_seed.wrapping_add(i as u64);
-                ctx.sink.emit(RunEvent::StartAborted {
-                    index: i as u64,
-                    seed,
+            if ctx.sink.is_enabled() {
+                ctx.sink.emit(RunEvent::VcycleBegin {
+                    index: i,
+                    cut: best.cut,
                 });
-                stats.push_panicked(i, payload);
             }
-            None => {
-                // Unreachable with the in-worker panic boundary, but a
-                // worker that dies before reporting must still count as a
-                // lost start rather than abort the sweep.
-                let seed = base_seed.wrapping_add(i as u64);
-                ctx.sink.emit(RunEvent::StartAborted {
-                    index: i as u64,
-                    seed,
+            ctx.seed = base_seed
+                .wrapping_add(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64);
+            let cycled = partitioner.vcycle_with(h, constraint, &best.assignment, ctx);
+            vcycles_applied += 1;
+            if audit_failure.is_none() {
+                audit_failure = cycled.audit_failure.clone();
+            }
+            if ctx.sink.is_enabled() {
+                ctx.sink.emit(RunEvent::VcycleEnd {
+                    index: i,
+                    cut: cycled.cut,
                 });
-                stats.push_panicked(i, "worker thread died before reporting".to_string());
+            }
+            let cycle_stop = cycled.stopped;
+            let improved = cycled.cut < best.cut;
+            if improved {
+                best = cycled;
+            }
+            if cycle_stop.is_stopped() {
+                stopped = cycle_stop;
+                break;
+            }
+            if !improved {
+                break;
             }
         }
+        ctx.seed = base_seed;
     }
-    let best = best_or_all_panicked(best, &stats);
-    let (best, vcycles_applied, stopped) = if stopped.is_stopped() {
-        (best, 0, stopped)
-    } else {
-        vcycle_best(
-            partitioner,
-            h,
-            constraint,
-            base_seed,
-            max_vcycles,
-            best,
-            ctx,
-            &mut audit_failure,
-        )
-    };
 
     MultiStartOutcome {
         assignment: best.assignment,
@@ -841,14 +432,29 @@ mod tests {
     use super::*;
     use crate::partitioner::MlConfig;
     use hypart_benchgen::mcnc_like;
+    use hypart_core::FaultPlan;
+    use hypart_trace::MemorySink;
+
+    /// An unbudgeted `nruns`-start sweep from `seed`.
+    fn sweep(
+        ml: &MlPartitioner,
+        h: &Hypergraph,
+        c: &BalanceConstraint,
+        nruns: usize,
+        seed: u64,
+        max_vcycles: usize,
+    ) -> MultiStartOutcome {
+        let plan = MultiStartPlan::count(nruns, max_vcycles);
+        multi_start_with(ml, h, c, &plan, &mut RunCtx::new(seed))
+    }
 
     #[test]
     fn more_starts_never_hurt_best_cut() {
         let h = mcnc_like(400, 2);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
-        let one = multi_start(&ml, &h, &c, 1, 100, 0);
-        let four = multi_start(&ml, &h, &c, 4, 100, 0);
+        let one = sweep(&ml, &h, &c, 1, 100, 0);
+        let four = sweep(&ml, &h, &c, 4, 100, 0);
         assert!(four.best_start_cut() <= one.best_start_cut());
         assert_eq!(four.starts.len(), 4);
         assert_eq!(four.stopped, StopReason::Completed);
@@ -859,8 +465,8 @@ mod tests {
         let h = mcnc_like(500, 4);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
-        let no_vc = multi_start(&ml, &h, &c, 2, 7, 0);
-        let vc = multi_start(&ml, &h, &c, 2, 7, 3);
+        let no_vc = sweep(&ml, &h, &c, 2, 7, 0);
+        let vc = sweep(&ml, &h, &c, 2, 7, 3);
         assert!(vc.cut <= no_vc.cut);
         assert!(vc.vcycles_applied >= 1);
         assert_eq!(no_vc.vcycles_applied, 0);
@@ -871,59 +477,8 @@ mod tests {
         let h = mcnc_like(200, 1);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
-        let out = multi_start(&ml, &h, &c, 2, 0, 1);
+        let out = sweep(&ml, &h, &c, 2, 0, 1);
         assert!(out.total_elapsed >= out.starts.iter().map(|s| s.elapsed).sum());
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let h = mcnc_like(400, 6);
-        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let ml = MlPartitioner::new(MlConfig::ml_lifo());
-        let seq = multi_start(&ml, &h, &c, 6, 11, 2);
-        for threads in [1, 2, 4] {
-            let par = multi_start_parallel(&ml, &h, &c, 6, 11, 2, threads);
-            assert_eq!(par.cut, seq.cut, "threads={threads}");
-            assert_eq!(par.assignment, seq.assignment, "threads={threads}");
-            let seq_cuts: Vec<u64> = seq.starts.iter().map(|s| s.cut).collect();
-            let par_cuts: Vec<u64> = par.starts.iter().map(|s| s.cut).collect();
-            assert_eq!(seq_cuts, par_cuts, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_auto_thread_count_works() {
-        let h = mcnc_like(200, 3);
-        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let ml = MlPartitioner::new(MlConfig::ml_lifo());
-        let out = multi_start_parallel(&ml, &h, &c, 3, 0, 0, 0);
-        assert_eq!(out.starts.len(), 3);
-    }
-
-    #[test]
-    fn parallel_trace_is_identical_across_thread_counts() {
-        let h = mcnc_like(300, 8);
-        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let ml = MlPartitioner::new(MlConfig::ml_clip());
-
-        let seq_sink = MemorySink::new();
-        let seq = multi_start_traced(&ml, &h, &c, 5, 21, 2, &seq_sink);
-        let seq_events = seq_sink.take();
-        assert!(!seq_events.is_empty());
-
-        for threads in [1, 3, 0] {
-            let par_sink = MemorySink::new();
-            let par = multi_start_parallel_traced(&ml, &h, &c, 5, 21, 2, threads, &par_sink);
-            // Trial-for-trial identical cuts...
-            let seq_cuts: Vec<u64> = seq.starts.iter().map(|s| s.cut).collect();
-            let par_cuts: Vec<u64> = par.starts.iter().map(|s| s.cut).collect();
-            assert_eq!(seq_cuts, par_cuts, "threads={threads}");
-            assert_eq!(par.cut, seq.cut, "threads={threads}");
-            // ...and an identical event stream: per-start buffering plus
-            // seed-order flushing makes the trace a pure function of the
-            // arguments, not of the schedule.
-            assert_eq!(par_sink.take(), seq_events, "threads={threads}");
-        }
     }
 
     #[test]
@@ -962,7 +517,8 @@ mod tests {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let sink = MemorySink::new();
-        let out = multi_start_traced(&ml, &h, &c, 2, 7, 3, &sink);
+        let plan = MultiStartPlan::count(2, 3);
+        let out = multi_start_with(&ml, &h, &c, &plan, &mut RunCtx::new(7).with_sink(&sink));
         let events = sink.take();
         let begins = events
             .iter()
@@ -983,18 +539,17 @@ mod tests {
         let h = mcnc_like(100, 1);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
-        let _ = multi_start(&ml, &h, &c, 0, 0, 0);
+        let _ = sweep(&ml, &h, &c, 0, 0, 0);
     }
 
     #[test]
-    fn panicked_parallel_start_is_isolated() {
-        use hypart_core::FaultPlan;
+    fn panicked_start_is_isolated() {
         let h = mcnc_like(300, 8);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
 
         // Fault-free reference sweep: 16 starts, no V-cycling.
-        let clean = multi_start_parallel(&ml, &h, &c, 16, 5, 0, 4);
+        let clean = sweep(&ml, &h, &c, 16, 5, 0);
         assert_eq!(clean.stats.panicked(), 0);
         assert_eq!(clean.stats.outcomes.len(), 16);
 
@@ -1003,7 +558,7 @@ mod tests {
         let mut ctx = RunCtx::new(5)
             .with_sink(&sink)
             .with_fault_plan(FaultPlan::panic_in_start(3));
-        let out = multi_start_parallel_with(&ml, &h, &c, 16, 0, 4, &mut ctx);
+        let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::count(16, 0), &mut ctx);
 
         // The run completes with exactly one isolated start...
         assert_eq!(out.starts.len(), 15);
@@ -1022,7 +577,9 @@ mod tests {
             .collect();
         assert_eq!(aborted, vec![RunEvent::StartAborted { index: 3, seed: 8 }]);
         // The 15 survivors are bitwise the fault-free starts minus #3:
-        // isolation never perturbs the other seeds.
+        // isolation never perturbs the other seeds, even though every
+        // later start runs on the workspaces that replaced the unwound
+        // ones.
         let expect: Vec<u64> = clean
             .starts
             .iter()
@@ -1033,23 +590,15 @@ mod tests {
         let got: Vec<u64> = out.starts.iter().map(|s| s.cut).collect();
         assert_eq!(got, expect);
         assert_eq!(out.cut, expect.iter().copied().min().unwrap());
-
-        // The sequential driver isolates the same fault identically.
-        let mut seq_ctx = RunCtx::new(5).with_fault_plan(FaultPlan::panic_in_start(3));
-        let seq = multi_start_with(&ml, &h, &c, 16, 0, &mut seq_ctx);
-        assert_eq!(seq.cut, out.cut);
-        assert_eq!(seq.assignment, out.assignment);
-        assert_eq!(seq.stats.panicked(), 1);
     }
 
     #[test]
     #[should_panic(expected = "every start panicked")]
     fn all_panicked_starts_give_a_clear_diagnostic() {
-        use hypart_core::FaultPlan;
         let h = mcnc_like(100, 1);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let mut ctx = RunCtx::new(0).with_fault_plan(FaultPlan::panic_in_start(0));
-        let _ = multi_start_with(&ml, &h, &c, 1, 0, &mut ctx);
+        let _ = multi_start_with(&ml, &h, &c, &MultiStartPlan::count(1, 0), &mut ctx);
     }
 }

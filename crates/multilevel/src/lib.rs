@@ -15,7 +15,7 @@
 //!    Table 1 grid requires;
 //! 4. **V-cycling** ([`MlPartitioner::vcycle`]): restricted coarsening from
 //!    an existing solution, then re-refinement — hMetis-1.5 applies this to
-//!    the best of its multi-starts ([`multi_start`]).
+//!    the best of its multi-starts ([`multi_start_with`]).
 //!
 //! # Example
 //!
@@ -41,12 +41,7 @@ pub mod par_coarsen;
 mod parallel;
 mod partitioner;
 
-pub use driver::{
-    multi_start, multi_start_budgeted, multi_start_budgeted_from_hierarchy_with,
-    multi_start_budgeted_with, multi_start_parallel, multi_start_parallel_traced,
-    multi_start_parallel_with, multi_start_traced, multi_start_with, MultiStartOutcome,
-    StartRecord,
-};
+pub use driver::{multi_start_with, MultiStartOutcome, MultiStartPlan, StartRecord, Starts};
 pub use hypart_core::{EngineKind, Hierarchy, SharedHierarchy};
 pub use par_coarsen::{
     build_hierarchy_par_with, coarsen_once_par_with, PAR_COARSEN_MIN_VERTICES, PAR_MATCH_WINDOW,

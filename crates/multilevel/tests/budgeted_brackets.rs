@@ -1,6 +1,7 @@
-//! Bracket-pairing regression tests of the budgeted multi-start sweep.
+//! Bracket-pairing regression tests of the budgeted multi-start sweep,
+//! [`multi_start_with`] under [`Starts::UntilBudget`].
 //!
-//! The contract (documented on [`multi_start_budgeted_with`]): every
+//! The contract (documented on [`multi_start_with`]): every
 //! `StartBegin` is closed by exactly one `StartEnd` (normal path) or
 //! `StartAborted` (panicked start) before the next start opens, the
 //! launch gate sits immediately before the bracket opens so an expired
@@ -9,7 +10,9 @@
 //! zero-budget sweep launched a start *after* the deadline probe would
 //! already report expiry — it must still launch exactly the one
 //! mandatory start (so the sweep always returns a real partition) and
-//! close its bracket.
+//! close its bracket. A [`Starts::Count`] sweep under the same expired
+//! deadline opens no bracket at all, which is what keeps the golden
+//! traces of fixed-count sweeps free of start events.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -19,7 +22,7 @@ use hypart_benchgen::mcnc_like;
 use hypart_core::{BalanceConstraint, FaultPlan, RunCtx};
 use hypart_hypergraph::Hypergraph;
 use hypart_ml::{
-    multi_start_budgeted_from_hierarchy_with, multi_start_budgeted_with, MlConfig, MlPartitioner,
+    multi_start_with, MlConfig, MlPartitioner, MultiStartOutcome, MultiStartPlan, Starts,
 };
 use hypart_trace::{MemorySink, RunEvent, StopReason};
 
@@ -29,6 +32,12 @@ fn golden() -> Hypergraph {
 
 fn constraint(h: &Hypergraph) -> BalanceConstraint {
     BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10)
+}
+
+/// A default-config sweep until the context's budget runs out.
+fn budgeted(h: &Hypergraph, ctx: &mut RunCtx<'_>) -> MultiStartOutcome {
+    let ml = MlPartitioner::new(MlConfig::default());
+    multi_start_with(&ml, h, &constraint(h), &MultiStartPlan::until_budget(), ctx)
 }
 
 /// Asserts the bracket-pairing contract over a full event stream and
@@ -81,47 +90,55 @@ fn check_brackets(events: &[RunEvent]) -> (usize, usize, usize) {
 }
 
 /// The regression case: a deadline already in the past when the sweep
-/// enters. The mandatory first start still runs (and closes its
-/// bracket); the launch gate then stops the sweep before a second
-/// bracket can open.
+/// enters. The mandatory first start still runs, and its own truncation
+/// ends the sweep. Under `UntilBudget` its bracket is closed, not
+/// dangling. Under a start count no bracket opens and the sweep adds no
+/// event at all: the stream is that of the lone truncated start, whose
+/// engine layers announce their own stops. That rule keeps the golden
+/// traces of fixed-count sweeps free of start events.
 #[test]
-fn expired_budget_runs_exactly_one_paired_start() {
+fn expired_budget_runs_exactly_the_mandatory_start() {
     let h = golden();
-    let sink = MemorySink::new();
-    let mut ctx = RunCtx::new(7)
-        .with_sink(&sink)
-        .with_deadline(Instant::now() - Duration::from_millis(5));
-    let out = multi_start_budgeted_with(
-        &MlPartitioner::new(MlConfig::default()),
+    let ml = MlPartitioner::new(MlConfig::default());
+    let expired = Instant::now() - Duration::from_millis(5);
+    let lone = MemorySink::new();
+    ml.run_with(
         &h,
         &constraint(&h),
-        &mut ctx,
+        &mut RunCtx::new(7).with_sink(&lone).with_deadline(expired),
     );
 
-    let events = sink.events();
-    let (opened, ends, aborts) = check_brackets(&events);
-    assert_eq!(opened, 1, "exactly the mandatory start launches");
-    assert_eq!(ends, 1);
-    assert_eq!(aborts, 0);
-    assert_eq!(out.stopped, StopReason::Deadline);
-    assert_eq!(
-        out.assignment.len(),
-        h.num_vertices(),
-        "still a real partition"
-    );
-    // The mandatory start itself ran out of budget, so the stream ends
-    // on its truncated `StartEnd` — the bracket is closed, not dangling.
-    assert!(
-        matches!(
-            events.last(),
-            Some(RunEvent::StartEnd {
-                completed: false,
-                ..
-            })
-        ),
-        "stream must end on the truncated mandatory start's StartEnd, got {:?}",
-        events.last().map(RunEvent::kind)
-    );
+    for plan in [MultiStartPlan::until_budget(), MultiStartPlan::count(4, 2)] {
+        let sink = MemorySink::new();
+        let mut ctx = RunCtx::new(7).with_sink(&sink).with_deadline(expired);
+        let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx);
+        assert_eq!(out.starts.len(), 1, "exactly the mandatory start runs");
+        assert_eq!(out.stopped, StopReason::Deadline);
+        assert_eq!(out.vcycles_applied, 0);
+        assert_eq!(
+            out.assignment.len(),
+            h.num_vertices(),
+            "still a real partition"
+        );
+
+        let events = sink.events();
+        if plan.starts == Starts::UntilBudget {
+            assert_eq!(check_brackets(&events), (1, 1, 0));
+            assert!(
+                matches!(
+                    events.last(),
+                    Some(RunEvent::StartEnd {
+                        completed: false,
+                        ..
+                    })
+                ),
+                "stream must end on the truncated mandatory start's StartEnd, got {:?}",
+                events.last().map(RunEvent::kind)
+            );
+        } else {
+            assert_eq!(events, lone.events(), "the sweep adds no event of its own");
+        }
+    }
 }
 
 /// Same entry conditions through the hierarchy-reuse driver (the
@@ -136,8 +153,11 @@ fn expired_budget_from_hierarchy_pairs_brackets_too() {
     let mut ctx = RunCtx::new(7)
         .with_sink(&sink)
         .with_deadline(Instant::now() - Duration::from_millis(5));
-    let out =
-        multi_start_budgeted_from_hierarchy_with(&ml, &h, &hierarchy, &constraint(&h), &mut ctx);
+    let plan = MultiStartPlan {
+        hierarchy: Some(&hierarchy),
+        ..MultiStartPlan::until_budget()
+    };
+    let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx);
 
     let (opened, ends, aborts) = check_brackets(&sink.events());
     assert_eq!((opened, ends, aborts), (1, 1, 0));
@@ -154,12 +174,7 @@ fn tiny_budget_keeps_brackets_paired() {
     let mut ctx = RunCtx::new(11)
         .with_sink(&sink)
         .with_budget(Duration::from_millis(15));
-    let out = multi_start_budgeted_with(
-        &MlPartitioner::new(MlConfig::default()),
-        &h,
-        &constraint(&h),
-        &mut ctx,
-    );
+    let out = budgeted(&h, &mut ctx);
 
     let (opened, ends, aborts) = check_brackets(&sink.events());
     assert!(opened >= 1);
@@ -177,12 +192,7 @@ fn pre_cancelled_sweep_still_brackets_the_mandatory_start() {
         .with_sink(&sink)
         .with_budget(Duration::from_secs(3600));
     ctx.cancel_token().cancel();
-    let out = multi_start_budgeted_with(
-        &MlPartitioner::new(MlConfig::default()),
-        &h,
-        &constraint(&h),
-        &mut ctx,
-    );
+    let out = budgeted(&h, &mut ctx);
 
     let (opened, ends, _) = check_brackets(&sink.events());
     assert_eq!(opened, 1);
@@ -200,12 +210,7 @@ fn injected_panic_closes_bracket_with_start_aborted() {
         .with_sink(&sink)
         .with_budget(Duration::from_millis(200))
         .with_fault_plan(FaultPlan::panic_in_start(1));
-    let out = multi_start_budgeted_with(
-        &MlPartitioner::new(MlConfig::default()),
-        &h,
-        &constraint(&h),
-        &mut ctx,
-    );
+    let out = budgeted(&h, &mut ctx);
 
     let events = sink.events();
     let (opened, ends, aborts) = check_brackets(&events);

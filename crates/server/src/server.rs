@@ -42,9 +42,7 @@ use std::time::{Duration, Instant};
 use hypart_core::{AuditLevel, BalanceConstraint, CancelToken, EngineKind, RunCtx};
 use hypart_hypergraph::{io::hgr, Hypergraph, PartId};
 use hypart_kway::{recursive_bisection_with, KWayBalance};
-use hypart_ml::{
-    multi_start_budgeted_from_hierarchy_with, multi_start_budgeted_with, MlConfig, MlPartitioner,
-};
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_trace::{RunEvent, StopReason, TraceSink};
 
 use crate::cache::{HierarchyCache, HierarchyKey, InstanceCache};
@@ -1296,7 +1294,8 @@ fn bisection_job(
         let partitioner =
             MlPartitioner::new(shared.config.ml.clone().with_engine(EngineKind::NLevel));
         return if req.budget_ms.is_some() {
-            let out = multi_start_budgeted_with(&partitioner, h, &constraint, ctx);
+            let plan = MultiStartPlan::until_budget();
+            let out = multi_start_with(&partitioner, h, &constraint, &plan, ctx);
             JobResult {
                 cut: out.cut,
                 balanced: out.balanced,
@@ -1351,8 +1350,11 @@ fn bisection_job(
     }
     let levels = hierarchy.len();
     if req.budget_ms.is_some() {
-        let out =
-            multi_start_budgeted_from_hierarchy_with(&partitioner, h, &hierarchy, &constraint, ctx);
+        let plan = MultiStartPlan {
+            hierarchy: Some(&hierarchy),
+            ..MultiStartPlan::until_budget()
+        };
+        let out = multi_start_with(&partitioner, h, &constraint, &plan, ctx);
         JobResult {
             cut: out.cut,
             balanced: out.balanced,

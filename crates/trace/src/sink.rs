@@ -107,10 +107,10 @@ impl MemorySink {
     }
 
     /// Re-emits every accumulated event into `sink`, in order, draining
-    /// this sink. This is the per-trial scoping primitive: parallel
-    /// drivers buffer each unit of work into a local `MemorySink` and
-    /// flush in seed order, so the downstream stream is identical to a
-    /// sequential run regardless of thread count.
+    /// this sink. This is the per-unit scoping primitive: the parallel
+    /// engine buffers each unit of work into a local `MemorySink` and
+    /// flushes in a fixed order, so the downstream stream is identical to
+    /// a sequential run regardless of thread count.
     pub fn flush_into<S: TraceSink + ?Sized>(&self, sink: &S) {
         for event in self.take() {
             sink.emit(event);

@@ -30,7 +30,13 @@ fn main() {
 
     let mut sets = Vec::new();
     for heuristic in &heuristics {
-        let set = run_trials(heuristic.as_ref(), &h, &constraint, trials, 7);
+        let set = run_trials_with(
+            heuristic.as_ref(),
+            &h,
+            &constraint,
+            trials,
+            &mut RunCtx::new(7),
+        );
         let summary = Summary::of(&set.cuts()).expect("trials exist");
         println!(
             "{:<10} cuts: min {} avg {:.1} ± {:.1} (median {}), {:.1} ms/start",

@@ -50,7 +50,13 @@ fn main() {
                 } else {
                     Box::new(FlatFmHeuristic::new("flat", fm))
                 };
-                let set = run_trials(heuristic.as_ref(), &h, &constraint, trials, 1);
+                let set = run_trials_with(
+                    heuristic.as_ref(),
+                    &h,
+                    &constraint,
+                    trials,
+                    &mut RunCtx::new(1),
+                );
                 table.add_row([update_name, bias_name, &set.min_avg_cell()]);
             }
         }

@@ -15,7 +15,7 @@
 //! |--------|-------|----------|
 //! | [`hypergraph`] | `hypart-hypergraph` | [`Hypergraph`], builder, stats, `.hgr`/netD/partition I/O |
 //! | [`core`] | `hypart-core` | [`FmPartitioner`], [`FmConfig`] knobs, [`Bisection`], [`BalanceConstraint`], objectives, brute force |
-//! | [`ml`] | `hypart-ml` | [`MlPartitioner`], coarsening, V-cycles, [`multi_start`] driver |
+//! | [`ml`] | `hypart-ml` | [`MlPartitioner`], coarsening, V-cycles, [`multi_start_with`] driver |
 //! | [`kway`] | `hypart-kway` | k-way FM, recursive bisection, [`hypart_kway::KWayPartition`] |
 //! | [`place`] | `hypart-place` | top-down min-cut placement, terminal propagation, HPWL, row legalization |
 //! | [`baselines`] | `hypart-baselines` | spectral ratio-cut and simulated-annealing comparison baselines |
@@ -66,8 +66,8 @@ pub mod prelude {
         ZeroDeltaPolicy,
     };
     pub use hypart_eval::runner::{
-        run_trials, run_trials_with, FlatFmHeuristic, Heuristic, MlHeuristic, MultiStartHeuristic,
-        Trial, TrialSet,
+        run_trials_with, FlatFmHeuristic, Heuristic, MlHeuristic, MultiStartHeuristic, Trial,
+        TrialSet,
     };
     pub use hypart_hypergraph::{Hypergraph, HypergraphBuilder, NetId, PartId, VertexId};
     pub use hypart_kway::{
@@ -75,8 +75,7 @@ pub mod prelude {
         MlKWayConfig, MlKWayPartitioner,
     };
     pub use hypart_ml::{
-        multi_start, multi_start_budgeted, multi_start_budgeted_with, multi_start_parallel,
-        multi_start_with, MlConfig, MlPartitioner, MultiStartOutcome,
+        multi_start_with, MlConfig, MlPartitioner, MultiStartOutcome, MultiStartPlan, Starts,
     };
     pub use hypart_place::{hpwl, PlacerConfig, Rect, TopDownPlacer};
     pub use hypart_trace::{
@@ -89,4 +88,4 @@ pub use hypart_core::{BalanceConstraint, Bisection, FmConfig, FmOutcome, FmParti
 #[doc(inline)]
 pub use hypart_hypergraph::{Hypergraph, HypergraphBuilder, PartId};
 #[doc(inline)]
-pub use hypart_ml::{multi_start, MlConfig, MlPartitioner};
+pub use hypart_ml::{multi_start_with, MlConfig, MlPartitioner};

@@ -83,7 +83,7 @@ fn kway_outcome_verifies_for_odd_k() {
 
 #[test]
 fn baselines_run_through_the_eval_harness() {
-    use hypart::eval::runner::{run_trials, Heuristic};
+    use hypart::eval::runner::{run_trials_with, Heuristic};
     let h = mcnc_like(200, 7);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let heuristics: Vec<Box<dyn Heuristic>> = vec![
@@ -91,12 +91,12 @@ fn baselines_run_through_the_eval_harness() {
         Box::new(AnnealingPartitioner::default()),
     ];
     for heuristic in &heuristics {
-        let set = run_trials(heuristic.as_ref(), &h, &c, 3, 1);
+        let set = run_trials_with(heuristic.as_ref(), &h, &c, 3, &mut RunCtx::new(1));
         assert_eq!(set.len(), 3);
         assert!(set.balanced_fraction() > 0.99, "{}", set.heuristic);
         // Verify one reported cut from scratch.
         let trial_cut = set.trials[0].cut;
-        let again = heuristic.solve(&h, &c, set.trials[0].seed);
+        let again = heuristic.solve_with(&h, &c, &mut RunCtx::new(set.trials[0].seed));
         assert_eq!(again.cut, trial_cut, "{} not reproducible", set.heuristic);
     }
 }
@@ -104,14 +104,20 @@ fn baselines_run_through_the_eval_harness() {
 #[test]
 fn spectral_vs_fm_through_the_pareto_machinery() {
     use hypart::eval::pareto::{pareto_frontier, PerfPoint};
-    use hypart::eval::runner::run_trials;
+    use hypart::eval::runner::run_trials_with;
     use hypart::eval::runner::FlatFmHeuristic;
 
     let h = ispd98_like(1, 0.02, 3);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-    let fm_set = run_trials(&FlatFmHeuristic::new("fm", FmConfig::lifo()), &h, &c, 5, 0);
+    let fm_set = run_trials_with(
+        &FlatFmHeuristic::new("fm", FmConfig::lifo()),
+        &h,
+        &c,
+        5,
+        &mut RunCtx::new(0),
+    );
     let sp = SpectralPartitioner::default();
-    let sp_set = run_trials(&sp, &h, &c, 5, 0);
+    let sp_set = run_trials_with(&sp, &h, &c, 5, &mut RunCtx::new(0));
     let points = vec![
         PerfPoint::new("fm", fm_set.avg_cut(), fm_set.avg_seconds()),
         PerfPoint::new("spectral", sp_set.avg_cut(), sp_set.avg_seconds()),

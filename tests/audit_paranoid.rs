@@ -11,7 +11,7 @@ use hypart::benchgen;
 use hypart::core::{AuditLevel, BalanceConstraint, FmConfig, FmPartitioner, RunCtx};
 use hypart::hypergraph::Hypergraph;
 use hypart::kway::{recursive_bisection_with, KWayBalance, KWayConfig, KWayFmPartitioner};
-use hypart::ml::{multi_start_with, MlConfig, MlPartitioner};
+use hypart::ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart::trace::{MemorySink, RunEvent, TraceSink};
 
 fn instances() -> Vec<(&'static str, Hypergraph)> {
@@ -88,7 +88,13 @@ fn multi_start_driver_is_paranoid_clean() {
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.1);
     let sink = MemorySink::new();
     let ml = MlPartitioner::new(MlConfig::default());
-    let out = multi_start_with(&ml, &h, &c, 4, 1, &mut paranoid_ctx(9, &sink));
+    let out = multi_start_with(
+        &ml,
+        &h,
+        &c,
+        &MultiStartPlan::count(4, 1),
+        &mut paranoid_ctx(9, &sink),
+    );
     assert!(out.audit_failure.is_none(), "{:?}", out.audit_failure);
     assert_eq!(out.failed_starts(), 0);
     assert!(violations(&sink).is_empty());

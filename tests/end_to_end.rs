@@ -5,7 +5,7 @@
 use hypart::benchgen::toys::{grid, ring, two_clusters};
 use hypart::benchgen::{ispd98_like, mcnc_like, with_pad_ring};
 use hypart::core::brute::optimal_bisection;
-use hypart::eval::runner::{run_trials, FlatFmHeuristic, MlHeuristic};
+use hypart::eval::runner::{run_trials_with, FlatFmHeuristic, MlHeuristic};
 use hypart::prelude::*;
 
 #[test]
@@ -43,14 +43,20 @@ fn multilevel_beats_flat_on_average() {
     };
     let h = ispd98_like(1, 0.05, 17);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-    let flat = run_trials(
+    let flat = run_trials_with(
         &FlatFmHeuristic::new("flat", FmConfig::lifo()),
         &h,
         &c,
         9,
-        0,
+        &mut RunCtx::new(0),
     );
-    let ml = run_trials(&MlHeuristic::new("ml", MlConfig::ml_lifo()), &h, &c, 9, 0);
+    let ml = run_trials_with(
+        &MlHeuristic::new("ml", MlConfig::ml_lifo()),
+        &h,
+        &c,
+        9,
+        &mut RunCtx::new(0),
+    );
     assert!(
         median(&ml) <= median(&flat),
         "ml median {} vs flat median {}",
@@ -160,8 +166,20 @@ fn unit_area_mode_masks_corking_and_actual_area_exposes_it() {
 fn engines_are_deterministic_across_the_stack() {
     let h = ispd98_like(2, 0.03, 41);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.02);
-    let a = multi_start(&MlPartitioner::new(MlConfig::ml_clip()), &h, &c, 2, 9, 1);
-    let b = multi_start(&MlPartitioner::new(MlConfig::ml_clip()), &h, &c, 2, 9, 1);
+    let a = multi_start_with(
+        &MlPartitioner::new(MlConfig::ml_clip()),
+        &h,
+        &c,
+        &MultiStartPlan::count(2, 1),
+        &mut RunCtx::new(9),
+    );
+    let b = multi_start_with(
+        &MlPartitioner::new(MlConfig::ml_clip()),
+        &h,
+        &c,
+        &MultiStartPlan::count(2, 1),
+        &mut RunCtx::new(9),
+    );
     assert_eq!(a.cut, b.cut);
     assert_eq!(a.assignment, b.assignment);
 }

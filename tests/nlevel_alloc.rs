@@ -145,11 +145,23 @@ fn steady_state_nlevel_loop_is_allocation_free() {
     let nlevel = MlPartitioner::new(MlConfig::default().with_engine(EngineKind::NLevel));
     let mut ctx = RunCtx::new(11);
     let (before_cold, before_cold_bytes) = (allocations(), allocated_bytes());
-    let cold = multi_start_with(&nlevel, &h, &constraint, 2, 0, &mut ctx);
+    let cold = multi_start_with(
+        &nlevel,
+        &h,
+        &constraint,
+        &MultiStartPlan::count(2, 0),
+        &mut ctx,
+    );
     let cold_allocs = allocations() - before_cold;
     let cold_bytes = allocated_bytes() - before_cold_bytes;
     let (before_warm, before_warm_bytes) = (allocations(), allocated_bytes());
-    let warm = multi_start_with(&nlevel, &h, &constraint, 2, 0, &mut ctx);
+    let warm = multi_start_with(
+        &nlevel,
+        &h,
+        &constraint,
+        &MultiStartPlan::count(2, 0),
+        &mut ctx,
+    );
     let warm_allocs = allocations() - before_warm;
     let warm_bytes = allocated_bytes() - before_warm_bytes;
     assert_eq!(warm.cut, cold.cut, "workspace reuse changed the result");

@@ -7,7 +7,6 @@
 use std::time::{Duration, Instant};
 
 use hypart::benchgen::ispd98_like;
-use hypart::ml::multi_start_budgeted_with;
 use hypart::prelude::*;
 
 fn jsonl_of(f: impl FnOnce(&JsonlSink<Vec<u8>>)) -> String {
@@ -75,7 +74,7 @@ fn budgeted_nlevel_multi_start_hits_deadline() {
     let sink = MemorySink::new();
     let mut ctx = RunCtx::new(3).with_budget(budget).with_sink(&sink);
     let t0 = Instant::now();
-    let out = multi_start_budgeted_with(&ml, &h, &c, &mut ctx);
+    let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx);
     let elapsed = t0.elapsed();
 
     assert!(
@@ -131,7 +130,7 @@ fn cancellation_and_expired_deadlines_degrade_legally() {
             std::thread::sleep(Duration::from_millis(30));
             canceller.cancel();
         });
-        multi_start_budgeted_with(&ml, &h, &c, &mut ctx)
+        multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx)
     });
     assert_eq!(out.stopped, StopReason::Cancelled);
     assert_eq!(out.assignment.len(), h.num_vertices());
@@ -169,7 +168,7 @@ fn nlevel_matches_or_beats_coarse_ml_at_equal_budget() {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let run = |p: &MlPartitioner| {
             let mut ctx = RunCtx::new(9).with_budget(budget);
-            let out = multi_start_budgeted_with(p, h, &c, &mut ctx);
+            let out = multi_start_with(p, h, &c, &MultiStartPlan::until_budget(), &mut ctx);
             assert!(out.balanced, "instance {i}: unbalanced best-so-far");
             out.cut
         };

@@ -28,7 +28,7 @@ fn traced_multi_start(
 ) -> String {
     let sink = JsonlSink::new(Vec::new());
     let mut ctx = ctx.with_seed(seed).with_sink(&sink);
-    multi_start_with(ml, h, c, 2, 1, &mut ctx);
+    multi_start_with(ml, h, c, &MultiStartPlan::count(2, 1), &mut ctx);
     drop(ctx);
     String::from_utf8(sink.finish().expect("in-memory write")).expect("utf-8")
 }

@@ -2,10 +2,11 @@
 //! asserting the *shape* properties the paper reports (who wins, and in
 //! which direction the numbers move).
 
+use hypart::core::RunCtx;
 use hypart_bench::{
     corking_experiment, instance, table2, table3, table45, tol2, ExperimentConfig, TABLE45_STARTS,
 };
-use hypart_eval::runner::{run_trials, MultiStartHeuristic};
+use hypart_eval::runner::{run_trials_with, MultiStartHeuristic};
 use hypart_ml::MlConfig;
 
 fn cfg() -> ExperimentConfig {
@@ -78,7 +79,7 @@ fn table45_shape_cut_improves_and_time_grows_with_starts() {
     for &starts in &TABLE45_STARTS[..4] {
         let heuristic =
             MultiStartHeuristic::new(format!("x{starts}"), MlConfig::default(), starts, 2);
-        let set = run_trials(&heuristic, &h, &c, 3, cfg.seed);
+        let set = run_trials_with(&heuristic, &h, &c, 3, &mut RunCtx::new(cfg.seed));
         assert!(
             set.avg_cut() <= prev_cut + 1.0,
             "avg cut must not grow materially with starts: {} after {prev_cut}",

@@ -78,14 +78,12 @@ fn engine_traces() -> Vec<(&'static str, String)> {
     let hm = ispd98_like(2, 0.012, 17);
     let cm = BalanceConstraint::with_fraction(hm.total_vertex_weight(), 0.10);
     let ml = trace_of(&|sink| {
-        hypart::ml::multi_start_traced(
+        multi_start_with(
             &MlPartitioner::new(MlConfig::ml_clip()),
             &hm,
             &cm,
-            2,
-            9,
-            1,
-            sink,
+            &MultiStartPlan::count(2, 1),
+            &mut RunCtx::new(9).with_sink(sink),
         );
     });
 
@@ -107,14 +105,12 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         ..Default::default()
     };
     let ml_deep = trace_of(&|sink| {
-        hypart::ml::multi_start_traced(
+        multi_start_with(
             &MlPartitioner::new(MlConfig::ml_lifo().with_coarsen(deep_coarsen)),
             &hd,
             &cd,
-            1,
-            3,
-            1,
-            sink,
+            &MultiStartPlan::count(1, 1),
+            &mut RunCtx::new(3).with_sink(sink),
         );
     });
 
@@ -149,14 +145,12 @@ fn engine_traces() -> Vec<(&'static str, String)> {
     // golden pins the recycling path itself — reuse must be bitwise
     // invisible start over start.
     let nlevel_multistart = trace_of(&|sink| {
-        hypart::ml::multi_start_traced(
+        multi_start_with(
             &MlPartitioner::new(nlevel_config.clone()),
             &h,
             &c,
-            2,
-            9,
-            1,
-            sink,
+            &MultiStartPlan::count(2, 1),
+            &mut RunCtx::new(9).with_sink(sink),
         );
     });
 
