@@ -1,15 +1,16 @@
 //! Overhead of the trace instrumentation on the flat FM inner loop.
 //!
-//! The acceptance bar is that `run_traced(&NullSink)` stays within ~2% of
-//! the untraced `run`: every per-move emission site is gated on a cached
-//! `is_enabled()` check, so a disabled sink must cost one branch, not a
-//! formatting call. `MemorySink` is included to show the real price of
-//! capturing the full stream, and the multilevel engine gets the same
-//! three-way comparison since it threads the sink through every level.
+//! The acceptance bar is that `run_with` on a `NullSink` context stays
+//! within ~2% of the untraced `run`: every per-move emission site is
+//! gated on a cached `is_enabled()` check, so a disabled sink must cost
+//! one branch, not a formatting call. `MemorySink` is included to show
+//! the real price of capturing the full stream, and the multilevel engine
+//! gets the same three-way comparison since it threads the sink through
+//! every level.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hypart_bench::{instance, tol2, ExperimentConfig};
-use hypart_core::{FmConfig, FmPartitioner};
+use hypart_core::{FmConfig, FmPartitioner, RunCtx};
 use hypart_ml::{MlConfig, MlPartitioner};
 use hypart_trace::{MemorySink, NullSink};
 
@@ -30,12 +31,12 @@ fn bench_flat(c: &mut Criterion) {
 
     group.bench_function("untraced", |b| b.iter(|| engine.run(&h, &constraint, SEED)));
     group.bench_function("null_sink", |b| {
-        b.iter(|| engine.run_traced(&h, &constraint, SEED, &NullSink))
+        b.iter(|| engine.run_with(&h, &constraint, &mut RunCtx::new(SEED).with_sink(&NullSink)))
     });
     group.bench_function("memory_sink", |b| {
         b.iter_batched(
             MemorySink::new,
-            |sink| engine.run_traced(&h, &constraint, SEED, &sink),
+            |sink| engine.run_with(&h, &constraint, &mut RunCtx::new(SEED).with_sink(&sink)),
             BatchSize::SmallInput,
         )
     });
@@ -55,7 +56,7 @@ fn bench_multilevel(c: &mut Criterion) {
 
     group.bench_function("untraced", |b| b.iter(|| ml.run(&h, &constraint, SEED)));
     group.bench_function("null_sink", |b| {
-        b.iter(|| ml.run_traced(&h, &constraint, SEED, &NullSink))
+        b.iter(|| ml.run_with(&h, &constraint, &mut RunCtx::new(SEED).with_sink(&NullSink)))
     });
     group.finish();
 }

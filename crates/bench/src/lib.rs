@@ -504,7 +504,7 @@ fn corked_stats(
         let seed = cfg.seed.wrapping_add(i as u64);
         let sink = MemorySink::new();
         let t = std::time::Instant::now();
-        let out = engine.run_traced(h, c, seed, &sink);
+        let out = engine.run_with(h, c, &mut RunCtx::new(seed).with_sink(&sink));
         for event in sink.take() {
             if let RunEvent::PassEnd { corked: true, .. } = event {
                 corked += 1;

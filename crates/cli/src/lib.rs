@@ -350,14 +350,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             Some(v) => v.parse().map_err(|_| format!("{name} takes a number")),
         }
     };
+    // The one integer parser: a fraction, a negative value or an
+    // overflow is a usage error, never truncated, clamped or rounded.
     let parse_opt_u64 = |name: &str| -> Result<Option<u64>, String> {
         match flag_value(name) {
             None => Ok(None),
             Some(v) => v
                 .parse()
                 .map(Some)
-                .map_err(|_| format!("{name} takes an integer")),
+                .map_err(|_| format!("{name} takes a non-negative integer, got `{v}`")),
         }
+    };
+    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
+        Ok(parse_opt_u64(name)?.unwrap_or(default))
+    };
+    let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
+        let n = parse_u64(name, default as u64)?;
+        usize::try_from(n).map_err(|_| format!("{name} is out of range: {n}"))
     };
     let positional: Vec<&str> = {
         let mut out = Vec::new();
@@ -385,7 +394,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .ok_or("partition: missing <netlist>")?
                 .into();
             let engine = Engine::parse(flag_value("--engine").unwrap_or("ml-lifo"))?;
-            let k = parse_flag("--k", 2.0)? as usize;
+            let k = parse_usize("--k", 2)?;
             if k < 2 {
                 return Err("--k must be at least 2".into());
             }
@@ -399,8 +408,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 engine,
                 k,
                 tolerance: parse_flag("--tol", 0.02)?,
-                starts: parse_flag("--starts", 1.0)? as usize,
-                seed: parse_flag("--seed", 1.0)? as u64,
+                starts: parse_usize("--starts", 1)?,
+                seed: parse_u64("--seed", 1)?,
                 output: flag_value("--out").map(PathBuf::from),
                 trace: flag_value("--trace").map(PathBuf::from),
                 budget_ms: parse_opt_u64("--budget-ms")?,
@@ -432,8 +441,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 part_file,
                 tolerance: parse_flag("--tol", 0.02)?,
                 engine,
-                trials: parse_flag("--trials", 5.0)? as usize,
-                seed: parse_flag("--seed", 1.0)? as u64,
+                trials: parse_usize("--trials", 5)?,
+                seed: parse_u64("--seed", 1)?,
                 scale: parse_flag("--scale", 0.05)?,
                 budget_ms: parse_opt_u64("--budget-ms")?,
             })
@@ -446,9 +455,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .first()
                 .ok_or("report: missing <netlist>")?
                 .into(),
-            trials: parse_flag("--trials", 10.0)? as usize,
+            trials: parse_usize("--trials", 10)?,
             tolerance: parse_flag("--tol", 0.02)?,
-            seed: parse_flag("--seed", 1.0)? as u64,
+            seed: parse_u64("--seed", 1)?,
             output: flag_value("--out").map(PathBuf::from),
             budget_ms: parse_opt_u64("--budget-ms")?,
         }),
@@ -456,8 +465,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             input: positional.first().ok_or("place: missing <netlist>")?.into(),
             width: parse_flag("--width", 1000.0)?,
             height: parse_flag("--height", 1000.0)?,
-            rows: parse_flag("--rows", 0.0)? as usize,
-            seed: parse_flag("--seed", 1.0)? as u64,
+            rows: parse_usize("--rows", 0)?,
+            seed: parse_u64("--seed", 1)?,
             output: flag_value("--out").map(PathBuf::from),
         }),
         "gen" => Ok(Command::Gen {
@@ -466,15 +475,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .ok_or("gen: missing instance spec")?
                 .to_string(),
             scale: parse_flag("--scale", 0.1)?,
-            seed: parse_flag("--seed", 1.0)? as u64,
+            seed: parse_u64("--seed", 1)?,
             out: flag_value("--out").ok_or("gen: missing --out FILE")?.into(),
         }),
         "serve" => {
-            let workers = parse_flag("--workers", 2.0)? as usize;
+            let workers = parse_usize("--workers", 2)?;
             if workers == 0 {
                 return Err("--workers must be at least 1".into());
             }
-            let queue = parse_flag("--queue", 64.0)? as usize;
+            let queue = parse_usize("--queue", 64)?;
             if queue == 0 {
                 return Err("--queue must be at least 1".into());
             }
@@ -486,11 +495,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 addr: flag_value("--addr").unwrap_or("127.0.0.1:7077").to_string(),
                 workers,
                 queue,
-                instance_cache: parse_flag("--instance-cache", 16.0)? as usize,
-                hierarchy_cache: parse_flag("--hierarchy-cache", 32.0)? as usize,
-                threads: parse_flag("--threads", 0.0)? as usize,
+                instance_cache: parse_usize("--instance-cache", 16)?,
+                hierarchy_cache: parse_usize("--hierarchy-cache", 32)?,
+                threads: parse_usize("--threads", 0)?,
                 watchdog_factor,
-                max_cells: parse_flag("--max-cells", 0.0)? as usize,
+                max_cells: parse_usize("--max-cells", 0)?,
             })
         }
         other => Err(format!("unknown subcommand `{other}`")),
@@ -1251,6 +1260,52 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
+    }
+
+    /// Integer flags parse as integers: no rounding through `f64`, no
+    /// truncated fractions, no negative values clamped to zero.
+    #[test]
+    fn integer_flags_reject_fractions_negatives_and_overflow() {
+        // 2^53 + 1 has no exact f64; it must come through unchanged.
+        let gen = parse_args(&args(&[
+            "gen",
+            "ibm01",
+            "--seed",
+            "9007199254740993",
+            "--out",
+            "x.hgr",
+        ]));
+        match gen.unwrap() {
+            Command::Gen { seed, .. } => assert_eq!(seed, 9_007_199_254_740_993),
+            other => panic!("wrong command {other:?}"),
+        }
+        for (flag, value) in [
+            ("--starts", "2.9"),
+            ("--seed", "-1"),
+            ("--k", "4.0"),
+            ("--seed", "18446744073709551616"),
+        ] {
+            let err = parse_args(&args(&["partition", "x.hgr", flag, value])).unwrap_err();
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+        }
+        for flag in [
+            "--workers",
+            "--queue",
+            "--instance-cache",
+            "--hierarchy-cache",
+            "--threads",
+            "--max-cells",
+        ] {
+            assert!(
+                parse_args(&args(&["serve", flag, "1.5"])).is_err(),
+                "{flag}"
+            );
+        }
+        assert!(parse_args(&args(&[
+            "eval", "x.hgr", "--engine", "ml", "--trials", "-3"
+        ]))
+        .is_err());
+        assert!(parse_args(&args(&["place", "x.hgr", "--rows", "2.5"])).is_err());
     }
 
     #[test]

@@ -151,10 +151,6 @@ pub struct FmConfig {
     pub max_passes: usize,
     /// Initial solution generator.
     pub initial: InitialSolution,
-    /// Record the cut after every tentative move into
-    /// [`crate::PassStats::cut_trace`] (diagnostic; off by default since
-    /// it allocates O(moves) per pass).
-    pub record_trace: bool,
 }
 
 impl Default for FmConfig {
@@ -170,7 +166,6 @@ impl Default for FmConfig {
             lookahead: 1,
             max_passes: 64,
             initial: InitialSolution::default(),
-            record_trace: false,
         }
     }
 }
@@ -209,7 +204,6 @@ impl FmConfig {
             lookahead: 1,
             max_passes: 64,
             initial: InitialSolution::UniformRandom,
-            record_trace: false,
         }
     }
 
@@ -292,12 +286,6 @@ impl FmConfig {
     /// Returns this configuration with a different pass-best rule.
     pub fn with_pass_best(mut self, pass_best: PassBestRule) -> Self {
         self.pass_best = pass_best;
-        self
-    }
-
-    /// Returns this configuration with per-move cut tracing on/off.
-    pub fn with_record_trace(mut self, record_trace: bool) -> Self {
-        self.record_trace = record_trace;
         self
     }
 

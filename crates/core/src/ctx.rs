@@ -82,8 +82,8 @@ impl CancelToken {
 
 /// The execution context for one partitioning run.
 ///
-/// Bundles everything cross-cutting that used to be a separate entry-point
-/// axis (`run` / `run_traced` / `run_traced_with` …): the trace sink, the
+/// Bundles everything cross-cutting that would otherwise be a separate
+/// entry-point axis (traced, budgeted, workspace-reusing …): the trace sink, the
 /// reusable workspace, the RNG seed, and the wall-clock budget /
 /// cancellation controls. Construct with [`RunCtx::new`] and chain the
 /// `with_*` builders:

@@ -39,7 +39,7 @@ pub struct FmOutcome {
 ///
 /// Construct with an [`FmConfig`] (see its presets), then either
 /// [`run`](FmPartitioner::run) end-to-end from a seeded random initial
-/// solution, or [`refine`](FmPartitioner::refine) an existing
+/// solution, or [`refine_with`](FmPartitioner::refine_with) an existing
 /// [`Bisection`] in place (as the multilevel framework does at each level).
 #[derive(Clone, Debug)]
 pub struct FmPartitioner {
@@ -59,7 +59,7 @@ impl FmPartitioner {
 
     /// The canonical run entry point: generates the configured initial
     /// solution from `ctx.seed`, then refines under the context's sink,
-    /// workspace, and budget. All other `run*` conveniences delegate here.
+    /// workspace, and budget. [`run`](FmPartitioner::run) delegates here.
     ///
     /// If the context's deadline expires (or its token is cancelled) the
     /// engine stops at its next cooperative check and returns the
@@ -96,63 +96,14 @@ impl FmPartitioner {
         self.run_with(h, constraint, &mut RunCtx::new(seed))
     }
 
-    /// [`run`](FmPartitioner::run), narrating the execution into `sink`
-    /// (one [`RunEvent::RunBegin`]..[`RunEvent::RunEnd`] bracket with the
-    /// full pass/move anatomy inside). Tracing never changes the result:
-    /// the sink observes, it does not steer.
-    pub fn run_traced<S: TraceSink + ?Sized>(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-        sink: &S,
-    ) -> FmOutcome {
-        self.run_with(h, constraint, &mut RunCtx::new(seed).with_sink(&sink))
-    }
-
-    /// Refines `bisection` in place with FM passes until a pass fails to
-    /// improve (lexicographically on (balance violation, cut)) or
-    /// `max_passes` is reached. Returns per-pass statistics.
-    ///
-    /// Equivalent to [`refine_with`](FmPartitioner::refine_with) with a
-    /// default [`RunCtx`].
-    pub fn refine<R: Rng>(
-        &self,
-        bisection: &mut Bisection<'_>,
-        constraint: &BalanceConstraint,
-        rng: &mut R,
-    ) -> FmStats {
-        self.refine_with(bisection, constraint, rng, &mut RunCtx::new(0))
-    }
-
-    /// [`refine`](FmPartitioner::refine) with event emission. The
-    /// returned [`FmStats`] is derivable from the stream: every
-    /// `PassStats` field mirrors a [`RunEvent::PassEnd`] field, and the
-    /// legacy `cut_trace` is the `cut` column of the
-    /// [`RunEvent::Move`] events of that pass.
-    pub fn refine_traced<R: Rng, S: TraceSink + ?Sized>(
-        &self,
-        bisection: &mut Bisection<'_>,
-        constraint: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-    ) -> FmStats {
-        self.refine_with(
-            bisection,
-            constraint,
-            rng,
-            &mut RunCtx::new(0).with_sink(&sink),
-        )
-    }
-
     /// The canonical refinement entry point: FM passes on `bisection`
     /// until no pass improves, `max_passes` is reached, or the context's
     /// budget runs out. The gain containers and scratch vectors come from
     /// (and return to) `ctx.workspace`, so a caller that refines many
     /// times — the multilevel driver at every level of every start — pays
     /// the container setup O(len + buckets touched) instead of
-    /// O(V + bucket range) allocate-and-zero per call. Results are
-    /// identical to the workspace-free entry points.
+    /// O(V + bucket range) allocate-and-zero per call. Results do not
+    /// depend on what the workspace held before.
     ///
     /// The budget is polled cooperatively: at every pass boundary and
     /// every [`RunCtx::move_check_interval`] moves inside a pass. A
@@ -306,7 +257,6 @@ impl PassState<'_> {
         };
         let mut zero_delta_events = 0u64;
         let mut nonzero_delta_events = 0u64;
-        let mut cut_trace: Vec<u64> = Vec::new();
 
         let ended_with_leftovers = loop {
             let Some(v) = self.select(bisection) else {
@@ -324,9 +274,6 @@ impl PassState<'_> {
             );
             self.ws.moves.push(v);
             self.last_moved_from = Some(from);
-            if self.config.record_trace {
-                cut_trace.push(bisection.cut());
-            }
             if traced {
                 sink.emit(RunEvent::Move {
                     vertex: v.index() as u64,
@@ -404,7 +351,6 @@ impl PassState<'_> {
             zero_delta_events,
             nonzero_delta_events,
             corked,
-            cut_trace,
         }
     }
 

@@ -17,17 +17,19 @@
 //!   contraction, valid under strict LIFO undo;
 //! * [`select_contractions`] — the rating-driven contraction schedule
 //!   (heavy-edge connectivity, deterministic seeded tie-breaks);
-//! * [`NLevelPartition`] — incremental k-way partition state (per-net
-//!   part counts, weighted cut) over a [`DynHypergraph`], plus the
-//!   localized FM refiner [`refine_localized`];
+//! * [`NLevelPartition`] — incremental partition state (per-net part
+//!   counts, weighted cut) over a [`DynHypergraph`], plus the localized
+//!   FM refiner [`refine_localized`]. It is written for any part count,
+//!   but its only caller, the 2-way backend, always runs it at k = 2;
 //! * [`NLevelWorkspace`] — the reusable scratch arenas of everything
 //!   above (carried on [`crate::RunCtx`] like the FM and coarsening
 //!   workspaces), which make the steady-state hot path allocation-free.
 //!
-//! Engines select between the two backends with [`EngineKind`], carried
-//! by the multilevel configs (`MlConfig::engine`, `MlKWayConfig::engine`)
-//! so the driver, eval runner, server daemon, and CLI pick backends
-//! uniformly.
+//! The 2-way multilevel config selects between the two backends with
+//! [`EngineKind`] (`MlConfig::engine`), so the driver, eval runner,
+//! server daemon, and CLI pick backends uniformly. k-way runs reach the
+//! n-level backend only through recursive bisection; the multilevel
+//! k-way engine is coarse-grained only.
 
 mod dynhg;
 mod partition;

@@ -26,11 +26,6 @@ pub struct PassStats {
     /// the gain container but fewer than [`CORKED_FRACTION`] of the
     /// eligible vertices moved — the CLIP failure mode of §2.3.
     pub corked: bool,
-    /// Cut after each tentative move, in move order (empty unless
-    /// `FmConfig::record_trace` is set). The characteristic FM "valley"
-    /// shape — descend, bottom out at the best prefix, climb while the
-    /// remaining forced moves play out — is visible here.
-    pub cut_trace: Vec<u64>,
 }
 
 /// A pass counts as corked when it moves fewer than this fraction of its

@@ -87,7 +87,6 @@ fn config() -> impl Strategy<Value = FmConfig> {
                     lookahead,
                     max_passes: 16,
                     initial,
-                    record_trace: false,
                 }
             },
         )

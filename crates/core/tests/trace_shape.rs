@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use hypart_benchgen::ispd98_like;
-use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner, PassStats, CORKED_FRACTION};
+use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner, PassStats, RunCtx, CORKED_FRACTION};
 use hypart_trace::{MemorySink, RunEvent};
 
 /// Splits a run-level stream into per-pass event slices (everything
@@ -36,7 +36,8 @@ fn event_stream_shape_matches_outcome() {
     let h = ispd98_like(1, 0.03, 11);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let sink = MemorySink::new();
-    let out = FmPartitioner::new(FmConfig::clip()).run_traced(&h, &c, 5, &sink);
+    let out =
+        FmPartitioner::new(FmConfig::clip()).run_with(&h, &c, &mut RunCtx::new(5).with_sink(&sink));
     let events = sink.take();
 
     // Exactly one RunBegin (first) and one RunEnd (last).
@@ -117,7 +118,8 @@ fn fm_stats_are_derivable_from_events() {
     let h = ispd98_like(1, 0.03, 7);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.05);
     let sink = MemorySink::new();
-    let out = FmPartitioner::new(FmConfig::lifo()).run_traced(&h, &c, 2, &sink);
+    let out =
+        FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut RunCtx::new(2).with_sink(&sink));
     let events = sink.take();
 
     for (stats, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
@@ -150,8 +152,8 @@ fn traces_are_deterministic_per_seed() {
     let engine = FmPartitioner::new(FmConfig::clip());
     let a = MemorySink::new();
     let b = MemorySink::new();
-    engine.run_traced(&h, &c, 9, &a);
-    engine.run_traced(&h, &c, 9, &b);
+    engine.run_with(&h, &c, &mut RunCtx::new(9).with_sink(&a));
+    engine.run_with(&h, &c, &mut RunCtx::new(9).with_sink(&b));
     assert_eq!(a.take(), b.take());
 }
 
@@ -163,40 +165,27 @@ fn corked_by_definition(leftovers: bool, moves_made: usize, eligible: usize) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `PassStats::cut_after` equals the minimum prefix of the recorded
-    /// cut trajectory: rollback restores exactly the best cut seen.
+    /// `PassStats::cut_after` equals the minimum prefix of the pass's
+    /// `Move`-event cut trajectory: rollback restores exactly the best
+    /// cut seen.
     #[test]
     fn cut_after_is_min_prefix_of_trajectory(seed in any::<u64>(), clip in any::<bool>()) {
         let h = ispd98_like(1, 0.02, 19);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let base = if clip { FmConfig::clip() } else { FmConfig::lifo() };
-        let out = FmPartitioner::new(base.with_record_trace(true)).run(&h, &c, seed);
-        prop_assert!(out.stats.num_passes() > 0);
-        for p in &out.stats.passes {
-            let best = p.cut_trace.iter().copied().min()
-                .map_or(p.cut_before, |m| m.min(p.cut_before));
-            prop_assert_eq!(p.cut_after, best,
-                "cut_after {} != min-prefix {} (before {}, trace {:?})",
-                p.cut_after, best, p.cut_before, p.cut_trace);
-        }
-    }
-
-    /// The Move-event cut column reproduces `cut_trace` exactly, so the
-    /// ad-hoc trajectory recorder is redundant with the event stream.
-    #[test]
-    fn move_events_reproduce_cut_trace(seed in any::<u64>()) {
-        let h = ispd98_like(1, 0.02, 23);
-        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let sink = MemorySink::new();
-        let out = FmPartitioner::new(FmConfig::clip().with_record_trace(true))
-            .run_traced(&h, &c, seed, &sink);
+        let out = FmPartitioner::new(base).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
         let events = sink.take();
-        for (stats, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
-            let cuts: Vec<u64> = pass.iter().filter_map(|e| match e {
+        prop_assert!(out.stats.num_passes() > 0);
+        for (p, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
+            let trajectory: Vec<u64> = pass.iter().filter_map(|e| match e {
                 RunEvent::Move { cut, .. } => Some(*cut),
                 _ => None,
             }).collect();
-            prop_assert_eq!(&cuts, &stats.cut_trace);
+            let best = trajectory.iter().copied().fold(p.cut_before, u64::min);
+            prop_assert_eq!(p.cut_after, best,
+                "cut_after {} != min-prefix {} (before {}, trajectory {:?})",
+                p.cut_after, best, p.cut_before, trajectory);
         }
     }
 
@@ -210,7 +199,7 @@ proptest! {
         let sink = MemorySink::new();
         let out = FmPartitioner::new(
             FmConfig::clip().with_exclude_overweight(false),
-        ).run_traced(&h, &c, seed, &sink);
+        ).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
         let events = sink.take();
         for (stats, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
             let RunEvent::PassBegin { eligible, .. } = pass[0] else { unreachable!() };

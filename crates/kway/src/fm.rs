@@ -169,48 +169,6 @@ impl KWayFmPartitioner {
         self.run_with(h, balance, &mut RunCtx::new(seed))
     }
 
-    /// [`run`](KWayFmPartitioner::run) with event emission: the same
-    /// `RunBegin` → passes → `RunEnd` bracket the 2-way engine produces,
-    /// so k-way traces are consumed by the exact same tooling.
-    pub fn run_traced<S: TraceSink + ?Sized>(
-        &self,
-        h: &Hypergraph,
-        balance: &KWayBalance,
-        seed: u64,
-        sink: &S,
-    ) -> KWayOutcome {
-        self.run_with(h, balance, &mut RunCtx::new(seed).with_sink(&sink))
-    }
-
-    /// Refines `partition` in place until a pass stops improving the
-    /// lexicographic (violation, cut) score; returns the pass count.
-    pub fn refine<R: Rng>(
-        &self,
-        partition: &mut KWayPartition<'_>,
-        balance: &KWayBalance,
-        rng: &mut R,
-    ) -> usize {
-        self.refine_with(partition, balance, rng, &mut RunCtx::new(0))
-            .0
-    }
-
-    /// [`refine`](KWayFmPartitioner::refine) with event emission.
-    pub fn refine_traced<R: Rng, S: TraceSink + ?Sized>(
-        &self,
-        partition: &mut KWayPartition<'_>,
-        balance: &KWayBalance,
-        rng: &mut R,
-        sink: &S,
-    ) -> usize {
-        self.refine_with(
-            partition,
-            balance,
-            rng,
-            &mut RunCtx::new(0).with_sink(&sink),
-        )
-        .0
-    }
-
     /// The canonical refinement entry point: passes on `partition` until
     /// a pass stops improving the lexicographic (violation, cut) score,
     /// `max_passes` is reached, or the context's budget runs out. The
@@ -606,7 +564,10 @@ fn initial_kway<R: Rng>(h: &Hypergraph, k: usize, rng: &mut R) -> Vec<u16> {
     }
     free.shuffle(rng);
     for v in free {
-        let lightest = (0..k).min_by_key(|&p| weight[p]).expect("k >= 2");
+        let lightest = match (0..k).min_by_key(|&p| weight[p]) {
+            Some(p) => p,
+            None => unreachable!("k >= 2"),
+        };
         assignment[v.index()] = lightest as u16;
         weight[lightest] += h.vertex_weight(v);
     }
@@ -614,6 +575,7 @@ fn initial_kway<R: Rng>(h: &Hypergraph, k: usize, rng: &mut R) -> Vec<u16> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use hypart_benchgen::toys::{grid, two_clusters};
@@ -668,7 +630,12 @@ mod tests {
         let assignment = initial_kway(&h, 3, &mut rng);
         let mut p = KWayPartition::new(&h, 3, assignment);
         let before = (balance.total_violation(&p), p.cut());
-        KWayFmPartitioner::new(KWayConfig::default()).refine(&mut p, &balance, &mut rng);
+        KWayFmPartitioner::new(KWayConfig::default()).refine_with(
+            &mut p,
+            &balance,
+            &mut rng,
+            &mut RunCtx::new(0),
+        );
         let after = (balance.total_violation(&p), p.cut());
         assert!(after <= before);
         assert_eq!(p.cut(), p.recompute_cut());

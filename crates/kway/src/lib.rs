@@ -19,6 +19,12 @@
 //! * [`MlKWayPartitioner`] — multilevel k-way: coarsening + direct k-way
 //!   FM refinement at every level (any `k`).
 //!
+//! The multilevel k-way engine runs one serial backend, the
+//! level-by-level coarsener shared with 2-way multilevel; EXPERIMENTS.md
+//! §k-way records why it has no n-level or lane-parallel variant. n-level
+//! k-way partitions come from [`recursive_bisection_with`] with an
+//! n-level `MlConfig`.
+//!
 //! # Example
 //!
 //! ```
@@ -35,17 +41,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod balance;
 mod fm;
 mod multilevel;
-mod nlevel_kway;
 mod partition;
 mod recursive;
 
 pub use balance::KWayBalance;
 pub use fm::{KWayConfig, KWayFmPartitioner, KWayOutcome};
-pub use hypart_core::EngineKind;
 pub use multilevel::{MlKWayConfig, MlKWayPartitioner};
 pub use partition::KWayPartition;
 pub use recursive::{recursive_bisection, recursive_bisection_with};

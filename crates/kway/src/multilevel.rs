@@ -10,9 +10,8 @@ use rand::{Rng, SeedableRng};
 use crate::balance::KWayBalance;
 use crate::fm::{record_kway_audit, KWayConfig, KWayFmPartitioner, KWayOutcome};
 use crate::partition::KWayPartition;
-use hypart_core::{AuditError, EngineKind, RunCtx, StopReason};
+use hypart_core::{AuditError, RunCtx, StopReason};
 use hypart_hypergraph::Hypergraph;
-use hypart_ml::build_hierarchy_par_with;
 use hypart_ml::coarsen::{build_hierarchy_with, CoarsenConfig};
 use hypart_trace::RunEvent;
 
@@ -26,7 +25,6 @@ use hypart_trace::RunEvent;
 /// | [`refine`](Self::refine) | flat k-way engine at every level |
 /// | [`coarsen`](Self::coarsen) | clustering schedule (shared with 2-way ML) |
 /// | [`initial_tries`](Self::initial_tries) | seeded starts on the coarsest graph |
-/// | [`engine`](Self::engine) | multilevel backend: coarse-grained levels or n-level |
 #[derive(Clone, Debug, PartialEq)]
 pub struct MlKWayConfig {
     /// Flat k-way engine used for refinement at every level.
@@ -35,20 +33,6 @@ pub struct MlKWayConfig {
     pub coarsen: CoarsenConfig,
     /// Seeded initial k-way partitions tried on the coarsest graph.
     pub initial_tries: usize,
-    /// Number of parallel lanes for hierarchy construction. `0` (the
-    /// default) builds the hierarchy serially; `>= 1` uses the parallel
-    /// coarsener with that many lanes (mirrors
-    /// [`MlConfig::threads`](hypart_ml::MlConfig::threads)).
-    pub threads: usize,
-    /// Determinism contract of the parallel hierarchy build: when `true`
-    /// (the default) the hierarchy — and therefore the whole run — is
-    /// identical for every lane and thread count.
-    pub deterministic: bool,
-    /// Which multilevel backend runs: the coarse-grained level-by-level
-    /// hierarchy (the default) or the n-level single-pair contraction
-    /// engine. The n-level backend is serial-only and ignores
-    /// [`threads`](Self::threads); it is always deterministic.
-    pub engine: EngineKind,
 }
 
 impl Default for MlKWayConfig {
@@ -57,9 +41,6 @@ impl Default for MlKWayConfig {
             refine: KWayConfig::default(),
             coarsen: CoarsenConfig::default(),
             initial_tries: 8,
-            threads: 0,
-            deterministic: true,
-            engine: EngineKind::MlCoarse,
         }
     }
 }
@@ -81,26 +62,6 @@ impl MlKWayConfig {
     /// coarsest graph (builder-style; clamped to at least 1 at run time).
     pub fn with_initial_tries(mut self, initial_tries: usize) -> Self {
         self.initial_tries = initial_tries;
-        self
-    }
-
-    /// Sets the lane count of the parallel hierarchy build
-    /// (builder-style); `0` keeps the serial build.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the determinism contract of the parallel hierarchy build
-    /// (builder-style).
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
-        self
-    }
-
-    /// Selects the multilevel backend (builder-style).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -143,33 +104,13 @@ impl MlKWayPartitioner {
         balance: &KWayBalance,
         ctx: &mut RunCtx<'_>,
     ) -> KWayOutcome {
-        if self.config.engine == EngineKind::NLevel {
-            return crate::nlevel_kway::run_nlevel_kway(self, h, balance, ctx);
-        }
         let k = balance.num_parts();
         let base_seed = ctx.seed;
         let mut rng = SmallRng::seed_from_u64(base_seed);
         let engine = KWayFmPartitioner::new(self.config.refine);
 
-        let levels = if self.config.threads > 0 {
-            hypart_core::ensure_lanes(&mut ctx.lanes, self.config.threads);
-            let mut lanes = std::mem::take(&mut ctx.lanes);
-            let mut probe = ctx.probe();
-            let levels = build_hierarchy_par_with(
-                h,
-                &self.config.coarsen,
-                None,
-                &mut rng,
-                &mut ctx.coarsen,
-                &mut lanes,
-                self.config.deterministic,
-                &mut probe,
-            );
-            ctx.lanes = lanes;
-            levels
-        } else {
-            build_hierarchy_with(h, &self.config.coarsen, None, &mut rng, &mut ctx.coarsen)
-        };
+        let levels =
+            build_hierarchy_with(h, &self.config.coarsen, None, &mut rng, &mut ctx.coarsen);
         if ctx.sink.is_enabled() {
             for (i, level) in levels.iter().enumerate() {
                 ctx.sink.emit(RunEvent::LevelDown {
@@ -206,7 +147,10 @@ impl MlKWayPartitioner {
             }
         }
         ctx.seed = base_seed;
-        let mut assignment = best.expect("at least one try").2;
+        let mut assignment = match best {
+            Some((_, _, assignment)) => assignment,
+            None => unreachable!("the first initial try always completes"),
+        };
 
         // Uncoarsen: project level by level and refine with k-way FM.
         // Once stopped, projection continues but refinement is skipped.

@@ -257,6 +257,7 @@ impl<'h> KWayPartition<'h> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use hypart_hypergraph::HypergraphBuilder;

@@ -487,7 +487,7 @@ mod tests {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let sink = MemorySink::new();
-        let out = ml.run_traced(&h, &c, 4, &sink);
+        let out = ml.run_with(&h, &c, &mut RunCtx::new(4).with_sink(&sink));
         let events = sink.take();
         let downs = events
             .iter()

@@ -13,7 +13,7 @@
 //!    ([`hypart_core::FmPartitioner`]) — so every implicit-decision knob of
 //!    the flat engines composes with the multilevel wrapper, exactly as the
 //!    Table 1 grid requires;
-//! 4. **V-cycling** ([`MlPartitioner::vcycle`]): restricted coarsening from
+//! 4. **V-cycling** ([`MlPartitioner::vcycle_with`]): restricted coarsening from
 //!    an existing solution, then re-refinement — hMetis-1.5 applies this to
 //!    the best of its multi-starts ([`multi_start_with`]).
 //!

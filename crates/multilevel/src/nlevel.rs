@@ -391,7 +391,7 @@ mod tests {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let p = nlevel();
         let first = p.run(&h, &c, 2);
-        let cycled = p.vcycle(&h, &c, &first.assignment, 77);
+        let cycled = p.vcycle_with(&h, &c, &first.assignment, &mut RunCtx::new(77));
         assert!(
             cycled.cut <= first.cut,
             "n-level v-cycle worsened: {} -> {}",

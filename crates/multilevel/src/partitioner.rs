@@ -157,7 +157,7 @@ pub struct MlOutcome {
 }
 
 /// A multilevel 2-way partitioner (hMetis-style V-cycle refinement is
-/// available via [`vcycle`](MlPartitioner::vcycle)).
+/// available via [`vcycle_with`](MlPartitioner::vcycle_with)).
 #[derive(Clone, Debug)]
 pub struct MlPartitioner {
     config: MlConfig,
@@ -219,20 +219,6 @@ impl MlPartitioner {
     /// [`RunCtx`] (no sink, no deadline).
     pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> MlOutcome {
         self.run_with(h, constraint, &mut RunCtx::new(seed))
-    }
-
-    /// [`run`](MlPartitioner::run), narrating into `sink`: one
-    /// [`RunEvent::LevelDown`] per coarsening level, then the flat-engine
-    /// events of every initial try and per-level refinement, each level
-    /// prefixed by [`RunEvent::LevelUp`].
-    pub fn run_traced<S: TraceSink + ?Sized>(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-        sink: &S,
-    ) -> MlOutcome {
-        self.run_with(h, constraint, &mut RunCtx::new(seed).with_sink(&sink))
     }
 
     /// Builds and freezes the unrestricted coarsening hierarchy for `h`,
@@ -367,37 +353,6 @@ impl MlPartitioner {
             &mut rng,
             ctx,
             None,
-        )
-    }
-
-    /// Applies one V-cycle to an existing solution.
-    ///
-    /// Equivalent to [`vcycle_with`](MlPartitioner::vcycle_with) with a
-    /// default [`RunCtx`].
-    pub fn vcycle(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        assignment: &[PartId],
-        seed: u64,
-    ) -> MlOutcome {
-        self.vcycle_with(h, constraint, assignment, &mut RunCtx::new(seed))
-    }
-
-    /// [`vcycle`](MlPartitioner::vcycle) with event emission.
-    pub fn vcycle_traced<S: TraceSink + ?Sized>(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        assignment: &[PartId],
-        seed: u64,
-        sink: &S,
-    ) -> MlOutcome {
-        self.vcycle_with(
-            h,
-            constraint,
-            assignment,
-            &mut RunCtx::new(seed).with_sink(&sink),
         )
     }
 
@@ -612,7 +567,7 @@ mod tests {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let first = ml.run(&h, &c, 2);
-        let cycled = ml.vcycle(&h, &c, &first.assignment, 77);
+        let cycled = ml.vcycle_with(&h, &c, &first.assignment, &mut RunCtx::new(77));
         assert!(
             cycled.cut <= first.cut,
             "v-cycle worsened: {} -> {}",

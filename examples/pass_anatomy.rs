@@ -6,7 +6,8 @@
 //! engine rolls back to the valley floor. Watching this trajectory is how
 //! the paper's authors *found* the corking effect ("traces of CLIP
 //! executions show that corking actually occurs fairly often"), so the
-//! engine exposes it as an opt-in per-move trace.
+//! engine reports every tentative move as a `Move` event whose `cut`
+//! column is the trajectory.
 //!
 //! Run: `cargo run --release --example pass_anatomy`
 
@@ -17,8 +18,23 @@ fn main() {
     let h = ispd98_like(1, 0.04, 13);
     let constraint = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
 
-    let engine = FmPartitioner::new(FmConfig::lifo().with_record_trace(true));
-    let out = engine.run(&h, &constraint, 7);
+    let engine = FmPartitioner::new(FmConfig::lifo());
+    let sink = MemorySink::new();
+    let out = engine.run_with(&h, &constraint, &mut RunCtx::new(7).with_sink(&sink));
+
+    // One trajectory per pass: the cuts of its `Move` events.
+    let mut trajectories: Vec<Vec<u64>> = Vec::new();
+    for event in sink.take() {
+        match event {
+            RunEvent::PassBegin { .. } => trajectories.push(Vec::new()),
+            RunEvent::Move { cut, .. } => {
+                if let Some(trajectory) = trajectories.last_mut() {
+                    trajectory.push(cut);
+                }
+            }
+            _ => {}
+        }
+    }
 
     println!(
         "instance {}: {} cells; run converged in {} passes, cut {} -> {}\n",
@@ -29,7 +45,7 @@ fn main() {
         out.cut
     );
 
-    for (i, pass) in out.stats.passes.iter().enumerate() {
+    for (i, (pass, trajectory)) in out.stats.passes.iter().zip(&trajectories).enumerate() {
         println!(
             "pass {}: {} moves, {} rolled back, cut {} -> {}{}",
             i + 1,
@@ -39,8 +55,8 @@ fn main() {
             pass.cut_after,
             if pass.corked { "  [CORKED]" } else { "" }
         );
-        if !pass.cut_trace.is_empty() {
-            println!("{}", ascii_trajectory(&pass.cut_trace, 72, 9));
+        if !trajectory.is_empty() {
+            println!("{}", ascii_trajectory(trajectory, 72, 9));
         }
     }
     println!(

@@ -116,10 +116,10 @@ proptest! {
 
     /// Reusing the context's [`NLevelWorkspace`] is behaviorally
     /// invisible. The workspace is dirtied with unrelated work — the
-    /// 2-way driver on a different instance, then the direct k-way
-    /// backend at k = 3, which reshapes the count table and gain-row
-    /// stride — and a traced multi-start + V-cycle run on it must be
-    /// bitwise identical to the same run on a fresh context.
+    /// 2-way driver on a different instance, then 4-way recursive
+    /// bisection of it, which resizes the arenas for every region's
+    /// induced subgraph — and a traced multi-start + V-cycle run on it
+    /// must be bitwise identical to the same run on a fresh context.
     #[test]
     fn dirty_nlevel_workspace_is_behaviorally_invisible(
         (na, ma, ka, wa, seed_a) in instance_params(),
@@ -129,13 +129,12 @@ proptest! {
         let hb = random_hypergraph(nb, mb, kb, wb, seed_b);
         let ca = BalanceConstraint::with_fraction(ha.total_vertex_weight(), 0.10);
         let cb = BalanceConstraint::with_fraction(hb.total_vertex_weight(), 0.10);
-        let ml = MlPartitioner::new(MlConfig::default().with_engine(EngineKind::NLevel));
+        let nlevel_config = MlConfig::default().with_engine(EngineKind::NLevel);
+        let ml = MlPartitioner::new(nlevel_config.clone());
 
         let mut dirty = RunCtx::new(seed_a);
         let _ = ml.run_with(&ha, &ca, &mut dirty);
-        let mlk = MlKWayPartitioner::new(MlKWayConfig::default().with_engine(EngineKind::NLevel));
-        let kb3 = KWayBalance::with_fraction(ha.total_vertex_weight(), 3, 0.30);
-        let _ = mlk.run_with(&ha, &kb3, &mut dirty);
+        let _ = recursive_bisection_with(&ha, 4, 0.30, &nlevel_config, &mut dirty);
 
         let dirty_trace = traced_multi_start(&ml, &hb, &cb, seed_b, dirty);
         let fresh_trace = traced_multi_start(&ml, &hb, &cb, seed_b, RunCtx::new(0));

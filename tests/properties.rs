@@ -69,7 +69,7 @@ proptest! {
         let mut bis = Bisection::new(&h, parts).expect("valid");
         let before = (c.total_violation(&bis), bis.cut());
         let engine = FmPartitioner::new(FmConfig::lifo());
-        engine.refine(&mut bis, &c, &mut SmallRng::seed_from_u64(seed ^ 1));
+        engine.refine_with(&mut bis, &c, &mut SmallRng::seed_from_u64(seed ^ 1), &mut RunCtx::new(0));
         let after = (c.total_violation(&bis), bis.cut());
         prop_assert!(after <= before, "refinement worsened {before:?} -> {after:?}");
     }

@@ -1,6 +1,6 @@
-//! Execution-context (`RunCtx`) behavior across the stack: the
-//! convenience entry points must reproduce the canonical `*_with`
-//! streams bitwise, deadlines must stop a budgeted multi-start promptly
+//! Execution-context (`RunCtx`) behavior across the stack: the `run`
+//! convenience entry points must reproduce the canonical `run_with`
+//! results, deadlines must stop a budgeted multi-start promptly
 //! with a legal best-so-far, and cancellation from another thread must
 //! interrupt a fixed-count multi-start.
 
@@ -21,57 +21,65 @@ fn jsonl_of(f: impl FnOnce(&JsonlSink<Vec<u8>>)) -> String {
     String::from_utf8(sink.finish().expect("in-memory write")).expect("utf-8")
 }
 
-/// The convenience wrappers — plain `run`/`run_traced` — are thin
-/// delegations to the canonical `*_with` entry points, so their JSONL
-/// streams must stay bitwise identical to a hand-built `RunCtx` run.
+/// Each engine's one convenience wrapper, plain `run(h, c, seed)`, is a
+/// thin delegation to the canonical `run_with`, so it must return the
+/// same assignment and cut. A pre-seeded external workspace must leave
+/// the canonical JSONL stream bitwise unchanged, and an unbudgeted
+/// context must add no budget or start events to it.
 #[test]
 fn wrappers_reproduce_canonical_jsonl_streams() {
     let _serial = TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let h = ispd98_like(1, 0.02, 23);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
 
-    // Flat FM: run_traced vs run_with.
+    // Flat FM: run vs run_with.
     let fm = FmPartitioner::new(FmConfig::clip());
-    let via_wrapper = jsonl_of(|sink| {
-        fm.run_traced(&h, &c, 7, sink);
-    });
-    let via_ctx = jsonl_of(|sink| {
-        fm.run_with(&h, &c, &mut RunCtx::new(7).with_sink(sink));
-    });
-    assert_eq!(via_wrapper, via_ctx, "flat FM stream drifted");
+    let wrapped = fm.run(&h, &c, 7);
+    let canonical = fm.run_with(&h, &c, &mut RunCtx::new(7));
+    assert_eq!(wrapped.assignment, canonical.assignment, "flat FM drifted");
+    assert_eq!(wrapped.cut, canonical.cut, "flat FM drifted");
 
-    // Multilevel: run_traced vs run_with (with a pre-seeded external
-    // workspace on the ctx side — arena reuse must not perturb streams).
+    // Multilevel: run vs run_with, then the stream of a fresh context vs
+    // one with an external workspace (arena reuse must not perturb it).
     let ml = MlPartitioner::new(MlConfig::ml_lifo());
-    let via_wrapper = jsonl_of(|sink| {
-        ml.run_traced(&h, &c, 9, sink);
+    let wrapped = ml.run(&h, &c, 9);
+    let canonical = ml.run_with(&h, &c, &mut RunCtx::new(9));
+    assert_eq!(
+        wrapped.assignment, canonical.assignment,
+        "multilevel drifted"
+    );
+    assert_eq!(wrapped.cut, canonical.cut, "multilevel drifted");
+    let ml_stream = jsonl_of(|sink| {
+        ml.run_with(&h, &c, &mut RunCtx::new(9).with_sink(sink));
     });
-    let via_ctx = jsonl_of(|sink| {
+    let via_workspace = jsonl_of(|sink| {
         let mut ctx = RunCtx::new(9)
             .with_workspace(hypart::core::FmWorkspace::new())
             .with_sink(sink);
         ml.run_with(&h, &c, &mut ctx);
     });
-    assert_eq!(via_wrapper, via_ctx, "multilevel stream drifted");
+    assert_eq!(ml_stream, via_workspace, "multilevel stream drifted");
 
-    // Direct k-way: run_traced vs run_with.
+    // Direct k-way: run vs run_with.
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
     let kway = KWayFmPartitioner::new(KWayConfig::default());
-    let via_wrapper = jsonl_of(|sink| {
-        kway.run_traced(&h, &balance, 5, sink);
-    });
-    let via_ctx = jsonl_of(|sink| {
+    let wrapped = kway.run(&h, &balance, 5);
+    let canonical = kway.run_with(&h, &balance, &mut RunCtx::new(5));
+    assert_eq!(wrapped.assignment, canonical.assignment, "k-way drifted");
+    assert_eq!(wrapped.cut, canonical.cut, "k-way drifted");
+    let kway_stream = jsonl_of(|sink| {
         kway.run_with(&h, &balance, &mut RunCtx::new(5).with_sink(sink));
     });
-    assert_eq!(via_wrapper, via_ctx, "k-way stream drifted");
 
     // An unbudgeted context adds no events: no BudgetExhausted,
     // StartBegin, or StartEnd anywhere in the streams above.
-    for kind in ["budget_exhausted", "start_begin", "start_end"] {
-        assert!(
-            !via_ctx.contains(kind),
-            "unbudgeted run leaked a `{kind}` event"
-        );
+    for stream in [&ml_stream, &kway_stream] {
+        for kind in ["budget_exhausted", "start_begin", "start_end"] {
+            assert!(
+                !stream.contains(kind),
+                "unbudgeted run leaked a `{kind}` event"
+            );
+        }
     }
 }
 

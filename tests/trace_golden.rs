@@ -30,7 +30,7 @@ fn toy_trace() -> String {
 
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.25);
     let sink = JsonlSink::new(Vec::new());
-    FmPartitioner::new(FmConfig::lifo()).run_traced(&h, &c, 3, &sink);
+    FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut RunCtx::new(3).with_sink(&sink));
     String::from_utf8(sink.finish().expect("in-memory write")).expect("utf-8")
 }
 
@@ -69,10 +69,10 @@ fn engine_traces() -> Vec<(&'static str, String)> {
     let h = ispd98_like(1, 0.01, 13);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let flat = trace_of(&|sink| {
-        FmPartitioner::new(FmConfig::lifo()).run_traced(&h, &c, 5, sink);
+        FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut RunCtx::new(5).with_sink(sink));
     });
     let clip = trace_of(&|sink| {
-        FmPartitioner::new(FmConfig::clip()).run_traced(&h, &c, 5, sink);
+        FmPartitioner::new(FmConfig::clip()).run_with(&h, &c, &mut RunCtx::new(5).with_sink(sink));
     });
 
     let hm = ispd98_like(2, 0.012, 17);
@@ -89,7 +89,11 @@ fn engine_traces() -> Vec<(&'static str, String)> {
 
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
     let kway = trace_of(&|sink| {
-        KWayFmPartitioner::new(KWayConfig::default()).run_traced(&h, &balance, 5, sink);
+        KWayFmPartitioner::new(KWayConfig::default()).run_with(
+            &h,
+            &balance,
+            &mut RunCtx::new(5).with_sink(sink),
+        );
     });
 
     // Deep multilevel: an instance large enough that the multi-start run
