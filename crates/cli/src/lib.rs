@@ -143,7 +143,8 @@ pub enum Command {
         /// Input netlist path.
         input: PathBuf,
     },
-    /// `place <netlist> [--die W H] [--rows R] [--seed S] [--out FILE]`
+    /// `place <netlist> [--width W] [--height H] [--rows R] [--seed S]
+    /// [--out FILE]`
     Place {
         /// Input netlist path.
         input: PathBuf,
@@ -187,8 +188,7 @@ pub enum Command {
         out: PathBuf,
     },
     /// `serve [--addr A] [--workers N] [--queue N] [--instance-cache N]
-    /// [--hierarchy-cache N] [--threads N] [--watchdog-factor F]
-    /// [--max-cells N]`
+    /// [--hierarchy-cache N] [--max-cells N]`
     Serve {
         /// Listen address (`host:port`; port 0 picks a free port).
         addr: String,
@@ -202,12 +202,6 @@ pub enum Command {
         /// Hierarchy-cache capacity (coarsening hierarchies keyed by
         /// `(digest, coarsen config, seed)`, FIFO).
         hierarchy_cache: usize,
-        /// Lane count of the parallel ML engine per job (0 = serial).
-        threads: usize,
-        /// Watchdog overshoot factor: budgeted jobs running past
-        /// `budget_ms * factor` are force-cancelled with a typed
-        /// `watchdog_cancelled` error (0 disables the watchdog).
-        watchdog_factor: f64,
         /// Admission cap on declared instance size: inline uploads
         /// declaring more cells are shed with a typed
         /// `rejected_too_large` error before parsing (0 = no cap).
@@ -312,21 +306,40 @@ the (cut, seconds) Pareto frontier.
   hypart report <netlist> [--trials N] [--tol F] [--seed S] [--out FILE] [--budget-ms T]
   hypart gen <ibm01..ibm18|mcncN> [--scale S] [--seed K] --out FILE
   hypart serve [--addr HOST:PORT] [--workers N] [--queue N]
-               [--instance-cache N] [--hierarchy-cache N] [--threads N]
-               [--watchdog-factor F] [--max-cells N]
+               [--instance-cache N] [--hierarchy-cache N] [--max-cells N]
 
 `serve` runs the partitioning daemon (length-prefixed JSONL frames over
 TCP; see crates/server). It blocks until a client sends `shutdown`.
-`--watchdog-factor F` force-cancels budgeted jobs overshooting
-`budget_ms * F` (0 = off); `--max-cells N` sheds inline uploads
-declaring more cells before parsing them (0 = no cap).
+`--max-cells N` sheds inline uploads declaring more cells before
+parsing them (0 = no cap).
 `hypart-loadgen --self-host` exercises it end to end, and
 `hypart-loadgen --self-host --chaos SEED` soaks it through a
 deterministic fault-injecting proxy.
 
+Every flag takes a value; a flag the subcommand does not list above,
+or one without its value, is a usage error.
+
 Netlists are read as hMETIS .hgr, or as simplified ISPD98 netD when the
 file extension contains `net`.
 ";
+
+/// The flags each subcommand accepts, every one taking a value; `None`
+/// for an unknown subcommand.
+fn accepted_flags(sub: &str) -> Option<&'static str> {
+    Some(match sub {
+        "partition" => {
+            "--engine --k --tol --starts --seed --out --trace --budget-ms --audit --threads \
+             --deterministic"
+        }
+        "eval" => "--tol --engine --trials --seed --scale --budget-ms",
+        "stats" => "",
+        "place" => "--width --height --rows --seed --out",
+        "report" => "--trials --tol --seed --out --budget-ms",
+        "gen" => "--scale --seed --out",
+        "serve" => "--addr --workers --queue --instance-cache --hierarchy-cache --max-cells",
+        _ => return None,
+    })
+}
 
 /// Parses a full argument list (without argv\[0\]).
 ///
@@ -336,6 +349,7 @@ file extension contains `net`.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let sub = it.next().ok_or("missing subcommand")?;
+    let flags = accepted_flags(sub).ok_or_else(|| format!("unknown subcommand `{sub}`"))?;
     let rest: Vec<&String> = it.collect();
 
     let flag_value = |name: &str| -> Option<&str> {
@@ -368,24 +382,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         let n = parse_u64(name, default as u64)?;
         usize::try_from(n).map_err(|_| format!("{name} is out of range: {n}"))
     };
-    let positional: Vec<&str> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for (i, a) in rest.iter().enumerate() {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a.starts_with("--") {
-                // All our flags take a value.
-                let _ = i;
-                skip = true;
-            } else {
-                out.push(a.as_str());
-            }
+    let mut positional = Vec::new();
+    let mut words = rest.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            positional.push(word.as_str());
+        } else if !flags.split_whitespace().any(|flag| flag == word.as_str()) {
+            return Err(format!("{sub}: unknown flag `{word}`"));
+        } else if words.next().is_none() {
+            return Err(format!("{word} takes a value"));
         }
-        out
-    };
+    }
 
     match sub.as_str() {
         "partition" => {
@@ -487,18 +494,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if queue == 0 {
                 return Err("--queue must be at least 1".into());
             }
-            let watchdog_factor = parse_flag("--watchdog-factor", 0.0)?;
-            if watchdog_factor < 0.0 {
-                return Err("--watchdog-factor must be non-negative".into());
-            }
             Ok(Command::Serve {
                 addr: flag_value("--addr").unwrap_or("127.0.0.1:7077").to_string(),
                 workers,
                 queue,
                 instance_cache: parse_usize("--instance-cache", 16)?,
                 hierarchy_cache: parse_usize("--hierarchy-cache", 32)?,
-                threads: parse_usize("--threads", 0)?,
-                watchdog_factor,
                 max_cells: parse_usize("--max-cells", 0)?,
             })
         }
@@ -731,8 +732,6 @@ solution : {}
             queue,
             instance_cache,
             hierarchy_cache,
-            threads,
-            watchdog_factor,
             max_cells,
         } => {
             let config = hypart_server::ServerConfig {
@@ -741,8 +740,6 @@ solution : {}
                 queue_capacity: queue,
                 instance_cache_capacity: instance_cache,
                 hierarchy_cache_capacity: hierarchy_cache,
-                ml: MlConfig::default().with_threads(threads),
-                watchdog_factor,
                 max_cells,
                 ..hypart_server::ServerConfig::default()
             };
@@ -1293,7 +1290,6 @@ mod tests {
             "--queue",
             "--instance-cache",
             "--hierarchy-cache",
-            "--threads",
             "--max-cells",
         ] {
             assert!(
@@ -1718,8 +1714,6 @@ mod tests {
                 queue,
                 instance_cache,
                 hierarchy_cache,
-                threads,
-                watchdog_factor,
                 max_cells,
             } => {
                 assert_eq!(addr, "127.0.0.1:7077");
@@ -1727,8 +1721,6 @@ mod tests {
                 assert_eq!(queue, 64);
                 assert_eq!(instance_cache, 16);
                 assert_eq!(hierarchy_cache, 32);
-                assert_eq!(threads, 0);
-                assert_eq!(watchdog_factor, 0.0, "watchdog defaults to off");
                 assert_eq!(max_cells, 0, "admission cap defaults to off");
             }
             other => panic!("wrong command {other:?}"),
@@ -1741,8 +1733,10 @@ mod tests {
             "8",
             "--queue",
             "256",
-            "--watchdog-factor",
-            "2.5",
+            "--instance-cache",
+            "4",
+            "--hierarchy-cache",
+            "8",
             "--max-cells",
             "100000",
         ]))
@@ -1752,21 +1746,47 @@ mod tests {
                 addr,
                 workers,
                 queue,
-                watchdog_factor,
+                instance_cache,
+                hierarchy_cache,
                 max_cells,
-                ..
             } => {
                 assert_eq!(addr, "0.0.0.0:9000");
                 assert_eq!(workers, 8);
                 assert_eq!(queue, 256);
-                assert_eq!(watchdog_factor, 2.5);
+                assert_eq!(instance_cache, 4);
+                assert_eq!(hierarchy_cache, 8);
                 assert_eq!(max_cells, 100_000);
             }
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse_args(&args(&["serve", "--workers", "0"])).is_err());
         assert!(parse_args(&args(&["serve", "--queue", "0"])).is_err());
-        assert!(parse_args(&args(&["serve", "--watchdog-factor", "-1"])).is_err());
+    }
+
+    /// A flag the subcommand does not accept, or one missing its value,
+    /// is a usage error instead of being skipped.
+    #[test]
+    fn unknown_and_valueless_flags_are_refused() {
+        let words = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        for (line, expected) in [
+            ("partition x.hgr --tolerance 0.3", "flag `--tolerance`"),
+            ("gen ibm01 --out x.hgr --bogus 3", "unknown flag `--bogus`"),
+            ("partition x.hgr --k", "--k takes a value"),
+            ("serve --threads 2", "unknown flag `--threads`"),
+            ("stats x.hgr --seed 1", "unknown flag `--seed`"),
+            ("place x.hgr --tol 0.1", "unknown flag `--tol`"),
+        ] {
+            let err = parse_args(&words(line)).unwrap_err();
+            assert!(err.contains(expected), "{line}: {err}");
+        }
+        for line in [
+            "stats x.hgr",
+            "place x.hgr --width 9 --height 9 --rows 2 --seed 2 --out x.pl",
+            "report x.hgr --trials 2 --tol 0.1 --seed 3 --out r.md --budget-ms 5",
+            "eval ibm01 --engine ml --trials 2 --tol 0.1 --seed 3 --scale 0.1 --budget-ms 5",
+        ] {
+            assert!(parse_args(&words(line)).is_ok(), "{line}");
+        }
     }
 
     #[test]

@@ -254,12 +254,8 @@ fn run(opts: &Options) -> Result<(), String> {
     );
     if opts.chaos.is_some() {
         println!(
-            "chaos:       {} client heals; daemon dedup {} stream-aborts {} watchdog {} oversized {}",
-            tally.heals,
-            stats.dedup_hits,
-            stats.stream_aborted,
-            stats.watchdog_cancelled,
-            stats.rejected_too_large
+            "chaos:       {} client heals; daemon dedup {} stream-aborts {} oversized {}",
+            tally.heals, stats.dedup_hits, stats.stream_aborted, stats.rejected_too_large
         );
     }
     println!(

@@ -184,7 +184,7 @@ pub enum JobOutcome {
         queue_capacity: usize,
     },
     /// A typed job-scoped error (`unknown_instance`, `parse`,
-    /// `watchdog_cancelled`, `stream_poisoned`, …).
+    /// `rejected_too_large`, `stream_poisoned`, …).
     Failed {
         /// Machine-readable error code.
         code: String,
@@ -230,7 +230,6 @@ impl<R: Read> Read for CountingReader<R> {
 pub struct Client {
     writer: TcpStream,
     reader: CountingReader,
-    max_frame_bytes: usize,
     pending: HashMap<u64, PendingJob>,
     /// Reconnect target; `None` on clients built without a policy.
     addr: Option<String>,
@@ -307,7 +306,6 @@ impl Client {
         Client {
             writer,
             reader: CountingReader::new(reader),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             pending: HashMap::new(),
             addr,
             retry,
@@ -371,7 +369,7 @@ impl Client {
     /// I/O, framing, or a close ([`ClientError::Disconnected`], with
     /// `mid_frame` telling a torn frame from a clean boundary).
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
-        let frame = match read_frame(&mut self.reader, self.max_frame_bytes) {
+        let frame = match read_frame(&mut self.reader, DEFAULT_MAX_FRAME_BYTES) {
             Ok(Some(frame)) => frame,
             Ok(None) => {
                 return Err(ClientError::Disconnected {

@@ -65,15 +65,6 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// `true` if the error is a read timeout (idle poll tick), not a real
-/// failure. Both kinds appear depending on platform.
-pub fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
 /// Writes one frame: big-endian `u32` length, then the serialized JSON.
 ///
 /// Prefix and payload go out in a single `write_all`. Two writes on a
@@ -143,10 +134,9 @@ fn encode_frame(
 /// Reads one frame. Returns `Ok(None)` on clean end-of-stream at a frame
 /// boundary (the peer closed the connection between frames).
 ///
-/// A read timeout *before the first byte of a frame* surfaces as
-/// `FrameError::Io` with a timeout kind (see [`is_timeout`]) so idle
-/// pollers can keep waiting; once a frame has started, reads are retried
-/// across timeouts so a slow writer cannot desynchronize the stream.
+/// A read timeout is a `FrameError::Io` of the timeout's kind wherever
+/// it strikes, before a frame or inside one: a reader whose peer stops
+/// mid-frame hears about it when its timeout runs out.
 ///
 /// A frame that arrives whole costs two `read` calls: the first asks for
 /// the entire length prefix, the second for the entire payload.
@@ -161,7 +151,7 @@ pub fn read_frame<R: Read>(
     max_bytes: usize,
 ) -> Result<Option<JsonValue>, FrameError> {
     let mut len_buf = [0u8; 4];
-    // First read: the only place where EOF is clean and timeouts surface.
+    // First read: the only place where EOF is clean.
     let got = loop {
         match reader.read(&mut len_buf) {
             Ok(0) => return Ok(None),
@@ -170,7 +160,7 @@ pub fn read_frame<R: Read>(
             Err(e) => return Err(FrameError::Io(e)),
         }
     };
-    read_exact_retry(reader, &mut len_buf[got..])?;
+    reader.read_exact(&mut len_buf[got..])?;
     let declared = u32::from_be_bytes(len_buf) as usize;
     if declared > max_bytes {
         return Err(FrameError::TooLarge {
@@ -179,31 +169,12 @@ pub fn read_frame<R: Read>(
         });
     }
     let mut payload = vec![0u8; declared];
-    read_exact_retry(reader, &mut payload)?;
+    reader.read_exact(&mut payload)?;
     let text = String::from_utf8(payload)
         .map_err(|e| FrameError::BadJson(format!("payload is not UTF-8: {e}")))?;
     JsonValue::parse(&text)
         .map(Some)
         .map_err(FrameError::BadJson)
-}
-
-/// `read_exact` that rides out read timeouts mid-frame (the reader loop
-/// uses short timeouts only to poll the shutdown flag between frames).
-fn read_exact_retry<R: Read>(reader: &mut R, mut buf: &mut [u8]) -> Result<(), FrameError> {
-    while !buf.is_empty() {
-        match reader.read(buf) {
-            Ok(0) => {
-                return Err(FrameError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )))
-            }
-            Ok(n) => buf = &mut buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted || is_timeout(&e) => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 /// Renders a 128-bit instance digest as the wire format (32 lowercase
@@ -637,9 +608,6 @@ pub struct StatsSnapshot {
     pub stream_aborted: u64,
     /// Parse/validation errors answered with typed error frames.
     pub errors: u64,
-    /// Jobs force-cancelled by the watchdog after overshooting their
-    /// declared budget by the configured factor.
-    pub watchdog_cancelled: u64,
     /// Inline instances rejected by declared-size admission control
     /// before parsing.
     pub rejected_too_large: u64,
@@ -647,7 +615,7 @@ pub struct StatsSnapshot {
     /// to an in-flight job or replayed from the completed-token cache)
     /// instead of recomputing.
     pub dedup_hits: u64,
-    /// Connection-setup or socket-option failures (e.g. a read/write
+    /// Connection-setup or socket-option failures (e.g. a write
     /// deadline that could not be installed); each one closes the
     /// affected connection instead of being silently dropped.
     pub io_failures: u64,
@@ -674,7 +642,6 @@ impl StatsSnapshot {
             ("rejected_overload", self.rejected_overload.into()),
             ("stream_aborted", self.stream_aborted.into()),
             ("errors", self.errors.into()),
-            ("watchdog_cancelled", self.watchdog_cancelled.into()),
             ("rejected_too_large", self.rejected_too_large.into()),
             ("dedup_hits", self.dedup_hits.into()),
             ("io_failures", self.io_failures.into()),
@@ -699,7 +666,6 @@ impl StatsSnapshot {
             rejected_overload: u("rejected_overload")?,
             stream_aborted: u("stream_aborted")?,
             errors: u("errors")?,
-            watchdog_cancelled: u("watchdog_cancelled")?,
             rejected_too_large: u("rejected_too_large")?,
             dedup_hits: u("dedup_hits")?,
             io_failures: u("io_failures")?,
@@ -802,8 +768,7 @@ pub enum Response {
         id: Option<u64>,
         /// Stable machine-readable code (`bad_request`, `parse`,
         /// `unknown_instance`, `unknown_job`, `overloaded`,
-        /// `stream_poisoned`, `watchdog_cancelled`,
-        /// `rejected_too_large`).
+        /// `stream_poisoned`, `rejected_too_large`).
         code: String,
         /// Human-readable detail.
         detail: String,
@@ -1236,7 +1201,6 @@ mod tests {
                 completed: 9,
                 rejected_overload: 1,
                 queue_capacity: 8,
-                watchdog_cancelled: 2,
                 rejected_too_large: 1,
                 dedup_hits: 3,
                 io_failures: 1,

@@ -4,21 +4,24 @@
 //! # Thread layout and shutdown
 //!
 //! * **1 accept thread**, blocked in `TcpListener::accept`. Shutdown
-//!   unblocks it with a throwaway self-connection.
+//!   unblocks it with a throwaway self-connection. Each accept also
+//!   joins the readers whose connections have closed, so a finished
+//!   reader's stack is freed then, not at shutdown.
 //! * **1 reader thread per live connection**, blocked in `read_frame`
-//!   with a 100 ms read timeout so it can poll the shutdown flag between
-//!   frames (mid-frame timeouts are ridden out, so a slow writer cannot
-//!   desynchronize the stream).
+//!   with no timeout. It exits when its peer hangs up or when shutdown
+//!   shuts its socket down.
 //! * **N worker threads**, blocked in [`BoundedQueue::pop`]. The queue's
 //!   close-then-drain semantics mean admitted jobs still finish during a
 //!   graceful shutdown; `pop` returning `None` is the workers' exit
 //!   signal.
 //!
 //! [`ServerHandle::shutdown`] (or a remote `shutdown` op) flips one
-//! flag, closes the queue, cancels in-flight job tokens, pokes the
-//! accept loop, and joins *every* thread — the daemon owns all of its
-//! threads, so a clean shutdown leaks none (the soak test asserts this
-//! against `/proc/self/status`).
+//! flag, closes the queue, cancels in-flight job tokens and pokes the
+//! accept loop. It joins the accept thread and the workers, so every
+//! admitted job has answered, and only then shuts down the socket of
+//! every live connection, which wakes its reader, and joins the
+//! readers. The daemon owns all of its threads, so a clean shutdown
+//! leaks none (the soak test asserts this against `/proc/self/status`).
 //!
 //! # Stream poisoning
 //!
@@ -33,9 +36,9 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,14 +50,19 @@ use hypart_trace::{RunEvent, StopReason, TraceSink};
 
 use crate::cache::{HierarchyCache, HierarchyKey, InstanceCache};
 use crate::protocol::{
-    encode_event_frame, encode_value_frame, is_timeout, read_frame, EvalRequest, FrameError,
-    Health, InstanceRef, JobResult, PartitionRequest, Request, Response, StatsSnapshot,
+    encode_event_frame, encode_value_frame, read_frame, EvalRequest, FrameError, Health,
+    InstanceRef, JobResult, PartitionRequest, Request, Response, StatsSnapshot,
     DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::queue::BoundedQueue;
 
-/// How often idle reader threads wake to poll the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(100);
+/// Write deadline per response frame: a consumer that stalls reads
+/// longer than this poisons its connection writer, feeding the
+/// `stream_aborted` accounting.
+const WRITE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Recently-completed idempotency tokens retained for replay (FIFO).
+const TOKEN_CACHE_CAPACITY: usize = 256;
 
 /// Daemon configuration. `Default` binds an ephemeral localhost port
 /// with a small worker pool, suitable for tests and the CLI alike.
@@ -68,8 +76,6 @@ pub struct ServerConfig {
     /// Bounded queue capacity; submissions beyond it are shed with a
     /// typed `rejected` response.
     pub queue_capacity: usize,
-    /// Per-frame payload cap.
-    pub max_frame_bytes: usize,
     /// Instances retained in the digest-keyed cache (FIFO).
     pub instance_cache_capacity: usize,
     /// Coarsening hierarchies retained (FIFO).
@@ -83,23 +89,8 @@ pub struct ServerConfig {
     /// `rejected_too_large` error *before* parsing. `0` disables the
     /// check.
     pub max_cells: usize,
-    /// Watchdog overshoot factor: a budgeted job still running past
-    /// `budget_ms * watchdog_factor` is force-cancelled via its
-    /// [`CancelToken`] and answered with a typed `watchdog_cancelled`
-    /// error. `0.0` disables the watchdog (no thread is spawned).
-    pub watchdog_factor: f64,
-    /// How often the watchdog scans running jobs.
-    pub watchdog_poll_ms: u64,
-    /// Write deadline per response frame: a consumer that stalls reads
-    /// longer than this poisons its connection writer, feeding the
-    /// existing `stream_aborted` accounting. `0` disables the deadline.
-    pub write_deadline_ms: u64,
-    /// Recently-completed idempotency tokens retained for replay (FIFO).
-    pub token_cache_capacity: usize,
     /// Artificial per-job delay before execution, for deterministically
-    /// filling the queue in overload tests (and, because the watchdog
-    /// registers a budgeted job *before* this stall, for simulating a
-    /// hung job in watchdog tests).
+    /// filling the queue in overload and cancellation tests.
     #[doc(hidden)]
     pub worker_delay_ms: u64,
 }
@@ -110,15 +101,10 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 64,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             instance_cache_capacity: 16,
             hierarchy_cache_capacity: 32,
             ml: MlConfig::default(),
             max_cells: 0,
-            watchdog_factor: 0.0,
-            watchdog_poll_ms: 10,
-            write_deadline_ms: 30_000,
-            token_cache_capacity: 256,
             worker_delay_ms: 0,
         }
     }
@@ -133,7 +119,6 @@ struct Stats {
     rejected_overload: AtomicU64,
     stream_aborted: AtomicU64,
     errors: AtomicU64,
-    watchdog_cancelled: AtomicU64,
     rejected_too_large: AtomicU64,
     dedup_hits: AtomicU64,
     io_failures: AtomicU64,
@@ -209,18 +194,8 @@ impl<W: Write> ConnWriter<W> {
     }
 }
 
-/// A job's terminal outcome, as cached for idempotent replay: exactly
-/// what the original submission was (or will be) answered with.
-#[derive(Clone)]
-enum CachedOutcome {
-    /// The job produced a result (including cancelled/deadline results).
-    Result(JobResult),
-    /// The job ended in a typed error (e.g. `watchdog_cancelled`).
-    Failed { code: String, detail: String },
-}
-
 /// A retried submission waiting on an in-flight job with the same
-/// token: gets the outcome delivered under its own job id when the
+/// token: gets the result delivered under its own job id when the
 /// original completes.
 struct Waiter {
     writer: Arc<ConnWriter>,
@@ -233,43 +208,33 @@ enum Admission {
     Fresh,
     /// Same token is in flight: the caller was registered as a waiter.
     Attached,
-    /// Same token recently completed: replay the cached outcome.
-    Replay(CachedOutcome),
+    /// Same token recently completed: replay the cached result.
+    Replay(JobResult),
 }
 
+#[derive(Default)]
 struct TokenMaps {
     in_flight: HashMap<u64, Vec<Waiter>>,
-    completed: HashMap<u64, CachedOutcome>,
+    completed: HashMap<u64, JobResult>,
     order: VecDeque<u64>,
 }
 
 /// Idempotency-token dedup: in-flight tokens re-attach, recently
 /// completed tokens replay. One lock guards both maps so a completion
 /// draining waiters cannot race an admission checking `in_flight`.
+#[derive(Default)]
 struct TokenRegistry {
     inner: Mutex<TokenMaps>,
-    capacity: usize,
 }
 
 impl TokenRegistry {
-    fn new(capacity: usize) -> Self {
-        TokenRegistry {
-            inner: Mutex::new(TokenMaps {
-                in_flight: HashMap::new(),
-                completed: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// Classifies a token-stamped submission. `Fresh` registers the
     /// token as in flight; the caller must later `complete` or
     /// `abandon` it.
     fn admit(&self, token: u64, writer: &Arc<ConnWriter>, id: u64) -> Admission {
         let mut maps = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(outcome) = maps.completed.get(&token) {
-            return Admission::Replay(outcome.clone());
+        if let Some(result) = maps.completed.get(&token) {
+            return Admission::Replay(result.clone());
         }
         if let Some(waiters) = maps.in_flight.get_mut(&token) {
             waiters.push(Waiter {
@@ -295,14 +260,14 @@ impl TokenRegistry {
             .unwrap_or_default()
     }
 
-    /// Records the job's outcome for replay (FIFO-bounded) and returns
+    /// Records the job's result for replay (FIFO-bounded) and returns
     /// the waiters to notify.
-    fn complete(&self, token: u64, outcome: CachedOutcome) -> Vec<Waiter> {
+    fn complete(&self, token: u64, result: JobResult) -> Vec<Waiter> {
         let mut maps = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let waiters = maps.in_flight.remove(&token).unwrap_or_default();
-        if maps.completed.insert(token, outcome).is_none() {
+        if maps.completed.insert(token, result).is_none() {
             maps.order.push_back(token);
-            while maps.order.len() > self.capacity {
+            while maps.order.len() > TOKEN_CACHE_CAPACITY {
                 if let Some(evicted) = maps.order.pop_front() {
                     maps.completed.remove(&evicted);
                 }
@@ -311,7 +276,7 @@ impl TokenRegistry {
         waiters
     }
 
-    /// Number of completed outcomes retained (for the health snapshot).
+    /// Number of completed results retained (for the health snapshot).
     fn completed_len(&self) -> usize {
         self.inner
             .lock()
@@ -319,32 +284,6 @@ impl TokenRegistry {
             .completed
             .len()
     }
-}
-
-/// Delivers a cached outcome under the given job id. Returns whether
-/// the frame went out (writer not poisoned).
-fn send_outcome(writer: &ConnWriter, id: u64, outcome: &CachedOutcome) -> bool {
-    match outcome {
-        CachedOutcome::Result(result) => writer.send(&Response::Result {
-            id,
-            result: result.clone(),
-        }),
-        CachedOutcome::Failed { code, detail } => writer.send(&Response::Error {
-            id: Some(id),
-            code: code.clone(),
-            detail: detail.clone(),
-        }),
-    }
-}
-
-/// A budgeted job under watchdog supervision.
-struct RunningJob {
-    /// Force-cancel once past this (`start + budget_ms * factor`).
-    overshoot_deadline: Instant,
-    token: CancelToken,
-    /// Set by the watchdog when it cancels, so the worker can tell a
-    /// watchdog kill apart from a client cancel or shutdown.
-    fired: Arc<AtomicBool>,
 }
 
 /// Bytes of encoded `event` frames a job's sink holds before writing
@@ -438,20 +377,27 @@ struct Shared {
     tokens: TokenRegistry,
     stats: Stats,
     started: Instant,
-    shutdown: AtomicBool,
+    /// The shutdown flag: `wait` sleeps on it, and the accept loop
+    /// checks it after every accept.
     done: Mutex<bool>,
     done_cv: Condvar,
-    /// Budgeted jobs currently executing, scanned by the watchdog.
-    running: Mutex<HashMap<(u64, u64), RunningJob>>,
     /// Cancellation tokens of admitted-but-unfinished jobs, keyed by
     /// `(connection, job id)` so `cancel` cannot reach across
     /// connections. The flag marks durable (token-stamped) jobs, which
     /// survive the death of the connection that submitted them: a
     /// healed client is about to re-attach to them by request token.
     cancels: Mutex<HashMap<(u64, u64), (CancelToken, bool)>>,
-    /// Reader threads of connections seen so far (joined at shutdown;
-    /// finished readers are cheap no-op joins).
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Connections whose reader has not been joined yet: the live ones,
+    /// and those that closed since the last accept.
+    conns: Mutex<Vec<Conn>>,
+}
+
+/// One accepted connection: its reader thread, and its socket, which
+/// shutdown shuts down to wake the reader from `read_frame`. The reader
+/// owns the socket, so it closes when the reader exits.
+struct Conn {
+    reader: JoinHandle<()>,
+    socket: Weak<TcpStream>,
 }
 
 impl Shared {
@@ -468,7 +414,6 @@ impl Shared {
             hierarchy_misses: self.hierarchies.misses(),
             queue_depth: self.queue.depth(),
             queue_capacity: self.queue.capacity(),
-            watchdog_cancelled: self.stats.watchdog_cancelled.load(Ordering::Relaxed),
             rejected_too_large: self.stats.rejected_too_large.load(Ordering::Relaxed),
             dedup_hits: self.stats.dedup_hits.load(Ordering::Relaxed),
             io_failures: self.stats.io_failures.load(Ordering::Relaxed),
@@ -489,7 +434,6 @@ impl Shared {
     /// Flips the shutdown flag, stops admissions, cancels in-flight
     /// jobs, and wakes everyone who might be blocked. Idempotent.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
         self.queue.close();
         let cancels = self.cancels.lock().unwrap_or_else(|e| e.into_inner());
         for (token, _) in cancels.values() {
@@ -521,16 +465,14 @@ impl Server {
             queue: BoundedQueue::new(config.queue_capacity),
             instances: InstanceCache::new(config.instance_cache_capacity),
             hierarchies: HierarchyCache::new(config.hierarchy_cache_capacity),
-            tokens: TokenRegistry::new(config.token_cache_capacity),
+            tokens: TokenRegistry::default(),
             config,
             stats: Stats::default(),
             started: Instant::now(),
-            shutdown: AtomicBool::new(false),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
-            running: Mutex::new(HashMap::new()),
             cancels: Mutex::new(HashMap::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            conns: Mutex::new(Vec::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -547,22 +489,11 @@ impl Server {
                     .spawn(move || worker_loop(&shared))?,
             );
         }
-        let watchdog = if shared.config.watchdog_factor > 0.0 {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("hypart-watchdog".to_string())
-                    .spawn(move || watchdog_loop(&shared))?,
-            )
-        } else {
-            None
-        };
         Ok(ServerHandle {
             local_addr,
             shared,
             accept: Some(accept),
             workers: worker_threads,
-            watchdog,
         })
     }
 }
@@ -574,7 +505,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -590,7 +520,8 @@ impl ServerHandle {
 
     /// Gracefully shuts down: stops admitting, cancels in-flight jobs
     /// (they finish with `stopped: cancelled` results), drains the
-    /// queue, and joins every thread the daemon spawned.
+    /// queue, closes every connection, and joins every thread the
+    /// daemon spawned.
     pub fn shutdown(mut self) {
         self.finish();
     }
@@ -626,18 +557,18 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             join_noting_panic(worker, "worker");
         }
-        if let Some(watchdog) = self.watchdog.take() {
-            join_noting_panic(watchdog, "watchdog");
+        // Every admitted job has answered. Readers block in `read_frame`
+        // with no timeout: shutting a socket down ends its reader's read
+        // (and any write stuck on a peer that stopped reading).
+        let conns =
+            std::mem::take(&mut *self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()));
+        for socket in conns.iter().filter_map(|conn| conn.socket.upgrade()) {
+            // A socket the peer already closed may refuse; either way
+            // its reader is done reading.
+            let _ = socket.shutdown(Shutdown::Both);
         }
-        let readers = std::mem::take(
-            &mut *self
-                .shared
-                .conn_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for reader in readers {
-            join_noting_panic(reader, "reader");
+        for conn in conns {
+            join_noting_panic(conn.reader, "reader");
         }
     }
 }
@@ -659,80 +590,69 @@ impl Drop for ServerHandle {
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut next_conn_id = 0u64;
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
+        let accepted = listener.accept();
+        if *shared.done.lock().unwrap_or_else(|e| e.into_inner()) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
             // Transient accept failure (e.g. fd pressure): back off
             // briefly instead of spinning.
             std::thread::sleep(Duration::from_millis(10));
             continue;
         };
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
         let conn_id = next_conn_id;
         next_conn_id += 1;
+        let socket = Arc::new(stream);
+        let weak = Arc::downgrade(&socket);
         let shared_conn = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
             .name(format!("hypart-conn-{conn_id}"))
-            .spawn(move || reader_loop(stream, conn_id, &shared_conn));
-        if let Ok(handle) = spawned {
-            shared
-                .conn_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(handle);
+            .spawn(move || reader_loop(&socket, conn_id, &shared_conn));
+        if let Ok(reader) = spawned {
+            // An exited thread keeps its stack until it is joined: join
+            // the readers whose connections have closed.
+            let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
+            let (finished, live) = std::mem::take(&mut *conns)
+                .into_iter()
+                .partition(|conn| conn.reader.is_finished());
+            *conns = live;
+            conns.push(Conn {
+                reader,
+                socket: weak,
+            });
+            drop(conns);
+            for conn in finished {
+                join_noting_panic(conn.reader, "reader");
+            }
         }
     }
 }
 
-/// Reads frames from one connection until EOF, error, or shutdown.
-fn reader_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
-    // A connection whose read timeout cannot be installed would block
-    // its reader thread indefinitely (it could never poll the shutdown
-    // flag); count the failure and refuse the connection instead of
-    // silently entering the un-pollable state. Likewise without
-    // `TCP_NODELAY`: Nagle's algorithm would hold every response frame
-    // for the client's delayed ACK (~40 ms each).
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() || stream.set_nodelay(true).is_err() {
-        shared.stats.io_failures.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let writer = match stream.try_clone() {
-        Ok(w) => {
-            // Slow-consumer defense: a peer that stops reading makes
-            // response writes block; the deadline turns that into a
-            // write error, which poisons the writer and feeds the
-            // existing `stream_aborted` accounting.
-            if shared.config.write_deadline_ms > 0
-                && w.set_write_timeout(Some(Duration::from_millis(shared.config.write_deadline_ms)))
-                    .is_err()
-            {
-                shared.stats.io_failures.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Arc::new(ConnWriter::new(w))
-        }
+/// Reads frames from one connection until EOF or error. Shutdown ends
+/// the read by shutting the socket down.
+fn reader_loop(socket: &TcpStream, conn_id: u64, shared: &Arc<Shared>) {
+    // Without `TCP_NODELAY`, Nagle's algorithm would hold every response
+    // frame for the client's delayed ACK (~40 ms each). Without the write
+    // deadline, a peer that stops reading would block response writes
+    // indefinitely; with it, the write fails, which poisons the writer
+    // and feeds the `stream_aborted` accounting. A connection that
+    // cannot have both is counted and refused.
+    let writer = match socket
+        .set_nodelay(true)
+        .and_then(|()| socket.set_write_timeout(Some(WRITE_DEADLINE)))
+        .and_then(|()| socket.try_clone())
+    {
+        Ok(w) => Arc::new(ConnWriter::new(w)),
         Err(_) => {
             shared.stats.io_failures.fetch_add(1, Ordering::Relaxed);
             return;
         }
     };
-    let mut reader = stream;
-    let mut client_gone = true;
+    let mut reader = socket;
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            // Daemon-initiated exit: the client may still be reading
-            // results of in-flight jobs, so leave its tokens alone
-            // (begin_shutdown already cancelled them).
-            client_gone = false;
-            break;
-        }
-        match read_frame(&mut reader, shared.config.max_frame_bytes) {
+        match read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES) {
             Ok(Some(frame)) => handle_frame(&frame, conn_id, &writer, shared),
             Ok(None) => break,
-            Err(FrameError::Io(e)) if is_timeout(&e) => continue,
             Err(FrameError::BadJson(detail)) => {
                 // The frame was fully consumed; the stream is still in
                 // sync, so answer and keep serving.
@@ -757,23 +677,22 @@ fn reader_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
             Err(FrameError::Io(_)) => break,
         }
     }
-    if client_gone {
-        // Nobody is listening any more: cancel this connection's
-        // in-flight jobs so workers stop computing for a dead peer —
-        // except durable (token-stamped) jobs, whose outcome is still
-        // wanted: the client advertised its intent to retry, and a
-        // resubmission on a fresh connection will attach by token or
-        // replay the cached outcome.
-        let mut cancels = shared.cancels.lock().unwrap_or_else(|e| e.into_inner());
-        cancels.retain(|&(conn, _), (token, durable)| {
-            if conn == conn_id && !*durable {
-                token.cancel();
-                false
-            } else {
-                true
-            }
-        });
-    }
+    // Nobody is listening any more: cancel this connection's in-flight
+    // jobs so workers stop computing for a dead peer — except durable
+    // (token-stamped) jobs, whose result is still wanted: the client
+    // advertised its intent to retry, and a resubmission on a fresh
+    // connection will attach by token or replay the cached result. (At
+    // shutdown the workers have drained before any socket is shut down,
+    // so there is nothing left to cancel.)
+    let mut cancels = shared.cancels.lock().unwrap_or_else(|e| e.into_inner());
+    cancels.retain(|&(conn, _), (token, durable)| {
+        if conn == conn_id && !*durable {
+            token.cancel();
+            false
+        } else {
+            true
+        }
+    });
 }
 
 fn handle_frame(
@@ -898,7 +817,7 @@ fn handle_frame(
 /// Runs the idempotency check for a token-stamped submission. Returns
 /// `true` when the job should proceed (fresh token, or no token at
 /// all); `false` when it was deduplicated — the caller already got an
-/// `Accepted` plus, for a completed token, the replayed outcome.
+/// `Accepted` plus, for a completed token, the replayed result.
 fn admit_token(
     request_token: Option<u64>,
     id: u64,
@@ -915,10 +834,10 @@ fn admit_token(
             writer.send(&Response::Accepted { id });
             false
         }
-        Admission::Replay(outcome) => {
+        Admission::Replay(result) => {
             shared.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
             writer.send(&Response::Accepted { id });
-            send_outcome(writer, id, &outcome);
+            writer.send(&Response::Result { id, result });
             false
         }
     }
@@ -1077,10 +996,6 @@ fn worker_loop(shared: &Arc<Shared>) {
     // drivers get within a single run.
     let mut ctx_template = RunCtx::new(0);
     while let Some(job) = shared.queue.pop() {
-        let key = (job.conn_id, job.id);
-        // Register with the watchdog *before* the test-only stall so a
-        // job that hangs before (or during) execution is still caught.
-        let fired = register_watchdog(&job, shared);
         if shared.config.worker_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.worker_delay_ms));
         }
@@ -1091,42 +1006,22 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         shared
-            .running
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
-        shared
             .cancels
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
-        // A watchdog kill surfaces as a typed error, not a cancelled
-        // result; a job that completed despite the watchdog firing (it
-        // won the race) keeps its result.
-        let watchdog_killed = fired
-            .map(|f| f.load(Ordering::Relaxed) && result.stopped == StopReason::Cancelled)
-            .unwrap_or(false);
-        let outcome = if watchdog_killed {
-            shared
-                .stats
-                .watchdog_cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            CachedOutcome::Failed {
-                code: "watchdog_cancelled".to_string(),
-                detail: "job overshot its budget and was force-cancelled by the watchdog"
-                    .to_string(),
-            }
-        } else {
-            CachedOutcome::Result(result)
-        };
-        // Cache the outcome for idempotent replay *before* attempting
+            .remove(&(job.conn_id, job.id));
+        // Cache the result for idempotent replay *before* attempting
         // delivery — a retry after a poisoned primary stream is exactly
         // the case replay exists for.
         let waiters = match job.request_token {
-            Some(token) => shared.tokens.complete(token, outcome.clone()),
+            Some(token) => shared.tokens.complete(token, result.clone()),
             None => Vec::new(),
         };
-        let delivered = !job.writer.is_poisoned() && send_outcome(&job.writer, job.id, &outcome);
+        let delivered = !job.writer.is_poisoned()
+            && job.writer.send(&Response::Result {
+                id: job.id,
+                result: result.clone(),
+            });
         if delivered {
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -1143,63 +1038,10 @@ fn worker_loop(shared: &Arc<Shared>) {
             });
         }
         for waiter in waiters {
-            send_outcome(&waiter.writer, waiter.id, &outcome);
-        }
-    }
-}
-
-/// Puts a budgeted job under watchdog supervision. Returns the flag the
-/// watchdog sets when it fires, or `None` when the job is not
-/// supervised (no budget, or the watchdog is disabled).
-fn register_watchdog(job: &Job, shared: &Arc<Shared>) -> Option<Arc<AtomicBool>> {
-    if shared.config.watchdog_factor <= 0.0 {
-        return None;
-    }
-    let JobKind::Partition(req, _, _) = &job.kind else {
-        return None;
-    };
-    let budget_ms = req.budget_ms?;
-    let overshoot_ms = (budget_ms as f64 * shared.config.watchdog_factor).ceil();
-    let fired = Arc::new(AtomicBool::new(false));
-    shared
-        .running
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(
-            (job.conn_id, job.id),
-            RunningJob {
-                overshoot_deadline: Instant::now() + Duration::from_millis(overshoot_ms as u64),
-                token: job.token.clone(),
-                fired: Arc::clone(&fired),
-            },
-        );
-    Some(fired)
-}
-
-/// Scans running budgeted jobs and force-cancels overshooters. Wakes on
-/// the shutdown condvar so it exits promptly with everyone else.
-fn watchdog_loop(shared: &Arc<Shared>) {
-    let poll = Duration::from_millis(shared.config.watchdog_poll_ms.max(1));
-    loop {
-        {
-            let done = shared.done.lock().unwrap_or_else(|e| e.into_inner());
-            if *done {
-                return;
-            }
-            let (done, _) = shared
-                .done_cv
-                .wait_timeout(done, poll)
-                .unwrap_or_else(|e| e.into_inner());
-            if *done {
-                return;
-            }
-        }
-        let now = Instant::now();
-        let running = shared.running.lock().unwrap_or_else(|e| e.into_inner());
-        for job in running.values() {
-            if now >= job.overshoot_deadline && !job.fired.swap(true, Ordering::Relaxed) {
-                job.token.cancel();
-            }
+            waiter.writer.send(&Response::Result {
+                id: waiter.id,
+                result: result.clone(),
+            });
         }
     }
 }
@@ -1348,41 +1190,30 @@ fn bisection_job(
             levels: hierarchy.len(),
         });
     }
-    let levels = hierarchy.len();
-    if req.budget_ms.is_some() {
-        let plan = MultiStartPlan {
-            hierarchy: Some(&hierarchy),
-            ..MultiStartPlan::until_budget()
-        };
-        let out = multi_start_with(&partitioner, h, &constraint, &plan, ctx);
-        JobResult {
-            cut: out.cut,
-            balanced: out.balanced,
-            stopped: out.stopped,
-            audit_clean: out.audit_failure.is_none(),
-            hierarchy_reused: reused,
-            levels,
-            starts: out.stats.outcomes.len(),
-            digest,
-            assignment: req
-                .include_assignment
-                .then(|| part_assignment(&out.assignment)),
-        }
+    // A counted sweep of one start opens no brackets and runs start 0 at
+    // `ctx.seed`, so its trace is the bare `run_from_hierarchy_with` one.
+    let starts = if req.budget_ms.is_some() {
+        MultiStartPlan::until_budget()
     } else {
-        let out = partitioner.run_from_hierarchy_with(h, &hierarchy, &constraint, ctx);
-        JobResult {
-            cut: out.cut,
-            balanced: out.balanced,
-            stopped: out.stopped,
-            audit_clean: out.audit_failure.is_none(),
-            hierarchy_reused: reused,
-            levels,
-            starts: 1,
-            digest,
-            assignment: req
-                .include_assignment
-                .then(|| part_assignment(&out.assignment)),
-        }
+        MultiStartPlan::count(1, 0)
+    };
+    let plan = MultiStartPlan {
+        hierarchy: Some(&hierarchy),
+        ..starts
+    };
+    let out = multi_start_with(&partitioner, h, &constraint, &plan, ctx);
+    JobResult {
+        cut: out.cut,
+        balanced: out.balanced,
+        stopped: out.stopped,
+        audit_clean: out.audit_failure.is_none(),
+        hierarchy_reused: reused,
+        levels: hierarchy.len(),
+        starts: out.stats.outcomes.len(),
+        digest,
+        assignment: req
+            .include_assignment
+            .then(|| part_assignment(&out.assignment)),
     }
 }
 
@@ -1658,5 +1489,33 @@ mod tests {
             // Far fewer writes than frames.
             assert!(events.len() >= 10 * writes.len(), "{engine:?}");
         }
+    }
+
+    #[test]
+    fn finished_readers_are_joined_at_the_next_accept() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        for _ in 0..200 {
+            crate::Client::connect(server.local_addr())
+                .unwrap()
+                .ping()
+                .unwrap();
+        }
+        let conns = || server.shared.conns.lock().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // Every reader sees its peer hang up and exits...
+        while conns().iter().any(|conn| !conn.reader.is_finished()) {
+            assert!(Instant::now() < deadline, "a reader outlived its peer");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // ...and the next accept joins them all.
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        client.ping().unwrap();
+        while conns().len() > 1 {
+            let left = conns().len();
+            assert!(Instant::now() < deadline, "{left} reader handles left");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(client);
+        server.shutdown();
     }
 }

@@ -1,17 +1,20 @@
-//! Edge-case coverage for the framing layer: `read_frame` (and through
-//! it `read_exact_retry`) against interrupted syscalls, read timeouts
-//! before vs inside a frame, torn streams, payloads at the frame cap
-//! boundary, the read count per frame, and a fuzz of the frame decoder
-//! and JSON parser (random bytes, mutated frames, deep nesting): every
-//! input ends in `Ok` or a typed error, never a panic.
+//! Edge-case coverage for the framing layer: `read_frame` against
+//! interrupted syscalls, read timeouts before and inside a frame (on a
+//! scripted reader and on a real socket), torn streams, payloads at the
+//! frame cap boundary, the read count per frame, and a fuzz of the frame
+//! decoder and JSON parser (random bytes, mutated frames, deep nesting):
+//! every input ends in `Ok` or a typed error, never a panic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use hypart_server::protocol::{
-    is_timeout, read_frame, EvalRequest, FrameError, InstanceRef, PartitionRequest, Request,
+    read_frame, EvalRequest, FrameError, InstanceRef, PartitionRequest, Request,
 };
 use hypart_trace::json::{JsonValue, MAX_NESTING};
 use proptest::prelude::*;
@@ -19,7 +22,7 @@ use proptest::prelude::*;
 /// One scripted reader step: deliver bytes, or fail with an error kind.
 enum Step {
     Data(Vec<u8>),
-    Fail(std::io::ErrorKind),
+    Fail(ErrorKind),
 }
 
 /// A `Read` impl that replays a fixed script, after which it reports
@@ -71,7 +74,7 @@ fn interrupted_mid_frame_is_ridden_out() {
     let bytes = frame("{\"op\":\"stats\"}");
     let mut steps = vec![Step::Data(bytes[..1].to_vec())];
     for b in &bytes[1..] {
-        steps.push(Step::Fail(std::io::ErrorKind::Interrupted));
+        steps.push(Step::Fail(ErrorKind::Interrupted));
         steps.push(Step::Data(vec![*b]));
     }
     let value = read_frame(&mut Scripted::new(steps), CAP).unwrap().unwrap();
@@ -84,28 +87,60 @@ fn interrupted_mid_frame_is_ridden_out() {
 
 #[test]
 fn timeout_before_first_byte_surfaces_as_timeout() {
-    // Idle timeout at a frame boundary: the caller's poll signal.
-    let steps = vec![Step::Fail(std::io::ErrorKind::WouldBlock)];
+    let steps = vec![Step::Fail(ErrorKind::WouldBlock)];
     match read_frame(&mut Scripted::new(steps), CAP) {
-        Err(FrameError::Io(e)) => assert!(is_timeout(&e), "expected a timeout kind, got {e:?}"),
+        Err(FrameError::Io(e)) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
         other => panic!("expected an Io timeout, got {other:?}"),
     }
 }
 
 #[test]
-fn timeout_mid_frame_is_ridden_out() {
-    // Once a frame has started, timeouts (WouldBlock and TimedOut alike)
-    // must NOT surface — a slow writer is not a desynchronized stream.
+fn timeout_mid_frame_surfaces_as_io_of_its_kind() {
+    // A timeout inside the length prefix or inside the payload is an
+    // error like any other: the reader's deadline holds mid-frame too.
     let bytes = frame("{\"op\":\"ping\"}");
-    let steps = vec![
-        Step::Data(bytes[..3].to_vec()), // partial length prefix
-        Step::Fail(std::io::ErrorKind::WouldBlock),
-        Step::Data(bytes[3..7].to_vec()), // rest of prefix + payload start
-        Step::Fail(std::io::ErrorKind::TimedOut),
-        Step::Data(bytes[7..].to_vec()),
-    ];
-    let value = read_frame(&mut Scripted::new(steps), CAP).unwrap().unwrap();
-    assert_eq!(value.get("op").and_then(|v| v.as_str()), Some("ping"));
+    for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+        for stop in [3, 7] {
+            let steps = vec![
+                Step::Data(bytes[..stop].to_vec()),
+                Step::Fail(kind),
+                Step::Data(bytes[stop..].to_vec()),
+            ];
+            match read_frame(&mut Scripted::new(steps), CAP) {
+                Err(FrameError::Io(e)) => assert_eq!(e.kind(), kind, "stop at {stop}"),
+                other => panic!("{kind:?} at {stop}: expected an Io error, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn socket_read_timeout_fires_mid_frame() {
+    // A peer that goes quiet 5 bytes into a frame: the socket's 200 ms
+    // read timeout ends the read. The read runs on its own thread so a
+    // reader that rides the timeout out fails the test instead of
+    // hanging it.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut socket, _) = listener.accept().unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    peer.write_all(&frame("{\"op\":\"ping\"}")[..5]).unwrap();
+    let (done, result) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let _ = done.send(read_frame(&mut socket, CAP).map(|_| ()));
+    });
+    match result.recv_timeout(Duration::from_secs(2)) {
+        Ok(Err(FrameError::Io(e))) => assert!(
+            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{e:?}"
+        ),
+        Ok(other) => panic!("expected a timeout, got {other:?}"),
+        Err(_) => panic!("read_frame was still blocked 2 s into a 200 ms timeout"),
+    }
+    reader.join().unwrap();
+    drop(peer);
 }
 
 #[test]
@@ -121,7 +156,7 @@ fn eof_at_boundary_is_clean_but_mid_frame_is_an_error() {
         let steps = vec![Step::Data(bytes[..cut].to_vec())];
         match read_frame(&mut Scripted::new(steps), CAP) {
             Err(FrameError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+                assert_eq!(e.kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
             }
             other => panic!("cut at {cut}: expected UnexpectedEof, got {other:?}"),
         }
@@ -190,7 +225,7 @@ fn short_first_read_finishes_the_prefix() {
     for split in 1..4 {
         let steps = vec![
             Step::Data(bytes[..split].to_vec()),
-            Step::Fail(std::io::ErrorKind::WouldBlock),
+            Step::Fail(ErrorKind::Interrupted),
             Step::Data(bytes[split..].to_vec()),
         ];
         let value = read_frame(&mut Scripted::new(steps), CAP).unwrap().unwrap();

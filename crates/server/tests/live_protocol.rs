@@ -1,11 +1,12 @@
 //! Live-socket tests of the daemon: typed errors, cancellation,
-//! trace streaming, the hierarchy-cache trace contract, and
-//! poisoned-stream aborts.
+//! trace streaming, the hierarchy-cache trace contract,
+//! poisoned-stream aborts, and shutdown.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use hypart_server::protocol::{
@@ -81,6 +82,25 @@ fn deeply_nested_frame_gets_parse_error_and_connection_keeps_serving() {
         Response::from_json(&pong).unwrap(),
         Response::Pong(_)
     ));
+    server.shutdown();
+}
+
+/// A length prefix past the frame cap leaves the stream out of sync: the
+/// daemon answers `bad_request` and closes the connection.
+#[test]
+fn oversized_frame_is_answered_and_the_connection_closed() {
+    let server = start_default();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    let reply = read_frame(&mut raw, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    match Response::from_json(&reply.unwrap()).unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, "bad_request"),
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    assert!(read_frame(&mut raw, DEFAULT_MAX_FRAME_BYTES)
+        .unwrap()
+        .is_none());
     server.shutdown();
 }
 
@@ -490,4 +510,55 @@ fn remote_shutdown_op_stops_the_daemon() {
             "daemon must not answer after shutdown"
         );
     }
+}
+
+/// Shutdown wakes each reader by shutting its socket down, once the
+/// workers have drained: a peer that went quiet 2 bytes into a length
+/// prefix cannot hold it up, and a job admitted before it still gets
+/// its result on its connection.
+#[test]
+fn shutdown_does_not_wait_on_a_peer_stuck_mid_frame() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        worker_delay_ms: 100,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let req = PartitionRequest::new(1, InstanceRef::Inline(hgr_text(60, 4)), 3);
+    client.send(&Request::Partition(req)).unwrap();
+    // The reader handles a connection's frames in order, so the pong
+    // means the job was admitted.
+    client.ping().unwrap();
+
+    let mut stuck = TcpStream::connect(server.local_addr()).unwrap();
+    stuck
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write_frame(&mut stuck, &Request::Ping.to_json()).unwrap();
+    read_frame(&mut stuck, DEFAULT_MAX_FRAME_BYTES)
+        .unwrap()
+        .unwrap();
+    stuck.write_all(&[0, 0]).unwrap();
+
+    // Shut down on another thread, so that a shutdown waiting on the
+    // stuck reader fails the test instead of hanging it.
+    let (done, finished) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "shutdown was still waiting 2 s on a peer stuck mid-frame"
+    );
+    stopper.join().unwrap();
+    assert!(matches!(
+        client.wait_outcome(1).unwrap(),
+        JobOutcome::Finished { .. }
+    ));
+    // The daemon closed the stuck connection.
+    assert!(read_frame(&mut stuck, DEFAULT_MAX_FRAME_BYTES)
+        .unwrap()
+        .is_none());
 }
