@@ -55,7 +55,10 @@ pub enum InsertionPolicy {
     /// Insert at the tail: first-in-first-out.
     Fifo,
     /// Insert at head or tail uniformly at random (constant-time
-    /// approximation of random-position insertion).
+    /// approximation of random-position insertion). Each pass draws one
+    /// number per (re-)insertion up to where the pass cutoff ends it, so
+    /// a run's draws, and with them its results, depend on where passes
+    /// stop (DESIGN §6).
     Random,
 }
 

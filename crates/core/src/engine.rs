@@ -16,7 +16,7 @@ use crate::ctx::{BudgetProbe, RunCtx};
 use crate::initial::generate_initial;
 use crate::stats::{FmStats, PassStats, CORKED_FRACTION};
 use crate::workspace::FmWorkspace;
-use hypart_hypergraph::{Hypergraph, PartId, VertexId};
+use hypart_hypergraph::{Hypergraph, NetId, PartId, VertexId};
 use hypart_trace::{RunEvent, StopReason, TraceSink};
 
 /// Result of a full FM run on one instance.
@@ -111,7 +111,37 @@ impl FmPartitioner {
     /// the bisection is always a legal, coherent solution; the run then
     /// emits [`RunEvent::BudgetExhausted`] and returns with
     /// `stats.stopped` set to the [`StopReason`].
+    ///
+    /// A pass ends as soon as no later prefix can beat its best one (the
+    /// pass cutoff, DESIGN §6), which returns the partition an exhausted
+    /// pass would return after fewer tentative moves.
     pub fn refine_with<R: Rng>(
+        &self,
+        bisection: &mut Bisection<'_>,
+        constraint: &BalanceConstraint,
+        rng: &mut R,
+        ctx: &mut RunCtx<'_>,
+    ) -> FmStats {
+        self.refine::<R, true>(bisection, constraint, rng, ctx)
+    }
+
+    /// [`refine_with`](FmPartitioner::refine_with) with every pass run
+    /// until its gain containers are empty: the oracle the pass cutoff is
+    /// twin-tested against.
+    #[cfg(test)]
+    fn refine_exhaustive<R: Rng>(
+        &self,
+        bisection: &mut Bisection<'_>,
+        constraint: &BalanceConstraint,
+        rng: &mut R,
+        ctx: &mut RunCtx<'_>,
+    ) -> FmStats {
+        self.refine::<R, false>(bisection, constraint, rng, ctx)
+    }
+
+    /// The refinement loop; `CUTOFF` says whether passes end at the
+    /// cutoff.
+    fn refine<R: Rng, const CUTOFF: bool>(
         &self,
         bisection: &mut Bisection<'_>,
         constraint: &BalanceConstraint,
@@ -132,12 +162,13 @@ impl FmPartitioner {
         }
         .max(1);
         workspace.containers(2, graph.num_vertices(), bound);
-        let mut state = PassState {
+        let mut state = PassState::<CUTOFF> {
             config: &self.config,
             constraint,
             ws: workspace,
             last_moved_from: None,
             excluded_overweight: 0,
+            dead_cut: 0,
             audit,
             audit_failure: None,
         };
@@ -200,18 +231,23 @@ impl FmPartitioner {
 /// Mutable working state shared across the passes of one refinement. The
 /// containers and scratch vectors live in the borrowed [`FmWorkspace`]
 /// (entries 0–1 of its pool, one per partition side), so they outlive the
-/// refinement and are reused by the next one.
-struct PassState<'c> {
+/// refinement and are reused by the next one. `CUTOFF` is `false` only in
+/// the twin tests' exhaustive oracle.
+struct PassState<'c, const CUTOFF: bool> {
     config: &'c FmConfig,
     constraint: &'c BalanceConstraint,
     ws: &'c mut FmWorkspace,
     last_moved_from: Option<PartId>,
     excluded_overweight: usize,
+    /// Weight of the nets with locked pins on both sides this pass: they
+    /// stay cut until the pass ends, so every later prefix cuts at least
+    /// this much.
+    dead_cut: u64,
     audit: AuditLevel,
     audit_failure: Option<AuditError>,
 }
 
-impl PassState<'_> {
+impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
     fn run_pass<R: Rng, S: TraceSink + ?Sized>(
         &mut self,
         bisection: &mut Bisection<'_>,
@@ -232,10 +268,11 @@ impl PassState<'_> {
 
         let cut_before = bisection.cut();
         let violation_before = self.constraint.total_violation(bisection);
+        let eligible = self.ws.eligible.len();
         sink.emit(RunEvent::PassBegin {
             pass: pass_index,
             cut: cut_before,
-            eligible: self.ws.eligible.len(),
+            eligible,
         });
         if self.excluded_overweight > 0 {
             sink.emit(RunEvent::OverweightExcluded {
@@ -300,6 +337,22 @@ impl PassState<'_> {
                 best = candidate;
             }
 
+            // Pass cutoff (DESIGN §6): every later prefix cuts at least
+            // `dead_cut`, so once that exceeds a feasible best, no later
+            // prefix can tie or beat it under any `PassBestRule` and the
+            // rollback target is final. (Legal moves only lower a positive
+            // violation, so an infeasible best is always the current
+            // prefix; the violation test keeps the argument from leaning
+            // on that.) The move floor keeps `corked` what the exhausted
+            // pass would report.
+            if CUTOFF
+                && best.violation == 0
+                && self.dead_cut > best.cut
+                && self.ws.moves.len() * CORKED_FRACTION.1 >= eligible * CORKED_FRACTION.0
+            {
+                break !self.ws.pool[0].is_empty() || !self.ws.pool[1].is_empty();
+            }
+
             // Mid-pass budget check, counter-gated so the hot loop pays one
             // increment per move. Truncating here is safe: the rollback
             // below restores the best prefix seen so far, exactly as if
@@ -323,7 +376,6 @@ impl PassState<'_> {
         debug_assert_eq!(bisection.cut(), best.cut);
 
         let moves_made = self.ws.moves.len();
-        let eligible = self.ws.eligible.len();
         let corked = ended_with_leftovers
             && eligible > 0
             && moves_made * CORKED_FRACTION.1 < eligible * CORKED_FRACTION.0;
@@ -394,24 +446,35 @@ impl PassState<'_> {
         Ok(())
     }
 
-    /// Seeds both gain containers for a fresh pass.
+    /// Seeds both gain containers for a fresh pass, and locks the pins
+    /// of the cells that cannot move in it: fixed and excluded ones.
     fn seed<R: Rng>(&mut self, bisection: &Bisection<'_>, rng: &mut R) {
         let graph = bisection.graph();
         let ws = &mut *self.ws;
         ws.pool[0].clear();
         ws.pool[1].clear();
         ws.eligible.clear();
+        ws.locked.clear();
+        ws.locked.resize(graph.num_nets(), 0);
         self.excluded_overweight = 0;
+        self.dead_cut = 0;
         let window = self.constraint.window();
         for v in graph.vertices() {
-            if graph.is_fixed(v) {
+            let fixed = graph.is_fixed(v);
+            let excluded =
+                !fixed && self.config.exclude_overweight && graph.vertex_weight(v) > window;
+            if !fixed && !excluded {
+                ws.eligible.push(v);
                 continue;
             }
-            if self.config.exclude_overweight && graph.vertex_weight(v) > window {
-                self.excluded_overweight += 1;
-                continue;
+            self.excluded_overweight += usize::from(excluded);
+            // Fixed or excluded: its pins stay locked on its side all pass.
+            let side = bisection.side(v);
+            for &e in graph.vertex_nets(v) {
+                if lock_pin(&mut ws.locked, e, side) {
+                    self.dead_cut += u64::from(graph.net_weight(e));
+                }
             }
-            ws.eligible.push(v);
         }
         match self.config.selection {
             SelectionRule::Classic => {
@@ -517,6 +580,10 @@ impl PassState<'_> {
         let graph = bisection.graph();
         for &e in graph.vertex_nets(v) {
             let w = i64::from(graph.net_weight(e));
+            // `v` is locked on `to` until the pass ends.
+            if lock_pin(&mut self.ws.locked, e, to) {
+                self.dead_cut += u64::from(graph.net_weight(e));
+            }
             let after = [
                 bisection.pins_in(e, PartId::P0),
                 bisection.pins_in(e, PartId::P1),
@@ -566,6 +633,16 @@ impl PassState<'_> {
     }
 }
 
+/// Records a locked pin of net `e` on `side` in the pass's per-net mask
+/// (bit `side`); returns `true` when this locks the net's second side,
+/// making it dead: cut until the pass ends.
+fn lock_pin(locked: &mut [u8], e: NetId, side: PartId) -> bool {
+    let mask = &mut locked[e.index()];
+    let was = *mask;
+    *mask = was | (1 << side.index());
+    was == 1 << side.other().index()
+}
+
 /// Score of a move-sequence prefix for best-prefix selection.
 #[derive(Clone, Copy, Debug)]
 struct PrefixScore {
@@ -596,6 +673,7 @@ mod tests {
     use super::*;
     use crate::config::{InitialSolution, InsertionPolicy, PassBestRule, TieBreak};
     use hypart_hypergraph::HypergraphBuilder;
+    use proptest::prelude::*;
 
     /// Two unit-weight cliques of size k bridged by `bridges` nets.
     fn two_clusters(k: usize, bridges: usize) -> Hypergraph {
@@ -791,6 +869,278 @@ mod tests {
         let c = BalanceConstraint::with_slack(h.total_vertex_weight(), 1);
         let out = FmPartitioner::new(FmConfig::lifo()).run(&h, &c, 3);
         assert!(out.stats.audit_failure.is_none());
+    }
+
+    /// `events` without `Move`/`Rollback`, and with the `PassEnd` fields
+    /// that depend on where a pass stopped masked, so a cutoff stream can
+    /// be compared with an exhausted one.
+    fn without_stop_point(events: &[RunEvent]) -> Vec<RunEvent> {
+        events
+            .iter()
+            .filter(|e| !matches!(e, RunEvent::Move { .. } | RunEvent::Rollback { .. }))
+            .map(|e| match e {
+                RunEvent::PassEnd {
+                    pass, cut, corked, ..
+                } => RunEvent::PassEnd {
+                    pass: *pass,
+                    cut: *cut,
+                    moves_made: 0,
+                    moves_rolled_back: 0,
+                    leftovers: false,
+                    corked: *corked,
+                },
+                other => other.clone(),
+            })
+            .collect()
+    }
+
+    /// The `Move` events of each pass, in order.
+    fn moves_per_pass(events: &[RunEvent]) -> Vec<Vec<RunEvent>> {
+        let mut passes = Vec::new();
+        for e in events {
+            match e {
+                RunEvent::PassBegin { .. } => passes.push(Vec::new()),
+                RunEvent::Move { .. } => passes.last_mut().unwrap().push(e.clone()),
+                _ => {}
+            }
+        }
+        passes
+    }
+
+    /// Stats with the counts that depend on where a pass stopped zeroed.
+    fn without_move_counts(stats: &FmStats) -> FmStats {
+        let mut stats = stats.clone();
+        for p in &mut stats.passes {
+            p.moves_made = 0;
+            p.moves_rolled_back = 0;
+            p.zero_delta_events = 0;
+            p.nonzero_delta_events = 0;
+        }
+        stats
+    }
+
+    /// One refinement from `start`: (assignment, cut, stats, events).
+    fn twin_run(
+        cfg: FmConfig,
+        h: &Hypergraph,
+        start: &[PartId],
+        c: &BalanceConstraint,
+        seed: u64,
+        exhaustive: bool,
+    ) -> (Vec<PartId>, u64, FmStats, Vec<RunEvent>) {
+        use hypart_trace::MemorySink;
+        let sink = MemorySink::new();
+        let mut bisection = Bisection::new(h, start.to_vec()).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ctx = RunCtx::new(seed).with_sink(&sink);
+        let engine = FmPartitioner::new(cfg);
+        let stats = if exhaustive {
+            engine.refine_exhaustive(&mut bisection, c, &mut rng, &mut ctx)
+        } else {
+            engine.refine_with(&mut bisection, c, &mut rng, &mut ctx)
+        };
+        let cut = bisection.cut();
+        (bisection.into_assignment(), cut, stats, sink.take())
+    }
+
+    /// Asserts that the cutoff run from `start` is the exhausted run with
+    /// shorter passes; returns (cutoff moves, exhausted moves).
+    fn assert_cutoff_is_exact(
+        cfg: FmConfig,
+        h: &Hypergraph,
+        start: &[PartId],
+        c: &BalanceConstraint,
+        seed: u64,
+    ) -> (usize, usize) {
+        let (assignment, cut, stats, events) = twin_run(cfg, h, start, c, seed, false);
+        let (want_assignment, want_cut, want_stats, want_events) =
+            twin_run(cfg, h, start, c, seed, true);
+        assert_eq!(assignment, want_assignment, "{cfg:?}");
+        assert_eq!(cut, want_cut, "{cfg:?}");
+        assert_eq!(
+            without_move_counts(&stats),
+            without_move_counts(&want_stats),
+            "{cfg:?}"
+        );
+        assert_eq!(
+            without_stop_point(&events),
+            without_stop_point(&want_events),
+            "{cfg:?}"
+        );
+        let (passes, want_passes) = (moves_per_pass(&events), moves_per_pass(&want_events));
+        assert_eq!(passes.len(), want_passes.len());
+        for (i, (moves, want)) in passes.iter().zip(&want_passes).enumerate() {
+            assert!(
+                want.starts_with(moves),
+                "pass {i}: cutoff moves are not a prefix of the exhausted pass's ({cfg:?})"
+            );
+        }
+        (stats.total_moves(), want_stats.total_moves())
+    }
+
+    #[test]
+    fn cutoff_skips_moves_on_a_netlist() {
+        let h = hypart_benchgen::ispd98_like(1, 0.02, 3);
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let start = generate_initial(&h, InitialSolution::RandomBalanced, &mut rng);
+        for cfg in [FmConfig::lifo(), FmConfig::clip()] {
+            let (moves, exhausted) = assert_cutoff_is_exact(cfg, &h, &start, &c, 4);
+            assert!(moves < exhausted, "{cfg:?}: {moves} vs {exhausted}");
+        }
+    }
+
+    /// Two stars, each of 20 cells tied to a hub fixed on the cells' side:
+    /// the cut is 0, and the first move kills a net, so the cutoff
+    /// condition holds after one move. The floor must hold the pass to
+    /// 2 of its 40 eligible moves, where the exhausted pass is not corked.
+    #[test]
+    fn cutoff_waits_for_the_corking_floor() {
+        let mut b = HypergraphBuilder::new();
+        let mut start = Vec::new();
+        for side in [PartId::P0, PartId::P1] {
+            let hub = b.add_vertex(1);
+            b.fix_vertex(hub, side);
+            start.push(side);
+            for _ in 0..20 {
+                let leaf = b.add_vertex(1);
+                b.add_net([hub, leaf], 1).unwrap();
+                start.push(side);
+            }
+        }
+        let h = b.build().unwrap();
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        let (moves, exhausted) = assert_cutoff_is_exact(FmConfig::lifo(), &h, &start, &c, 1);
+        assert_eq!(moves, 2);
+        assert!(exhausted > 2);
+    }
+
+    /// A random instance for the cutoff twin: 4–40 cells of weight 1–4
+    /// (cell 0 optionally a macro wider than most windows), 1–80 nets of
+    /// 2–4 pins and weight 1–3, some cells fixed, and a start that is
+    /// often infeasible (random sides, or every free cell on `P0`).
+    fn twin_instance() -> impl Strategy<Value = (Hypergraph, Vec<PartId>, f64)> {
+        (
+            4usize..=40,
+            proptest::collection::vec(1u64..=4, 40..41),
+            proptest::collection::vec(
+                (proptest::collection::vec(any::<usize>(), 2..5), 1u32..=3),
+                1..81,
+            ),
+            proptest::collection::vec(0u8..10, 40..41),
+            any::<bool>(),
+            any::<bool>(),
+            5u32..40,
+        )
+            .prop_map(|(n, weights, nets, codes, with_macro, skewed, percent)| {
+                let mut b = HypergraphBuilder::new();
+                let macro_weight = weights[1..n].iter().sum::<u64>() / 2 + 1;
+                for (i, &w) in weights[..n].iter().enumerate() {
+                    let w = if i == 0 && with_macro {
+                        macro_weight
+                    } else {
+                        w
+                    };
+                    b.add_vertex(w);
+                }
+                for (pins, w) in nets {
+                    let pins = pins.into_iter().map(|p| VertexId::from_index(p % n));
+                    b.add_net(pins, w).unwrap();
+                }
+                // Codes 0 and 1 fix the cell on that side; the rest leave
+                // it free, on side `code % 2` unless the start is skewed.
+                let start: Vec<PartId> = codes[..n]
+                    .iter()
+                    .map(|&code| match code {
+                        1 => PartId::P1,
+                        _ if code == 0 || skewed || code % 2 == 0 => PartId::P0,
+                        _ => PartId::P1,
+                    })
+                    .collect();
+                for (i, &code) in codes[..n].iter().enumerate() {
+                    if code < 2 {
+                        b.fix_vertex(VertexId::from_index(i), start[i]);
+                    }
+                }
+                (b.build().unwrap(), start, f64::from(percent) / 100.0)
+            })
+    }
+
+    fn twin_config() -> impl Strategy<Value = FmConfig> {
+        (
+            prop_oneof![Just(SelectionRule::Classic), Just(SelectionRule::Clip)],
+            prop_oneof![
+                Just(InsertionPolicy::Lifo),
+                Just(InsertionPolicy::Fifo),
+                Just(InsertionPolicy::Random)
+            ],
+            prop_oneof![
+                Just(PassBestRule::FirstSeen),
+                Just(PassBestRule::LastSeen),
+                Just(PassBestRule::MostBalanced)
+            ],
+            prop_oneof![
+                Just(TieBreak::Away),
+                Just(TieBreak::Part0),
+                Just(TieBreak::Toward)
+            ],
+            prop_oneof![Just(ZeroDeltaPolicy::All), Just(ZeroDeltaPolicy::Nonzero)],
+            prop_oneof![
+                Just(IllegalHeadPolicy::SkipBucket),
+                Just(IllegalHeadPolicy::SkipSide)
+            ],
+            any::<bool>(),
+            1usize..4,
+        )
+            .prop_map(
+                |(
+                    selection,
+                    insertion,
+                    pass_best,
+                    tie,
+                    zero_delta,
+                    illegal,
+                    exclude,
+                    lookahead,
+                )| {
+                    let cfg = FmConfig::default()
+                        .with_selection(selection)
+                        .with_insertion(insertion)
+                        .with_pass_best(pass_best)
+                        .with_tie_break(tie)
+                        .with_zero_delta(zero_delta)
+                        .with_illegal_head(illegal)
+                        .with_exclude_overweight(exclude)
+                        .with_lookahead(lookahead);
+                    // A random insertion draws numbers after the cutoff
+                    // in the exhausted pass only, so the twins agree on
+                    // one pass and may part ways from the second.
+                    if insertion == InsertionPolicy::Random {
+                        cfg.with_max_passes(1)
+                    } else {
+                        cfg
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pass cutoff is exact: ending a pass once its dead nets
+        /// outweigh its feasible best prefix gives the exhausted pass's
+        /// assignment, cut, pass count and per-pass stats, and its moves
+        /// are a prefix of the exhausted pass's.
+        #[test]
+        fn cutoff_matches_the_exhausted_pass(
+            (h, start, tolerance) in twin_instance(),
+            cfg in twin_config(),
+            seed in any::<u64>(),
+        ) {
+            let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
+            let (moves, exhausted) = assert_cutoff_is_exact(cfg, &h, &start, &c, seed);
+            prop_assert!(moves <= exhausted);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reusable FM scratch arenas.
 //!
-//! `refine` is called at every level of every start of every V-cycle of a
-//! multi-start sweep — millions of times in a Table 4–5 style experiment —
+//! `refine_with` is called at every level of every start of every V-cycle
+//! of a multi-start sweep — millions of times in a Table 4–5 style experiment —
 //! so allocating and zeroing `O(V + bucket range)` gain containers per
 //! call is a methodology-level cost, not a constant. An [`FmWorkspace`]
 //! owns the containers and per-pass scratch vectors once and re-points
@@ -11,8 +11,8 @@
 //!
 //! One workspace serves every engine layer: the flat 2-way engine takes
 //! two containers, direct k-way FM takes a k·(k−1) grid from the same
-//! pool. Workspaces are plain owned data — to parallelize, give each
-//! thread its own (as the multilevel multi-start driver does).
+//! pool. Workspaces are plain owned data — to parallelize, give each unit
+//! of parallel work its own (as [`crate::RunCtx::child`] does).
 
 use crate::gain::GainContainer;
 use hypart_hypergraph::VertexId;
@@ -21,9 +21,9 @@ use hypart_hypergraph::VertexId;
 ///
 /// Feed one to [`crate::FmPartitioner::refine_with`] (or the
 /// multilevel / k-way equivalents) to amortize container setup across
-/// passes, levels, and starts. A fresh workspace is equivalent to — and is
-/// exactly what — the plain `refine` entry points create internally; reuse
-/// never changes results, only removes allocation and reset cost.
+/// passes, levels, and starts. A fresh workspace is what
+/// [`crate::RunCtx::new`] holds; reuse never changes results, only removes
+/// allocation and reset cost.
 #[derive(Clone, Debug, Default)]
 pub struct FmWorkspace {
     /// Container pool, re-targeted on acquisition. The flat engine uses
@@ -35,6 +35,9 @@ pub struct FmWorkspace {
     pub(crate) moves: Vec<VertexId>,
     /// CLIP seeding scratch: `eligible` sorted by initial gain.
     pub(crate) order: Vec<VertexId>,
+    /// Per-net mask of the sides holding a pin locked this pass (bit 0:
+    /// `P0`, bit 1: `P1`), for the flat engine's pass cutoff.
+    pub(crate) locked: Vec<u8>,
 }
 
 impl FmWorkspace {

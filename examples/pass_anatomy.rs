@@ -1,13 +1,16 @@
 //! Anatomy of an FM pass: the cut trajectory move by move.
 //!
-//! A pass tentatively moves *every* eligible vertex once, tracking the
+//! A pass tentatively moves eligible vertices one at a time, tracking the
 //! best prefix; the characteristic trajectory descends into a valley,
-//! bottoms out, then climbs as only bad forced moves remain — and the
-//! engine rolls back to the valley floor. Watching this trajectory is how
-//! the paper's authors *found* the corking effect ("traces of CLIP
-//! executions show that corking actually occurs fairly often"), so the
-//! engine reports every tentative move as a `Move` event whose `cut`
-//! column is the trajectory.
+//! bottoms out, then climbs as bad moves remain. Nets with moved (or
+//! fixed) pins on both sides stay cut for the rest of the pass, so once
+//! they outweigh the valley floor no later prefix can beat it: the pass
+//! stops there (after at least 5 % of its eligible vertices have moved)
+//! and the engine rolls back to the valley floor. Watching this
+//! trajectory is how the paper's authors *found* the corking effect
+//! ("traces of CLIP executions show that corking actually occurs fairly
+//! often"), so the engine reports every tentative move as a `Move` event
+//! whose `cut` column is the trajectory.
 //!
 //! Run: `cargo run --release --example pass_anatomy`
 
@@ -47,9 +50,10 @@ fn main() {
 
     for (i, (pass, trajectory)) in out.stats.passes.iter().zip(&trajectories).enumerate() {
         println!(
-            "pass {}: {} moves, {} rolled back, cut {} -> {}{}",
+            "pass {}: {} of {} eligible moves made, {} rolled back, cut {} -> {}{}",
             i + 1,
             pass.moves_made,
+            pass.eligible,
             pass.moves_rolled_back,
             pass.cut_before,
             pass.cut_after,
@@ -60,8 +64,8 @@ fn main() {
         }
     }
     println!(
-        "Each plot is the cut after every tentative move; the engine keeps\n\
-         the prefix at the valley floor and undoes the climb."
+        "Each plot is the cut after every tentative move; a pass stops once no\n\
+         later prefix can beat the valley floor, then undoes the climb."
     );
 }
 
