@@ -179,14 +179,14 @@ impl MlPartitioner {
 /// # Seed schedule: intentional divergence from the serial engine
 ///
 /// The serial engine's initial portfolio draws every try from **one**
-/// shared `SmallRng` stream seeded with `ctx.seed` (and already advanced
-/// by hierarchy construction), so try *t*'s randomness depends on how
-/// much entropy tries `0..t` consumed. That schedule is inherently
-/// sequential — it cannot be decomposed across lanes without replaying
-/// the predecessors. The parallel engine therefore gives try *t* its own
-/// pure seed `derive_seed(ctx.seed, t)` (SplitMix64), which is what makes
-/// the portfolio lane-count-invariant: any lane can run any try and
-/// produce the identical result. The two engines consequently produce
+/// shared `SmallRng` stream seeded with `ctx.seed`, so try *t*'s
+/// randomness depends on how much entropy tries `0..t` consumed. That
+/// schedule is inherently sequential — it cannot be decomposed across
+/// lanes without replaying the predecessors. The parallel engine
+/// therefore gives try *t* its own pure seed `derive_seed(ctx.seed, t)`
+/// (SplitMix64), which is what makes the portfolio lane-count-invariant:
+/// any lane can run any try and produce the identical result. The two
+/// engines consequently produce
 /// **different** (each internally deterministic) results for the same
 /// `(instance, config, seed)` — including at `threads: 1`, which selects
 /// the parallel engine's schedule with one lane, *not* the serial

@@ -38,16 +38,9 @@ pub struct MlConfig {
     /// parallel engine with that many logical lanes (the physical worker
     /// count comes from the rayon pool). In deterministic mode results
     /// are identical for every lane count, so this is purely a
-    /// decomposition knob there.
-    ///
-    /// Note that `threads: 1` is **not** the serial engine: the serial
-    /// engine draws all initial tries from one shared RNG stream, while
-    /// the parallel engine gives try *t* the pure per-try seed
-    /// `derive_seed(seed, t)` — the very property that makes its results
-    /// lane-count-invariant. The two are distinct deterministic seed
-    /// schedules (each bitwise reproducible in itself); the divergence is
-    /// documented on `parallel_initial` and pinned by
-    /// `tests/seed_schedule.rs`.
+    /// decomposition knob there. The parallel engine seeds initial try
+    /// *t* with `derive_seed(seed, t)`, so even one lane does not return
+    /// the serial engine's partition.
     pub threads: usize,
     /// Whether the parallel engine must be bitwise deterministic: a pure
     /// function of `(graph, config, seed)`, independent of the lane count
@@ -179,6 +172,13 @@ impl MlPartitioner {
     /// the remaining refinement stages are skipped but the solution is
     /// still projected through every level, so the returned assignment is
     /// always full-size and legal.
+    ///
+    /// The serial engine runs exactly
+    /// [`coarsen_hierarchy_with`](MlPartitioner::coarsen_hierarchy_with)
+    /// followed by
+    /// [`run_from_hierarchy_with`](MlPartitioner::run_from_hierarchy_with),
+    /// so a start returns the same partition and trace whether it builds
+    /// its hierarchy here or takes it from the service's cache.
     pub fn run_with(
         &self,
         h: &Hypergraph,
@@ -191,26 +191,8 @@ impl MlPartitioner {
         if self.config.threads > 0 {
             return self.run_parallel_with(h, constraint, ctx);
         }
-        let mut rng = SmallRng::seed_from_u64(ctx.seed);
-        let levels =
-            build_hierarchy_with(h, &self.config.coarsen, None, &mut rng, &mut ctx.coarsen);
-        emit_level_downs(&levels, ctx.sink);
-        let coarsest: &Hypergraph = levels.last().map_or(h, |l| &l.graph);
-
-        // Initial partitioning on the coarsest graph: several seeded
-        // greedy starts, each refined, best kept.
-        let mut audit_failure = None;
-        let initial = self.best_initial(coarsest, constraint, &mut rng, ctx, &mut audit_failure);
-
-        self.uncoarsen(
-            h,
-            &levels,
-            initial,
-            constraint,
-            &mut rng,
-            ctx,
-            audit_failure,
-        )
+        let hierarchy = self.coarsen_hierarchy_with(h, ctx);
+        self.run_from_hierarchy_with(h, &hierarchy, constraint, ctx)
     }
 
     /// Runs one multilevel start on `h` from `seed`.
@@ -222,14 +204,12 @@ impl MlPartitioner {
     }
 
     /// Builds and freezes the unrestricted coarsening hierarchy for `h`,
-    /// without partitioning — the build half of the split
-    /// coarsen-then-partition pipeline used by the partitioning service's
-    /// hierarchy cache.
+    /// without partitioning — the build half of every serial 2-way start,
+    /// and the half the partitioning service's hierarchy cache skips.
     ///
     /// The hierarchy is a pure function of
     /// `(h, self.config().coarsen, ctx.seed)`: the clustering RNG is a
-    /// fresh `SmallRng` seeded with `ctx.seed`, exactly as in
-    /// [`run_with`](MlPartitioner::run_with), so a cache keyed on
+    /// fresh `SmallRng` seeded with `ctx.seed`, so a cache keyed on
     /// `(instance digest, coarsening config, seed)` reproduces the same
     /// levels bitwise. No trace events are emitted here; the consuming
     /// [`run_from_hierarchy_with`](MlPartitioner::run_from_hierarchy_with)
@@ -255,13 +235,10 @@ impl MlPartitioner {
     /// `(h, hierarchy, self.config(), ctx.seed)`: initial partitioning
     /// and refinement draw from a fresh `SmallRng` seeded with
     /// `ctx.seed`, *independent* of the RNG that built the hierarchy.
-    /// Consequently a cache-hit run and a fresh
-    /// `coarsen_hierarchy_with` + `run_from_hierarchy_with` pair with the
-    /// same seeds are bitwise identical (same trace, same assignment).
-    /// This intentionally diverges from the single-call
-    /// [`run_with`](MlPartitioner::run_with), whose initial partitioning
-    /// *continues* the hierarchy-build RNG stream; the two entry points
-    /// are distinct deterministic schedules, each stable in itself.
+    /// Consequently a cache-hit run, a fresh
+    /// `coarsen_hierarchy_with` + `run_from_hierarchy_with` pair and
+    /// [`run_with`](MlPartitioner::run_with) with the same seed are
+    /// bitwise identical (same trace, same assignment).
     ///
     /// The split pipeline always runs the serial engine: per-job
     /// parallelism in the service comes from running many jobs

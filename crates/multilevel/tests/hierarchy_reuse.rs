@@ -1,16 +1,17 @@
 //! Determinism contract of the split pipeline
 //! ([`MlPartitioner::coarsen_hierarchy_with`] +
-//! [`MlPartitioner::run_from_hierarchy_with`]) that powers the service's
-//! hierarchy cache.
+//! [`MlPartitioner::run_from_hierarchy_with`]), which every serial 2-way
+//! start runs and which powers the service's hierarchy cache.
 //!
 //! The contract: the hierarchy is a pure function of
 //! `(graph, coarsening config, seed)` and carries no RNG state out, and
 //! `run_from_hierarchy_with` reseeds from `ctx.seed` — so partitioning
 //! from a *cached* hierarchy is bitwise the same computation (same trace
 //! bytes, same outcome) as building a fresh hierarchy and partitioning
-//! from that. This is what lets a daemon cache hit replay a cold run's
-//! trace exactly, modulo the one leading `hierarchy_reused` event the
-//! daemon prepends.
+//! from that, and as one [`MlPartitioner::run_with`] call. This is what
+//! lets a daemon cache hit replay a cold run's trace exactly, modulo the
+//! one leading `hierarchy_reused` event the daemon prepends, and what
+//! makes a daemon job return the library's partition.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -94,25 +95,28 @@ fn partition_seed_varies_independently_of_the_hierarchy() {
     assert_eq!(out_21.assignment, out_21_again.assignment);
 }
 
-/// The split pipeline and the single-call [`MlPartitioner::run_with`]
-/// are both deterministic but follow different seed schedules (the
-/// single call's initial partitioning continues the hierarchy-builder's
-/// RNG stream; the split pipeline reseeds). Pin that both remain legal
-/// — and that the split pipeline's outcome is reproducible against the
-/// single call's on the same instance.
+/// One schedule: [`MlPartitioner::run_with`] is the split pipeline, so
+/// for every seed the two give the same trace bytes and the same legal,
+/// balanced outcome.
 #[test]
-fn split_pipeline_and_run_with_are_each_self_consistent() {
+fn run_with_is_the_split_pipeline() {
     let h = golden();
     let ml = MlPartitioner::new(MlConfig::default());
     let c = constraint(&h);
+    for seed in 0..8 {
+        let sink = JsonlSink::new(Vec::new());
+        let single = ml.run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
+        let single_bytes = sink.finish().expect("in-memory sink");
 
-    let single_a = ml.run_with(&h, &c, &mut RunCtx::new(21));
-    let single_b = ml.run_with(&h, &c, &mut RunCtx::new(21));
-    assert_eq!(single_a.assignment, single_b.assignment);
-
-    let hierarchy = ml.coarsen_hierarchy_with(&h, &mut RunCtx::new(21));
-    let (_, split) = run_from(&h, &hierarchy, 21);
-    assert_eq!(split.assignment.len(), h.num_vertices());
-    assert!(split.balanced, "split pipeline must satisfy the constraint");
-    assert!(single_a.balanced);
+        let hierarchy = ml.coarsen_hierarchy_with(&h, &mut RunCtx::new(seed));
+        let (split_bytes, split) = run_from(&h, &hierarchy, seed);
+        assert!(!single_bytes.is_empty());
+        assert!(single.balanced, "seed {seed}: unbalanced");
+        assert_eq!(single_bytes, split_bytes, "seed {seed}: traces differ");
+        assert_eq!(
+            format!("{single:?}"),
+            format!("{split:?}"),
+            "seed {seed}: outcomes differ"
+        );
+    }
 }

@@ -2,13 +2,13 @@
 //! and parallel multilevel engines (documented on [`MlConfig::threads`]
 //! and `parallel_initial`).
 //!
-//! The serial engine draws its coarsest-graph initial tries from the one
-//! `SmallRng` stream that already advanced through hierarchy
-//! construction; the parallel engine gives try *t* the pure per-try seed
-//! `derive_seed(seed, t)` — the property that makes its results
-//! invariant in the lane count. Consequence: `threads: 1` is *not* the
-//! serial engine, and this suite is the regression tripwire that makes
-//! any silent change to either schedule visible:
+//! The serial engine draws its coarsest-graph initial tries from one
+//! `SmallRng` stream seeded with the start's seed; the parallel engine
+//! gives try *t* the pure per-try seed `derive_seed(seed, t)` — the
+//! property that makes its results invariant in the lane count.
+//! Consequence: `threads: 1` is *not* the serial engine, and this suite
+//! is the regression tripwire that makes any silent change to either
+//! schedule visible:
 //!
 //! * `derive_seed` itself is pinned to golden values (any change to the
 //!   mix constants re-seeds every parallel run ever traced);

@@ -17,8 +17,9 @@
 //!   trace-equivalent to cold runs (modulo the leading
 //!   `hierarchy_reused` event).
 //!
-//! Both caches are bounded FIFO maps: small, predictable, and free of
-//! clock-driven eviction so behavior stays deterministic under test.
+//! Both are one [`CountedCache`]: a bounded FIFO map behind a mutex,
+//! small, predictable, and free of clock-driven eviction so behavior
+//! stays deterministic under test.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,14 +29,18 @@ use hypart_core::SharedHierarchy;
 use hypart_hypergraph::Hypergraph;
 use hypart_ml::coarsen::{CoarsenConfig, CoarsenScheme};
 
-struct FifoMap<K, V> {
+/// A map holding at most `capacity` entries: inserting a new key past
+/// the bound evicts the oldest key. Replacing a key's value keeps its
+/// place in the eviction order.
+pub(crate) struct FifoMap<K, V> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
     capacity: usize,
 }
 
 impl<K: std::hash::Hash + Eq + Clone, V: Clone> FifoMap<K, V> {
-    fn new(capacity: usize) -> Self {
+    /// An empty map holding at most `capacity` entries (at least 1).
+    pub(crate) fn new(capacity: usize) -> Self {
         FifoMap {
             map: HashMap::new(),
             order: VecDeque::new(),
@@ -43,11 +48,11 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> FifoMap<K, V> {
         }
     }
 
-    fn get(&self, key: &K) -> Option<V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         self.map.get(key).cloned()
     }
 
-    fn insert(&mut self, key: K, value: V) {
+    pub(crate) fn insert(&mut self, key: K, value: V) {
         if self.map.insert(key.clone(), value).is_none() {
             self.order.push_back(key);
             while self.order.len() > self.capacity {
@@ -58,36 +63,45 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> FifoMap<K, V> {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 }
 
-/// Digest-keyed cache of parsed instances. Hit/miss counters are
-/// monotonically increasing and exposed through the `stats` op.
-pub struct InstanceCache {
-    inner: Mutex<FifoMap<u128, Arc<Hypergraph>>>,
+/// A bounded FIFO cache shared by the worker threads. Hit/miss counters
+/// are monotonically increasing and exposed through the `stats` op.
+pub struct CountedCache<K, V> {
+    inner: Mutex<FifoMap<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl InstanceCache {
-    /// Creates a cache retaining at most `capacity` instances (FIFO).
+/// Digest-keyed cache of parsed instances.
+pub type InstanceCache = CountedCache<u128, Arc<Hypergraph>>;
+
+/// `(digest, coarsening config, seed)`-keyed cache of frozen coarsening
+/// hierarchies. Concurrent misses for the same key may each build the
+/// hierarchy; both builds are bitwise identical (pure function of the
+/// key), so last-insert-wins is harmless.
+pub type HierarchyCache = CountedCache<HierarchyKey, SharedHierarchy>;
+
+impl<K: std::hash::Hash + Eq + Clone, V: Clone> CountedCache<K, V> {
+    /// Creates a cache retaining at most `capacity` entries (FIFO).
     pub fn new(capacity: usize) -> Self {
-        InstanceCache {
+        CountedCache {
             inner: Mutex::new(FifoMap::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks an instance up by digest, counting a hit or miss.
-    pub fn get(&self, digest: u128) -> Option<Arc<Hypergraph>> {
+    /// Looks an entry up, counting a hit or miss.
+    pub fn get(&self, key: &K) -> Option<V> {
         let found = self
             .inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(&digest);
+            .get(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -96,12 +110,12 @@ impl InstanceCache {
         found
     }
 
-    /// Registers a freshly parsed instance under its digest.
-    pub fn insert(&self, digest: u128, h: Arc<Hypergraph>) {
+    /// Registers a freshly built entry.
+    pub fn insert(&self, key: K, value: V) {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(digest, h);
+            .insert(key, value);
     }
 
     /// Cumulative hit count.
@@ -114,7 +128,7 @@ impl InstanceCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of instances currently retained (for the `ping` health
+    /// Number of entries currently retained (for the `ping` health
     /// snapshot).
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
@@ -160,72 +174,6 @@ impl HierarchyKey {
     }
 }
 
-/// `(digest, coarsening config, seed)`-keyed cache of frozen coarsening
-/// hierarchies.
-pub struct HierarchyCache {
-    inner: Mutex<FifoMap<HierarchyKey, SharedHierarchy>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl HierarchyCache {
-    /// Creates a cache retaining at most `capacity` hierarchies (FIFO).
-    pub fn new(capacity: usize) -> Self {
-        HierarchyCache {
-            inner: Mutex::new(FifoMap::new(capacity)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks a hierarchy up, counting a hit or miss. Concurrent misses
-    /// for the same key may each build the hierarchy; both builds are
-    /// bitwise identical (pure function of the key), so last-insert-wins
-    /// is harmless.
-    pub fn get(&self, key: &HierarchyKey) -> Option<SharedHierarchy> {
-        let found = self
-            .inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Registers a freshly built hierarchy.
-    pub fn insert(&self, key: HierarchyKey, hierarchy: SharedHierarchy) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, hierarchy);
-    }
-
-    /// Cumulative hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of hierarchies currently retained (for the `ping` health
-    /// snapshot).
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -246,14 +194,14 @@ mod tests {
         let cache = InstanceCache::new(2);
         let (a, b, c) = (toy_graph(3), toy_graph(4), toy_graph(5));
         let (da, db, dc) = (a.content_digest(), b.content_digest(), c.content_digest());
-        assert!(cache.get(da).is_none());
+        assert!(cache.get(&da).is_none());
         cache.insert(da, Arc::clone(&a));
         cache.insert(db, Arc::clone(&b));
-        assert!(cache.get(da).is_some());
-        assert!(cache.get(db).is_some());
+        assert!(cache.get(&da).is_some());
+        assert!(cache.get(&db).is_some());
         cache.insert(dc, Arc::clone(&c)); // evicts the oldest (a)
-        assert!(cache.get(da).is_none());
-        assert!(cache.get(dc).is_some());
+        assert!(cache.get(&da).is_none());
+        assert!(cache.get(&dc).is_some());
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 2);
     }

@@ -14,7 +14,8 @@
 //!   client-chosen id so concurrent jobs multiplex on one connection;
 //! * [`queue`] — a bounded MPMC work queue that sheds overload instead
 //!   of buffering it (typed `rejected` responses carrying queue depth);
-//! * [`cache`] — the digest-keyed instance cache and the
+//! * [`cache`] — one bounded FIFO cache type serving as the
+//!   digest-keyed instance cache and the
 //!   `(digest, coarsening config, seed)`-keyed hierarchy cache;
 //! * [`Server`] / [`ServerHandle`] — the daemon itself: an accept loop,
 //!   one reader thread per connection, and a fixed worker pool that
@@ -37,6 +38,10 @@
 //! prefixed with one `hierarchy_reused` event (the hierarchy is a pure
 //! function of the cache key; see
 //! [`MlPartitioner::coarsen_hierarchy_with`](hypart_ml::MlPartitioner::coarsen_hierarchy_with)).
+//! An unbudgeted 2-way job returns the partition
+//! [`MlPartitioner::run_with`](hypart_ml::MlPartitioner::run_with)
+//! returns for the same seed and fraction under
+//! [`ServerConfig::ml`](ServerConfig::ml).
 //! Budgeted jobs stop deterministically in *shape* (bracketed
 //! `start_begin`/`start_end` pairs, `budget_exhausted` terminator) while
 //! the number of starts naturally varies with wall clock.

@@ -229,9 +229,6 @@ pub struct PartitionRequest {
     pub budget_ms: Option<u64>,
     /// Stream `RunEvent` frames for this job back to the client.
     pub trace: bool,
-    /// Reuse (and populate) the coarsening-hierarchy cache keyed by
-    /// `(digest, coarsening config, seed)`. Only 2-way jobs consult it.
-    pub use_hierarchy_cache: bool,
     /// Which multilevel backend runs the job. `MlCoarse` (the wire
     /// default — omitted from frames, so pre-engine clients and golden
     /// frames are unchanged) is the coarse-grained hierarchy engine;
@@ -250,7 +247,7 @@ pub struct PartitionRequest {
 
 impl PartitionRequest {
     /// A 2-way request with the common defaults (no budget, no trace,
-    /// hierarchy cache on, no assignment payload).
+    /// no assignment payload).
     pub fn new(id: u64, instance: InstanceRef, seed: u64) -> Self {
         PartitionRequest {
             id,
@@ -260,7 +257,6 @@ impl PartitionRequest {
             seed,
             budget_ms: None,
             trace: false,
-            use_hierarchy_cache: true,
             engine: EngineKind::MlCoarse,
             include_assignment: false,
             request_token: None,
@@ -276,7 +272,6 @@ impl PartitionRequest {
             ("fraction", self.fraction.into()),
             ("seed", (self.seed).into()),
             ("trace", self.trace.into()),
-            ("use_hierarchy_cache", self.use_hierarchy_cache.into()),
             ("include_assignment", self.include_assignment.into()),
         ];
         match &self.instance {
@@ -398,6 +393,14 @@ impl Request {
                 })
                 .transpose()
         };
+        // A bool field: `false` when absent, an error naming the field
+        // when it is anything but `true` or `false` (`null` included).
+        let flag = |key: &str| -> Result<bool, String> {
+            v.get(key).map_or(Ok(false), |x| {
+                x.as_bool()
+                    .ok_or_else(|| format!("{op}: `{key}` must be a bool"))
+            })
+        };
         let id = || -> Result<u64, String> {
             int("id")?.ok_or_else(|| format!("{op}: missing u64 field `id`"))
         };
@@ -445,11 +448,7 @@ impl Request {
                             .ok_or("partition: `budget_ms` must be a u64".to_string())?,
                     ),
                 },
-                trace: v.get("trace").and_then(JsonValue::as_bool).unwrap_or(false),
-                use_hierarchy_cache: v
-                    .get("use_hierarchy_cache")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(true),
+                trace: flag("trace")?,
                 engine: match v.get("engine") {
                     None => EngineKind::MlCoarse,
                     Some(x) => {
@@ -459,10 +458,7 @@ impl Request {
                         EngineKind::parse(name).map_err(|e| format!("partition: {e}"))?
                     }
                 },
-                include_assignment: v
-                    .get("include_assignment")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
+                include_assignment: flag("include_assignment")?,
                 request_token: int("token")?,
             })),
             "eval" => {
@@ -1036,7 +1032,6 @@ mod tests {
                 seed: 17,
                 budget_ms: Some(50),
                 trace: true,
-                use_hierarchy_cache: false,
                 engine: EngineKind::NLevel,
                 include_assignment: true,
                 request_token: Some(0xFACE),
@@ -1138,6 +1133,20 @@ mod tests {
                 r#"{"op":"eval","id":9007199254740992,"hgr":"x","assignment":[]}"#,
             ),
             ("id", r#"{"op":"cancel","id":-3}"#),
+            // Bool fields are refused the same way: never read as `false`.
+            ("trace", r#"{"op":"partition","id":1,"hgr":"x","trace":1}"#),
+            (
+                "trace",
+                r#"{"op":"partition","id":1,"hgr":"x","trace":null}"#,
+            ),
+            (
+                "include_assignment",
+                r#"{"op":"partition","id":1,"hgr":"x","include_assignment":"yes"}"#,
+            ),
+            (
+                "include_assignment",
+                r#"{"op":"partition","id":1,"hgr":"x","include_assignment":null}"#,
+            ),
         ] {
             let v = JsonValue::parse(text).unwrap();
             match Request::from_json(&v) {
@@ -1156,6 +1165,13 @@ mod tests {
             }
             other => panic!("expected a partition request, got {other:?}"),
         }
+        // Unknown keys are ignored, so frames from older clients that
+        // still carry the retired `use_hierarchy_cache` flag decode.
+        let old = r#"{"op":"partition","id":1,"hgr":"x","use_hierarchy_cache":false}"#;
+        assert_eq!(
+            Request::from_json(&JsonValue::parse(old).unwrap()).unwrap(),
+            Request::Partition(PartitionRequest::new(1, InstanceRef::Inline("x".into()), 0))
+        );
     }
 
     #[test]

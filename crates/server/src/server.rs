@@ -34,7 +34,7 @@
 //! was delivered.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,7 +48,7 @@ use hypart_kway::{recursive_bisection_with, KWayBalance};
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_trace::{RunEvent, StopReason, TraceSink};
 
-use crate::cache::{HierarchyCache, HierarchyKey, InstanceCache};
+use crate::cache::{FifoMap, HierarchyCache, HierarchyKey, InstanceCache};
 use crate::protocol::{
     encode_event_frame, encode_value_frame, read_frame, EvalRequest, FrameError, Health,
     InstanceRef, JobResult, PartitionRequest, Request, Response, StatsSnapshot,
@@ -212,29 +212,35 @@ enum Admission {
     Replay(JobResult),
 }
 
-#[derive(Default)]
 struct TokenMaps {
     in_flight: HashMap<u64, Vec<Waiter>>,
-    completed: HashMap<u64, JobResult>,
-    order: VecDeque<u64>,
+    completed: FifoMap<u64, JobResult>,
 }
 
 /// Idempotency-token dedup: in-flight tokens re-attach, recently
 /// completed tokens replay. One lock guards both maps so a completion
 /// draining waiters cannot race an admission checking `in_flight`.
-#[derive(Default)]
 struct TokenRegistry {
     inner: Mutex<TokenMaps>,
 }
 
 impl TokenRegistry {
+    fn new() -> Self {
+        TokenRegistry {
+            inner: Mutex::new(TokenMaps {
+                in_flight: HashMap::new(),
+                completed: FifoMap::new(TOKEN_CACHE_CAPACITY),
+            }),
+        }
+    }
+
     /// Classifies a token-stamped submission. `Fresh` registers the
     /// token as in flight; the caller must later `complete` or
     /// `abandon` it.
     fn admit(&self, token: u64, writer: &Arc<ConnWriter>, id: u64) -> Admission {
         let mut maps = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(result) = maps.completed.get(&token) {
-            return Admission::Replay(result.clone());
+            return Admission::Replay(result);
         }
         if let Some(waiters) = maps.in_flight.get_mut(&token) {
             waiters.push(Waiter {
@@ -265,14 +271,7 @@ impl TokenRegistry {
     fn complete(&self, token: u64, result: JobResult) -> Vec<Waiter> {
         let mut maps = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let waiters = maps.in_flight.remove(&token).unwrap_or_default();
-        if maps.completed.insert(token, result).is_none() {
-            maps.order.push_back(token);
-            while maps.order.len() > TOKEN_CACHE_CAPACITY {
-                if let Some(evicted) = maps.order.pop_front() {
-                    maps.completed.remove(&evicted);
-                }
-            }
-        }
+        maps.completed.insert(token, result);
         waiters
     }
 
@@ -465,7 +464,7 @@ impl Server {
             queue: BoundedQueue::new(config.queue_capacity),
             instances: InstanceCache::new(config.instance_cache_capacity),
             hierarchies: HierarchyCache::new(config.hierarchy_cache_capacity),
-            tokens: TokenRegistry::default(),
+            tokens: TokenRegistry::new(),
             config,
             stats: Stats::default(),
             started: Instant::now(),
@@ -867,7 +866,7 @@ fn resolve_instance(
     shared: &Arc<Shared>,
 ) -> Option<(Arc<Hypergraph>, u128)> {
     match instance {
-        InstanceRef::Digest(digest) => match shared.instances.get(*digest) {
+        InstanceRef::Digest(digest) => match shared.instances.get(digest) {
             Some(h) => Some((h, *digest)),
             None => {
                 shared.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -1116,11 +1115,12 @@ fn partition_job(
     result
 }
 
-/// 2-way jobs run the split pipeline so the hierarchy cache applies:
-/// build (or reuse) the coarsening hierarchy, then partition from it.
-/// A cache hit is announced with one `hierarchy_reused` trace event and
-/// then replays bitwise the trace of a cold split-pipeline run — the
-/// determinism contract of
+/// 2-way jobs run the two halves of [`MlPartitioner::run_with`] apart so
+/// the hierarchy cache applies: build (or reuse) the coarsening
+/// hierarchy, then partition from it. An unbudgeted job therefore
+/// returns the partition `run_with` returns for the same seed. A cache
+/// hit is announced with one `hierarchy_reused` trace event and then
+/// replays bitwise the trace of a cold run — the determinism contract of
 /// [`MlPartitioner::run_from_hierarchy_with`].
 fn bisection_job(
     req: &PartitionRequest,
@@ -1169,21 +1169,14 @@ fn bisection_job(
         };
     }
     let partitioner = MlPartitioner::new(shared.config.ml.clone());
-    let (hierarchy, reused) = if req.use_hierarchy_cache {
-        let key = HierarchyKey::new(digest, &shared.config.ml.coarsen, req.seed);
-        match shared.hierarchies.get(&key) {
-            Some(hierarchy) => (hierarchy, true),
-            None => {
-                let hierarchy = partitioner.coarsen_hierarchy_with(h, ctx).into_shared();
-                shared.hierarchies.insert(key, Arc::clone(&hierarchy));
-                (hierarchy, false)
-            }
+    let key = HierarchyKey::new(digest, &shared.config.ml.coarsen, req.seed);
+    let (hierarchy, reused) = match shared.hierarchies.get(&key) {
+        Some(hierarchy) => (hierarchy, true),
+        None => {
+            let hierarchy = partitioner.coarsen_hierarchy_with(h, ctx).into_shared();
+            shared.hierarchies.insert(key, Arc::clone(&hierarchy));
+            (hierarchy, false)
         }
-    } else {
-        (
-            partitioner.coarsen_hierarchy_with(h, ctx).into_shared(),
-            false,
-        )
     };
     if reused {
         ctx.sink.emit(RunEvent::HierarchyReused {

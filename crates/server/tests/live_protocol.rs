@@ -36,6 +36,12 @@ fn malformed_frame_gets_typed_parse_error_and_connection_survives() {
     raw.write_all(&(junk.len() as u32).to_be_bytes()).unwrap();
     raw.write_all(junk).unwrap();
     raw.flush().unwrap();
+    // The daemon counts the error before it answers, so once the typed
+    // reply is read the `stats` check below cannot race the reader.
+    let reply = read_frame(&mut raw, DEFAULT_MAX_FRAME_BYTES)
+        .unwrap()
+        .unwrap();
+    assert_eq!(reply.get("code").and_then(|v| v.as_str()), Some("parse"));
 
     // The same socket still serves real requests afterwards.
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -376,6 +382,52 @@ fn cache_hit_trace_is_cold_trace_plus_reuse_prefix() {
         stats.instance_hits >= 2,
         "digest re-queries hit the instance cache"
     );
+    server.shutdown();
+}
+
+/// One schedule for a 2-way start: an unbudgeted daemon job returns the
+/// assignment `MlPartitioner::run_with` returns for the same seed,
+/// fraction and `ServerConfig::ml`, whether the job builds its hierarchy
+/// or takes it from the cache.
+#[test]
+fn two_way_job_returns_the_library_partition() {
+    let config = ServerConfig::default();
+    let ml = hypart_ml::MlPartitioner::new(config.ml.clone());
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let text = hgr_text(300, 8);
+    let h = hypart_hypergraph::io::hgr::read(text.as_bytes()).unwrap();
+
+    let mut instance = InstanceRef::Inline(text);
+    let mut id = 0;
+    for (seed, fraction) in [(3, 0.1), (4, 0.05), (3, 0.2)] {
+        id += 1;
+        let mut req = PartitionRequest::new(id, instance.clone(), seed);
+        req.fraction = fraction;
+        req.include_assignment = true;
+        client.send(&Request::Partition(req)).unwrap();
+        let result = match client.wait_outcome(id).unwrap() {
+            JobOutcome::Finished { result, .. } => result,
+            other => panic!("job {id} failed: {other:?}"),
+        };
+        instance = InstanceRef::Digest(result.digest);
+
+        let c = hypart_core::BalanceConstraint::with_fraction(h.total_vertex_weight(), fraction);
+        let library = ml.run_with(&h, &c, &mut hypart_core::RunCtx::new(seed));
+        let want: Vec<u16> = library
+            .assignment
+            .iter()
+            .map(|p| p.index() as u16)
+            .collect();
+        assert_eq!(
+            result.assignment.as_deref(),
+            Some(&want[..]),
+            "seed {seed}, fraction {fraction}: daemon and library partitions differ"
+        );
+        assert_eq!(result.cut, library.cut);
+    }
+    // The third job re-used the first job's hierarchy.
+    assert_eq!(client.stats().unwrap().hierarchy_hits, 1);
     server.shutdown();
 }
 

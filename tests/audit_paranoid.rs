@@ -9,7 +9,7 @@
 
 use hypart::benchgen;
 use hypart::core::{AuditLevel, BalanceConstraint, FmConfig, FmPartitioner, RunCtx};
-use hypart::hypergraph::Hypergraph;
+use hypart::hypergraph::{Hypergraph, HypergraphBuilder};
 use hypart::kway::{recursive_bisection_with, KWayBalance, KWayConfig, KWayFmPartitioner};
 use hypart::ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart::trace::{MemorySink, RunEvent, TraceSink};
@@ -18,7 +18,23 @@ fn instances() -> Vec<(&'static str, Hypergraph)> {
     vec![
         ("toy", benchgen::mcnc_like(120, 11)),
         ("ispd98-profile", benchgen::ispd98_like(1, 0.015, 3)),
+        ("macro-heavy", macro_heavy(256, 50_000)),
     ]
+}
+
+/// A chain of `n` unit cells plus one net of weight `heavy` on four
+/// spread-out cells: the gain containers span ~`2 * heavy` (classic) to
+/// ~`4 * heavy` (CLIP) buckets while a pass moves at most `n` cells, the
+/// widest gain range any test runs.
+fn macro_heavy(n: usize, heavy: u32) -> Hypergraph {
+    let mut b = HypergraphBuilder::new();
+    let v: Vec<_> = (0..n).map(|_| b.add_vertex(1)).collect();
+    for i in 0..n - 1 {
+        b.add_net([v[i], v[i + 1]], 1).unwrap();
+    }
+    b.add_net([v[0], v[n / 4], v[n / 2], v[3 * n / 4]], heavy)
+        .unwrap();
+    b.build().unwrap()
 }
 
 fn violations(sink: &MemorySink) -> Vec<RunEvent> {

@@ -11,8 +11,8 @@ use hypart::benchgen::ispd98_like;
 use hypart::prelude::*;
 
 /// Serializes this binary's tests. `budgeted_multi_start_hits_deadline`
-/// needs a start to finish inside its 50 ms budget, which a debug build
-/// misses while the two other tests load both cores.
+/// needs a start to finish inside its budget, which a debug build misses
+/// while the two other tests load both cores.
 static TIMING_LOCK: Mutex<()> = Mutex::new(());
 
 fn jsonl_of(f: impl FnOnce(&JsonlSink<Vec<u8>>)) -> String {
@@ -83,8 +83,9 @@ fn wrappers_reproduce_canonical_jsonl_streams() {
     }
 }
 
-/// A 50 ms budget on an ISPD-98-profile instance: the budgeted
-/// multi-start must come back within 2x the budget with
+/// A budget of 4x one measured start (at least 50 ms) on an
+/// ISPD-98-profile instance: the budgeted multi-start must come back
+/// within 2x the budget with
 /// `StopReason::Deadline`, a legal balanced best-so-far, and a reported
 /// cut equal to the best cut among the fully-completed starts in the
 /// trace stream.
@@ -95,7 +96,11 @@ fn budgeted_multi_start_hits_deadline() {
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let ml = MlPartitioner::new(MlConfig::ml_lifo());
 
-    let budget = Duration::from_millis(50);
+    // Sized from this build on this host, so a slow build or a busy host
+    // still fits a whole start.
+    let t0 = Instant::now();
+    ml.run_with(&h, &c, &mut RunCtx::new(3));
+    let budget = (t0.elapsed() * 4).max(Duration::from_millis(50));
     let sink = MemorySink::new();
     let mut ctx = RunCtx::new(3).with_budget(budget).with_sink(&sink);
     let t0 = Instant::now();
@@ -131,7 +136,7 @@ fn budgeted_multi_start_hits_deadline() {
         .collect();
     assert!(
         !completed_cuts.is_empty(),
-        "expected at least one completed start within 50 ms"
+        "expected at least one completed start within {budget:?}"
     );
     assert_eq!(
         out.cut,
