@@ -7,54 +7,27 @@
 //! sharply from FM's — exactly the kind of instrument diversity §3.2's
 //! comparison methodology is designed to handle.
 
-use hypart_core::{generate_initial, BalanceConstraint, Bisection, InitialSolution};
+use hypart_core::{generate_initial, BalanceConstraint, InitialSolution};
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::BaselineOutcome;
-
-/// Configuration of [`AnnealingPartitioner`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct AnnealingConfig {
-    /// Moves attempted per temperature step, as a multiple of |V|.
-    pub moves_per_temp: usize,
-    /// Geometric cooling factor (0 < α < 1).
-    pub alpha: f64,
-    /// Stop when the acceptance ratio over a temperature step falls below
-    /// this value.
-    pub freeze_acceptance: f64,
-    /// Hard cap on temperature steps.
-    pub max_steps: usize,
-    /// Display name used in evaluation harnesses.
-    pub name: String,
-}
-
-impl Default for AnnealingConfig {
-    fn default() -> Self {
-        AnnealingConfig {
-            moves_per_temp: 8,
-            alpha: 0.92,
-            freeze_acceptance: 0.005,
-            max_steps: 200,
-            name: "Annealing".to_string(),
-        }
-    }
-}
+use crate::{bisection_of, BaselineOutcome};
 
 /// A simulated-annealing bipartitioner.
-#[derive(Clone, Debug, Default)]
-pub struct AnnealingPartitioner {
-    config: AnnealingConfig,
-    pub(crate) name: String,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AnnealingPartitioner;
 
 impl AnnealingPartitioner {
-    /// Creates an annealing partitioner with the given configuration.
-    pub fn new(config: AnnealingConfig) -> Self {
-        let name = config.name.clone();
-        AnnealingPartitioner { config, name }
-    }
+    /// Moves attempted per temperature step, as a multiple of |V|.
+    pub const MOVES_PER_TEMP: usize = 8;
+    /// Geometric cooling factor (0 < α < 1).
+    pub const ALPHA: f64 = 0.92;
+    /// Stop when the acceptance ratio over a temperature step falls below
+    /// this value.
+    pub const FREEZE_ACCEPTANCE: f64 = 0.005;
+    /// Hard cap on temperature steps.
+    pub const MAX_STEPS: usize = 200;
 
     /// Runs the annealing schedule from a seeded balanced initial
     /// solution, returning the best feasible solution encountered.
@@ -66,7 +39,7 @@ impl AnnealingPartitioner {
     ) -> BaselineOutcome {
         let mut rng = SmallRng::seed_from_u64(seed);
         let initial = generate_initial(h, InitialSolution::RandomBalanced, &mut rng);
-        let mut bisection = Bisection::new(h, initial).expect("valid initial");
+        let mut bisection = bisection_of(h, initial);
         let free: Vec<VertexId> = h.vertices().filter(|&v| !h.is_fixed(v)).collect();
         if free.is_empty() {
             return BaselineOutcome::from_bisection(bisection, constraint);
@@ -92,9 +65,9 @@ impl AnnealingPartitioner {
         let mut temperature = (mean_uphill / f64::ln(1.0 / 0.8)).max(1e-3);
 
         let mut best: Option<(u64, Vec<PartId>)> = None;
-        let moves_per_step = self.config.moves_per_temp * free.len();
+        let moves_per_step = Self::MOVES_PER_TEMP * free.len();
 
-        for _ in 0..self.config.max_steps {
+        for _ in 0..Self::MAX_STEPS {
             let mut accepted = 0usize;
             for _ in 0..moves_per_step {
                 let v = free[rng.gen_range(0..free.len())];
@@ -115,16 +88,15 @@ impl AnnealingPartitioner {
                     }
                 }
             }
-            temperature *= self.config.alpha;
-            if (accepted as f64) < self.config.freeze_acceptance * moves_per_step as f64 {
+            temperature *= Self::ALPHA;
+            if (accepted as f64) < Self::FREEZE_ACCEPTANCE * moves_per_step as f64 {
                 break;
             }
         }
 
         match best {
             Some((_, assignment)) => {
-                let bisection = Bisection::new(h, assignment).expect("tracked best is valid");
-                BaselineOutcome::from_bisection(bisection, constraint)
+                BaselineOutcome::from_bisection(bisection_of(h, assignment), constraint)
             }
             None => BaselineOutcome::from_bisection(bisection, constraint),
         }
@@ -132,10 +104,12 @@ impl AnnealingPartitioner {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use hypart_benchgen::mcnc_like;
     use hypart_benchgen::toys::{ring, two_clusters};
+    use hypart_core::Bisection;
 
     fn slack(h: &Hypergraph) -> BalanceConstraint {
         BalanceConstraint::with_slack(h.total_vertex_weight(), 1)
@@ -144,7 +118,7 @@ mod tests {
     #[test]
     fn finds_the_cluster_cut() {
         let h = two_clusters(6, 2);
-        let out = AnnealingPartitioner::default().run(&h, &slack(&h), 1);
+        let out = AnnealingPartitioner.run(&h, &slack(&h), 1);
         assert_eq!(out.cut, 2);
         assert!(out.balanced);
     }
@@ -153,7 +127,7 @@ mod tests {
     fn ring_cut_reaches_optimum_with_multistart() {
         let h = ring(12);
         let best = (0..5u64)
-            .map(|s| AnnealingPartitioner::default().run(&h, &slack(&h), s).cut)
+            .map(|s| AnnealingPartitioner.run(&h, &slack(&h), s).cut)
             .min()
             .expect("runs");
         assert_eq!(best, 2);
@@ -163,7 +137,7 @@ mod tests {
     fn balanced_on_weighted_instances() {
         let h = mcnc_like(150, 5);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let out = AnnealingPartitioner::default().run(&h, &c, 3);
+        let out = AnnealingPartitioner.run(&h, &c, 3);
         assert!(out.balanced);
         let bis = Bisection::new(&h, out.assignment).expect("valid");
         assert_eq!(bis.cut(), out.cut);
@@ -173,8 +147,8 @@ mod tests {
     fn deterministic_per_seed() {
         let h = mcnc_like(100, 2);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let a = AnnealingPartitioner::default().run(&h, &c, 7);
-        let b = AnnealingPartitioner::default().run(&h, &c, 7);
+        let a = AnnealingPartitioner.run(&h, &c, 7);
+        let b = AnnealingPartitioner.run(&h, &c, 7);
         assert_eq!(a.assignment, b.assignment);
     }
 
@@ -183,7 +157,7 @@ mod tests {
         use hypart_benchgen::with_pad_ring;
         let h = with_pad_ring(&ring(8), 100, 1); // fixes everything
         let c = BalanceConstraint::with_fraction(8, 0.5);
-        let out = AnnealingPartitioner::default().run(&h, &c, 0);
+        let out = AnnealingPartitioner.run(&h, &c, 0);
         assert_eq!(out.assignment.len(), 8);
     }
 }

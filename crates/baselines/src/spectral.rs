@@ -7,44 +7,20 @@
 //! The Laplacian is never materialized: the matrix–vector product is
 //! evaluated per net in O(pins).
 
-use hypart_core::{BalanceConstraint, Bisection};
+use hypart_core::BalanceConstraint;
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::BaselineOutcome;
-
-/// Configuration of [`SpectralPartitioner`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpectralConfig {
-    /// Power-iteration steps (each is one O(pins) matvec).
-    pub iterations: usize,
-    /// Display name used in evaluation harnesses.
-    pub name: String,
-}
-
-impl Default for SpectralConfig {
-    fn default() -> Self {
-        SpectralConfig {
-            iterations: 300,
-            name: "Spectral".to_string(),
-        }
-    }
-}
+use crate::{bisection_of, BaselineOutcome};
 
 /// Spectral ratio-cut bisection.
-#[derive(Clone, Debug, Default)]
-pub struct SpectralPartitioner {
-    config: SpectralConfig,
-    pub(crate) name: String,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SpectralPartitioner;
 
 impl SpectralPartitioner {
-    /// Creates a spectral partitioner with the given configuration.
-    pub fn new(config: SpectralConfig) -> Self {
-        let name = config.name.clone();
-        SpectralPartitioner { config, name }
-    }
+    /// Power-iteration steps (each is one O(pins) matvec).
+    pub const ITERATIONS: usize = 300;
 
     /// Runs the spectral bisection. `seed` only affects the power-iteration
     /// start vector (the method is otherwise deterministic); the sweep cut
@@ -58,8 +34,7 @@ impl SpectralPartitioner {
     ) -> BaselineOutcome {
         let n = h.num_vertices();
         if n == 0 {
-            let bisection = Bisection::new(h, Vec::new()).expect("empty is valid");
-            return BaselineOutcome::from_bisection(bisection, constraint);
+            return BaselineOutcome::from_bisection(bisection_of(h, Vec::new()), constraint);
         }
         let fiedler = self.fiedler_vector(h, seed);
 
@@ -67,10 +42,11 @@ impl SpectralPartitioner {
         // bisection. Track cut incrementally by moving one vertex at a time.
         let mut order: Vec<VertexId> = h.vertices().collect();
         order.sort_by(|&a, &b| {
-            fiedler[a.index()]
-                .partial_cmp(&fiedler[b.index()])
-                .expect("no NaN")
-                .then(a.cmp(&b))
+            let by_value = match fiedler[a.index()].partial_cmp(&fiedler[b.index()]) {
+                Some(order) => order,
+                None => unreachable!("the Fiedler vector holds no NaN"),
+            };
+            by_value.then(a.cmp(&b))
         });
         // Start with everything in P1; prefix vertices move to P0.
         // Fixed vertices stay put and are skipped by the sweep.
@@ -78,7 +54,7 @@ impl SpectralPartitioner {
             .vertices()
             .map(|v| h.fixed_part(v).unwrap_or(PartId::P1))
             .collect();
-        let mut bisection = Bisection::new(h, start).expect("valid start");
+        let mut bisection = bisection_of(h, start);
 
         let mut best_prefix = 0usize;
         let mut best_feasible: Option<(u64, usize)> = None;
@@ -118,8 +94,7 @@ impl SpectralPartitioner {
                 assignment[v.index()] = PartId::P0;
             }
         }
-        let bisection = Bisection::new(h, assignment).expect("valid sweep assignment");
-        BaselineOutcome::from_bisection(bisection, constraint)
+        BaselineOutcome::from_bisection(bisection_of(h, assignment), constraint)
     }
 
     /// Approximates the Fiedler vector by power iteration on `σI − L`
@@ -145,7 +120,7 @@ impl SpectralPartitioner {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut y = vec![0.0f64; n];
-        for _ in 0..self.config.iterations {
+        for _ in 0..Self::ITERATIONS {
             deflate_constant(&mut x);
             normalize(&mut x);
             // y = (σI − L) x ; (Lx)_v = Σ_{e∋v} w/(k−1) (k x_v − S_e)
@@ -185,6 +160,7 @@ fn normalize(x: &mut [f64]) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use hypart_benchgen::toys::{grid, ring, two_clusters};
@@ -198,7 +174,7 @@ mod tests {
     #[test]
     fn separates_two_clusters_exactly() {
         let h = two_clusters(8, 2);
-        let out = SpectralPartitioner::default().run(&h, &slack(&h), 3);
+        let out = SpectralPartitioner.run(&h, &slack(&h), 3);
         assert_eq!(out.cut, 2);
         assert!(out.balanced);
     }
@@ -206,7 +182,7 @@ mod tests {
     #[test]
     fn ring_cut_is_two() {
         let h = ring(16);
-        let out = SpectralPartitioner::default().run(&h, &slack(&h), 1);
+        let out = SpectralPartitioner.run(&h, &slack(&h), 1);
         assert_eq!(out.cut, 2);
     }
 
@@ -214,7 +190,7 @@ mod tests {
     fn grid_cut_is_near_optimal() {
         let h = grid(8, 8);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let out = SpectralPartitioner::default().run(&h, &c, 1);
+        let out = SpectralPartitioner.run(&h, &c, 1);
         assert!(out.balanced);
         assert!(out.cut <= 12, "cut {}", out.cut); // optimal straight line: 8
     }
@@ -223,7 +199,7 @@ mod tests {
     fn respects_fixed_vertices() {
         let h = ring(12).with_fixed(VertexId::new(0), Some(PartId::P0));
         let c = BalanceConstraint::with_fraction(12, 0.34);
-        let out = SpectralPartitioner::default().run(&h, &c, 5);
+        let out = SpectralPartitioner.run(&h, &c, 5);
         assert_eq!(out.assignment[0], PartId::P0);
     }
 
@@ -231,8 +207,8 @@ mod tests {
     fn deterministic_per_seed() {
         let h = mcnc_like(200, 4);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let a = SpectralPartitioner::default().run(&h, &c, 9);
-        let b = SpectralPartitioner::default().run(&h, &c, 9);
+        let a = SpectralPartitioner.run(&h, &c, 9);
+        let b = SpectralPartitioner.run(&h, &c, 9);
         assert_eq!(a.assignment, b.assignment);
     }
 
@@ -240,7 +216,7 @@ mod tests {
     fn within_striking_distance_of_fm_on_structured_instances() {
         let h = ispd98_like(1, 0.03, 7);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let spectral = SpectralPartitioner::default().run(&h, &c, 1);
+        let spectral = SpectralPartitioner.run(&h, &c, 1);
         let fm = FmPartitioner::new(FmConfig::lifo()).run(&h, &c, 1);
         assert!(spectral.balanced);
         // Pure spectral (no iterative-improvement cleanup) is known to
@@ -258,7 +234,7 @@ mod tests {
     fn empty_graph_is_handled() {
         let h = hypart_hypergraph::HypergraphBuilder::new().build().unwrap();
         let c = BalanceConstraint::with_fraction(0, 0.1);
-        let out = SpectralPartitioner::default().run(&h, &c, 0);
+        let out = SpectralPartitioner.run(&h, &c, 0);
         assert_eq!(out.cut, 0);
     }
 }

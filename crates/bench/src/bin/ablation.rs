@@ -1,13 +1,15 @@
 //! Ablation study over design choices beyond the paper's main grid:
 //! insertion policy, CLIP lookahead, coarsening scheme.
 //!
-//! Usage: `cargo run --release -p hypart-bench --bin ablation -- [--scale S] [--trials N]`
+//! Usage: `cargo run --release -p hypart-bench --bin ablation -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{ablation_experiment, write_result, ExperimentConfig};
+use hypart_bench::{ablation_experiment, parse_or_exit, write_result, ExperimentConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "ablation [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let table = ablation_experiment(&cfg);
     println!("{}", table.render());
     match write_result("ablation.csv", &table.to_csv()) {

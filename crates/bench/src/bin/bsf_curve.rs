@@ -1,13 +1,15 @@
 //! Regenerates the BSF-curve methodology figure of §3.2: expected best cut
 //! versus CPU budget for the flat and multilevel engines.
 //!
-//! Usage: `cargo run --release -p hypart-bench --bin bsf_curve -- [--scale S] [--trials N]`
+//! Usage: `cargo run --release -p hypart-bench --bin bsf_curve -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{bsf_experiment, write_result, ExperimentConfig};
+use hypart_bench::{bsf_experiment, parse_or_exit, write_result, ExperimentConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "bsf_curve [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let report = bsf_experiment(&cfg);
     println!("{report}");
     match write_result("bsf_curves.csv", &report) {

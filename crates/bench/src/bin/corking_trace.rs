@@ -2,13 +2,15 @@
 //! with and without the overweight-cell exclusion, on actual-area vs
 //! unit-area instances.
 //!
-//! Usage: `cargo run --release -p hypart-bench --bin corking_trace -- [--scale S] [--trials N]`
+//! Usage: `cargo run --release -p hypart-bench --bin corking_trace -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{corking_experiment, write_result, ExperimentConfig};
+use hypart_bench::{corking_experiment, parse_or_exit, write_result, ExperimentConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "corking_trace [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let table = corking_experiment(&cfg);
     println!("{}", table.render());
     match write_result("corking_trace.csv", &table.to_csv()) {

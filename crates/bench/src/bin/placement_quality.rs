@@ -4,9 +4,9 @@
 //! "in light of the driving application"; this harness does exactly that
 //! by swapping engines inside the same placer.
 //!
-//! Usage: `cargo run --release -p hypart-bench --bin placement_quality -- [--scale S] [--trials N]`
+//! Usage: `cargo run --release -p hypart-bench --bin placement_quality -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{instance, write_result, ExperimentConfig};
+use hypart_bench::{instance, parse_or_exit, write_result, ExperimentConfig};
 use hypart_core::FmConfig;
 use hypart_eval::stats::Summary;
 use hypart_eval::table::Table;
@@ -14,8 +14,10 @@ use hypart_ml::MlConfig;
 use hypart_place::{hpwl, PlacerConfig, Rect, TopDownPlacer};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "placement_quality [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let h = instance(&cfg, 1);
     let die = Rect::new(0.0, 0.0, 2000.0, 2000.0);
 
@@ -46,7 +48,6 @@ fn main() {
             let placer = TopDownPlacer::new(PlacerConfig {
                 ml: ml.clone(),
                 terminal_propagation: term_prop,
-                ..PlacerConfig::default()
             });
             let samples: Vec<f64> = (0..cfg.trials as u64)
                 .map(|seed| hpwl(&h, &placer.run(&h, die, cfg.seed.wrapping_add(seed))))

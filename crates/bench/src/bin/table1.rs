@@ -3,11 +3,13 @@
 //!
 //! Usage: `cargo run --release -p hypart-bench --bin table1 -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{table1, write_result, ExperimentConfig};
+use hypart_bench::{parse_or_exit, table1, write_result, ExperimentConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "table1 [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let table = table1(&cfg);
     println!("{}", table.render());
     match write_result("table1.csv", &table.to_csv()) {

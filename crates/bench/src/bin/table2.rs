@@ -1,13 +1,15 @@
 //! Regenerates the paper's Table 2: our LIFO FM vs a weak "Reported" LIFO
 //! FM at 2% and 10% tolerance.
 //!
-//! Usage: `cargo run --release -p hypart-bench --bin table2 -- [--scale S] [--trials N]`
+//! Usage: `cargo run --release -p hypart-bench --bin table2 -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{table2, write_result, ExperimentConfig};
+use hypart_bench::{parse_or_exit, table2, write_result, ExperimentConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "table2 [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let table = table2(&cfg);
     println!("{}", table.render());
     match write_result("table2.csv", &table.to_csv()) {

@@ -1,13 +1,15 @@
 //! Regenerates the paper's Table 3: our CLIP FM (anti-corking exclusion)
 //! vs a weak "Reported" CLIP FM at 2% and 10% tolerance.
 //!
-//! Usage: `cargo run --release -p hypart-bench --bin table3 -- [--scale S] [--trials N]`
+//! Usage: `cargo run --release -p hypart-bench --bin table3 -- [--scale S] [--trials N] [--seed K]`
 
-use hypart_bench::{table3, write_result, ExperimentConfig};
+use hypart_bench::{parse_or_exit, table3, write_result, ExperimentConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
+    let cfg = parse_or_exit(
+        "table3 [--scale S] [--trials N] [--seed K]",
+        ExperimentConfig::from_args,
+    );
     let table = table3(&cfg);
     println!("{}", table.render());
     match write_result("table3.csv", &table.to_csv()) {

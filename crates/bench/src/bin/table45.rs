@@ -4,33 +4,22 @@
 //! Usage: `cargo run --release -p hypart-bench --bin table45 -- \
 //!   [--tol 0.02|0.10] [--scale S] [--reps R] [--instances M] [--seed K]`
 
-use hypart_bench::{table45, write_result, ExperimentConfig};
+use hypart_bench::{parse_or_exit, table45, write_result, Flags};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_args(&args);
-    let mut tol = 0.02f64;
-    let mut reps = 5usize;
-    let mut max_instances = 9usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tol" => {
-                i += 1;
-                tol = args[i].parse().expect("--tol takes a float");
-            }
-            "--reps" => {
-                i += 1;
-                reps = args[i].parse().expect("--reps takes an integer");
-            }
-            "--instances" => {
-                i += 1;
-                max_instances = args[i].parse().expect("--instances takes an integer");
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let usage = "table45 [--tol F] [--scale S] [--reps R] [--instances M] [--seed K]";
+    let (cfg, tol, reps, max_instances) = parse_or_exit(usage, |args| {
+        let flags = Flags::parse(
+            args,
+            &["--tol", "--scale", "--reps", "--instances", "--seed"],
+        )?;
+        Ok((
+            flags.experiment()?,
+            flags.get("--tol", 0.02f64)?,
+            flags.get("--reps", 5usize)?,
+            flags.get("--instances", 9usize)?,
+        ))
+    });
     let table = table45(&cfg, tol, max_instances, reps);
     println!("{}", table.render());
     let which = if tol <= 0.05 { "table4" } else { "table5" };

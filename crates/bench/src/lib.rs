@@ -15,8 +15,8 @@
 //! | Ranking diagram methodology (§3.2) | [`ranking_experiment`] | `ranking_diagram` |
 //! | CLIP corking traces (§2.3) | [`corking_experiment`] | `corking_trace` |
 //!
-//! All functions take an [`ExperimentConfig`] so binaries, integration
-//! tests, and Criterion benches share one code path at different scales.
+//! All functions take an [`ExperimentConfig`] so binaries and tests share
+//! one code path at different scales.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,35 +57,88 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Parses `--scale`, `--trials`, and `--seed` from a CLI argument list
-    /// (unknown arguments are ignored so binaries can add their own).
+    /// Parses `--scale`, `--trials` and `--seed` from a table binary's
+    /// arguments.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message if a flag value is missing or
-    /// unparsable.
-    pub fn from_args(args: &[String]) -> Self {
-        let mut cfg = ExperimentConfig::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let mut take = |what: &str| -> String {
-                i += 1;
-                args.get(i)
-                    .unwrap_or_else(|| panic!("missing value for {what}"))
-                    .clone()
-            };
-            match flag {
-                "--scale" => cfg.scale = take("--scale").parse().expect("--scale takes a float"),
-                "--trials" => {
-                    cfg.trials = take("--trials").parse().expect("--trials takes an integer")
-                }
-                "--seed" => cfg.seed = take("--seed").parse().expect("--seed takes an integer"),
-                _ => {}
+    /// Any other flag, a flag without its value, or a value that is not
+    /// a number of the flag's type.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        Flags::parse(args, &["--scale", "--trials", "--seed"])?.experiment()
+    }
+}
+
+/// A table binary's command line: flag/value pairs, checked against the
+/// flags the binary takes. Every flag takes a value.
+#[derive(Debug)]
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Pairs each flag in `args` with its value.
+    ///
+    /// # Errors
+    ///
+    /// A word that is not in `accepted`, or a flag without its value.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut words = args.iter();
+        while let Some(flag) = words.next() {
+            if !accepted.contains(&flag.as_str()) {
+                return Err(format!("unknown flag `{flag}`"));
             }
-            i += 1;
+            let value = words
+                .next()
+                .ok_or_else(|| format!("{flag} takes a value"))?;
+            pairs.push((flag.clone(), value.clone()));
         }
-        cfg
+        Ok(Flags(pairs))
+    }
+
+    /// The first value given for `flag`, or `default` when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse as a `T`.
+    pub fn get<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        match self.0.iter().find(|(name, _)| name == flag) {
+            None => Ok(default),
+            Some((_, value)) => value.parse().map_err(|_| {
+                format!(
+                    "{flag} takes a {}, got `{value}`",
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
+    }
+
+    /// The experiment parameters `--scale`, `--trials` and `--seed`, each
+    /// defaulting to [`ExperimentConfig::default`]'s value.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse.
+    pub fn experiment(&self) -> Result<ExperimentConfig, String> {
+        let default = ExperimentConfig::default();
+        Ok(ExperimentConfig {
+            scale: self.get("--scale", default.scale)?,
+            trials: self.get("--trials", default.trials)?,
+            seed: self.get("--seed", default.seed)?,
+        })
+    }
+}
+
+/// Parses a table binary's arguments with `parse`. On an error it prints
+/// the error and `usage` to stderr and exits with status 2, as `hypart`
+/// does on a usage error.
+pub fn parse_or_exit<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("error: {message}\n\nusage: {usage}");
+            std::process::exit(2)
+        }
     }
 }
 
@@ -301,8 +354,8 @@ pub fn bsf_experiment(cfg: &ExperimentConfig) -> String {
         flat(FmConfig::clip(), "Flat CLIP"),
         ml(FmConfig::lifo(), "ML LIFO"),
         ml(FmConfig::clip(), "ML CLIP"),
-        Box::new(hypart_baselines::SpectralPartitioner::default()),
-        Box::new(hypart_baselines::AnnealingPartitioner::default()),
+        Box::new(hypart_baselines::SpectralPartitioner),
+        Box::new(hypart_baselines::AnnealingPartitioner),
     ];
     let mut out = String::new();
     out.push_str("heuristic,starts,budget_seconds,expected_best_cut\n");
@@ -351,11 +404,11 @@ pub fn pareto_experiment(cfg: &ExperimentConfig) -> String {
         ),
         (
             "Spectral".into(),
-            Box::new(hypart_baselines::SpectralPartitioner::default()),
+            Box::new(hypart_baselines::SpectralPartitioner),
         ),
         (
             "Annealing".into(),
-            Box::new(hypart_baselines::AnnealingPartitioner::default()),
+            Box::new(hypart_baselines::AnnealingPartitioner),
         ),
     ];
     for (label, heuristic) in &configs {
@@ -688,16 +741,30 @@ mod tests {
         }
     }
 
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
     #[test]
     fn config_from_args() {
-        let args: Vec<String> = ["--scale", "0.3", "--trials", "7", "--seed", "12", "--junk"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cfg = ExperimentConfig::from_args(&args);
+        let cfg = ExperimentConfig::from_args(&words("--scale 0.3 --trials 7 --seed 12")).unwrap();
         assert_eq!(cfg.scale, 0.3);
         assert_eq!(cfg.trials, 7);
         assert_eq!(cfg.seed, 12);
+        for (line, error) in [
+            ("--scale 0.3 --junk 1", "unknown flag `--junk`"),
+            ("--trial 50", "unknown flag `--trial`"),
+            ("--trials", "--trials takes a value"),
+            ("--trials 2.5", "--trials takes a usize, got `2.5`"),
+            ("--seed -1", "--seed takes a u64, got `-1`"),
+            ("--scale x", "--scale takes a f64, got `x`"),
+            ("--tol 0.1", "unknown flag `--tol`"),
+        ] {
+            assert_eq!(
+                ExperimentConfig::from_args(&words(line)),
+                Err(error.to_string())
+            );
+        }
     }
 
     #[test]
@@ -739,6 +806,29 @@ mod tests {
         let t = fixed_terminals_experiment(&tiny_cfg());
         assert_eq!(t.num_rows(), 4);
         assert!(t.render().contains("50%"));
+    }
+
+    /// The baselines report their own names, so no BSF series is
+    /// unnamed.
+    #[test]
+    fn bsf_rows_name_every_heuristic() {
+        let report = bsf_experiment(&tiny_cfg());
+        let mut names: Vec<&str> = report
+            .lines()
+            .skip(1)
+            .take_while(|row| !row.is_empty())
+            .map(|row| row.split(',').next().unwrap())
+            .collect();
+        names.dedup();
+        let expected = [
+            "Flat LIFO",
+            "Flat CLIP",
+            "ML LIFO",
+            "ML CLIP",
+            "Spectral",
+            "Annealing",
+        ];
+        assert_eq!(names, expected);
     }
 
     #[test]

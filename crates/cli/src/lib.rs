@@ -38,7 +38,7 @@ use hypart_eval::report::Report;
 use hypart_eval::runner::{run_trials_with, FlatFmHeuristic, MlHeuristic};
 use hypart_eval::stats::wilcoxon_rank_sum;
 use hypart_hypergraph::{io, Hypergraph, PartId};
-use hypart_kway::{recursive_bisection_with, KWayBalance, KWayConfig, KWayFmPartitioner};
+use hypart_kway::{recursive_bisection_with, KWayBalance, KWayFmPartitioner};
 use hypart_ml::{multi_start_with, EngineKind, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_place::{hpwl, PlacerConfig, Rect, RowLegalizer, TopDownPlacer};
 use hypart_trace::{CounterSink, JsonlSink, TeeSink};
@@ -1096,9 +1096,7 @@ fn partition_with(
     } else {
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, tolerance);
         let out = match engine {
-            Engine::Kway => {
-                KWayFmPartitioner::new(KWayConfig::default()).run_with(h, &balance, ctx)
-            }
+            Engine::Kway => KWayFmPartitioner::new().run_with(h, &balance, ctx),
             _ => recursive_bisection_with(
                 h,
                 k,

@@ -77,12 +77,6 @@ impl Hierarchy {
         self.levels.last().map(|l| &l.graph)
     }
 
-    /// Unwraps back into the owned level stack (for callers that want to
-    /// continue a legacy `Vec<CoarseLevel>` code path).
-    pub fn into_levels(self) -> Vec<CoarseLevel> {
-        self.levels
-    }
-
     /// Freezes the hierarchy into a cheaply clonable shared handle.
     pub fn into_shared(self) -> SharedHierarchy {
         Arc::new(self)

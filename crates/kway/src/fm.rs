@@ -21,62 +21,6 @@ use hypart_core::{
 use hypart_hypergraph::{Hypergraph, VertexId};
 use hypart_trace::{RunEvent, TraceSink};
 
-/// Configuration of the direct k-way FM engine.
-///
-/// The knob set is intentionally smaller than the 2-way engine's: the
-/// paper's implicit-decision study is a 2-way experiment, so the k-way
-/// engine fixes the strong choices (LIFO by default, `Nonzero`-style
-/// zero-delta skipping, head-only bucket inspection) and keeps only the
-/// knobs with k-way-specific meaning.
-///
-/// Every field has a `with_*` builder:
-///
-/// | knob | Table 1 counterpart | strong default |
-/// |------|---------------------|----------------|
-/// | [`insertion`](Self::insertion) | LIFO / FIFO / random rows | `Lifo` |
-/// | [`max_passes`](Self::max_passes) | pass-limit stop rule | `32` |
-/// | [`exclude_overweight`](Self::exclude_overweight) | §2.3 anti-corking fix | `true` |
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct KWayConfig {
-    /// Bucket insertion policy.
-    pub insertion: InsertionPolicy,
-    /// Upper bound on refinement passes.
-    pub max_passes: usize,
-    /// Exclude cells wider than the balance window from the gain
-    /// containers (anti-corking, exactly as in 2-way).
-    pub exclude_overweight: bool,
-}
-
-impl Default for KWayConfig {
-    fn default() -> Self {
-        KWayConfig {
-            insertion: InsertionPolicy::Lifo,
-            max_passes: 32,
-            exclude_overweight: true,
-        }
-    }
-}
-
-impl KWayConfig {
-    /// Replaces the bucket insertion policy (builder-style).
-    pub fn with_insertion(mut self, insertion: InsertionPolicy) -> Self {
-        self.insertion = insertion;
-        self
-    }
-
-    /// Sets the refinement pass ceiling (builder-style).
-    pub fn with_max_passes(mut self, max_passes: usize) -> Self {
-        self.max_passes = max_passes;
-        self
-    }
-
-    /// Enables or disables overweight-cell exclusion (builder-style).
-    pub fn with_exclude_overweight(mut self, exclude_overweight: bool) -> Self {
-        self.exclude_overweight = exclude_overweight;
-        self
-    }
-}
-
 /// Result of a k-way partitioning run.
 #[derive(Clone, Debug)]
 pub struct KWayOutcome {
@@ -109,20 +53,32 @@ impl KWayOutcome {
 }
 
 /// A direct k-way FM partitioner.
-#[derive(Clone, Debug)]
-pub struct KWayFmPartitioner {
-    config: KWayConfig,
-}
+///
+/// The engine has no knobs: the paper's implicit-decision study is a
+/// 2-way experiment, so the k-way engine fixes the strong choices
+/// (`Nonzero`-style zero-delta skipping, head-only bucket inspection)
+/// and names the rest as constants:
+///
+/// | decision | Table 1 counterpart | fixed value |
+/// |----------|---------------------|-------------|
+/// | [`INSERTION`](Self::INSERTION) | LIFO / FIFO / random rows | `Lifo` |
+/// | [`MAX_PASSES`](Self::MAX_PASSES) | pass-limit stop rule | `32` |
+/// | [`EXCLUDE_OVERWEIGHT`](Self::EXCLUDE_OVERWEIGHT) | §2.3 anti-corking fix | `true` |
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KWayFmPartitioner;
 
 impl KWayFmPartitioner {
-    /// Creates a partitioner with the given configuration.
-    pub fn new(config: KWayConfig) -> Self {
-        KWayFmPartitioner { config }
-    }
+    /// Bucket insertion policy of every gain container.
+    pub const INSERTION: InsertionPolicy = InsertionPolicy::Lifo;
+    /// Upper bound on refinement passes.
+    pub const MAX_PASSES: usize = 32;
+    /// Cells wider than the balance window stay out of the gain
+    /// containers (anti-corking, exactly as in 2-way).
+    pub const EXCLUDE_OVERWEIGHT: bool = true;
 
-    /// The active configuration.
-    pub fn config(&self) -> &KWayConfig {
-        &self.config
+    /// Creates the partitioner.
+    pub fn new() -> Self {
+        KWayFmPartitioner
     }
 
     /// The canonical run entry point: a complete k-way partitioning of
@@ -171,9 +127,9 @@ impl KWayFmPartitioner {
 
     /// The canonical refinement entry point: passes on `partition` until
     /// a pass stops improving the lexicographic (violation, cut) score,
-    /// `max_passes` is reached, or the context's budget runs out. The
-    /// k·(k−1) container grid (stored as a k² pool for direct
-    /// `from·k + to` indexing) is re-targeted in place from
+    /// [`MAX_PASSES`](Self::MAX_PASSES) is reached, or the context's
+    /// budget runs out. The k·(k−1) container grid (stored as a k² pool
+    /// for direct `from·k + to` indexing) is re-targeted in place from
     /// `ctx.workspace` instead of allocated per refinement — the k-way
     /// analogue of the 2-way engine's workspace reuse, and a much larger
     /// saving since the grid is k² containers wide.
@@ -218,7 +174,7 @@ impl KWayFmPartitioner {
         }
         let mut audit_failure: Option<AuditError> = None;
         let mut passes = 0;
-        for pass in 0..self.config.max_passes {
+        for pass in 0..Self::MAX_PASSES {
             if probe.stop_now().is_some() {
                 break;
             }
@@ -291,7 +247,7 @@ impl KWayFmPartitioner {
             if graph.is_fixed(v) {
                 continue;
             }
-            if self.config.exclude_overweight && graph.vertex_weight(v) > window {
+            if Self::EXCLUDE_OVERWEIGHT && graph.vertex_weight(v) > window {
                 excluded_overweight += 1;
                 continue;
             }
@@ -302,7 +258,7 @@ impl KWayFmPartitioner {
                     containers[from * k + to].insert(
                         v,
                         partition.gain(v, to),
-                        self.config.insertion,
+                        Self::INSERTION,
                         rng,
                     );
                 }
@@ -508,7 +464,7 @@ impl KWayFmPartitioner {
                     if delta != 0 {
                         let container = &mut containers[s * k + t];
                         let key = container.key_of(y);
-                        container.update(y, key + delta, self.config.insertion, rng);
+                        container.update(y, key + delta, Self::INSERTION, rng);
                     }
                 }
             }
@@ -602,7 +558,7 @@ mod tests {
         let h = b.build().unwrap();
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.25);
         let best = (0..10u64)
-            .map(|s| KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, s))
+            .map(|s| KWayFmPartitioner::new().run(&h, &balance, s))
             .filter(|o| o.is_balanced(&balance))
             .map(|o| o.cut)
             .min()
@@ -614,7 +570,7 @@ mod tests {
     fn outcomes_verify_against_scratch() {
         let h = mcnc_like(300, 3);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.20);
-        let out = KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, 7);
+        let out = KWayFmPartitioner::new().run(&h, &balance, 7);
         let p = KWayPartition::new(&h, 4, out.assignment.clone());
         assert_eq!(p.cut(), out.cut);
         assert_eq!(p.recompute_cut(), out.cut);
@@ -630,12 +586,7 @@ mod tests {
         let assignment = initial_kway(&h, 3, &mut rng);
         let mut p = KWayPartition::new(&h, 3, assignment);
         let before = (balance.total_violation(&p), p.cut());
-        KWayFmPartitioner::new(KWayConfig::default()).refine_with(
-            &mut p,
-            &balance,
-            &mut rng,
-            &mut RunCtx::new(0),
-        );
+        KWayFmPartitioner::new().refine_with(&mut p, &balance, &mut rng, &mut RunCtx::new(0));
         let after = (balance.total_violation(&p), p.cut());
         assert!(after <= before);
         assert_eq!(p.cut(), p.recompute_cut());
@@ -646,11 +597,7 @@ mod tests {
         let h = two_clusters(8, 3);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 2, 0.15);
         let best = (0..10u64)
-            .map(|s| {
-                KWayFmPartitioner::new(KWayConfig::default())
-                    .run(&h, &balance, s)
-                    .cut
-            })
+            .map(|s| KWayFmPartitioner::new().run(&h, &balance, s).cut)
             .min()
             .expect("runs");
         assert_eq!(best, 3);
@@ -660,7 +607,7 @@ mod tests {
     fn deterministic_per_seed() {
         let h = grid(10, 10);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.20);
-        let engine = KWayFmPartitioner::new(KWayConfig::default());
+        let engine = KWayFmPartitioner::new();
         let a = engine.run(&h, &balance, 5);
         let b = engine.run(&h, &balance, 5);
         assert_eq!(a.assignment, b.assignment);
@@ -672,7 +619,7 @@ mod tests {
         use hypart_hypergraph::PartId;
         let h = mcnc_like(100, 9).with_fixed(hypart_hypergraph::VertexId::new(0), Some(PartId::P1));
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.30);
-        let out = KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, 1);
+        let out = KWayFmPartitioner::new().run(&h, &balance, 1);
         assert_eq!(out.assignment[0], 1);
     }
 
@@ -680,7 +627,7 @@ mod tests {
     fn part_weights_sum_to_total() {
         let h = mcnc_like(200, 4);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 5, 0.25);
-        let out = KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, 3);
+        let out = KWayFmPartitioner::new().run(&h, &balance, 3);
         assert_eq!(
             out.part_weights.iter().sum::<u64>(),
             h.total_vertex_weight()

@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use hypart_kway::{recursive_bisection, KWayBalance, KWayConfig};
+//! use hypart_kway::{recursive_bisection, KWayBalance};
 //! use hypart_ml::MlConfig;
 //! use hypart_benchgen::toys::grid;
 //!
@@ -50,7 +50,7 @@ mod partition;
 mod recursive;
 
 pub use balance::KWayBalance;
-pub use fm::{KWayConfig, KWayFmPartitioner, KWayOutcome};
-pub use multilevel::{MlKWayConfig, MlKWayPartitioner};
+pub use fm::{KWayFmPartitioner, KWayOutcome};
+pub use multilevel::MlKWayPartitioner;
 pub use partition::KWayPartition;
 pub use recursive::{recursive_bisection, recursive_bisection_with};

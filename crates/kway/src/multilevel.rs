@@ -8,79 +8,35 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::balance::KWayBalance;
-use crate::fm::{record_kway_audit, KWayConfig, KWayFmPartitioner, KWayOutcome};
+use crate::fm::{record_kway_audit, KWayFmPartitioner, KWayOutcome};
 use crate::partition::KWayPartition;
 use hypart_core::{AuditError, RunCtx, StopReason};
 use hypart_hypergraph::Hypergraph;
 use hypart_ml::coarsen::{build_hierarchy_with, CoarsenConfig};
 use hypart_trace::RunEvent;
 
-/// Configuration of the multilevel k-way partitioner.
-///
-/// Every field has a `with_*` builder, mirroring the 2-way
-/// `MlConfig`/`FmConfig` surface:
-///
-/// | knob | role |
-/// |------|------|
-/// | [`refine`](Self::refine) | flat k-way engine at every level |
-/// | [`coarsen`](Self::coarsen) | clustering schedule (shared with 2-way ML) |
-/// | [`initial_tries`](Self::initial_tries) | seeded starts on the coarsest graph |
-#[derive(Clone, Debug, PartialEq)]
-pub struct MlKWayConfig {
-    /// Flat k-way engine used for refinement at every level.
-    pub refine: KWayConfig,
-    /// Coarsening parameters (shared with the 2-way multilevel framework).
-    pub coarsen: CoarsenConfig,
-    /// Seeded initial k-way partitions tried on the coarsest graph.
-    pub initial_tries: usize,
-}
-
-impl Default for MlKWayConfig {
-    fn default() -> Self {
-        MlKWayConfig {
-            refine: KWayConfig::default(),
-            coarsen: CoarsenConfig::default(),
-            initial_tries: 8,
-        }
-    }
-}
-
-impl MlKWayConfig {
-    /// Replaces the flat k-way refinement engine config (builder-style).
-    pub fn with_refine(mut self, refine: KWayConfig) -> Self {
-        self.refine = refine;
-        self
-    }
-
-    /// Replaces the coarsening parameters (builder-style).
-    pub fn with_coarsen(mut self, coarsen: CoarsenConfig) -> Self {
-        self.coarsen = coarsen;
-        self
-    }
-
-    /// Sets how many seeded initial k-way partitions are tried on the
-    /// coarsest graph (builder-style; clamped to at least 1 at run time).
-    pub fn with_initial_tries(mut self, initial_tries: usize) -> Self {
-        self.initial_tries = initial_tries;
-        self
-    }
-}
-
 /// A multilevel k-way partitioner.
-#[derive(Clone, Debug)]
+///
+/// Its one knob is the clustering schedule, a [`CoarsenConfig`] shared
+/// with 2-way multilevel. The rest is fixed:
+///
+/// | decision | fixed value |
+/// |----------|-------------|
+/// | flat engine at every level | [`KWayFmPartitioner`] |
+/// | [`INITIAL_TRIES`](Self::INITIAL_TRIES): seeded starts on the coarsest graph | `8` |
+#[derive(Clone, Debug, Default)]
 pub struct MlKWayPartitioner {
-    config: MlKWayConfig,
+    coarsen: CoarsenConfig,
 }
 
 impl MlKWayPartitioner {
-    /// Creates a partitioner with the given configuration.
-    pub fn new(config: MlKWayConfig) -> Self {
-        MlKWayPartitioner { config }
-    }
+    /// Seeded initial k-way partitions tried on the coarsest graph (best
+    /// kept).
+    pub const INITIAL_TRIES: usize = 8;
 
-    /// The active configuration.
-    pub fn config(&self) -> &MlKWayConfig {
-        &self.config
+    /// Creates a partitioner that coarsens with `coarsen`.
+    pub fn new(coarsen: CoarsenConfig) -> Self {
+        MlKWayPartitioner { coarsen }
     }
 
     /// Runs one multilevel k-way start on `h` from `seed`.
@@ -107,10 +63,9 @@ impl MlKWayPartitioner {
         let k = balance.num_parts();
         let base_seed = ctx.seed;
         let mut rng = SmallRng::seed_from_u64(base_seed);
-        let engine = KWayFmPartitioner::new(self.config.refine);
+        let engine = KWayFmPartitioner::new();
 
-        let levels =
-            build_hierarchy_with(h, &self.config.coarsen, None, &mut rng, &mut ctx.coarsen);
+        let levels = build_hierarchy_with(h, &self.coarsen, None, &mut rng, &mut ctx.coarsen);
         if ctx.sink.is_enabled() {
             for (i, level) in levels.iter().enumerate() {
                 ctx.sink.emit(RunEvent::LevelDown {
@@ -129,7 +84,7 @@ impl MlKWayPartitioner {
         let mut best: Option<(u64, u64, Vec<u16>)> = None;
         let mut stopped = StopReason::Completed;
         let mut audit_failure: Option<AuditError> = None;
-        for t in 0..self.config.initial_tries.max(1) {
+        for t in 0..Self::INITIAL_TRIES {
             ctx.seed = rng.gen::<u64>() ^ t as u64;
             let out = engine.run_with(coarsest, balance, ctx);
             let try_stop = out.stopped;
@@ -215,7 +170,7 @@ mod tests {
     fn quarters_a_grid_near_optimally() {
         let h = grid(16, 16);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
-        let out = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 3);
+        let out = MlKWayPartitioner::default().run(&h, &balance, 3);
         assert!(out.is_balanced(&balance));
         // Two straight cutlines cost 32; allow heuristic slack.
         assert!(out.cut <= 56, "cut {}", out.cut);
@@ -226,19 +181,11 @@ mod tests {
         let h = ispd98_like(1, 0.04, 9);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.20);
         let flat_avg: u64 = (0..3u64)
-            .map(|s| {
-                KWayFmPartitioner::new(KWayConfig::default())
-                    .run(&h, &balance, s)
-                    .cut
-            })
+            .map(|s| KWayFmPartitioner::new().run(&h, &balance, s).cut)
             .sum::<u64>()
             / 3;
         let ml_avg: u64 = (0..3u64)
-            .map(|s| {
-                MlKWayPartitioner::new(MlKWayConfig::default())
-                    .run(&h, &balance, s)
-                    .cut
-            })
+            .map(|s| MlKWayPartitioner::default().run(&h, &balance, s).cut)
             .sum::<u64>()
             / 3;
         assert!(
@@ -251,7 +198,7 @@ mod tests {
     fn competitive_with_recursive_bisection() {
         let h = ispd98_like(2, 0.03, 5);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.20);
-        let ml_kway = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 4);
+        let ml_kway = MlKWayPartitioner::default().run(&h, &balance, 4);
         let recursive = recursive_bisection(&h, 4, 0.20, &MlConfig::default(), 4);
         // Neither should be wildly worse than the other.
         assert!(
@@ -266,8 +213,8 @@ mod tests {
     fn verifies_and_is_deterministic() {
         let h = mcnc_like(500, 7);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 3, 0.25);
-        let a = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 11);
-        let b = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 11);
+        let a = MlKWayPartitioner::default().run(&h, &balance, 11);
+        let b = MlKWayPartitioner::default().run(&h, &balance, 11);
         assert_eq!(a.assignment, b.assignment);
         let p = KWayPartition::new(&h, 3, a.assignment.clone());
         assert_eq!(p.recompute_cut(), a.cut);
@@ -279,7 +226,7 @@ mod tests {
         // Unlike recursive bisection, multilevel k-way handles any k.
         let h = mcnc_like(300, 2);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 5, 0.30);
-        let out = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 1);
+        let out = MlKWayPartitioner::default().run(&h, &balance, 1);
         assert_eq!(out.num_parts, 5);
         assert!(out.is_balanced(&balance));
     }

@@ -141,7 +141,7 @@ pub fn recursive_bisection_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KWayBalance, KWayConfig, KWayFmPartitioner};
+    use crate::{KWayBalance, KWayFmPartitioner};
     use hypart_benchgen::toys::grid;
     use hypart_benchgen::{ispd98_like, mcnc_like};
 
@@ -182,7 +182,7 @@ mod tests {
         let h = ispd98_like(1, 0.03, 21);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.3);
         let recursive = recursive_bisection(&h, 4, 0.3, &MlConfig::default(), 2);
-        let direct = KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, 2);
+        let direct = KWayFmPartitioner::new().run(&h, &balance, 2);
         assert!(
             recursive.cut <= direct.cut * 2,
             "recursive {} vs direct {}",

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use hypart_benchgen::random_hypergraph;
 use hypart_hypergraph::VertexId;
-use hypart_kway::{KWayBalance, KWayConfig, KWayFmPartitioner, KWayPartition};
+use hypart_kway::{KWayBalance, KWayFmPartitioner, KWayPartition};
 
 fn params() -> impl Strategy<Value = (usize, usize, usize, u64, u64, usize)> {
     (
@@ -53,7 +53,7 @@ proptest! {
     fn engine_results_verify((n, m, s, w, seed, k) in params()) {
         let h = random_hypergraph(n, m, s, w, seed);
         let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, 0.5);
-        let out = KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, seed);
+        let out = KWayFmPartitioner::new().run(&h, &balance, seed);
         let p = KWayPartition::new(&h, k, out.assignment.clone());
         prop_assert_eq!(p.recompute_cut(), out.cut);
         prop_assert_eq!(p.recompute_lambda_minus_one(), out.lambda_minus_one);

@@ -46,26 +46,31 @@ pub enum CoarsenScheme {
     HeavyEdge,
 }
 
-/// Parameters of the coarsening process.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Parameters of the coarsening process. Two decisions are fixed
+/// rather than configured: [`SHRINK_THRESHOLD`](Self::SHRINK_THRESHOLD)
+/// and [`CLUSTER_CAP_MULTIPLE`](Self::CLUSTER_CAP_MULTIPLE).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CoarsenConfig {
     /// Matching scheme.
     pub scheme: CoarsenScheme,
     /// Stop coarsening when at most this many vertices remain.
     pub stop_size: usize,
-    /// A level must shrink below this fraction of the previous vertex
-    /// count to be kept; otherwise coarsening stops (guards against
-    /// stalls).
-    pub shrink_threshold: f64,
     /// Nets larger than this are ignored during connectivity computation
     /// (clock-like nets carry no clustering signal and cost O(size²)).
     pub max_net_size_for_matching: usize,
+}
+
+impl CoarsenConfig {
+    /// A level must shrink below this fraction of the previous vertex
+    /// count to be kept; otherwise coarsening stops (guards against
+    /// stalls).
+    pub const SHRINK_THRESHOLD: f64 = 0.95;
     /// Cluster weight cap as a multiple of the current level's average
     /// vertex weight: a cluster may not exceed
-    /// `cluster_cap_multiple × total_weight / |V|` (but a single vertex
+    /// `CLUSTER_CAP_MULTIPLE × total_weight / |V|` (but a single vertex
     /// heavier than that still forms its own singleton cluster). Keeps the
     /// per-level shrink factor in the healthy 2–4× range.
-    pub cluster_cap_multiple: f64,
+    pub const CLUSTER_CAP_MULTIPLE: f64 = 6.0;
 }
 
 impl Default for CoarsenConfig {
@@ -73,9 +78,7 @@ impl Default for CoarsenConfig {
         CoarsenConfig {
             scheme: CoarsenScheme::FirstChoice,
             stop_size: 120,
-            shrink_threshold: 0.95,
             max_net_size_for_matching: 300,
-            cluster_cap_multiple: 6.0,
         }
     }
 }
@@ -102,9 +105,9 @@ pub(crate) fn fingerprint(pins: &[VertexId]) -> u64 {
 
 /// The cluster-weight cap of one coarsening level.
 #[inline]
-pub(crate) fn cluster_cap(h: &Hypergraph, config: &CoarsenConfig) -> u64 {
+pub(crate) fn cluster_cap(h: &Hypergraph) -> u64 {
     let avg_weight = h.total_vertex_weight() as f64 / h.num_vertices() as f64;
-    ((avg_weight * config.cluster_cap_multiple) as u64)
+    ((avg_weight * CoarsenConfig::CLUSTER_CAP_MULTIPLE) as u64)
         .max(h.max_vertex_weight())
         .max(1)
 }
@@ -401,8 +404,9 @@ pub(crate) fn merge_and_build(
 }
 
 /// Performs one coarsening step on `h`. Returns `None` if the result would
-/// not shrink below `config.shrink_threshold` of the input size (coarsening
-/// has stalled) or if `h` is already at or below `config.stop_size`.
+/// not shrink below [`CoarsenConfig::SHRINK_THRESHOLD`] of the input size
+/// (coarsening has stalled) or if `h` is already at or below
+/// `config.stop_size`.
 ///
 /// `restrict`: when `Some(assignment)`, vertices may only cluster with
 /// vertices on the same side (restricted coarsening for V-cycles).
@@ -436,7 +440,7 @@ pub fn coarsen_once_with<R: Rng>(
     if let Some(r) = restrict {
         assert_eq!(r.len(), n, "restriction assignment length mismatch");
     }
-    let cap = cluster_cap(h, config);
+    let cap = cluster_cap(h);
 
     ws.begin_level(n);
     let CoarsenWorkspace {
@@ -528,7 +532,7 @@ pub fn coarsen_once_with<R: Rng>(
     }
 
     let coarse_n = num_clusters as usize;
-    if (coarse_n as f64) > config.shrink_threshold * n as f64 {
+    if (coarse_n as f64) > CoarsenConfig::SHRINK_THRESHOLD * n as f64 {
         return None;
     }
 
@@ -647,7 +651,7 @@ pub fn coarsen_once_reference<R: Rng>(
         assert_eq!(r.len(), n, "restriction assignment length mismatch");
     }
     let avg_weight = h.total_vertex_weight() as f64 / n as f64;
-    let cap = ((avg_weight * config.cluster_cap_multiple) as u64)
+    let cap = ((avg_weight * CoarsenConfig::CLUSTER_CAP_MULTIPLE) as u64)
         .max(h.max_vertex_weight())
         .max(1);
 
@@ -758,7 +762,7 @@ pub fn coarsen_once_reference<R: Rng>(
     }
 
     let coarse_n = num_clusters as usize;
-    if (coarse_n as f64) > config.shrink_threshold * n as f64 {
+    if (coarse_n as f64) > CoarsenConfig::SHRINK_THRESHOLD * n as f64 {
         return None;
     }
 
@@ -970,7 +974,7 @@ mod tests {
         let h = ispd98_like(2, 0.02, 9);
         let cfg = CoarsenConfig::default();
         let avg = h.total_vertex_weight() as f64 / h.num_vertices() as f64;
-        let cap = ((avg * cfg.cluster_cap_multiple) as u64).max(h.max_vertex_weight());
+        let cap = ((avg * CoarsenConfig::CLUSTER_CAP_MULTIPLE) as u64).max(h.max_vertex_weight());
         let level = coarsen_once(&h, &cfg, None, &mut rng()).unwrap();
         for v in level.graph.vertices() {
             assert!(level.graph.vertex_weight(v) <= cap);
@@ -1012,7 +1016,6 @@ mod tests {
             .collect();
         let cfg = CoarsenConfig {
             stop_size: 2,
-            cluster_cap_multiple: 100.0,
             ..CoarsenConfig::default()
         };
         let mut ws = CoarsenWorkspace::new();

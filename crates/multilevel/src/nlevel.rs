@@ -52,7 +52,7 @@ fn limits_for(h: &Hypergraph, config: &MlConfig) -> ContractionLimits {
     ContractionLimits {
         stop_size: config.coarsen.stop_size,
         max_net_size: config.coarsen.max_net_size_for_matching,
-        cluster_cap: cluster_cap(h, &config.coarsen),
+        cluster_cap: cluster_cap(h),
     }
 }
 

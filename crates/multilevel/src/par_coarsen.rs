@@ -175,7 +175,7 @@ pub fn coarsen_once_par_with<R: Rng>(
     if let Some(r) = restrict {
         assert_eq!(r.len(), n, "restriction assignment length mismatch");
     }
-    let cap = cluster_cap(h, config);
+    let cap = cluster_cap(h);
 
     ws.begin_level(n);
     if ws.net_stamp.len() < h.num_nets() {
@@ -362,7 +362,7 @@ pub fn coarsen_once_par_with<R: Rng>(
     }
 
     let coarse_n = num_clusters as usize;
-    if (coarse_n as f64) > config.shrink_threshold * n as f64 {
+    if (coarse_n as f64) > CoarsenConfig::SHRINK_THRESHOLD * n as f64 {
         return None;
     }
 
@@ -639,7 +639,7 @@ mod tests {
         let Some(level) = level else {
             return; // a stall is a legal outcome
         };
-        let cap = cluster_cap(&h, &config);
+        let cap = cluster_cap(&h);
         for v in level.graph.vertices() {
             assert!(
                 level.graph.vertex_weight(v) <= cap,

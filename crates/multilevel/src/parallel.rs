@@ -163,12 +163,13 @@ impl MlPartitioner {
     }
 }
 
-/// The parallel initial-partition portfolio: `initial_tries` seeded
-/// starts, each a pure function of `derive_seed(ctx.seed, t)`, spread
-/// over the lanes in contiguous chunks. Each try buffers its trace in a
-/// private [`MemorySink`]; buffers are flushed in try order, so the
-/// emitted stream — and the winner, chosen by `(violation, cut, try)` —
-/// is independent of the lane count and the physical thread count.
+/// The parallel initial-partition portfolio:
+/// [`MlConfig::INITIAL_TRIES`] seeded starts, each a pure function of
+/// `derive_seed(ctx.seed, t)`, spread over the lanes in contiguous
+/// chunks. Each try buffers its trace in a private [`MemorySink`];
+/// buffers are flushed in try order, so the emitted stream — and the
+/// winner, chosen by `(violation, cut, try)` — is independent of the
+/// lane count and the physical thread count.
 ///
 /// A panicking try is dropped and announced with
 /// [`RunEvent::StartAborted`]; the portfolio degrades to the best of the
@@ -200,7 +201,7 @@ fn parallel_initial(
     lane_count: usize,
     audit_failure: &mut Option<AuditError>,
 ) -> Vec<PartId> {
-    let tries = config.initial_tries.max(1);
+    let tries = MlConfig::INITIAL_TRIES;
     let engine = FmPartitioner::new(config.refine);
     let base_seed = ctx.seed;
     let traced = ctx.sink.is_enabled();

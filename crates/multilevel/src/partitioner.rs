@@ -21,8 +21,11 @@ use hypart_trace::{RunEvent, TraceSink};
 /// |------|------|--------------------|
 /// | [`refine`](Self::refine) | flat engine at every level | selects the ML LIFO / ML CLIP row family |
 /// | [`coarsen`](Self::coarsen) | clustering schedule | fixed across the grid (FirstChoice-style) |
-/// | [`initial_tries`](Self::initial_tries) | seeded starts on the coarsest graph | fixed across the grid |
 /// | [`engine`](Self::engine) | multilevel backend | `MlCoarse` = Table 1 ML rows; `NLevel` adds an n-level row family |
+///
+/// The initial partition is the best of
+/// [`INITIAL_TRIES`](Self::INITIAL_TRIES) seeded starts on the coarsest
+/// graph, fixed across the grid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MlConfig {
     /// Flat engine used for refinement at every level — ML LIFO vs ML CLIP
@@ -30,9 +33,6 @@ pub struct MlConfig {
     pub refine: FmConfig,
     /// Coarsening parameters.
     pub coarsen: CoarsenConfig,
-    /// Number of seeded initial partitions tried on the coarsest graph
-    /// (best kept).
-    pub initial_tries: usize,
     /// Number of parallel lanes of the shared-memory engine. `0` (the
     /// default) selects the serial legacy engine; `>= 1` selects the
     /// parallel engine with that many logical lanes (the physical worker
@@ -61,7 +61,6 @@ impl Default for MlConfig {
         MlConfig {
             refine: FmConfig::lifo(),
             coarsen: CoarsenConfig::default(),
-            initial_tries: 10,
             threads: 0,
             deterministic: true,
             engine: EngineKind::MlCoarse,
@@ -70,6 +69,9 @@ impl Default for MlConfig {
 }
 
 impl MlConfig {
+    /// Seeded initial partitions tried on the coarsest graph (best kept).
+    pub const INITIAL_TRIES: usize = 10;
+
     /// ML LIFO: multilevel with the classic LIFO FM refinement engine.
     pub fn ml_lifo() -> Self {
         MlConfig::default()
@@ -92,13 +94,6 @@ impl MlConfig {
     /// Replaces the coarsening parameters (builder-style).
     pub fn with_coarsen(mut self, coarsen: CoarsenConfig) -> Self {
         self.coarsen = coarsen;
-        self
-    }
-
-    /// Sets how many seeded initial partitions are tried on the coarsest
-    /// graph (builder-style; clamped to at least 1 at run time).
-    pub fn with_initial_tries(mut self, initial_tries: usize) -> Self {
-        self.initial_tries = initial_tries;
         self
     }
 
@@ -343,7 +338,7 @@ impl MlPartitioner {
     ) -> Vec<PartId> {
         let engine = FmPartitioner::new(self.config.refine);
         let mut best: Option<(u64, u64, Vec<PartId>)> = None; // (violation, cut, parts)
-        for t in 0..self.config.initial_tries.max(1) {
+        for t in 0..MlConfig::INITIAL_TRIES {
             let rule = if t % 2 == 0 {
                 InitialSolution::AreaSortedGreedy
             } else {

@@ -114,7 +114,6 @@ fn config(scheme: CoarsenScheme, max_net_size: usize) -> CoarsenConfig {
         scheme,
         stop_size: 2,
         max_net_size_for_matching: max_net_size,
-        ..CoarsenConfig::default()
     }
 }
 

@@ -195,7 +195,6 @@ fn twin_config(scheme: CoarsenScheme, max_net_size: usize) -> CoarsenConfig {
         scheme,
         stop_size: 2,
         max_net_size_for_matching: max_net_size,
-        ..CoarsenConfig::default()
     }
 }
 

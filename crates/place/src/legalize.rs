@@ -7,6 +7,8 @@
 //! the discrete nature of cell rows — is exactly why horizontal cutlines
 //! need tighter balance: rows quantize capacity.)
 
+use std::cmp::Ordering;
+
 use hypart_hypergraph::{Hypergraph, VertexId};
 
 use crate::geometry::{Placement, Point, Rect};
@@ -87,12 +89,14 @@ impl RowLegalizer {
             // If every row is "full" (over-utilized die), spill into the
             // least-used row rather than failing.
             let r = chosen.unwrap_or_else(|| {
-                row_used
+                match row_used
                     .iter()
                     .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN"))
-                    .map(|(i, _)| i)
-                    .expect("rows >= 1")
+                    .min_by(|a, b| by_value(*a.1, *b.1))
+                {
+                    Some((i, _)) => i,
+                    None => unreachable!("rows >= 1"),
+                }
             });
             row_used[r] += width;
             members[r].push(v);
@@ -103,13 +107,8 @@ impl RowLegalizer {
         let mut legal = Placement::new(h.num_vertices());
         let mut total_displacement = 0.0;
         for (r, row_members) in members.iter_mut().enumerate() {
-            row_members.sort_by(|&a, &b| {
-                placement
-                    .position(a)
-                    .x
-                    .partial_cmp(&placement.position(b).x)
-                    .expect("no NaN")
-            });
+            row_members
+                .sort_by(|&a, &b| by_value(placement.position(a).x, placement.position(b).x));
             // Position-preserving packing: each cell goes as close to its
             // coarse x as the already-packed prefix allows, then the whole
             // row is shifted left if it overflowed the right edge.
@@ -151,11 +150,20 @@ impl RowLegalizer {
     }
 }
 
+/// Orders two coordinates or row loads, which are never NaN.
+fn by_value(a: f64, b: f64) -> Ordering {
+    match a.partial_cmp(&b) {
+        Some(order) => order,
+        None => unreachable!("coordinates and row loads are never NaN"),
+    }
+}
+
 fn cell_width(h: &Hypergraph, v: VertexId, row_height: f64) -> f64 {
     (h.vertex_weight(v) as f64 / row_height).max(f64::EPSILON)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::placer::{PlacerConfig, TopDownPlacer};

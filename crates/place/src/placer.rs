@@ -11,25 +11,25 @@ use crate::geometry::{Placement, Point, Rect};
 pub struct PlacerConfig {
     /// Multilevel partitioner used at every bisection node.
     pub ml: MlConfig,
-    /// Balance tolerance per split (fraction of region weight).
-    pub tolerance: f64,
-    /// Regions at or below this many cells are placed directly.
-    pub min_region_cells: usize,
-    /// Recursion depth cap (safety bound; 2^depth regions).
-    pub max_depth: usize,
     /// Dunlop–Kernighan terminal propagation: project external pins of
     /// crossing nets onto the region and pin them as fixed zero-weight
     /// pseudo-terminals. Disable to measure its effect.
     pub terminal_propagation: bool,
 }
 
+impl PlacerConfig {
+    /// Balance tolerance per split (fraction of region weight).
+    pub const TOLERANCE: f64 = 0.10;
+    /// Regions at or below this many cells are placed directly.
+    pub const MIN_REGION_CELLS: usize = 8;
+    /// Recursion depth cap (safety bound; 2^depth regions).
+    pub const MAX_DEPTH: usize = 24;
+}
+
 impl Default for PlacerConfig {
     fn default() -> Self {
         PlacerConfig {
             ml: MlConfig::default(),
-            tolerance: 0.10,
-            min_region_cells: 8,
-            max_depth: 24,
             terminal_propagation: true,
         }
     }
@@ -70,7 +70,7 @@ impl TopDownPlacer {
         let mut region_counter: u64 = 0;
 
         while let Some((cells, rect, depth)) = queue.pop() {
-            if cells.len() <= self.config.min_region_cells || depth >= self.config.max_depth {
+            if cells.len() <= PlacerConfig::MIN_REGION_CELLS || depth >= PlacerConfig::MAX_DEPTH {
                 place_leaf(&cells, rect, &mut placement);
                 continue;
             }
@@ -78,8 +78,10 @@ impl TopDownPlacer {
             let split_vertical = rect.width() >= rect.height();
             let (sub, dummies) =
                 self.build_region_instance(h, &cells, rect, split_vertical, &placement);
-            let constraint =
-                BalanceConstraint::with_fraction(sub.total_vertex_weight(), self.config.tolerance);
+            let constraint = BalanceConstraint::with_fraction(
+                sub.total_vertex_weight(),
+                PlacerConfig::TOLERANCE,
+            );
             let out = ml.run(
                 &sub,
                 &constraint,
@@ -190,16 +192,16 @@ impl TopDownPlacer {
                     dummies_used += 1;
                 }
                 if pins.len() >= 2 {
-                    builder
-                        .add_net(pins, h.net_weight(e))
-                        .expect("region pins are valid");
+                    if let Err(err) = builder.add_net(pins, h.net_weight(e)) {
+                        unreachable!("region pins are distinct region vertices: {err}");
+                    }
                 }
             }
         }
-        (
-            builder.build().expect("region instance is valid"),
-            dummies_used,
-        )
+        match builder.build() {
+            Ok(sub) => (sub, dummies_used),
+            Err(e) => unreachable!("a region instance is a valid hypergraph: {e}"),
+        }
     }
 }
 
@@ -309,7 +311,7 @@ mod tests {
     fn tiny_instance_is_a_single_leaf() {
         let h = mcnc_like(8, 1);
         let placement = TopDownPlacer::new(PlacerConfig::default()).run(&h, die(), 0);
-        // 8 cells <= min_region_cells: straight to the leaf grid.
+        // 8 cells <= MIN_REGION_CELLS: straight to the leaf grid.
         let mut xs: Vec<f64> = placement.iter().map(|(_, p)| p.x).collect();
         xs.dedup();
         assert!(xs.len() > 1, "leaf grid should spread cells");

@@ -49,6 +49,7 @@ pub fn hpwl(h: &Hypergraph, placement: &Placement) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::geometry::Point;

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 
 use hypart_core::SharedHierarchy;
 use hypart_hypergraph::Hypergraph;
-use hypart_ml::coarsen::{CoarsenConfig, CoarsenScheme};
+use hypart_ml::coarsen::CoarsenConfig;
 
 /// A map holding at most `capacity` entries: inserting a new key past
 /// the bound evicts the oldest key. Replacing a key's value keeps its
@@ -140,19 +140,12 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> CountedCache<K, V> {
     }
 }
 
-/// The hierarchy-cache key: instance digest plus every knob the
-/// hierarchy depends on. `CoarsenConfig` carries `f64` fields, so the
-/// key stores their IEEE bit patterns — exact equality, no float
-/// comparison pitfalls (a NaN-configured cache key would simply never
-/// hit).
+/// The hierarchy-cache key: instance digest, coarsening config and seed
+/// — everything the hierarchy depends on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HierarchyKey {
     digest: u128,
-    scheme: u8,
-    stop_size: usize,
-    shrink_bits: u64,
-    max_net_size: usize,
-    cap_bits: u64,
+    coarsen: CoarsenConfig,
     seed: u64,
 }
 
@@ -161,14 +154,7 @@ impl HierarchyKey {
     pub fn new(digest: u128, config: &CoarsenConfig, seed: u64) -> Self {
         HierarchyKey {
             digest,
-            scheme: match config.scheme {
-                CoarsenScheme::FirstChoice => 0,
-                CoarsenScheme::HeavyEdge => 1,
-            },
-            stop_size: config.stop_size,
-            shrink_bits: config.shrink_threshold.to_bits(),
-            max_net_size: config.max_net_size_for_matching,
-            cap_bits: config.cluster_cap_multiple.to_bits(),
+            coarsen: *config,
             seed,
         }
     }
@@ -179,6 +165,7 @@ impl HierarchyKey {
 mod tests {
     use super::*;
     use hypart_core::Hierarchy;
+    use hypart_ml::coarsen::CoarsenScheme;
 
     fn toy_graph(n: usize) -> Arc<Hypergraph> {
         let mut b = hypart_hypergraph::HypergraphBuilder::new();
@@ -220,10 +207,7 @@ mod tests {
         cfg.stop_size += 1;
         assert_ne!(k0, HierarchyKey::new(1, &cfg, 7));
         let mut cfg = base;
-        cfg.shrink_threshold += 0.01;
-        assert_ne!(k0, HierarchyKey::new(1, &cfg, 7));
-        let mut cfg = base;
-        cfg.cluster_cap_multiple += 0.5;
+        cfg.max_net_size_for_matching += 1;
         assert_ne!(k0, HierarchyKey::new(1, &cfg, 7));
     }
 

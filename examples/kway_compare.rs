@@ -28,7 +28,7 @@ fn main() {
         );
 
         let t = Instant::now();
-        let direct = KWayFmPartitioner::new(KWayConfig::default()).run(&h, &balance, 5);
+        let direct = KWayFmPartitioner::new().run(&h, &balance, 5);
         let direct_time = t.elapsed();
 
         let t = Instant::now();
@@ -36,7 +36,7 @@ fn main() {
         let recursive_time = t.elapsed();
 
         let t = Instant::now();
-        let ml_kway = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 5);
+        let ml_kway = MlKWayPartitioner::default().run(&h, &balance, 5);
         let ml_kway_time = t.elapsed();
 
         for (name, out, time) in [

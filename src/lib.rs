@@ -71,8 +71,8 @@ pub mod prelude {
     };
     pub use hypart_hypergraph::{Hypergraph, HypergraphBuilder, NetId, PartId, VertexId};
     pub use hypart_kway::{
-        recursive_bisection, recursive_bisection_with, KWayBalance, KWayConfig, KWayFmPartitioner,
-        MlKWayConfig, MlKWayPartitioner,
+        recursive_bisection, recursive_bisection_with, KWayBalance, KWayFmPartitioner,
+        MlKWayPartitioner,
     };
     pub use hypart_ml::{
         multi_start_with, MlConfig, MlPartitioner, MultiStartOutcome, MultiStartPlan, Starts,

@@ -3,7 +3,7 @@
 
 use hypart::baselines::{AnnealingPartitioner, SpectralPartitioner};
 use hypart::benchgen::{ispd98_like, mcnc_like};
-use hypart::kway::{KWayPartition, MlKWayConfig, MlKWayPartitioner};
+use hypart::kway::{KWayPartition, MlKWayPartitioner};
 use hypart::place::{hpwl, Placement, Point, RowLegalizer};
 use hypart::prelude::*;
 
@@ -47,7 +47,7 @@ fn placement_stack_end_to_end() {
 fn kway_stack_agrees_with_two_way_on_k2() {
     let h = mcnc_like(300, 2);
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 2, 0.10);
-    let kway = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 4);
+    let kway = MlKWayPartitioner::default().run(&h, &balance, 4);
     assert!(kway.is_balanced(&balance));
 
     // Evaluate the same assignment through the 2-way model.
@@ -74,7 +74,7 @@ fn kway_stack_agrees_with_two_way_on_k2() {
 fn kway_outcome_verifies_for_odd_k() {
     let h = ispd98_like(2, 0.02, 11);
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 3, 0.25);
-    let out = MlKWayPartitioner::new(MlKWayConfig::default()).run(&h, &balance, 1);
+    let out = MlKWayPartitioner::default().run(&h, &balance, 1);
     let p = KWayPartition::new(&h, 3, out.assignment.clone());
     assert_eq!(p.recompute_cut(), out.cut);
     assert_eq!(p.recompute_lambda_minus_one(), out.lambda_minus_one);
@@ -87,8 +87,8 @@ fn baselines_run_through_the_eval_harness() {
     let h = mcnc_like(200, 7);
     let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
     let heuristics: Vec<Box<dyn Heuristic>> = vec![
-        Box::new(SpectralPartitioner::default()),
-        Box::new(AnnealingPartitioner::default()),
+        Box::new(SpectralPartitioner),
+        Box::new(AnnealingPartitioner),
     ];
     for heuristic in &heuristics {
         let set = run_trials_with(heuristic.as_ref(), &h, &c, 3, &mut RunCtx::new(1));
@@ -116,7 +116,7 @@ fn spectral_vs_fm_through_the_pareto_machinery() {
         5,
         &mut RunCtx::new(0),
     );
-    let sp = SpectralPartitioner::default();
+    let sp = SpectralPartitioner;
     let sp_set = run_trials_with(&sp, &h, &c, 5, &mut RunCtx::new(0));
     let points = vec![
         PerfPoint::new("fm", fm_set.avg_cut(), fm_set.avg_seconds()),

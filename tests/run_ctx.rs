@@ -62,7 +62,7 @@ fn wrappers_reproduce_canonical_jsonl_streams() {
 
     // Direct k-way: run vs run_with.
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
-    let kway = KWayFmPartitioner::new(KWayConfig::default());
+    let kway = KWayFmPartitioner::new();
     let wrapped = kway.run(&h, &balance, 5);
     let canonical = kway.run_with(&h, &balance, &mut RunCtx::new(5));
     assert_eq!(wrapped.assignment, canonical.assignment, "k-way drifted");

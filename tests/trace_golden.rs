@@ -89,11 +89,7 @@ fn engine_traces() -> Vec<(&'static str, String)> {
 
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
     let kway = trace_of(&|sink| {
-        KWayFmPartitioner::new(KWayConfig::default()).run_with(
-            &h,
-            &balance,
-            &mut RunCtx::new(5).with_sink(sink),
-        );
+        KWayFmPartitioner::new().run_with(&h, &balance, &mut RunCtx::new(5).with_sink(sink));
     });
 
     // Deep multilevel: an instance large enough that the multi-start run
@@ -123,8 +119,7 @@ fn engine_traces() -> Vec<(&'static str, String)> {
     let kd = KWayBalance::with_fraction(hd.total_vertex_weight(), 4, 0.15);
     let mlkway = trace_of(&|sink| {
         let mut ctx = RunCtx::new(7).with_sink(sink);
-        MlKWayPartitioner::new(MlKWayConfig::default().with_coarsen(deep_coarsen))
-            .run_with(&hd, &kd, &mut ctx);
+        MlKWayPartitioner::new(deep_coarsen).run_with(&hd, &kd, &mut ctx);
     });
 
     // n-level backend: single-pair contraction with memento undo and
