@@ -2,20 +2,24 @@
 //!
 //! Each public function rebuilds one evaluation artifact on the synthetic
 //! ISPD98-like suite (see `hypart-benchgen` and DESIGN.md §4 for the
-//! substitution rationale):
+//! substitution rationale); `hypart experiment <name>` runs it by name
+//! (see [`run_experiment`]) and saves it under `results/`:
 //!
-//! | paper artifact | function | binary |
-//! |----------------|----------|--------|
+//! | paper artifact | function | `hypart experiment` |
+//! |----------------|----------|---------------------|
 //! | Table 1 (implicit decisions × engines) | [`table1`] | `table1` |
 //! | Table 2 (our vs reported LIFO) | [`table2`] | `table2` |
 //! | Table 3 (our vs reported CLIP) | [`table3`] | `table3` |
-//! | Tables 4–5 (hMetis-style quality/runtime sweep) | [`table45`] | `table45` |
+//! | Tables 4–5 (hMetis-style quality/runtime sweep) | [`table45`] | `table4`, `table5` |
 //! | BSF curve methodology (§3.2) | [`bsf_experiment`] | `bsf_curve` |
 //! | Pareto frontier methodology (§3.2) | [`pareto_experiment`] | `pareto_frontier` |
 //! | Ranking diagram methodology (§3.2) | [`ranking_experiment`] | `ranking_diagram` |
 //! | CLIP corking traces (§2.3) | [`corking_experiment`] | `corking_trace` |
+//! | Ablations of DESIGN.md's design choices | [`ablation_experiment`] | `ablation` |
+//! | Fixed terminals (§2.1) | [`fixed_terminals_experiment`] | `fixed_terminals` |
+//! | Placement quality (§2.1 use model) | [`placement_quality_experiment`] | `placement_quality` |
 //!
-//! All functions take an [`ExperimentConfig`] so binaries and tests share
+//! All functions take an [`ExperimentConfig`] so the CLI and tests share
 //! one code path at different scales.
 
 #![forbid(unsafe_code)]
@@ -33,6 +37,7 @@ use hypart_eval::stats::wilcoxon_rank_sum;
 use hypart_eval::table::Table;
 use hypart_hypergraph::Hypergraph;
 use hypart_ml::MlConfig;
+use hypart_trace::{CounterSink, EVENT_KINDS};
 
 /// Shared experiment parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,7 +45,8 @@ pub struct ExperimentConfig {
     /// Instance scale relative to the published ISPD98 sizes (1.0 = full).
     pub scale: f64,
     /// Independent trials per configuration (the paper uses 100 for
-    /// Tables 1–3 and 50 for Tables 4–5).
+    /// Tables 1–3 and 50 for Tables 4–5, where each trial is one full
+    /// multi-start run).
     pub trials: usize,
     /// Base RNG seed for instance generation and trial seeding.
     pub seed: u64,
@@ -52,92 +58,6 @@ impl Default for ExperimentConfig {
             scale: 0.10,
             trials: 20,
             seed: 1999, // DAC-99
-        }
-    }
-}
-
-impl ExperimentConfig {
-    /// Parses `--scale`, `--trials` and `--seed` from a table binary's
-    /// arguments.
-    ///
-    /// # Errors
-    ///
-    /// Any other flag, a flag without its value, or a value that is not
-    /// a number of the flag's type.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        Flags::parse(args, &["--scale", "--trials", "--seed"])?.experiment()
-    }
-}
-
-/// A table binary's command line: flag/value pairs, checked against the
-/// flags the binary takes. Every flag takes a value.
-#[derive(Debug)]
-pub struct Flags(Vec<(String, String)>);
-
-impl Flags {
-    /// Pairs each flag in `args` with its value.
-    ///
-    /// # Errors
-    ///
-    /// A word that is not in `accepted`, or a flag without its value.
-    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut words = args.iter();
-        while let Some(flag) = words.next() {
-            if !accepted.contains(&flag.as_str()) {
-                return Err(format!("unknown flag `{flag}`"));
-            }
-            let value = words
-                .next()
-                .ok_or_else(|| format!("{flag} takes a value"))?;
-            pairs.push((flag.clone(), value.clone()));
-        }
-        Ok(Flags(pairs))
-    }
-
-    /// The first value given for `flag`, or `default` when it is absent.
-    ///
-    /// # Errors
-    ///
-    /// A value that does not parse as a `T`.
-    pub fn get<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.0.iter().find(|(name, _)| name == flag) {
-            None => Ok(default),
-            Some((_, value)) => value.parse().map_err(|_| {
-                format!(
-                    "{flag} takes a {}, got `{value}`",
-                    std::any::type_name::<T>()
-                )
-            }),
-        }
-    }
-
-    /// The experiment parameters `--scale`, `--trials` and `--seed`, each
-    /// defaulting to [`ExperimentConfig::default`]'s value.
-    ///
-    /// # Errors
-    ///
-    /// A value that does not parse.
-    pub fn experiment(&self) -> Result<ExperimentConfig, String> {
-        let default = ExperimentConfig::default();
-        Ok(ExperimentConfig {
-            scale: self.get("--scale", default.scale)?,
-            trials: self.get("--trials", default.trials)?,
-            seed: self.get("--seed", default.seed)?,
-        })
-    }
-}
-
-/// Parses a table binary's arguments with `parse`. On an error it prints
-/// the error and `usage` to stderr and exits with status 2, as `hypart`
-/// does on a usage error.
-pub fn parse_or_exit<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("error: {message}\n\nusage: {usage}");
-            std::process::exit(2)
         }
     }
 }
@@ -307,14 +227,9 @@ pub const TABLE45_STARTS: [usize; 6] = [1, 2, 4, 8, 16, 100];
 /// (0.02 → Table 4, 0.10 → Table 5).
 ///
 /// `max_instances` truncates the instance list (large ibm14/ibm18 replicas
-/// are expensive at high scales); `repetitions` is the number of times
-/// each configuration is re-run (50 in the paper).
-pub fn table45(
-    cfg: &ExperimentConfig,
-    fraction: f64,
-    max_instances: usize,
-    repetitions: usize,
-) -> Table {
+/// are expensive at high scales); each configuration is re-run
+/// `cfg.trials` times (50 in the paper).
+pub fn table45(cfg: &ExperimentConfig, fraction: f64, max_instances: usize) -> Table {
     let mut headers = vec!["Circuit".to_string()];
     headers.extend(
         TABLE45_STARTS
@@ -325,7 +240,7 @@ pub fn table45(
     let mut table = Table::new(headers).with_title(format!(
         "Tables 4/5 style: avg cut / avg CPU sec, {}% window, {} reps, scale {}",
         (fraction * 100.0) as u32,
-        repetitions,
+        cfg.trials,
         cfg.scale
     ));
     for &idx in TABLE45_INSTANCES.iter().take(max_instances) {
@@ -335,7 +250,7 @@ pub fn table45(
         for &starts in &TABLE45_STARTS {
             let heuristic =
                 MultiStartHeuristic::new(format!("hML x{starts}"), MlConfig::default(), starts, 4);
-            let set = run_trials_with(&heuristic, &h, &c, repetitions, &mut RunCtx::new(cfg.seed));
+            let set = run_trials_with(&heuristic, &h, &c, cfg.trials, &mut RunCtx::new(cfg.seed));
             row.push(format!("{:.1}/{:.2}", set.avg_cut(), set.avg_seconds()));
         }
         table.add_row(row);
@@ -387,44 +302,33 @@ pub fn bsf_experiment(cfg: &ExperimentConfig) -> String {
 pub fn pareto_experiment(cfg: &ExperimentConfig) -> String {
     let h = instance(cfg, 1);
     let c = tol2(&h);
-    let mut points = Vec::new();
-    let configs: Vec<(String, Box<dyn Heuristic>)> = vec![
-        ("Flat LIFO".into(), flat(FmConfig::lifo(), "Flat LIFO")),
-        ("Flat CLIP".into(), flat(FmConfig::clip(), "Flat CLIP")),
-        ("ML LIFO".into(), ml(FmConfig::lifo(), "ML LIFO")),
-        ("ML CLIP".into(), ml(FmConfig::clip(), "ML CLIP")),
-        (
-            "hML x4+V".into(),
-            Box::new(MultiStartHeuristic::new(
-                "hML x4+V",
-                MlConfig::default(),
-                4,
-                4,
-            )),
-        ),
-        (
-            "Spectral".into(),
-            Box::new(hypart_baselines::SpectralPartitioner),
-        ),
-        (
-            "Annealing".into(),
-            Box::new(hypart_baselines::AnnealingPartitioner),
-        ),
+    let heuristics: Vec<Box<dyn Heuristic>> = vec![
+        flat(FmConfig::lifo(), "Flat LIFO"),
+        flat(FmConfig::clip(), "Flat CLIP"),
+        ml(FmConfig::lifo(), "ML LIFO"),
+        ml(FmConfig::clip(), "ML CLIP"),
+        Box::new(MultiStartHeuristic::new(
+            "hML x4+V",
+            MlConfig::default(),
+            4,
+            4,
+        )),
+        Box::new(hypart_baselines::SpectralPartitioner),
+        Box::new(hypart_baselines::AnnealingPartitioner),
     ];
-    for (label, heuristic) in &configs {
-        let set = run_trials_with(
-            heuristic.as_ref(),
-            &h,
-            &c,
-            cfg.trials,
-            &mut RunCtx::new(cfg.seed),
-        );
-        points.push(PerfPoint::new(
-            label.clone(),
-            set.avg_cut(),
-            set.avg_seconds(),
-        ));
-    }
+    let points: Vec<PerfPoint> = heuristics
+        .iter()
+        .map(|heuristic| {
+            let set = run_trials_with(
+                heuristic.as_ref(),
+                &h,
+                &c,
+                cfg.trials,
+                &mut RunCtx::new(cfg.seed),
+            );
+            PerfPoint::new(heuristic.name(), set.avg_cut(), set.avg_seconds())
+        })
+        .collect();
     let frontier = pareto_frontier(&points);
     let mut out = frontier_report(&points);
     out.push_str(&format!(
@@ -445,9 +349,9 @@ pub fn ranking_experiment(cfg: &ExperimentConfig) -> String {
         let h = instance(cfg, idx);
         let c = tol2(&h);
         let mut curves = Vec::new();
-        for (label, heuristic) in [
-            ("Flat LIFO", flat(FmConfig::lifo(), "Flat LIFO")),
-            ("ML LIFO", ml(FmConfig::lifo(), "ML LIFO")),
+        for heuristic in [
+            flat(FmConfig::lifo(), "Flat LIFO"),
+            ml(FmConfig::lifo(), "ML LIFO"),
         ] {
             let set = run_trials_with(
                 heuristic.as_ref(),
@@ -459,7 +363,6 @@ pub fn ranking_experiment(cfg: &ExperimentConfig) -> String {
             let curve = BsfCurve::from_trials(&set, 100);
             min_budget = min_budget.min(curve.min_budget());
             max_budget = max_budget.max(curve.points.last().expect("points").seconds);
-            let _ = label;
             curves.push(curve);
         }
         rows.push(RankingRow {
@@ -537,7 +440,7 @@ pub fn corking_experiment(cfg: &ExperimentConfig) -> Table {
 
 /// Runs CLIP trials collecting (corked passes, total passes, trial set).
 ///
-/// Corking is counted from the uniform [`RunEvent`] stream — the same
+/// Passes are counted from the uniform `RunEvent` stream — the same
 /// `corked`-flagged `PassEnd` events the CLI's `--trace` writes — rather
 /// than from engine-private statistics, so this experiment exercises the
 /// observability path it reports on.
@@ -547,40 +450,22 @@ fn corked_stats(
     fm: FmConfig,
     cfg: &ExperimentConfig,
 ) -> (usize, usize, TrialSet) {
-    use hypart_core::FmPartitioner;
-    use hypart_trace::{MemorySink, RunEvent};
-    let engine = FmPartitioner::new(fm);
-    let mut corked = 0usize;
-    let mut total = 0usize;
-    let mut trials = Vec::with_capacity(cfg.trials);
-    for i in 0..cfg.trials {
-        let seed = cfg.seed.wrapping_add(i as u64);
-        let sink = MemorySink::new();
-        let t = std::time::Instant::now();
-        let out = engine.run_with(h, c, &mut RunCtx::new(seed).with_sink(&sink));
-        for event in sink.take() {
-            if let RunEvent::PassEnd { corked: true, .. } = event {
-                corked += 1;
-            }
-        }
-        total += out.stats.num_passes();
-        trials.push(hypart_eval::runner::Trial {
-            seed,
-            cut: out.cut,
-            balanced: out.balanced,
-            stopped: out.stopped,
-            elapsed: t.elapsed(),
-        });
-    }
+    let counters = CounterSink::new();
+    let set = run_trials_with(
+        &FlatFmHeuristic::new("CLIP", fm),
+        h,
+        c,
+        cfg.trials,
+        &mut RunCtx::new(cfg.seed).with_sink(&counters),
+    );
+    let pass_end = EVENT_KINDS
+        .iter()
+        .position(|&kind| kind == "pass_end")
+        .expect("pass_end is an event kind");
     (
-        corked,
-        total,
-        TrialSet {
-            heuristic: "CLIP".into(),
-            instance: h.name().to_string(),
-            trials,
-            failed_trials: 0,
-        },
+        counters.corked_passes() as usize,
+        counters.count_of(pass_end) as usize,
+        set,
     )
 }
 
@@ -718,9 +603,135 @@ pub fn fixed_terminals_experiment(cfg: &ExperimentConfig) -> Table {
     table
 }
 
-/// Writes `content` to `results/<name>` relative to the workspace root
-/// (falling back to the current directory when run elsewhere) and returns
-/// the path written.
+/// **Placement quality** (§2.1 use model): how much partitioner quality
+/// matters in the driving application's own metric. The same top-down
+/// min-cut placer runs with strong and weak engines, with and without
+/// terminal propagation, and the table reports the HPWL of its
+/// placements.
+pub fn placement_quality_experiment(cfg: &ExperimentConfig) -> Table {
+    use hypart_eval::stats::Summary;
+    use hypart_place::{hpwl, PlacerConfig, Rect, TopDownPlacer};
+
+    let h = instance(cfg, 1);
+    let die = Rect::new(0.0, 0.0, 2000.0, 2000.0);
+    let mut table = Table::new([
+        "engine in placer",
+        "term-prop",
+        "HPWL min",
+        "HPWL mean",
+        "std",
+    ])
+    .with_title(format!(
+        "Placement quality vs partitioner strength on {} ({} cells, {} seeds)",
+        h.name(),
+        h.num_vertices(),
+        cfg.trials
+    ));
+    let engines: [(&str, MlConfig); 3] = [
+        ("ML + Our LIFO", MlConfig::ml_lifo()),
+        ("ML + Our CLIP", MlConfig::ml_clip()),
+        (
+            "ML + Reported LIFO",
+            MlConfig::default().with_refine(FmConfig::reported_lifo()),
+        ),
+    ];
+    for (label, ml) in engines {
+        for term_prop in [true, false] {
+            let placer = TopDownPlacer::new(PlacerConfig {
+                ml: ml.clone(),
+                terminal_propagation: term_prop,
+            });
+            let samples: Vec<f64> = (0..cfg.trials as u64)
+                .map(|seed| hpwl(&h, &placer.run(&h, die, cfg.seed.wrapping_add(seed))))
+                .collect();
+            let s = Summary::of(&samples).expect("trials exist");
+            table.add_row([
+                label.to_string(),
+                term_prop.to_string(),
+                format!("{:.0}", s.min),
+                format!("{:.0}", s.mean),
+                format!("{:.0}", s.std_dev),
+            ]);
+        }
+    }
+    table
+}
+
+/// The names [`run_experiment`] takes, in the order of the paper.
+pub const EXPERIMENTS: [&str; 12] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "corking_trace",
+    "bsf_curve",
+    "pareto_frontier",
+    "ranking_diagram",
+    "ablation",
+    "fixed_terminals",
+    "placement_quality",
+];
+
+/// A regenerated artifact.
+#[derive(Clone, Debug)]
+pub enum Artifact {
+    /// A table: printed aligned, saved as CSV.
+    Table(Table),
+    /// A text report (CSV series, plots, diagrams): printed and saved as
+    /// it is.
+    Text(String),
+}
+
+/// Regenerates the experiment called `name` (one of [`EXPERIMENTS`]) and
+/// returns it with the name of its file under `results/`; `None` for any
+/// other name. `max_instances` truncates the instance list of `table4`
+/// and `table5` (see [`table45`]); no other experiment reads it.
+pub fn run_experiment(
+    name: &str,
+    cfg: &ExperimentConfig,
+    max_instances: usize,
+) -> Option<(&'static str, Artifact)> {
+    Some(match name {
+        "table1" => ("table1.csv", Artifact::Table(table1(cfg))),
+        "table2" => ("table2.csv", Artifact::Table(table2(cfg))),
+        "table3" => ("table3.csv", Artifact::Table(table3(cfg))),
+        "table4" => (
+            "table4.csv",
+            Artifact::Table(table45(cfg, 0.02, max_instances)),
+        ),
+        "table5" => (
+            "table5.csv",
+            Artifact::Table(table45(cfg, 0.10, max_instances)),
+        ),
+        "corking_trace" => (
+            "corking_trace.csv",
+            Artifact::Table(corking_experiment(cfg)),
+        ),
+        "bsf_curve" => ("bsf_curves.csv", Artifact::Text(bsf_experiment(cfg))),
+        "pareto_frontier" => (
+            "pareto_frontier.txt",
+            Artifact::Text(pareto_experiment(cfg)),
+        ),
+        "ranking_diagram" => (
+            "ranking_diagram.txt",
+            Artifact::Text(ranking_experiment(cfg)),
+        ),
+        "ablation" => ("ablation.csv", Artifact::Table(ablation_experiment(cfg))),
+        "fixed_terminals" => (
+            "fixed_terminals.csv",
+            Artifact::Table(fixed_terminals_experiment(cfg)),
+        ),
+        "placement_quality" => (
+            "placement_quality.csv",
+            Artifact::Table(placement_quality_experiment(cfg)),
+        ),
+        _ => return None,
+    })
+}
+
+/// Writes `content` to `results/<name>` under the current directory,
+/// creating `results/` if needed, and returns the path written.
 pub fn write_result(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir)?;
@@ -741,32 +752,6 @@ mod tests {
         }
     }
 
-    fn words(line: &str) -> Vec<String> {
-        line.split_whitespace().map(str::to_string).collect()
-    }
-
-    #[test]
-    fn config_from_args() {
-        let cfg = ExperimentConfig::from_args(&words("--scale 0.3 --trials 7 --seed 12")).unwrap();
-        assert_eq!(cfg.scale, 0.3);
-        assert_eq!(cfg.trials, 7);
-        assert_eq!(cfg.seed, 12);
-        for (line, error) in [
-            ("--scale 0.3 --junk 1", "unknown flag `--junk`"),
-            ("--trial 50", "unknown flag `--trial`"),
-            ("--trials", "--trials takes a value"),
-            ("--trials 2.5", "--trials takes a usize, got `2.5`"),
-            ("--seed -1", "--seed takes a u64, got `-1`"),
-            ("--scale x", "--scale takes a f64, got `x`"),
-            ("--tol 0.1", "unknown flag `--tol`"),
-        ] {
-            assert_eq!(
-                ExperimentConfig::from_args(&words(line)),
-                Err(error.to_string())
-            );
-        }
-    }
-
     #[test]
     fn table1_has_24_rows() {
         let t = table1(&tiny_cfg());
@@ -781,7 +766,14 @@ mod tests {
 
     #[test]
     fn table45_row_per_instance() {
-        let t = table45(&tiny_cfg(), 0.02, 2, 1);
+        let t = table45(
+            &ExperimentConfig {
+                trials: 1,
+                ..tiny_cfg()
+            },
+            0.02,
+            2,
+        );
         assert_eq!(t.num_rows(), 2);
     }
 

@@ -15,7 +15,10 @@
 //! * `gen <ibmN|mcncN>` — generate a synthetic benchmark to a file;
 //! * `serve` — long-running partitioning daemon over a length-prefixed
 //!   JSONL socket protocol (see the `hypart-server` crate), with
-//!   instance and coarsening-hierarchy caches.
+//!   instance and coarsening-hierarchy caches;
+//! * `experiment <name>` — regenerate one of the paper's tables or
+//!   figures (see the `hypart-bench` crate) under `results/`;
+//! * `trace <FILE.jsonl>…` — summarize run-event traces offline.
 //!
 //! The library half exists so the argument parser and command runners are
 //! unit-testable; `main.rs` is a thin shim.
@@ -28,6 +31,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use hypart_bench::{Artifact, ExperimentConfig, TABLE45_INSTANCES};
 use hypart_core::{
     objective, AuditLevel, BalanceConstraint, Bisection, FmConfig, FmPartitioner, RunCtx,
     StopReason,
@@ -41,7 +45,8 @@ use hypart_hypergraph::{io, Hypergraph, PartId};
 use hypart_kway::{recursive_bisection_with, KWayBalance, KWayFmPartitioner};
 use hypart_ml::{multi_start_with, EngineKind, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_place::{hpwl, PlacerConfig, Rect, RowLegalizer, TopDownPlacer};
-use hypart_trace::{CounterSink, JsonlSink, TeeSink};
+use hypart_trace::json::JsonValue;
+use hypart_trace::{CounterSink, JsonlSink, RunEvent, TeeSink, TraceSink};
 
 /// A failure from [`run`], classified for the process exit code.
 ///
@@ -207,6 +212,21 @@ pub enum Command {
         /// `rejected_too_large` error before parsing (0 = no cap).
         max_cells: usize,
     },
+    /// `experiment <name> [--scale S] [--trials N] [--seed K]
+    /// [--instances M]`
+    Experiment {
+        /// One of [`hypart_bench::EXPERIMENTS`].
+        name: String,
+        /// Instance scale, trials per configuration and base seed.
+        config: ExperimentConfig,
+        /// Circuits of the Tables 4–5 sweep (`table4`/`table5` only).
+        max_instances: usize,
+    },
+    /// `trace <FILE.jsonl>...`
+    Trace {
+        /// JSONL run-event traces, as `partition --trace` writes them.
+        files: Vec<PathBuf>,
+    },
 }
 
 /// Backend selection for `eval --engine`: which multilevel backends the
@@ -315,6 +335,20 @@ parsing them (0 = no cap).
 `hypart-loadgen --self-host` exercises it end to end, and
 `hypart-loadgen --self-host --chaos SEED` soaks it through a
 deterministic fault-injecting proxy.
+  hypart experiment <name> [--scale S] [--trials N] [--seed K]
+  hypart experiment table4|table5 [--scale S] [--trials N] [--seed K] [--instances M]
+  hypart trace <FILE.jsonl>...
+
+`experiment` regenerates one of the paper's artifacts on the synthetic
+ISPD98-like suite, prints it and writes it under `results/` in the
+current directory. <name> is table1, table2, table3, table4 (2% window),
+table5 (10% window), corking_trace, bsf_curve, pareto_frontier,
+ranking_diagram, ablation, fixed_terminals or placement_quality.
+Defaults: --scale 0.1 --trials 20 --seed 1999. Tables 4 and 5 run each
+multi-start configuration --trials times on their first --instances
+circuits (default all 9).
+`trace` prints the event counters of traces written by
+`partition --trace`.
 
 Every flag takes a value; a flag the subcommand does not list above,
 or one without its value, is a usage error.
@@ -337,6 +371,8 @@ fn accepted_flags(sub: &str) -> Option<&'static str> {
         "report" => "--trials --tol --seed --out --budget-ms",
         "gen" => "--scale --seed --out",
         "serve" => "--addr --workers --queue --instance-cache --hierarchy-cache --max-cells",
+        "experiment" => "--scale --trials --seed --instances",
+        "trace" => "",
         _ => return None,
     })
 }
@@ -501,6 +537,37 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 instance_cache: parse_usize("--instance-cache", 16)?,
                 hierarchy_cache: parse_usize("--hierarchy-cache", 32)?,
                 max_cells: parse_usize("--max-cells", 0)?,
+            })
+        }
+        "experiment" => {
+            let name = *positional.first().ok_or("experiment: missing <name>")?;
+            if !hypart_bench::EXPERIMENTS.contains(&name) {
+                return Err(format!("unknown experiment `{name}`"));
+            }
+            if !matches!(name, "table4" | "table5") && flag_value("--instances").is_some() {
+                return Err(format!("experiment {name}: unknown flag `--instances`"));
+            }
+            let default = ExperimentConfig::default();
+            let trials = parse_usize("--trials", default.trials)?;
+            if trials == 0 {
+                return Err("--trials must be at least 1".into());
+            }
+            Ok(Command::Experiment {
+                name: name.to_string(),
+                config: ExperimentConfig {
+                    scale: parse_flag("--scale", default.scale)?,
+                    trials,
+                    seed: parse_u64("--seed", default.seed)?,
+                },
+                max_instances: parse_usize("--instances", TABLE45_INSTANCES.len())?,
+            })
+        }
+        "trace" => {
+            if positional.is_empty() {
+                return Err("trace: missing <FILE.jsonl>".into());
+            }
+            Ok(Command::Trace {
+                files: positional.iter().map(PathBuf::from).collect(),
             })
         }
         other => Err(format!("unknown subcommand `{other}`")),
@@ -760,6 +827,32 @@ solution : {}
                 stats.hierarchy_hits,
             ))
         }
+        Command::Experiment {
+            name,
+            config,
+            max_instances,
+        } => {
+            // Fail before the run, not after it, when `results/` cannot
+            // be made.
+            std::fs::create_dir_all("results")
+                .map_err(|e| CliError::Runtime(format!("results: {e}")))?;
+            let (file, artifact) = hypart_bench::run_experiment(&name, &config, max_instances)
+                .ok_or_else(|| CliError::Usage(format!("unknown experiment `{name}`")))?;
+            let (text, content, note) = match artifact {
+                Artifact::Table(table) => (table.render(), table.to_csv(), "csv written"),
+                Artifact::Text(report) => (report.clone(), report, "written"),
+            };
+            let path = hypart_bench::write_result(file, &content)
+                .map_err(|e| CliError::Runtime(format!("results/{file}: {e}")))?;
+            Ok(format!("{text}\n({note} to {})\n", path.display()))
+        }
+        Command::Trace { files } => {
+            let mut out = String::new();
+            for path in &files {
+                out.push_str(&summarize_trace(path)?);
+            }
+            Ok(out)
+        }
         Command::Eval {
             input,
             part_file,
@@ -941,6 +1034,38 @@ fn engine_ml_config(engine: Engine, threads: usize, deterministic: bool) -> MlCo
     }
     .with_threads(threads)
     .with_deterministic(deterministic)
+}
+
+/// `trace`: replays one JSONL run-event trace into a [`CounterSink`]
+/// and renders its per-kind counts, corking rate, move/rollback totals
+/// and final cut — the counters `partition --trace` prints live.
+///
+/// # Errors
+///
+/// [`CliError::Runtime`] if the file cannot be read, and
+/// [`CliError::Parse`] naming the first line that is not a run event.
+fn summarize_trace(path: &Path) -> Result<String, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Runtime(format!("{}: {e}", path.display())))?;
+    let counters = CounterSink::new();
+    let mut events = 0usize;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let event = JsonValue::parse(line)
+            .and_then(|value| RunEvent::from_json(&value))
+            .map_err(|e| CliError::Parse(format!("{}:{}: {e}", path.display(), i + 1)))?;
+        counters.emit(event);
+        events += 1;
+    }
+    // Events carry no timestamps (determinism), so the histogram times
+    // the replay itself; the counts are the faithful part.
+    Ok(format!(
+        "{}: {events} events\n{}\n  (pass durations reflect replay wall-clock, not the original run)\n",
+        path.display(),
+        counters.summary()
+    ))
 }
 
 /// Builds a synthetic instance from a `gen`-style spec (`ibmNN` or
@@ -1784,6 +1909,40 @@ mod tests {
             "eval ibm01 --engine ml --trials 2 --tol 0.1 --seed 3 --scale 0.1 --budget-ms 5",
         ] {
             assert!(parse_args(&words(line)).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn parse_experiment_flags_and_defaults() {
+        let line = "experiment table4 --scale 0.3 --trials 7 --seed 12 --instances 2";
+        let words: Vec<String> = line.split(' ').map(String::from).collect();
+        match parse_args(&words).unwrap() {
+            Command::Experiment {
+                name,
+                config,
+                max_instances,
+            } => {
+                assert_eq!(name, "table4");
+                let expected = ExperimentConfig {
+                    scale: 0.3,
+                    trials: 7,
+                    seed: 12,
+                };
+                assert_eq!(config, expected);
+                assert_eq!(max_instances, 2);
+            }
+            other => panic!("wrong command {other:?}"),
+        }
+        match parse_args(&args(&["experiment", "table1"])).unwrap() {
+            Command::Experiment {
+                config,
+                max_instances,
+                ..
+            } => {
+                assert_eq!(config, ExperimentConfig::default());
+                assert_eq!(max_instances, TABLE45_INSTANCES.len());
+            }
+            other => panic!("wrong command {other:?}"),
         }
     }
 

@@ -204,3 +204,173 @@ fn audit_flag_is_accepted_and_clean_on_a_real_run() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `hypart` with the words of `line` in `dir`.
+fn hypart_in(dir: &std::path::Path, line: &str) -> std::process::Output {
+    hypart()
+        .current_dir(dir)
+        .args(line.split_whitespace())
+        .output()
+        .expect("run")
+}
+
+/// A flag the experiment does not take, a flag without its value, a
+/// value that is not a number and an unknown experiment are usage
+/// errors: exit 2 with the usage text, before anything runs or is
+/// written.
+#[test]
+fn experiment_usage_errors_exit_2_before_running() {
+    let dir = temp_dir("experiment_usage");
+    let mut cases = vec![
+        (
+            "experiment table1 --scale 0.01 --junk 1",
+            "unknown flag `--junk`",
+        ),
+        ("experiment table4 --tol 0.1", "unknown flag `--tol`"),
+        ("experiment table4 --reps 2", "unknown flag `--reps`"),
+        (
+            "experiment table1 --instances 1",
+            "unknown flag `--instances`",
+        ),
+        ("experiment table5 --trials", "--trials takes a value"),
+        ("experiment table1 --seed", "--seed takes a value"),
+        (
+            "experiment table1 --trials 2.5",
+            "--trials takes a non-negative integer",
+        ),
+        (
+            "experiment table4 --instances x",
+            "--instances takes a non-negative integer",
+        ),
+        (
+            "experiment table1 --seed -1",
+            "--seed takes a non-negative integer",
+        ),
+        ("experiment table1 --scale x", "--scale takes a number"),
+        (
+            "experiment table1 --trials 0",
+            "--trials must be at least 1",
+        ),
+        ("experiment table45", "unknown experiment `table45`"),
+        ("experiment", "missing <name>"),
+    ];
+    // Valid tiny-run flags first: the typo alone must stop the run.
+    let typos: Vec<String> = hypart_bench::EXPERIMENTS
+        .iter()
+        .map(|name| format!("experiment {name} --scale 0.01 --trials 1 --trial 50"))
+        .collect();
+    cases.extend(
+        typos
+            .iter()
+            .map(|line| (line.as_str(), "unknown flag `--trial`")),
+    );
+    for (line, error) in cases {
+        let out = hypart_in(&dir, line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(error), "{line}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line}: ran anyway");
+        assert!(!dir.join("results").exists(), "{line}: wrote results/");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn experiment_that_cannot_make_results_exits_4() {
+    let dir = temp_dir("experiment_results_file");
+    std::fs::write(dir.join("results"), "a file, not a directory").expect("write");
+    let out = hypart_in(&dir, "experiment table2 --scale 0.01 --trials 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("results"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every experiment prints its artifact and writes it under `results/`
+/// in the current directory.
+#[test]
+fn every_experiment_writes_its_result() {
+    let dir = temp_dir("experiment_all");
+    for name in hypart_bench::EXPERIMENTS {
+        let instances = if matches!(name, "table4" | "table5") {
+            " --instances 1"
+        } else {
+            ""
+        };
+        let line = format!("experiment {name} --scale 0.01 --trials 1 --seed 3{instances}");
+        let out = hypart_in(&dir, &line);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{line}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let written = stdout.lines().last().expect("output");
+        let path = written
+            .rsplit_once(" to ")
+            .and_then(|(_, path)| path.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("{line}: {written}"));
+        assert!(path.starts_with("results/"), "{line}: {written}");
+        let saved = std::fs::read_to_string(dir.join(path)).expect("result file");
+        assert!(!saved.is_empty(), "{line}: empty {path}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `trace` recovers a `partition --trace` file's counters offline; an
+/// unreadable file exits 4 and a line that is not a run event exits 3.
+#[test]
+fn trace_summarizes_partition_traces() {
+    let dir = temp_dir("trace");
+    assert!(hypart_in(&dir, "gen mcnc200 --seed 5 --out t.hgr")
+        .status
+        .success());
+    let out = hypart_in(
+        &dir,
+        "partition t.hgr --engine ml-clip --starts 2 --trace t.jsonl",
+    );
+    assert!(out.status.success());
+    let live = String::from_utf8_lossy(&out.stdout).to_string();
+
+    let out = hypart_in(&dir, "trace t.jsonl t.jsonl");
+    assert_eq!(out.status.code(), Some(0));
+    let summary = String::from_utf8_lossy(&out.stdout).to_string();
+    let events = std::fs::read_to_string(dir.join("t.jsonl"))
+        .expect("trace file")
+        .lines()
+        .count();
+    assert_eq!(
+        summary
+            .matches(&format!("t.jsonl: {events} events\n"))
+            .count(),
+        2,
+        "{summary}"
+    );
+    for counter in [
+        "pass_end",
+        "corked passes",
+        "moves / rollbacks",
+        "final cut",
+    ] {
+        let line = |text: &str| {
+            text.lines()
+                .find(|l| l.trim_start().starts_with(counter))
+                .map(str::to_string)
+        };
+        assert!(line(&summary).is_some(), "{counter}: {summary}");
+        assert_eq!(line(&summary), line(&live), "{counter}");
+    }
+
+    let out = hypart_in(&dir, "trace missing.jsonl");
+    assert_eq!(out.status.code(), Some(4));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing.jsonl"));
+    std::fs::write(dir.join("bad.jsonl"), "{\"ev\":\"warp\"}\n").expect("write");
+    let out = hypart_in(&dir, "trace t.jsonl bad.jsonl");
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad.jsonl:1:"));
+    let out = hypart_in(&dir, "trace");
+    assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
+}

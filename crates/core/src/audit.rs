@@ -17,13 +17,12 @@
 //! instances plus gain-container key checks at pass seeding.
 //!
 //! [`FaultPlan`] is the other half of the robustness story: a
-//! deterministic, seed-derivable description of a fault to inject (a
-//! panicking start, a failing trace-sink write, an early deadline), so
-//! the degradation paths are exercised in CI rather than assumed.
+//! deterministic description of a fault to inject (a panicking start or
+//! parallel refinement shard), so the degradation paths are exercised
+//! in CI rather than assumed.
 
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
 
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 
@@ -406,28 +405,23 @@ impl PartitionAuditor {
 
 /// A deterministic description of a fault to inject into a run.
 ///
-/// Test/bench-only surface: production code never constructs one, and
-/// the default ([`FaultPlan::none`]) injects nothing. Plans are plain
-/// data, so the same plan injects the same fault on every run — the
+/// Test-only surface: production code never constructs one, and the
+/// default ([`FaultPlan::none`]) injects nothing. Plans are plain data,
+/// so the same plan injects the same fault on every run — the
 /// degradation path under test is reproducible by construction.
 ///
-/// The three faults mirror the three degradation guarantees:
+/// The two faults mirror the two panic-isolation guarantees:
 ///
 /// * [`panic_in_start`](FaultPlan::panic_in_start) — a multi-start
 ///   worker dies; the sweep must isolate it and return the best of the
 ///   survivors.
-/// * [`fail_sink_writes`](FaultPlan::fail_sink_writes) — trace output
-///   becomes unwritable; the run must finish and report a sticky sink
-///   error at the end instead of panicking mid-emit.
-/// * [`early_deadline`](FaultPlan::early_deadline) — the budget expires
-///   almost immediately; the run must stop gracefully with a legal
-///   best-so-far.
+/// * [`panic_in_shard`](FaultPlan::panic_in_shard) — a parallel
+///   refinement shard dies; the round must drop its proposals and go on
+///   with the surviving shards'.
 #[doc(hidden)]
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     panic_in_start: Option<u64>,
-    fail_sink_writes: bool,
-    early_deadline: Option<Duration>,
     panic_in_shard: Option<(u64, u64)>,
 }
 
@@ -446,23 +440,6 @@ impl FaultPlan {
         }
     }
 
-    /// Makes every trace-sink write fail (consumers route their sink
-    /// through a failing writer when this is set).
-    pub fn fail_sink_writes() -> Self {
-        FaultPlan {
-            fail_sink_writes: true,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Expires the run's deadline `budget` after it begins.
-    pub fn early_deadline(budget: Duration) -> Self {
-        FaultPlan {
-            early_deadline: Some(budget),
-            ..FaultPlan::default()
-        }
-    }
-
     /// Injects a panic into shard `shard` of round `round` of every
     /// parallel refinement run. The round must isolate the shard,
     /// announce it with a `ShardAborted` trace event, and continue with
@@ -474,40 +451,9 @@ impl FaultPlan {
         }
     }
 
-    /// Derives a plan from a seed: the fault kind and (for panics) the
-    /// target start index are pure functions of `seed`, so a seeded test
-    /// sweep covers all three faults deterministically.
-    pub fn from_seed(seed: u64) -> Self {
-        // SplitMix64 finalizer: decorrelates consecutive seeds.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        match z % 3 {
-            0 => FaultPlan::panic_in_start((z >> 2) % 16),
-            1 => FaultPlan::fail_sink_writes(),
-            _ => FaultPlan::early_deadline(Duration::from_millis(1 + (z >> 2) % 5)),
-        }
-    }
-
     /// `true` if this plan panics start `index`.
     pub fn should_panic_start(&self, index: u64) -> bool {
         self.panic_in_start == Some(index)
-    }
-
-    /// The start index this plan panics, if any.
-    pub fn panicked_start(&self) -> Option<u64> {
-        self.panic_in_start
-    }
-
-    /// `true` if trace-sink writes should fail.
-    pub fn sink_writes_fail(&self) -> bool {
-        self.fail_sink_writes
-    }
-
-    /// The injected early deadline, if any.
-    pub fn injected_deadline(&self) -> Option<Duration> {
-        self.early_deadline
     }
 
     /// Panics with a recognizable payload if this plan targets start
@@ -522,11 +468,6 @@ impl FaultPlan {
     /// `true` if this plan panics shard `shard` of round `round`.
     pub fn should_panic_shard(&self, round: u64, shard: u64) -> bool {
         self.panic_in_shard == Some((round, shard))
-    }
-
-    /// The (round, shard) pair this plan panics, if any.
-    pub fn panicked_shard(&self) -> Option<(u64, u64)> {
-        self.panic_in_shard
     }
 
     /// Panics with a recognizable payload if this plan targets shard
@@ -648,29 +589,9 @@ mod tests {
         let plan = FaultPlan::panic_in_start(3);
         assert!(plan.should_panic_start(3));
         assert!(!plan.should_panic_start(2));
-        assert_eq!(plan.panicked_start(), Some(3));
-        assert!(FaultPlan::fail_sink_writes().sink_writes_fail());
-        assert!(FaultPlan::early_deadline(Duration::from_millis(2))
-            .injected_deadline()
-            .is_some());
-        assert!(!FaultPlan::none().sink_writes_fail());
-        for seed in 0..64 {
-            assert_eq!(FaultPlan::from_seed(seed), FaultPlan::from_seed(seed));
-        }
-        // All three fault kinds appear across a small seed sweep.
-        let kinds: std::collections::HashSet<u8> = (0..32)
-            .map(|s| {
-                let p = FaultPlan::from_seed(s);
-                if p.panicked_start().is_some() {
-                    0
-                } else if p.sink_writes_fail() {
-                    1
-                } else {
-                    2
-                }
-            })
-            .collect();
-        assert_eq!(kinds.len(), 3);
+        assert_eq!(plan, FaultPlan::panic_in_start(3));
+        assert!(!FaultPlan::none().should_panic_start(0));
+        plan.trip_start(2); // off-target: no panic
     }
 
     #[test]
@@ -685,8 +606,7 @@ mod tests {
         assert!(plan.should_panic_shard(1, 2));
         assert!(!plan.should_panic_shard(1, 1));
         assert!(!plan.should_panic_shard(0, 2));
-        assert_eq!(plan.panicked_shard(), Some((1, 2)));
-        assert_eq!(FaultPlan::none().panicked_shard(), None);
+        assert!(!FaultPlan::none().should_panic_shard(1, 2));
         // A shard fault never masquerades as a start fault.
         assert!(!plan.should_panic_start(2));
         plan.trip_shard(0, 0); // off-target: no panic

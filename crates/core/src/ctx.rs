@@ -243,19 +243,10 @@ impl<'s> RunCtx<'s> {
         self
     }
 
-    /// Installs a deterministic fault-injection plan (test/bench-only).
-    /// A plan with an early deadline tightens this context's deadline
-    /// immediately.
+    /// Installs a deterministic fault-injection plan (test-only).
     #[doc(hidden)]
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        if let Some(budget) = plan.injected_deadline() {
-            let injected = Instant::now() + budget;
-            self.deadline = Some(match self.deadline {
-                Some(d) => d.min(injected),
-                None => injected,
-            });
-        }
         self.fault_plan = plan;
         self
     }
@@ -443,14 +434,6 @@ mod tests {
         let rebound = ctx.with_sink(&NullSink);
         assert_eq!(rebound.audit(), AuditLevel::Paranoid);
         assert!(rebound.fault_plan().should_panic_start(7));
-    }
-
-    #[test]
-    fn injected_early_deadline_tightens_budget() {
-        let ctx =
-            RunCtx::new(0).with_fault_plan(FaultPlan::early_deadline(Duration::from_millis(0)));
-        let mut probe = ctx.probe();
-        assert_eq!(probe.stop_now(), Some(StopReason::Deadline));
     }
 
     #[test]

@@ -38,10 +38,7 @@ enum Block {
     Section(String),
     Subsection(String),
     Paragraph(String),
-    MarkdownTable {
-        headers: Vec<String>,
-        rows: Vec<Vec<String>>,
-    },
+    Table(Table),
     Preformatted(String),
 }
 
@@ -75,11 +72,7 @@ impl Report {
     /// Adds a [`Table`] as a markdown pipe table (its title, if any,
     /// becomes an italic caption line).
     pub fn table(&mut self, table: &Table) -> &mut Self {
-        let csv = table.to_csv();
-        let mut lines = csv.lines();
-        let headers: Vec<String> = split_csv_line(lines.next().unwrap_or(""));
-        let rows: Vec<Vec<String>> = lines.map(split_csv_line).collect();
-        self.blocks.push(Block::MarkdownTable { headers, rows });
+        self.blocks.push(Block::Table(table.clone()));
         self
     }
 
@@ -120,14 +113,13 @@ impl Report {
                 Block::Preformatted(text) => {
                     let _ = writeln!(out, "```text\n{}\n```\n", text.trim_end());
                 }
-                Block::MarkdownTable { headers, rows } => {
-                    let _ = writeln!(out, "| {} |", headers.join(" | "));
-                    let _ = writeln!(
-                        out,
-                        "|{}|",
-                        headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-                    );
-                    for row in rows {
+                Block::Table(table) => {
+                    if !table.title.is_empty() {
+                        let _ = writeln!(out, "*{}*\n", table.title);
+                    }
+                    let _ = writeln!(out, "| {} |", table.headers.join(" | "));
+                    let _ = writeln!(out, "|{}|", vec!["---"; table.headers.len()].join("|"));
+                    for row in &table.rows {
                         let _ = writeln!(out, "| {} |", row.join(" | "));
                     }
                     let _ = writeln!(out);
@@ -136,29 +128,6 @@ impl Report {
         }
         out
     }
-}
-
-/// Splits one RFC-4180 CSV line (as produced by [`Table::to_csv`]).
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cell = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted && chars.peek() == Some(&'"') => {
-                chars.next();
-                cell.push('"');
-            }
-            '"' => quoted = !quoted,
-            ',' if !quoted => {
-                out.push(std::mem::take(&mut cell));
-            }
-            c => cell.push(c),
-        }
-    }
-    out.push(cell);
-    out
 }
 
 #[cfg(test)]
@@ -208,11 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn split_csv_handles_quotes() {
-        assert_eq!(split_csv_line("a,\"b,c\",d"), vec!["a", "b,c", "d"]);
-        assert_eq!(
-            split_csv_line("\"he said \"\"hi\"\"\""),
-            vec!["he said \"hi\""]
+    fn titled_table_renders_its_caption() {
+        let mut t = Table::new(["x"]).with_title("Table 1: stuff");
+        t.add_row(["1"]);
+        let mut report = Report::new("T");
+        report.table(&t);
+        assert!(
+            report.render().contains("*Table 1: stuff*\n\n| x |\n"),
+            "{}",
+            report.render()
         );
     }
 }

@@ -15,9 +15,9 @@ use std::fmt::Write as _;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-    title: String,
+    pub(crate) headers: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
+    pub(crate) title: String,
 }
 
 impl Table {

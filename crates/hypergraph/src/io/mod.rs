@@ -7,8 +7,6 @@
 //!   areas and pad (fixed-terminal) records.
 //! * [`partfile`] — one-partition-id-per-line solution files, as consumed by
 //!   downstream placement flows and external evaluators.
-//! * [`fixfile`] — hMETIS-style fixed-vertex files (`-1` / `0` / `1` per
-//!   vertex), pairing with `.hgr` to express fixed terminals.
 //!
 //! All readers work on any [`std::io::BufRead`]; all writers on any
 //! [`std::io::Write`]; path-based convenience wrappers are provided.
@@ -20,7 +18,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod fixfile;
 pub mod hgr;
 pub mod netd;
 pub mod partfile;

@@ -1,5 +1,5 @@
-//! Fuzzing of the four file parsers: `hgr::read`, `netd::read`,
-//! `fixfile::read` and `partfile::read`.
+//! Fuzzing of the three file parsers: `hgr::read`, `netd::read` and
+//! `partfile::read`.
 //!
 //! Each parser gets 10,000 inputs of three kinds: random bytes, text
 //! built from digits, whitespace and the formats' keywords, and files
@@ -19,7 +19,7 @@
 use std::path::Path;
 use std::sync::OnceLock;
 
-use hypart_hypergraph::io::{fixfile, hgr, netd, partfile};
+use hypart_hypergraph::io::{hgr, netd, partfile};
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder, ParseError, PartId, VertexId};
 use proptest::prelude::*;
 
@@ -109,7 +109,7 @@ fn materialize((kind, raw, which, edits): Recipe, valid: &[Vec<u8>]) -> Vec<u8> 
 }
 
 /// Small valid instances: empty, unit weights, and net and vertex
-/// weights with fixed vertices (pads in netD, entries in fix files).
+/// weights with fixed vertices (pads in netD).
 fn instances() -> Vec<Hypergraph> {
     let empty = HypergraphBuilder::new();
 
@@ -195,10 +195,6 @@ fn write_netd(h: &Hypergraph, out: &mut Vec<u8>) {
     netd::write(h, out).unwrap();
 }
 
-fn write_fixfile(h: &Hypergraph, out: &mut Vec<u8>) {
-    fixfile::write(h, out).unwrap();
-}
-
 /// A partition file placing each vertex on its fixed side, else on 0.
 fn write_partfile(h: &Hypergraph, out: &mut Vec<u8>) {
     let sides: Vec<PartId> = h
@@ -210,7 +206,6 @@ fn write_partfile(h: &Hypergraph, out: &mut Vec<u8>) {
 
 static HGR: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
 static NETD: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
-static FIXFILE: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
 static PARTFILE: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
 
 proptest! {
@@ -226,12 +221,6 @@ proptest! {
     fn netd_reads_or_fails_typed_and_round_trips(input in recipe()) {
         let bytes = materialize(input, valid_files(&NETD, write_netd));
         round_trips(netd::read(bytes.as_slice()), write_netd, |b| netd::read(b))?;
-    }
-
-    #[test]
-    fn fixfile_reads_or_fails_typed(input in recipe()) {
-        let bytes = materialize(input, valid_files(&FIXFILE, write_fixfile));
-        let _ = fixfile::read(bytes.as_slice());
     }
 
     #[test]

@@ -56,8 +56,6 @@ pub mod json;
 mod sink;
 
 pub use event::{RunEvent, StopReason, EVENT_KINDS};
-#[doc(hidden)]
-pub use sink::FailingWriter;
 pub use sink::{
     CounterSink, JsonlSink, MemorySink, NullSink, TeeSink, TraceSink, PASS_HISTOGRAM_BUCKETS,
 };

@@ -52,14 +52,13 @@ impl TraceSink for NullSink {
     }
 }
 
-/// A [`Write`] implementation whose every write fails — fault-injection
-/// support for exercising the sink error paths (`JsonlSink`'s sticky
-/// failure flag, the CLI's end-of-run trace check) without touching the
-/// filesystem. Test/bench support, not part of the stable API.
-#[doc(hidden)]
+/// A [`Write`] implementation whose every write fails, for exercising
+/// `JsonlSink`'s sticky failure flag without touching the filesystem.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FailingWriter;
+struct FailingWriter;
 
+#[cfg(test)]
 impl Write for FailingWriter {
     fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
         Err(std::io::Error::other("injected fault: sink write failed"))
@@ -231,6 +230,14 @@ impl CounterSink {
     /// [`RunEvent::kind_index`]).
     pub fn count_of(&self, kind_index: usize) -> u64 {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).counts[kind_index]
+    }
+
+    /// Number of `PassEnd` events flagged `corked`.
+    pub fn corked_passes(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .corked_passes
     }
 
     /// Total events consumed.

@@ -6,12 +6,12 @@
 //! truncated `.hgr`, 0-based pin indices, pins past `num_vertices`,
 //! weight overflow, empty nets, a UTF-8 BOM with CRLF line endings,
 //! oversized declared counts, malformed netD pin lists, and bad tokens
-//! in partition/fix files.
+//! in partition files.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
-use hypart::hypergraph::io::{fixfile, hgr, netd, partfile};
+use hypart::hypergraph::io::{hgr, netd, partfile};
 use hypart::hypergraph::ParseError;
 
 fn corpus_dir() -> PathBuf {
@@ -78,16 +78,6 @@ fn every_corrupt_netd_is_rejected_with_a_line() {
 fn every_corrupt_partfile_is_rejected_with_a_line() {
     for path in corpus_files("part") {
         let err = partfile::read(File::open(&path).unwrap())
-            .map(|_| ())
-            .expect_err(&format!("{} must be rejected", path.display()));
-        assert_typed_rejection(&path, err);
-    }
-}
-
-#[test]
-fn every_corrupt_fixfile_is_rejected_with_a_line() {
-    for path in corpus_files("fix") {
-        let err = fixfile::read(File::open(&path).unwrap())
             .map(|_| ())
             .expect_err(&format!("{} must be rejected", path.display()));
         assert_typed_rejection(&path, err);

@@ -97,7 +97,7 @@ fn table45_shape_cut_improves_and_time_grows_with_starts() {
 
 #[test]
 fn table45_structure() {
-    let t = table45(&cfg(), 0.10, 3, 2);
+    let t = table45(&ExperimentConfig { trials: 2, ..cfg() }, 0.10, 3);
     assert_eq!(t.num_rows(), 3);
     let csv = t.to_csv();
     assert!(csv.lines().next().expect("header").split(',').count() == 7);
