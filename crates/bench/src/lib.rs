@@ -72,11 +72,6 @@ pub fn tol2(h: &Hypergraph) -> BalanceConstraint {
     BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.02)
 }
 
-/// The paper's 10 % balance constraint (45–55 %) for `h`.
-pub fn tol10(h: &Hypergraph) -> BalanceConstraint {
-    BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10)
-}
-
 fn flat(config: FmConfig, label: &str) -> Box<dyn Heuristic> {
     Box::new(FlatFmHeuristic::new(label, config))
 }

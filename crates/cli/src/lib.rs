@@ -3,7 +3,11 @@
 //! Subcommands:
 //!
 //! * `partition <netlist>` — 2-way or k-way partition a `.hgr` / netD
-//!   file, write a `.part` solution, report cut / balance / timing;
+//!   file with flat FM, multilevel FM, the hMetis-style driver or direct
+//!   k-way FM, write a `.part` solution, report cut / balance / timing
+//!   (the library's n-level and lane-parallel engines have no switch
+//!   here: EXPERIMENTS.md's 2-way engine triage finds both worse at
+//!   equal time);
 //! * `eval <netlist> <partfile>` — evaluate an existing solution
 //!   (cut, objectives, balance);
 //! * `stats <netlist>` — print the instance profile (the paper's §2.1
@@ -43,7 +47,7 @@ use hypart_eval::runner::{run_trials_with, FlatFmHeuristic, MlHeuristic};
 use hypart_eval::stats::wilcoxon_rank_sum;
 use hypart_hypergraph::{io, Hypergraph, PartId};
 use hypart_kway::{recursive_bisection_with, KWayBalance, KWayFmPartitioner};
-use hypart_ml::{multi_start_with, EngineKind, MlConfig, MlPartitioner, MultiStartPlan};
+use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_place::{hpwl, PlacerConfig, Rect, RowLegalizer, TopDownPlacer};
 use hypart_trace::json::JsonValue;
 use hypart_trace::{CounterSink, JsonlSink, RunEvent, TeeSink, TraceSink};
@@ -113,35 +117,15 @@ pub enum Command {
         budget_ms: Option<u64>,
         /// Invariant-audit level (`off`, `checkpoints`, `paranoid`).
         audit: AuditLevel,
-        /// Lane count of the shared-memory parallel ML engine. `None`
-        /// (flag omitted) keeps the serial engine; `Some(0)` resolves to
-        /// the rayon pool width at run time.
-        threads: Option<usize>,
-        /// Determinism contract of the parallel engine (`true` unless
-        /// `--deterministic false`).
-        deterministic: bool,
     },
-    /// `eval <netlist> <partfile> [--tol F]` — or, with `--engine`,
-    /// `eval <netlist|spec> --engine ml|nlevel|both [...]`: a seeded
-    /// trial suite comparing multilevel backends head to head.
+    /// `eval <netlist> <partfile> [--tol F]`
     Eval {
-        /// Input netlist path, or (in `--engine` mode) a benchmark spec
-        /// such as `ibm01` / `mcnc500` generated on the fly.
+        /// Input netlist path.
         input: PathBuf,
-        /// Solution file path (legacy single-solution mode).
-        part_file: Option<PathBuf>,
+        /// Solution file path.
+        part_file: PathBuf,
         /// Balance tolerance fraction.
         tolerance: f64,
-        /// Backend selection for the trial-suite mode.
-        engine: Option<EvalEngines>,
-        /// Seeded trials per backend (trial-suite mode).
-        trials: usize,
-        /// Base RNG seed (trial-suite mode).
-        seed: u64,
-        /// Scale factor applied when `input` is a generated `ibmNN` spec.
-        scale: f64,
-        /// Optional per-trial wall-clock budget in milliseconds.
-        budget_ms: Option<u64>,
     },
     /// `stats <netlist>`
     Stats {
@@ -229,39 +213,6 @@ pub enum Command {
     },
 }
 
-/// Backend selection for `eval --engine`: which multilevel backends the
-/// head-to-head trial suite runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvalEngines {
-    /// Coarse-grained multilevel only.
-    Ml,
-    /// n-level only.
-    NLevel,
-    /// Both, with a Pareto head-to-head.
-    Both,
-}
-
-impl EvalEngines {
-    fn parse(s: &str) -> Result<EvalEngines, String> {
-        match s {
-            "ml" | "ml-coarse" | "coarse" => Ok(EvalEngines::Ml),
-            "nlevel" | "n-level" => Ok(EvalEngines::NLevel),
-            "both" => Ok(EvalEngines::Both),
-            other => Err(format!(
-                "unknown eval engine `{other}` (expected ml, nlevel, both)"
-            )),
-        }
-    }
-
-    fn runs_ml(self) -> bool {
-        matches!(self, EvalEngines::Ml | EvalEngines::Both)
-    }
-
-    fn runs_nlevel(self) -> bool {
-        matches!(self, EvalEngines::NLevel | EvalEngines::Both)
-    }
-}
-
 /// Available partitioning engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
@@ -273,12 +224,9 @@ pub enum Engine {
     MlLifo,
     /// Multilevel with CLIP refinement.
     MlClip,
-    /// n-level: single-pair contraction with per-uncontraction
-    /// localized FM (LIFO insertion).
-    NLevel,
     /// hMetis-style multi-start + V-cycling.
     Hmetis,
-    /// Direct k-way FM.
+    /// Direct k-way FM, at every `k` including 2.
     Kway,
 }
 
@@ -289,11 +237,10 @@ impl Engine {
             "clip" => Ok(Engine::Clip),
             "ml-lifo" | "ml" => Ok(Engine::MlLifo),
             "ml-clip" => Ok(Engine::MlClip),
-            "nlevel" | "n-level" => Ok(Engine::NLevel),
             "hmetis" => Ok(Engine::Hmetis),
             "kway" => Ok(Engine::Kway),
             other => Err(format!(
-                "unknown engine `{other}` (expected lifo, clip, ml-lifo, ml-clip, nlevel, hmetis, kway)"
+                "unknown engine `{other}` (expected lifo, clip, ml-lifo, ml-clip, hmetis, kway)"
             )),
         }
     }
@@ -304,26 +251,20 @@ pub const USAGE: &str = "\
 hypart — hypergraph partitioning for VLSI CAD
 
 USAGE:
-  hypart partition <netlist> [--engine lifo|clip|ml-lifo|ml-clip|nlevel|hmetis|kway]
+  hypart partition <netlist> [--engine lifo|clip|ml-lifo|ml-clip|hmetis|kway]
                    [--k K] [--tol F] [--starts N] [--seed S] [--out FILE]
                    [--trace FILE.jsonl] [--budget-ms T]
                    [--audit off|checkpoints|paranoid]
-                   [--threads N] [--deterministic true|false]
 
-`--threads N` runs the ML engines with N parallel lanes (0 = one lane per
-hardware thread); omit the flag for the serial engine. With the default
-`--deterministic true` results and traces are identical for every N.
+`--engine kway` runs direct k-way FM at every K; the other engines reach
+K = 2^m by recursive multilevel bisection.
   hypart eval <netlist> <partfile> [--tol F]
-  hypart eval <netlist|ibmNN|mcncN> --engine ml|nlevel|both
-              [--trials N] [--tol F] [--seed S] [--scale S] [--budget-ms T]
-
-`eval` with a <partfile> scores an existing solution. With `--engine` it
-runs a seeded trial suite instead (generating `ibmNN`/`mcncN` specs on
-the fly) and reports the coarse-ML vs n-level head-to-head, including
-the (cut, seconds) Pareto frontier.
   hypart stats <netlist>
   hypart place <netlist> [--width W] [--height H] [--rows R] [--seed S] [--out FILE]
   hypart report <netlist> [--trials N] [--tol F] [--seed S] [--out FILE] [--budget-ms T]
+
+`eval` scores a solution; `report` runs seeded trials of flat LIFO, flat
+CLIP and ML LIFO FM and writes a markdown comparison.
   hypart gen <ibm01..ibm18|mcncN> [--scale S] [--seed K] --out FILE
   hypart serve [--addr HOST:PORT] [--workers N] [--queue N]
                [--instance-cache N] [--hierarchy-cache N] [--max-cells N]
@@ -351,7 +292,10 @@ circuits (default all 9).
 `partition --trace`.
 
 Every flag takes a value; a flag the subcommand does not list above,
-or one without its value, is a usage error.
+or one without its value, is a usage error. So is a value out of range:
+--tol must lie in [0, 1], --scale in (0, 1], --width and --height must
+be finite and not negative, --starts and --trials must be at least 1,
+and mcncN needs N >= 8.
 
 Netlists are read as hMETIS .hgr, or as simplified ISPD98 netD when the
 file extension contains `net`.
@@ -361,11 +305,8 @@ file extension contains `net`.
 /// for an unknown subcommand.
 fn accepted_flags(sub: &str) -> Option<&'static str> {
     Some(match sub {
-        "partition" => {
-            "--engine --k --tol --starts --seed --out --trace --budget-ms --audit --threads \
-             --deterministic"
-        }
-        "eval" => "--tol --engine --trials --seed --scale --budget-ms",
+        "partition" => "--engine --k --tol --starts --seed --out --trace --budget-ms --audit",
+        "eval" => "--tol",
         "stats" => "",
         "place" => "--width --height --rows --seed --out",
         "report" => "--trials --tol --seed --out --budget-ms",
@@ -394,11 +335,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             .and_then(|i| rest.get(i + 1))
             .map(|s| s.as_str())
     };
-    let parse_flag = |name: &str, default: f64| -> Result<f64, String> {
-        match flag_value(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("{name} takes a number")),
+    // A number outside the library's precondition `ok` (described by
+    // `range`) is a usage error here, not a panic in the engine.
+    let parse_flag = |name: &str, default: f64, range: &str, ok: fn(f64) -> bool| {
+        let Some(v) = flag_value(name) else {
+            return Ok(default);
+        };
+        match v.parse::<f64>() {
+            Ok(x) if ok(x) => Ok(x),
+            Ok(_) => Err(format!("{name} must be {range}, got `{v}`")),
+            Err(_) => Err(format!("{name} takes a number")),
         }
+    };
+    let parse_tol = || parse_flag("--tol", 0.02, "in [0, 1]", |x| (0.0..=1.0).contains(&x));
+    let parse_scale =
+        |default: f64| parse_flag("--scale", default, "in (0, 1]", |x| x > 0.0 && x <= 1.0);
+    let parse_extent = |name: &str| {
+        parse_flag(name, 1000.0, "finite and at least 0", |x| {
+            x.is_finite() && x >= 0.0
+        })
     };
     // The one integer parser: a fraction, a negative value or an
     // overflow is a usage error, never truncated, clamped or rounded.
@@ -417,6 +372,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let parse_usize = |name: &str, default: usize| -> Result<usize, String> {
         let n = parse_u64(name, default as u64)?;
         usize::try_from(n).map_err(|_| format!("{name} is out of range: {n}"))
+    };
+    let parse_count = |name: &str, default: usize| -> Result<usize, String> {
+        match parse_usize(name, default)? {
+            0 => Err(format!("{name} must be at least 1")),
+            n => Ok(n),
+        }
     };
     let mut positional = Vec::new();
     let mut words = rest.iter();
@@ -450,8 +411,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 input,
                 engine,
                 k,
-                tolerance: parse_flag("--tol", 0.02)?,
-                starts: parse_usize("--starts", 1)?,
+                tolerance: parse_tol()?,
+                starts: parse_count("--starts", 1)?,
                 seed: parse_u64("--seed", 1)?,
                 output: flag_value("--out").map(PathBuf::from),
                 trace: flag_value("--trace").map(PathBuf::from),
@@ -460,36 +421,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     None => AuditLevel::Off,
                     Some(v) => AuditLevel::parse(v)?,
                 },
-                threads: parse_opt_u64("--threads")?.map(|t| t as usize),
-                deterministic: match flag_value("--deterministic") {
-                    None => true,
-                    Some("true") | Some("on") | Some("1") => true,
-                    Some("false") | Some("off") | Some("0") => false,
-                    Some(other) => {
-                        return Err(format!(
-                            "--deterministic takes true or false, got `{other}`"
-                        ))
-                    }
-                },
             })
         }
-        "eval" => {
-            let engine = flag_value("--engine").map(EvalEngines::parse).transpose()?;
-            let part_file: Option<PathBuf> = positional.get(1).map(PathBuf::from);
-            if engine.is_none() && part_file.is_none() {
-                return Err("eval: missing <partfile> (or pass --engine ml|nlevel|both)".into());
-            }
-            Ok(Command::Eval {
-                input: positional.first().ok_or("eval: missing <netlist>")?.into(),
-                part_file,
-                tolerance: parse_flag("--tol", 0.02)?,
-                engine,
-                trials: parse_usize("--trials", 5)?,
-                seed: parse_u64("--seed", 1)?,
-                scale: parse_flag("--scale", 0.05)?,
-                budget_ms: parse_opt_u64("--budget-ms")?,
-            })
-        }
+        "eval" => Ok(Command::Eval {
+            input: positional.first().ok_or("eval: missing <netlist>")?.into(),
+            part_file: positional.get(1).ok_or("eval: missing <partfile>")?.into(),
+            tolerance: parse_tol()?,
+        }),
         "stats" => Ok(Command::Stats {
             input: positional.first().ok_or("stats: missing <netlist>")?.into(),
         }),
@@ -498,16 +436,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .first()
                 .ok_or("report: missing <netlist>")?
                 .into(),
-            trials: parse_usize("--trials", 10)?,
-            tolerance: parse_flag("--tol", 0.02)?,
+            trials: parse_count("--trials", 10)?,
+            tolerance: parse_tol()?,
             seed: parse_u64("--seed", 1)?,
             output: flag_value("--out").map(PathBuf::from),
             budget_ms: parse_opt_u64("--budget-ms")?,
         }),
         "place" => Ok(Command::Place {
             input: positional.first().ok_or("place: missing <netlist>")?.into(),
-            width: parse_flag("--width", 1000.0)?,
-            height: parse_flag("--height", 1000.0)?,
+            width: parse_extent("--width")?,
+            height: parse_extent("--height")?,
             rows: parse_usize("--rows", 0)?,
             seed: parse_u64("--seed", 1)?,
             output: flag_value("--out").map(PathBuf::from),
@@ -517,28 +455,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .first()
                 .ok_or("gen: missing instance spec")?
                 .to_string(),
-            scale: parse_flag("--scale", 0.1)?,
+            scale: parse_scale(0.1)?,
             seed: parse_u64("--seed", 1)?,
             out: flag_value("--out").ok_or("gen: missing --out FILE")?.into(),
         }),
-        "serve" => {
-            let workers = parse_usize("--workers", 2)?;
-            if workers == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-            let queue = parse_usize("--queue", 64)?;
-            if queue == 0 {
-                return Err("--queue must be at least 1".into());
-            }
-            Ok(Command::Serve {
-                addr: flag_value("--addr").unwrap_or("127.0.0.1:7077").to_string(),
-                workers,
-                queue,
-                instance_cache: parse_usize("--instance-cache", 16)?,
-                hierarchy_cache: parse_usize("--hierarchy-cache", 32)?,
-                max_cells: parse_usize("--max-cells", 0)?,
-            })
-        }
+        "serve" => Ok(Command::Serve {
+            addr: flag_value("--addr").unwrap_or("127.0.0.1:7077").to_string(),
+            workers: parse_count("--workers", 2)?,
+            queue: parse_count("--queue", 64)?,
+            instance_cache: parse_usize("--instance-cache", 16)?,
+            hierarchy_cache: parse_usize("--hierarchy-cache", 32)?,
+            max_cells: parse_usize("--max-cells", 0)?,
+        }),
         "experiment" => {
             let name = *positional.first().ok_or("experiment: missing <name>")?;
             if !hypart_bench::EXPERIMENTS.contains(&name) {
@@ -548,15 +476,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 return Err(format!("experiment {name}: unknown flag `--instances`"));
             }
             let default = ExperimentConfig::default();
-            let trials = parse_usize("--trials", default.trials)?;
-            if trials == 0 {
-                return Err("--trials must be at least 1".into());
-            }
             Ok(Command::Experiment {
                 name: name.to_string(),
                 config: ExperimentConfig {
-                    scale: parse_flag("--scale", default.scale)?,
-                    trials,
+                    scale: parse_scale(default.scale)?,
+                    trials: parse_count("--trials", default.trials)?,
                     seed: parse_u64("--seed", default.seed)?,
                 },
                 max_instances: parse_usize("--instances", TABLE45_INSTANCES.len())?,
@@ -670,16 +594,6 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 trials,
                 &mut trial_ctx(seed),
             );
-            let nlevel = run_trials_with(
-                &MlHeuristic::new(
-                    "n-level LIFO FM",
-                    MlConfig::ml_lifo().with_engine(EngineKind::NLevel),
-                ),
-                &h,
-                &c,
-                trials,
-                &mut trial_ctx(seed),
-            );
 
             let mut table = hypart_eval::table::Table::new([
                 "engine",
@@ -688,7 +602,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 "balanced",
                 "failed",
             ]);
-            for set in [&flat, &clip, &ml, &nlevel] {
+            for set in [&flat, &clip, &ml] {
                 table.add_row([
                     set.heuristic.clone(),
                     set.min_avg_cell(),
@@ -698,7 +612,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 ]);
             }
             report.table(&table);
-            for set in [&flat, &clip, &ml, &nlevel] {
+            for set in [&flat, &clip, &ml] {
                 report.distribution(&set.heuristic, &set.cuts());
             }
             report.section("Best-so-far (budget) curves");
@@ -721,9 +635,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 .map_err(|e| CliError::Runtime(format!("{}: {e}", out_path.display())))?;
             let json_path = out_path.with_extension("json");
             let json = hypart_eval::json::JsonValue::array(
-                [&flat, &clip, &ml, &nlevel]
-                    .into_iter()
-                    .map(trial_set_to_json),
+                [&flat, &clip, &ml].into_iter().map(trial_set_to_json),
             );
             std::fs::write(&json_path, json.to_string())
                 .map_err(|e| CliError::Runtime(format!("{}: {e}", json_path.display())))?;
@@ -857,20 +769,7 @@ solution : {}
             input,
             part_file,
             tolerance,
-            engine,
-            trials,
-            seed,
-            scale,
-            budget_ms,
         } => {
-            let Some(part_file) = part_file else {
-                let Some(sel) = engine else {
-                    return Err(CliError::Usage(
-                        "eval: --engine required without a <partfile>".into(),
-                    ));
-                };
-                return eval_engine_suite(&input, sel, tolerance, trials, seed, scale, budget_ms);
-            };
             let h = load_netlist(&input)?;
             let parts = io::partfile::read_path(&part_file)
                 .map_err(|e| classify_parse_error(&part_file, e))?;
@@ -905,17 +804,9 @@ solution : {}
             trace,
             budget_ms,
             audit,
-            threads,
-            deterministic,
         } => {
             let h = load_netlist(&input)?;
             let t0 = Instant::now();
-            // `--threads 0` = one lane per hardware thread; omitted = serial.
-            let threads = match threads {
-                Some(0) => rayon::current_num_threads().max(1),
-                Some(t) => t,
-                None => 0,
-            };
             let make_ctx = || {
                 let ctx = RunCtx::new(seed).with_audit(audit);
                 match budget_ms {
@@ -931,16 +822,7 @@ solution : {}
                     let counters = CounterSink::new();
                     let tee = TeeSink::new(&jsonl, &counters);
                     let mut ctx = make_ctx().with_sink(&tee);
-                    let outcome = partition_with(
-                        &h,
-                        engine,
-                        k,
-                        tolerance,
-                        starts,
-                        threads,
-                        deterministic,
-                        &mut ctx,
-                    );
+                    let outcome = partition_with(&h, engine, k, tolerance, starts, &mut ctx);
                     jsonl
                         .finish()
                         .map_err(|e| CliError::Runtime(format!("{}: {e}", trace_path.display())))?;
@@ -953,16 +835,7 @@ solution : {}
                 }
                 None => {
                     let mut ctx = make_ctx();
-                    let outcome = partition_with(
-                        &h,
-                        engine,
-                        k,
-                        tolerance,
-                        starts,
-                        threads,
-                        deterministic,
-                        &mut ctx,
-                    );
+                    let outcome = partition_with(&h, engine, k, tolerance, starts, &mut ctx);
                     (outcome, String::new())
                 }
             };
@@ -1023,17 +896,11 @@ solution : {}
     }
 }
 
-fn engine_ml_config(engine: Engine, threads: usize, deterministic: bool) -> MlConfig {
+fn engine_ml_config(engine: Engine) -> MlConfig {
     match engine {
         Engine::MlClip => MlConfig::ml_clip(),
-        // The n-level backend is serial-only and ignores the lane count,
-        // but the threads/deterministic knobs are passed through so the
-        // config echoes the command line.
-        Engine::NLevel => MlConfig::ml_lifo().with_engine(EngineKind::NLevel),
         _ => MlConfig::ml_lifo(),
     }
-    .with_threads(threads)
-    .with_deterministic(deterministic)
 }
 
 /// `trace`: replays one JSONL run-event trace into a [`CounterSink`]
@@ -1072,9 +939,14 @@ fn summarize_trace(path: &Path) -> Result<String, CliError> {
 /// `mcncN`).
 fn generate_instance(spec: &str, scale: f64, seed: u64) -> Result<Hypergraph, CliError> {
     if let Some(rest) = spec.strip_prefix("mcnc") {
-        let cells: usize = rest
+        // `mcnc_like` needs at least 8 cells.
+        let cells = rest
             .parse()
-            .map_err(|_| CliError::Usage(format!("bad mcnc spec `{spec}` (want mcnc<N>)")))?;
+            .ok()
+            .filter(|&cells| cells >= 8)
+            .ok_or_else(|| {
+                CliError::Usage(format!("bad mcnc spec `{spec}` (want mcnc<N>, N >= 8)"))
+            })?;
         Ok(hypart_benchgen::mcnc_like(cells, seed))
     } else if let Some(index) = hypart_benchgen::IBM_PROFILES
         .iter()
@@ -1084,109 +956,6 @@ fn generate_instance(spec: &str, scale: f64, seed: u64) -> Result<Hypergraph, Cl
     } else {
         Err(CliError::Usage(format!("unknown instance spec `{spec}`")))
     }
-}
-
-/// `eval --engine`: a seeded trial suite comparing the coarse-grained
-/// multilevel backend against the n-level backend on one instance —
-/// existing netlist file or generated `ibmNN`/`mcncN` spec — with the
-/// paper-style (cost, runtime) Pareto frontier.
-fn eval_engine_suite(
-    input: &Path,
-    sel: EvalEngines,
-    tolerance: f64,
-    trials: usize,
-    seed: u64,
-    scale: f64,
-    budget_ms: Option<u64>,
-) -> Result<String, CliError> {
-    let h = if input.exists() {
-        load_netlist(input)?
-    } else {
-        let spec = input.to_str().unwrap_or("");
-        generate_instance(spec, scale, seed)?.with_name(spec)
-    };
-    let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
-    // Each backend gets its own context (and budget window) so a slow
-    // backend cannot starve the one evaluated after it.
-    let trial_ctx = |s: u64| {
-        let ctx = RunCtx::new(s);
-        match budget_ms {
-            Some(ms) => ctx.with_budget(Duration::from_millis(ms)),
-            None => ctx,
-        }
-    };
-    let trials = trials.max(1);
-    let mut sets = Vec::new();
-    if sel.runs_ml() {
-        sets.push(run_trials_with(
-            &MlHeuristic::new("ml", MlConfig::ml_lifo()),
-            &h,
-            &c,
-            trials,
-            &mut trial_ctx(seed),
-        ));
-    }
-    if sel.runs_nlevel() {
-        sets.push(run_trials_with(
-            &MlHeuristic::new(
-                "nlevel",
-                MlConfig::ml_lifo().with_engine(EngineKind::NLevel),
-            ),
-            &h,
-            &c,
-            trials,
-            &mut trial_ctx(seed),
-        ));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "instance : {} ({} cells, {} nets, {} pins)",
-        h.name(),
-        h.num_vertices(),
-        h.num_nets(),
-        h.num_pins()
-    );
-    let _ = writeln!(
-        out,
-        "suite    : {trials} seeded trial(s) per backend, {:.0}% balance window",
-        tolerance * 100.0
-    );
-    let mut table =
-        hypart_eval::table::Table::new(["engine", "min/avg cut", "avg sec", "balanced", "failed"]);
-    for set in &sets {
-        table.add_row([
-            set.heuristic.clone(),
-            set.min_avg_cell(),
-            format!("{:.4}", set.avg_seconds()),
-            format!("{:.0}%", set.balanced_fraction() * 100.0),
-            format!("{}", set.failed_trials),
-        ]);
-    }
-    out.push_str(&table.render());
-    let points: Vec<hypart_eval::pareto::PerfPoint> = sets
-        .iter()
-        .map(|s| {
-            hypart_eval::pareto::PerfPoint::new(s.heuristic.clone(), s.avg_cut(), s.avg_seconds())
-        })
-        .collect();
-    let _ = writeln!(out, "\nPareto, avg cut vs avg seconds:");
-    out.push_str(&hypart_eval::pareto::frontier_report(&points));
-    if sets.len() == 2 {
-        let (ml, nl) = (&sets[0], &sets[1]);
-        let _ = writeln!(
-            out,
-            "head-to-head min cut: ml {} vs nlevel {} ({})",
-            ml.min_cut(),
-            nl.min_cut(),
-            if nl.min_cut() <= ml.min_cut() {
-                "nlevel matches or beats ml"
-            } else {
-                "ml ahead on this instance"
-            }
-        );
-    }
-    Ok(out)
 }
 
 /// The result of one CLI partition invocation, with the robustness
@@ -1202,54 +971,43 @@ struct PartitionRun {
 }
 
 /// Dispatches one partition invocation to the selected engine under the
-/// context's sink, seed, and budget. `threads == 0` keeps every engine
-/// serial; `threads >= 1` runs the ML engines with that many lanes.
-#[allow(clippy::too_many_arguments)]
+/// context's sink, seed, and budget: direct k-way FM for `Kway` at every
+/// `k`, a 2-way engine at `k == 2`, recursive bisection above it.
 fn partition_with(
     h: &Hypergraph,
     engine: Engine,
     k: usize,
     tolerance: f64,
     starts: usize,
-    threads: usize,
-    deterministic: bool,
     ctx: &mut RunCtx<'_>,
 ) -> PartitionRun {
-    if k == 2 {
+    if k == 2 && engine != Engine::Kway {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
-        run_two_way_with(h, &c, engine, starts, threads, deterministic, ctx)
-    } else {
-        let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, tolerance);
-        let out = match engine {
-            Engine::Kway => KWayFmPartitioner::new().run_with(h, &balance, ctx),
-            _ => recursive_bisection_with(
-                h,
-                k,
-                tolerance,
-                &engine_ml_config(engine, threads, deterministic),
-                ctx,
-            ),
-        };
-        let balanced = out.is_balanced(&balance);
-        PartitionRun {
-            assignment: out.assignment,
-            cut: out.cut,
-            balanced,
-            stopped: out.stopped,
-            failed_starts: 0,
-            audit_failure: out.audit_failure.map(|e| e.to_string()),
-        }
+        return run_two_way_with(h, &c, engine, starts, ctx);
+    }
+    let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, tolerance);
+    let out = match engine {
+        Engine::Kway => KWayFmPartitioner::new().run_with(h, &balance, ctx),
+        _ => recursive_bisection_with(h, k, tolerance, &engine_ml_config(engine), ctx),
+    };
+    let balanced = out.is_balanced(&balance);
+    PartitionRun {
+        assignment: out.assignment,
+        cut: out.cut,
+        balanced,
+        stopped: out.stopped,
+        failed_starts: 0,
+        audit_failure: out.audit_failure.map(|e| e.to_string()),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `starts` starts of a flat or multilevel 2-way engine; the best
+/// (balanced first, then lowest cut) is reported.
 fn run_two_way_with(
     h: &Hypergraph,
     c: &BalanceConstraint,
     engine: Engine,
     starts: usize,
-    threads: usize,
-    deterministic: bool,
     ctx: &mut RunCtx<'_>,
 ) -> PartitionRun {
     match engine {
@@ -1264,7 +1022,7 @@ fn run_two_way_with(
             let mut best = partitioner.run_with(h, c, ctx);
             let mut stopped = best.stopped;
             let mut audit_failure = best.stats.audit_failure.clone();
-            for i in 1..starts.max(1) as u64 {
+            for i in 1..starts as u64 {
                 if stopped.is_stopped() {
                     break;
                 }
@@ -1288,17 +1046,15 @@ fn run_two_way_with(
                 audit_failure: audit_failure.map(|e| e.to_string()),
             }
         }
-        Engine::MlLifo | Engine::MlClip | Engine::NLevel | Engine::Hmetis | Engine::Kway => {
-            let ml = MlPartitioner::new(engine_ml_config(engine, threads, deterministic));
+        _ => {
+            let ml = MlPartitioner::new(engine_ml_config(engine));
             let plan = match engine {
-                // The hMetis-style driver V-cycles the best start; Kway with
-                // k == 2 degrades gracefully to it. With a budget it launches
-                // starts until the deadline instead of a fixed count.
-                Engine::Hmetis | Engine::Kway if ctx.deadline().is_some() => {
-                    MultiStartPlan::until_budget()
-                }
-                Engine::Hmetis | Engine::Kway => MultiStartPlan::count(starts.max(1), 4),
-                _ => MultiStartPlan::count(starts.max(1), 0),
+                // The hMetis-style driver V-cycles the best start. With a
+                // budget it launches starts until the deadline instead of
+                // a fixed count.
+                Engine::Hmetis if ctx.deadline().is_some() => MultiStartPlan::until_budget(),
+                Engine::Hmetis => MultiStartPlan::count(starts, 4),
+                _ => MultiStartPlan::count(starts, 0),
             };
             let out = multi_start_with(&ml, h, c, &plan, ctx);
             PartitionRun {
@@ -1420,91 +1176,8 @@ mod tests {
                 "{flag}"
             );
         }
-        assert!(parse_args(&args(&[
-            "eval", "x.hgr", "--engine", "ml", "--trials", "-3"
-        ]))
-        .is_err());
+        assert!(parse_args(&args(&["report", "x.hgr", "--trials", "-3"])).is_err());
         assert!(parse_args(&args(&["place", "x.hgr", "--rows", "2.5"])).is_err());
-    }
-
-    #[test]
-    fn parse_partition_threads_and_determinism() {
-        let cmd = parse_args(&args(&[
-            "partition",
-            "x.hgr",
-            "--threads",
-            "4",
-            "--deterministic",
-            "false",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Partition {
-                threads,
-                deterministic,
-                ..
-            } => {
-                assert_eq!(threads, Some(4));
-                assert!(!deterministic);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // Defaults: flag omitted means serial + deterministic.
-        match parse_args(&args(&["partition", "x.hgr"])).unwrap() {
-            Command::Partition {
-                threads,
-                deterministic,
-                ..
-            } => {
-                assert_eq!(threads, None);
-                assert!(deterministic);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse_args(&args(&["partition", "x.hgr", "--deterministic", "maybe"])).is_err());
-    }
-
-    #[test]
-    fn parallel_partition_via_cli_matches_serial() {
-        let dir = std::env::temp_dir().join("hypart_cli_par");
-        std::fs::create_dir_all(&dir).unwrap();
-        let hgr = dir.join("p.hgr");
-        run(Command::Gen {
-            spec: "mcnc300".into(),
-            scale: 0.1,
-            seed: 3,
-            out: hgr.clone(),
-        })
-        .unwrap();
-        let run_at = |threads: Option<usize>| {
-            run(Command::Partition {
-                input: hgr.clone(),
-                engine: Engine::MlLifo,
-                k: 2,
-                tolerance: 0.1,
-                starts: 1,
-                seed: 9,
-                output: None,
-                trace: None,
-                budget_ms: None,
-                audit: AuditLevel::Paranoid,
-                threads,
-                deterministic: true,
-            })
-            .unwrap()
-        };
-        // The report embeds the wall time; strip it before comparing.
-        let essence = |report: String| {
-            report
-                .lines()
-                .filter(|l| !l.starts_with("time"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let a = essence(run_at(Some(1)));
-        let b = essence(run_at(Some(4)));
-        assert_eq!(a, b, "deterministic runs must not depend on lane count");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// `--engine ml-lifo --starts 4` runs the multi-start driver: a start
@@ -1516,10 +1189,10 @@ mod tests {
         let h = hypart_benchgen::mcnc_like(300, 8);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let mut ctx = RunCtx::new(5).with_fault_plan(hypart_core::FaultPlan::panic_in_start(1));
-        let run = run_two_way_with(&h, &c, Engine::MlLifo, 4, 0, true, &mut ctx);
+        let run = run_two_way_with(&h, &c, Engine::MlLifo, 4, &mut ctx);
         assert_eq!(run.failed_starts, 1);
 
-        let ml = MlPartitioner::new(engine_ml_config(Engine::MlLifo, 0, true));
+        let ml = MlPartitioner::new(engine_ml_config(Engine::MlLifo));
         let best = [0, 2, 3]
             .map(|i| ml.run_with(&h, &c, &mut RunCtx::new(5 + i)))
             .into_iter()
@@ -1561,27 +1234,9 @@ mod tests {
     fn parse_eval_and_stats_and_gen() {
         assert!(matches!(
             parse_args(&args(&["eval", "x.hgr", "x.part"])).unwrap(),
-            Command::Eval {
-                part_file: Some(_),
-                engine: None,
-                ..
-            }
+            Command::Eval { .. }
         ));
-        // Trial-suite mode: no partfile, --engine selects the backends.
-        assert!(matches!(
-            parse_args(&args(&[
-                "eval", "ibm01", "--engine", "both", "--trials", "3"
-            ]))
-            .unwrap(),
-            Command::Eval {
-                part_file: None,
-                engine: Some(EvalEngines::Both),
-                trials: 3,
-                ..
-            }
-        ));
-        assert!(parse_args(&args(&["eval", "x.hgr"])).is_err()); // neither mode
-        assert!(parse_args(&args(&["eval", "x.hgr", "--engine", "bogus"])).is_err());
+        assert!(parse_args(&args(&["eval", "x.hgr"])).is_err()); // no <partfile>
         assert!(matches!(
             parse_args(&args(&["stats", "x.hgr"])).unwrap(),
             Command::Stats { .. }
@@ -1624,8 +1279,6 @@ mod tests {
             trace: None,
             budget_ms: None,
             audit: AuditLevel::Checkpoints,
-            threads: None,
-            deterministic: true,
         })
         .unwrap();
         assert!(report.contains("cut"), "{report}");
@@ -1633,13 +1286,8 @@ mod tests {
 
         let report = run(Command::Eval {
             input: hgr.clone(),
-            part_file: Some(part.clone()),
+            part_file: part.clone(),
             tolerance: 0.1,
-            engine: None,
-            trials: 1,
-            seed: 1,
-            scale: 0.05,
-            budget_ms: None,
         })
         .unwrap();
         assert!(report.contains("ratio cut"), "{report}");
@@ -1669,8 +1317,6 @@ mod tests {
             trace: None,
             budget_ms: None,
             audit: AuditLevel::Paranoid,
-            threads: None,
-            deterministic: true,
         })
         .unwrap();
         assert!(report.contains("k = 4"), "{report}");
@@ -1678,79 +1324,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `--engine kway` runs direct k-way FM at `--k 2` too, not the
+    /// 2-way multi-start driver, so `--starts` does not apply.
     #[test]
-    fn nlevel_partition_and_eval_suite() {
-        assert!(matches!(
-            parse_args(&args(&["partition", "x.hgr", "--engine", "nlevel"])).unwrap(),
-            Command::Partition {
-                engine: Engine::NLevel,
-                ..
-            }
-        ));
-        // Recursive bisection still demands a power of two for 2-way engines.
-        assert!(parse_args(&args(&[
-            "partition",
-            "x.hgr",
-            "--engine",
-            "nlevel",
-            "--k",
-            "3"
-        ]))
-        .is_err());
-        assert!(parse_args(&args(&[
-            "partition",
-            "x.hgr",
-            "--engine",
-            "nlevel",
-            "--k",
-            "4"
-        ]))
-        .is_ok());
-
-        let dir = std::env::temp_dir().join("hypart_cli_nlevel");
-        std::fs::create_dir_all(&dir).unwrap();
-        let hgr = dir.join("n.hgr");
-        run(Command::Gen {
-            spec: "mcnc200".into(),
-            scale: 0.1,
-            seed: 3,
-            out: hgr.clone(),
-        })
-        .unwrap();
-        let report = run(Command::Partition {
-            input: hgr.clone(),
-            engine: Engine::NLevel,
-            k: 2,
-            tolerance: 0.1,
-            starts: 1,
-            seed: 5,
-            output: None,
-            trace: None,
-            budget_ms: None,
-            audit: AuditLevel::Paranoid,
-            threads: None,
-            deterministic: true,
-        })
-        .unwrap();
-        assert!(report.contains("NLevel"), "{report}");
-        assert!(report.contains("balanced : true"), "{report}");
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Suite mode on a generated spec: both backends, Pareto report.
-        let suite = run(Command::Eval {
-            input: PathBuf::from("mcnc150"),
-            part_file: None,
-            tolerance: 0.1,
-            engine: Some(EvalEngines::Both),
-            trials: 2,
-            seed: 1,
-            scale: 0.05,
-            budget_ms: None,
-        })
-        .unwrap();
-        assert!(suite.contains("nlevel"), "{suite}");
-        assert!(suite.contains("non-dominated frontier"), "{suite}");
-        assert!(suite.contains("head-to-head min cut"), "{suite}");
+    fn kway_engine_at_k2_is_direct_kway_fm() {
+        let h = hypart_benchgen::mcnc_like(600, 3);
+        let run = partition_with(&h, Engine::Kway, 2, 0.1, 3, &mut RunCtx::new(5));
+        let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 2, 0.1);
+        let direct = KWayFmPartitioner::new().run_with(&h, &balance, &mut RunCtx::new(5));
+        assert_eq!(run.cut, direct.cut);
+        assert_eq!(run.assignment, direct.assignment);
+        assert_eq!(run.balanced, direct.is_balanced(&balance));
     }
 
     #[test]
@@ -1906,7 +1490,7 @@ mod tests {
             "stats x.hgr",
             "place x.hgr --width 9 --height 9 --rows 2 --seed 2 --out x.pl",
             "report x.hgr --trials 2 --tol 0.1 --seed 3 --out r.md --budget-ms 5",
-            "eval ibm01 --engine ml --trials 2 --tol 0.1 --seed 3 --scale 0.1 --budget-ms 5",
+            "eval x.hgr x.part --tol 0.1",
         ] {
             assert!(parse_args(&words(line)).is_ok(), "{line}");
         }

@@ -18,6 +18,10 @@ fn main() {
     };
     match hypart_cli::run(command) {
         Ok(report) => print!("{report}"),
+        Err(e @ hypart_cli::CliError::Usage(_)) => {
+            eprintln!("error: {e}\n\n{}", hypart_cli::USAGE);
+            std::process::exit(e.exit_code());
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(e.exit_code());

@@ -374,3 +374,80 @@ fn trace_summarizes_partition_traces() {
     assert_eq!(out.status.code(), Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The n-level and lane-parallel engines are library-only: the flags
+/// that selected them are usage errors.
+#[test]
+fn removed_engine_options_exit_2() {
+    for line in [
+        "partition x.hgr --engine nlevel",
+        "partition x.hgr --threads 2",
+        "partition x.hgr --deterministic false",
+        "eval ibm01 --engine ml",
+    ] {
+        let out = hypart()
+            .args(line.split_whitespace())
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line}: ran anyway");
+    }
+}
+
+/// A value outside what the library accepts exits 2 with the usage text,
+/// before anything runs or is written, instead of panicking.
+#[test]
+fn out_of_range_values_exit_2_before_writing() {
+    let dir = temp_dir("out_of_range");
+    assert!(hypart_in(&dir, "gen mcnc200 --seed 5 --out t.hgr")
+        .status
+        .success());
+    assert!(hypart_in(&dir, "partition t.hgr --tol 0.1")
+        .status
+        .success());
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .map(|entry| entry.expect("entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    for (line, error) in [
+        ("partition t.hgr --tol 2", "--tol must be in [0, 1]"),
+        ("partition t.hgr --tol -0.1", "--tol must be in [0, 1]"),
+        ("partition t.hgr --tol NaN", "--tol must be in [0, 1]"),
+        ("partition t.hgr --starts 0", "--starts must be at least 1"),
+        ("eval t.hgr t.part --tol inf", "--tol must be in [0, 1]"),
+        ("report t.hgr --tol 1.5", "--tol must be in [0, 1]"),
+        ("report t.hgr --trials 0", "--trials must be at least 1"),
+        (
+            "gen ibm01 --scale 0 --out g.hgr",
+            "--scale must be in (0, 1]",
+        ),
+        (
+            "gen ibm01 --scale 1.5 --out g.hgr",
+            "--scale must be in (0, 1]",
+        ),
+        ("gen mcnc5 --out g.hgr", "bad mcnc spec `mcnc5`"),
+        ("experiment table1 --scale 0", "--scale must be in (0, 1]"),
+        ("place t.hgr --width -5", "--width must be finite"),
+        ("place t.hgr --width NaN", "--width must be finite"),
+        (
+            "place t.hgr --height inf --rows 4",
+            "--height must be finite",
+        ),
+    ] {
+        let out = hypart_in(&dir, line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(error), "{line}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line}: ran anyway");
+        assert_eq!(listing(), before, "{line}: wrote a file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

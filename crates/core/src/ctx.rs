@@ -227,14 +227,6 @@ impl<'s> RunCtx<'s> {
         self
     }
 
-    /// Replaces the n-level workspace (e.g. to reuse arenas across
-    /// contexts).
-    #[must_use]
-    pub fn with_nlevel_workspace(mut self, nlevel: NLevelWorkspace) -> Self {
-        self.nlevel = nlevel;
-        self
-    }
-
     /// Sets how much independent invariant auditing runs (default:
     /// [`AuditLevel::Off`], which costs and emits nothing).
     #[must_use]
@@ -286,27 +278,6 @@ impl<'s> RunCtx<'s> {
             check_moves: self.check_moves,
             counter: 0,
             latched: None,
-        }
-    }
-
-    /// A derived context for one unit of parallel work: same deadline,
-    /// same (shared) cancellation token, check interval, audit level,
-    /// and fault plan, but its own sink, seed, and fresh workspace.
-    /// A parallel caller gives each unit a child whose sink is a
-    /// per-unit buffer, preserving the sequential trace stream.
-    pub fn child<'t>(&self, sink: &'t dyn TraceSink, seed: u64) -> RunCtx<'t> {
-        RunCtx {
-            sink,
-            workspace: FmWorkspace::new(),
-            coarsen: CoarsenWorkspace::new(),
-            nlevel: NLevelWorkspace::new(),
-            lanes: Vec::new(),
-            seed,
-            deadline: self.deadline,
-            cancel: self.cancel.clone(),
-            check_moves: self.check_moves,
-            audit: self.audit,
-            fault_plan: self.fault_plan.clone(),
         }
     }
 }
@@ -403,8 +374,8 @@ mod tests {
         token.cancel();
         let mut probe = ctx.probe();
         assert_eq!(probe.stop_now(), Some(StopReason::Cancelled));
-        let mut child_probe = ctx.child(&NullSink, 1).probe();
-        assert_eq!(child_probe.stop_now(), Some(StopReason::Cancelled));
+        let shared = RunCtx::new(1).with_cancel_token(token);
+        assert_eq!(shared.probe().stop_now(), Some(StopReason::Cancelled));
     }
 
     #[test]
@@ -422,27 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn child_inherits_audit_and_fault_plan() {
+    fn with_sink_keeps_audit_and_fault_plan() {
         let ctx = RunCtx::new(1)
             .with_audit(AuditLevel::Paranoid)
             .with_fault_plan(FaultPlan::panic_in_start(7));
         assert_eq!(ctx.audit(), AuditLevel::Paranoid);
-        let child = ctx.child(&NullSink, 2);
-        assert_eq!(child.audit(), AuditLevel::Paranoid);
-        assert!(child.fault_plan().should_panic_start(7));
-        // with_sink keeps both as well.
         let rebound = ctx.with_sink(&NullSink);
         assert_eq!(rebound.audit(), AuditLevel::Paranoid);
         assert!(rebound.fault_plan().should_panic_start(7));
-    }
-
-    #[test]
-    fn child_inherits_budget_but_not_workspace() {
-        let deadline = Instant::now() + Duration::from_secs(3600);
-        let ctx = RunCtx::new(5).with_deadline(deadline);
-        let child = ctx.child(&NullSink, 9);
-        assert_eq!(child.deadline(), Some(deadline));
-        assert_eq!(child.seed, 9);
-        assert_eq!(child.move_check_interval(), ctx.move_check_interval());
     }
 }

@@ -85,7 +85,7 @@ pub use nlevel::{
     refine_localized, select_contractions, ContractScratch, ContractionLimits, ContractionMemento,
     DynHypergraph, EngineKind, LocalSearchScratch, NLevelPartition, NLevelWorkspace,
 };
-pub use par::{derive_seed, ensure_lanes, resolve_threads, MoveProposal, ParLane};
+pub use par::{derive_seed, ensure_lanes, MoveProposal, ParLane};
 pub use par_refine::{refine_rounds_parallel, ParRefineOutcome, PAR_REFINE_MAX_ROUNDS};
 pub use stats::{FmStats, PassStats, CORKED_FRACTION};
 pub use workspace::FmWorkspace;

@@ -60,45 +60,3 @@ pub enum EngineKind {
     /// refinement per uncontraction.
     NLevel,
 }
-
-impl EngineKind {
-    /// Stable snake-case name (`"ml"` / `"nlevel"`), used by the CLI
-    /// `--engine` flag and the server wire protocol.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::MlCoarse => "ml",
-            EngineKind::NLevel => "nlevel",
-        }
-    }
-
-    /// Parses a [`name`](EngineKind::name) back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the unknown kind.
-    pub fn parse(s: &str) -> Result<EngineKind, String> {
-        match s {
-            "ml" | "ml-coarse" | "coarse" => Ok(EngineKind::MlCoarse),
-            "nlevel" | "n-level" => Ok(EngineKind::NLevel),
-            other => Err(format!(
-                "unknown engine kind `{other}` (expected ml or nlevel)"
-            )),
-        }
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_kind_round_trips_and_defaults_to_ml() {
-        assert_eq!(EngineKind::default(), EngineKind::MlCoarse);
-        for kind in [EngineKind::MlCoarse, EngineKind::NLevel] {
-            assert_eq!(EngineKind::parse(kind.name()).unwrap(), kind);
-        }
-        assert_eq!(EngineKind::parse("n-level").unwrap(), EngineKind::NLevel);
-        assert!(EngineKind::parse("warp").is_err());
-    }
-}

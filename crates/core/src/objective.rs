@@ -8,12 +8,6 @@
 use crate::bisection::Bisection;
 use hypart_hypergraph::PartId;
 
-/// Weighted cut size: sum of weights of nets spanning both partitions.
-/// This is the objective all engines in this workspace optimize.
-pub fn cut_size(bisection: &Bisection<'_>) -> u64 {
-    bisection.cut()
-}
-
 /// Ratio cut \[Wei–Cheng ICCAD-89\]: `cut / (w(P0) · w(P1))`.
 ///
 /// Returns `f64::INFINITY` if either side has zero weight (the formulation
@@ -87,13 +81,6 @@ mod tests {
 
     fn split(h: &Hypergraph) -> Bisection<'_> {
         Bisection::new(h, vec![PartId::P0, PartId::P0, PartId::P1, PartId::P1]).unwrap()
-    }
-
-    #[test]
-    fn cut_size_matches_bisection() {
-        let h = sample();
-        let b = split(&h);
-        assert_eq!(cut_size(&b), 1);
     }
 
     #[test]

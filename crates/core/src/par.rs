@@ -59,17 +59,6 @@ pub fn ensure_lanes(lanes: &mut Vec<ParLane>, count: usize) {
     }
 }
 
-/// Resolves a configured thread count: `0` means "ask the runtime"
-/// ([`rayon::current_num_threads`], which honours `RAYON_NUM_THREADS`),
-/// anything else is taken literally. Always at least 1.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        rayon::current_num_threads().max(1)
-    } else {
-        threads
-    }
-}
-
 /// Derives a decorrelated per-unit seed from a base seed and a unit
 /// index (SplitMix64 finalizer over the golden-ratio-striped index).
 ///
@@ -99,13 +88,6 @@ mod tests {
         assert_eq!(lanes[2].moves.len(), 1);
         ensure_lanes(&mut lanes, 6);
         assert_eq!(lanes.len(), 6);
-    }
-
-    #[test]
-    fn resolve_threads_passes_explicit_counts_through() {
-        assert_eq!(resolve_threads(1), 1);
-        assert_eq!(resolve_threads(8), 8);
-        assert!(resolve_threads(0) >= 1);
     }
 
     #[test]

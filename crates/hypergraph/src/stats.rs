@@ -138,25 +138,6 @@ fn ratio(a: usize, b: usize) -> f64 {
     }
 }
 
-/// Histogram of net sizes (index = size, value = count), useful for checking
-/// that synthetic instances match a target distribution.
-pub fn net_size_histogram(h: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; h.max_net_size() + 1];
-    for e in h.nets() {
-        hist[h.net_size(e)] += 1;
-    }
-    hist
-}
-
-/// Histogram of vertex degrees (index = degree, value = count).
-pub fn vertex_degree_histogram(h: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; h.max_vertex_degree() + 1];
-    for v in h.vertices() {
-        hist[h.vertex_degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,17 +175,6 @@ mod tests {
         assert_eq!(s.min_vertex_weight, 0);
         assert_eq!(s.max_weight_fraction, 0.0);
         assert_eq!(s.avg_net_size, 0.0);
-    }
-
-    #[test]
-    fn histograms_sum_to_counts() {
-        let h = sample();
-        let nh = net_size_histogram(&h);
-        assert_eq!(nh.iter().sum::<usize>(), h.num_nets());
-        assert_eq!(nh[2], 2);
-        assert_eq!(nh[3], 1);
-        let dh = vertex_degree_histogram(&h);
-        assert_eq!(dh.iter().sum::<usize>(), h.num_vertices());
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Induced sub-hypergraphs and connectivity analysis.
+//! Induced sub-hypergraphs.
 //!
 //! Top-down placement flows repeatedly partition *regions*: the
 //! sub-hypergraph induced by the cells of one partition block. This module
-//! provides that extraction plus connected-component analysis (useful for
-//! validating generated instances and for understanding why a cut of 0 is
-//! sometimes trivially achievable).
+//! provides that extraction.
 
 use crate::builder::HypergraphBuilder;
 use crate::graph::Hypergraph;
@@ -89,35 +87,6 @@ pub fn induce(h: &Hypergraph, cells: &[VertexId]) -> InducedSubgraph {
     }
 }
 
-/// Computes the connected components of `h` (two vertices are connected if
-/// they share a net). Returns `component[v]` labels in `0..count`, where
-/// label order follows the smallest vertex id in each component.
-pub fn connected_components(h: &Hypergraph) -> (Vec<u32>, usize) {
-    const UNSEEN: u32 = u32::MAX;
-    let mut component = vec![UNSEEN; h.num_vertices()];
-    let mut count = 0u32;
-    let mut stack = Vec::new();
-    for start in h.vertices() {
-        if component[start.index()] != UNSEEN {
-            continue;
-        }
-        component[start.index()] = count;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &e in h.vertex_nets(v) {
-                for &u in h.net_pins(e) {
-                    if component[u.index()] == UNSEEN {
-                        component[u.index()] = count;
-                        stack.push(u);
-                    }
-                }
-            }
-        }
-        count += 1;
-    }
-    (component, count as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,33 +143,5 @@ mod tests {
                 h.vertex_weight(orig)
             );
         }
-    }
-
-    #[test]
-    fn components_found() {
-        let h = two_islands();
-        let (labels, count) = connected_components(&h);
-        assert_eq!(count, 2);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[1], labels[2]);
-        assert_eq!(labels[3], labels[4]);
-        assert_ne!(labels[0], labels[3]);
-    }
-
-    #[test]
-    fn isolated_vertices_are_singleton_components() {
-        let mut b = HypergraphBuilder::new();
-        b.add_vertices(3, 1);
-        let h = b.build().unwrap();
-        let (_, count) = connected_components(&h);
-        assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn empty_graph_has_zero_components() {
-        let h = HypergraphBuilder::new().build().unwrap();
-        let (labels, count) = connected_components(&h);
-        assert!(labels.is_empty());
-        assert_eq!(count, 0);
     }
 }

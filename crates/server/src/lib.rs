@@ -31,7 +31,10 @@
 //!
 //! # Determinism contract
 //!
-//! Each job is a deterministic function of
+//! Every partition job runs the one engine configured in
+//! [`ServerConfig::ml`](ServerConfig::ml); the wire carries no engine
+//! choice, and a `partition` frame that names an `engine` is a
+//! `bad_request`. Each job is a deterministic function of
 //! `(instance content, k, fraction, seed)` — *not* of which worker runs
 //! it, how busy the daemon is, or whether any cache hit. A hierarchy
 //! cache hit replays bitwise the same trace a cold run would produce,

@@ -15,7 +15,6 @@
 
 use std::io::{Read, Write};
 
-use hypart_core::EngineKind;
 use hypart_trace::json::{self, JsonValue};
 use hypart_trace::{RunEvent, StopReason};
 
@@ -208,7 +207,9 @@ pub enum InstanceRef {
     Digest(u128),
 }
 
-/// A partition job request.
+/// A partition job request. Every job runs the daemon's one multilevel
+/// engine, [`ServerConfig::ml`](crate::ServerConfig::ml); a frame that
+/// names an `engine` is refused as a bad request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionRequest {
     /// Client-chosen job id, echoed on every response for this job.
@@ -229,12 +230,6 @@ pub struct PartitionRequest {
     pub budget_ms: Option<u64>,
     /// Stream `RunEvent` frames for this job back to the client.
     pub trace: bool,
-    /// Which multilevel backend runs the job. `MlCoarse` (the wire
-    /// default — omitted from frames, so pre-engine clients and golden
-    /// frames are unchanged) is the coarse-grained hierarchy engine;
-    /// `NLevel` contracts one pair at a time and bypasses the
-    /// hierarchy cache (there is no reusable CSR hierarchy).
-    pub engine: EngineKind,
     /// Include the full assignment vector in the result frame.
     pub include_assignment: bool,
     /// Idempotency token. A retried submission carrying the same token
@@ -257,7 +252,6 @@ impl PartitionRequest {
             seed,
             budget_ms: None,
             trace: false,
-            engine: EngineKind::MlCoarse,
             include_assignment: false,
             request_token: None,
         }
@@ -280,9 +274,6 @@ impl PartitionRequest {
         }
         if let Some(ms) = self.budget_ms {
             pairs.push(("budget_ms", ms.into()));
-        }
-        if self.engine != EngineKind::MlCoarse {
-            pairs.push(("engine", JsonValue::string(self.engine.name())));
         }
         if let Some(token) = self.request_token {
             pairs.push(("token", token.into()));
@@ -435,6 +426,12 @@ impl Request {
             }
         };
         match op {
+            // Running the default engine for a frame that names another
+            // would answer a different request than the one sent.
+            "partition" if v.get("engine").is_some() => Err(
+                "partition: `engine` is not accepted; every job runs the multilevel engine"
+                    .to_string(),
+            ),
             "partition" => Ok(Request::Partition(PartitionRequest {
                 id: id()?,
                 instance: instance()?,
@@ -449,15 +446,6 @@ impl Request {
                     ),
                 },
                 trace: flag("trace")?,
-                engine: match v.get("engine") {
-                    None => EngineKind::MlCoarse,
-                    Some(x) => {
-                        let name = x
-                            .as_str()
-                            .ok_or("partition: `engine` must be a string".to_string())?;
-                        EngineKind::parse(name).map_err(|e| format!("partition: {e}"))?
-                    }
-                },
                 include_assignment: flag("include_assignment")?,
                 request_token: int("token")?,
             })),
@@ -1032,7 +1020,6 @@ mod tests {
                 seed: 17,
                 budget_ms: Some(50),
                 trace: true,
-                engine: EngineKind::NLevel,
                 include_assignment: true,
                 request_token: Some(0xFACE),
             }),
@@ -1146,6 +1133,16 @@ mod tests {
             (
                 "include_assignment",
                 r#"{"op":"partition","id":1,"hgr":"x","include_assignment":null}"#,
+            ),
+            // The n-level and lane engines are library-only: a frame
+            // naming any engine is refused, never run on the default.
+            (
+                "engine",
+                r#"{"op":"partition","id":1,"hgr":"x","engine":"nlevel"}"#,
+            ),
+            (
+                "engine",
+                r#"{"op":"partition","id":1,"hgr":"x","engine":"ml"}"#,
             ),
         ] {
             let v = JsonValue::parse(text).unwrap();

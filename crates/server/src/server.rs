@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hypart_core::{AuditLevel, BalanceConstraint, CancelToken, EngineKind, RunCtx};
+use hypart_core::{AuditLevel, BalanceConstraint, CancelToken, RunCtx};
 use hypart_hypergraph::{io::hgr, Hypergraph, PartId};
 use hypart_kway::{recursive_bisection_with, KWayBalance};
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
@@ -286,13 +286,11 @@ impl TokenRegistry {
 }
 
 /// Bytes of encoded `event` frames a job's sink holds before writing
-/// them without waiting for a non-per-move event. n-level's
-/// uncontraction phase emits tens of thousands of `move` events between
-/// its two bracket events (15 MB of frames on the serve workloads'
-/// netlist); without the cap the whole phase would sit in memory and
-/// reach the client only when the phase ends. 128 KiB holds an FM pass
-/// of 1,000 moves (~80 KB) in one write; the median pass there is
-/// ~10 KB.
+/// them without waiting for a non-per-move event. A long FM pass emits
+/// thousands of `move` events before its `pass_end`; without the cap the
+/// whole pass would sit in memory and reach the client only when it
+/// ends. 128 KiB holds an FM pass of 1,000 moves (~80 KB) in one write;
+/// the median pass on the serve workloads' netlist is ~10 KB.
 const STREAM_BATCH_BYTES: usize = 128 << 10;
 
 /// The trace sink of one running job: forwards engine events as `event`
@@ -1130,44 +1128,6 @@ fn bisection_job(
     ctx: &mut RunCtx<'_>,
 ) -> JobResult {
     let constraint = BalanceConstraint::with_fraction(h.total_vertex_weight(), req.fraction);
-    if req.engine == EngineKind::NLevel {
-        // The n-level backend never builds a CSR hierarchy, so the
-        // hierarchy cache does not apply: run the engine directly.
-        let partitioner =
-            MlPartitioner::new(shared.config.ml.clone().with_engine(EngineKind::NLevel));
-        return if req.budget_ms.is_some() {
-            let plan = MultiStartPlan::until_budget();
-            let out = multi_start_with(&partitioner, h, &constraint, &plan, ctx);
-            JobResult {
-                cut: out.cut,
-                balanced: out.balanced,
-                stopped: out.stopped,
-                audit_clean: out.audit_failure.is_none(),
-                hierarchy_reused: false,
-                levels: 0,
-                starts: out.stats.outcomes.len(),
-                digest,
-                assignment: req
-                    .include_assignment
-                    .then(|| part_assignment(&out.assignment)),
-            }
-        } else {
-            let out = partitioner.run_with(h, &constraint, ctx);
-            JobResult {
-                cut: out.cut,
-                balanced: out.balanced,
-                stopped: out.stopped,
-                audit_clean: out.audit_failure.is_none(),
-                hierarchy_reused: false,
-                levels: out.levels,
-                starts: 1,
-                digest,
-                assignment: req
-                    .include_assignment
-                    .then(|| part_assignment(&out.assignment)),
-            }
-        };
-    }
     let partitioner = MlPartitioner::new(shared.config.ml.clone());
     let key = HierarchyKey::new(digest, &shared.config.ml.coarsen, req.seed);
     let (hierarchy, reused) = match shared.hierarchies.get(&key) {
@@ -1219,10 +1179,7 @@ fn kway_job(
     ml: &MlConfig,
     ctx: &mut RunCtx<'_>,
 ) -> JobResult {
-    // Recursive bisection runs the 2-way engine per split, so the
-    // request's backend choice threads through via the config.
-    let ml = ml.clone().with_engine(req.engine);
-    let out = recursive_bisection_with(h, req.k, req.fraction, &ml, ctx);
+    let out = recursive_bisection_with(h, req.k, req.fraction, ml, ctx);
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), req.k, req.fraction);
     JobResult {
         cut: out.cut,
@@ -1429,13 +1386,13 @@ mod tests {
         }
     }
 
-    /// Runs one traced 2-way job of `engine` through a sink over a
-    /// recording writer, as the worker does: engine, flush, result frame.
-    /// Returns the writes and the job's events from an unstreamed rerun.
-    fn traced_job(engine: EngineKind) -> (Vec<Vec<u8>>, Vec<RunEvent>, Vec<u8>) {
+    /// Runs one traced 2-way job through a sink over a recording writer,
+    /// as the worker does: engine, flush, result frame. Returns the
+    /// writes and the job's events from an unstreamed rerun.
+    fn traced_job() -> (Vec<Vec<u8>>, Vec<RunEvent>, Vec<u8>) {
         let h = ispd98_like(1, 0.05, 1);
         let constraint = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.1);
-        let partitioner = MlPartitioner::new(MlConfig::default().with_engine(engine));
+        let partitioner = MlPartitioner::new(MlConfig::default());
         let recorder = Recorder::default();
         let sink = sink(&recorder, false);
         let out = partitioner.run_with(&h, &constraint, &mut RunCtx::new(1).with_sink(&sink));
@@ -1464,24 +1421,22 @@ mod tests {
 
     #[test]
     fn a_traced_job_streams_the_same_bytes_in_few_writes() {
-        for engine in [EngineKind::MlCoarse, EngineKind::NLevel] {
-            let (writes, events, expected) = traced_job(engine);
-            assert_eq!(writes.concat(), expected, "{engine:?}: bytes changed");
-            let others = events
-                .iter()
-                .filter(|e| !matches!(e, RunEvent::Move { .. } | RunEvent::Rollback { .. }))
-                .count();
-            let stream_bytes = unbatched(7, &events).len();
-            let bound = others + stream_bytes.div_ceil(STREAM_BATCH_BYTES) + 1;
-            assert!(
-                writes.len() <= bound,
-                "{engine:?}: {} writes for {} events, bound {bound}",
-                writes.len(),
-                events.len()
-            );
-            // Far fewer writes than frames.
-            assert!(events.len() >= 10 * writes.len(), "{engine:?}");
-        }
+        let (writes, events, expected) = traced_job();
+        assert_eq!(writes.concat(), expected, "bytes changed");
+        let others = events
+            .iter()
+            .filter(|e| !matches!(e, RunEvent::Move { .. } | RunEvent::Rollback { .. }))
+            .count();
+        let stream_bytes = unbatched(7, &events).len();
+        let bound = others + stream_bytes.div_ceil(STREAM_BATCH_BYTES) + 1;
+        assert!(
+            writes.len() <= bound,
+            "{} writes for {} events, bound {bound}",
+            writes.len(),
+            events.len()
+        );
+        // Far fewer writes than frames.
+        assert!(events.len() >= 10 * writes.len());
     }
 
     #[test]

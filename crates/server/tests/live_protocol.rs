@@ -431,82 +431,6 @@ fn two_way_job_returns_the_library_partition() {
     server.shutdown();
 }
 
-/// The wire contract of the `engine` field: n-level jobs run end to end
-/// over a live socket (2-way and recursive-bisection k-way), replay
-/// bitwise on a re-query, never touch the hierarchy cache, and emit the
-/// contraction/uncontraction bracket events.
-#[test]
-fn nlevel_engine_jobs_run_deterministically_and_skip_hierarchy_cache() {
-    let server = start_default();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-
-    let mut first = PartitionRequest::new(1, InstanceRef::Inline(hgr_text(90, 5)), 11);
-    first.engine = hypart_core::EngineKind::NLevel;
-    first.trace = true;
-    client.send(&Request::Partition(first)).unwrap();
-    let (digest, first_events, first_result) = match client.wait_outcome(1).unwrap() {
-        JobOutcome::Finished { result, events } => (result.digest, events, result),
-        other => panic!("nlevel job failed: {other:?}"),
-    };
-    assert!(first_result.audit_clean);
-    assert!(first_result.balanced);
-    assert!(
-        !first_result.hierarchy_reused,
-        "n-level never consults the hierarchy cache"
-    );
-    assert!(
-        first_events
-            .iter()
-            .any(|e| matches!(e, RunEvent::ContractionBegin { .. })),
-        "n-level traces must open a contraction bracket"
-    );
-    assert!(
-        first_events
-            .iter()
-            .any(|e| matches!(e, RunEvent::UncontractionEnd { .. })),
-        "n-level traces must close the uncontraction bracket"
-    );
-
-    // Identical re-query by digest: bitwise trace replay, no reuse event
-    // (the hierarchy cache never engages for this backend).
-    let mut again = PartitionRequest::new(2, InstanceRef::Digest(digest), 11);
-    again.engine = hypart_core::EngineKind::NLevel;
-    again.trace = true;
-    client.send(&Request::Partition(again)).unwrap();
-    match client.wait_outcome(2).unwrap() {
-        JobOutcome::Finished { result, events } => {
-            assert_eq!(result.cut, first_result.cut);
-            assert!(!result.hierarchy_reused);
-            assert_eq!(
-                events, first_events,
-                "n-level re-queries must replay the trace bitwise"
-            );
-        }
-        other => panic!("nlevel re-query failed: {other:?}"),
-    }
-
-    // k-way via recursive bisection inherits the backend choice.
-    let mut kway = PartitionRequest::new(3, InstanceRef::Digest(digest), 7);
-    kway.engine = hypart_core::EngineKind::NLevel;
-    kway.k = 4;
-    client.send(&Request::Partition(kway)).unwrap();
-    match client.wait_outcome(3).unwrap() {
-        JobOutcome::Finished { result, .. } => {
-            assert!(result.audit_clean);
-            assert!(result.balanced);
-        }
-        other => panic!("nlevel k-way job failed: {other:?}"),
-    }
-
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        stats.hierarchy_hits + stats.hierarchy_misses,
-        0,
-        "n-level jobs must not touch the hierarchy cache"
-    );
-    server.shutdown();
-}
-
 /// Disconnecting mid-stream poisons the connection writer; the daemon
 /// cancels the job and counts a `stream_aborted` instead of pretending
 /// the truncated trace was delivered.
