@@ -256,8 +256,10 @@ USAGE:
                    [--trace FILE.jsonl] [--budget-ms T]
                    [--audit off|checkpoints|paranoid]
 
-`--engine kway` runs direct k-way FM at every K; the other engines reach
-K = 2^m by recursive multilevel bisection.
+`--engine kway` runs direct k-way FM at every K; ml-lifo and ml-clip
+reach K = 2^m by recursive multilevel bisection. Each runs one start,
+so lifo, clip and hmetis run at K = 2 only, and --starts above 1 needs
+K = 2 and an engine other than kway.
   hypart eval <netlist> <partfile> [--tol F]
   hypart stats <netlist>
   hypart place <netlist> [--width W] [--height H] [--rows R] [--seed S] [--out FILE]
@@ -397,22 +399,38 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 .first()
                 .ok_or("partition: missing <netlist>")?
                 .into();
-            let engine = Engine::parse(flag_value("--engine").unwrap_or("ml-lifo"))?;
+            let engine_name = flag_value("--engine").unwrap_or("ml-lifo");
+            let engine = Engine::parse(engine_name)?;
             let k = parse_usize("--k", 2)?;
             if k < 2 {
                 return Err("--k must be at least 2".into());
             }
-            if k > 2 && !matches!(engine, Engine::Kway) && !k.is_power_of_two() {
+            // Above k = 2 the CLI runs ML recursive bisection or direct
+            // k-way FM, one start each: refuse what would not run.
+            if k > 2 && matches!(engine, Engine::Lifo | Engine::Clip | Engine::Hmetis) {
+                return Err(format!(
+                    "--engine {engine_name} with --k {k}: {engine_name} runs at --k 2 only \
+                     (above it use ml-lifo or ml-clip recursive bisection, or kway)"
+                ));
+            }
+            if k > 2 && engine != Engine::Kway && !k.is_power_of_two() {
                 return Err(
                     "k > 2 with a 2-way engine requires k = 2^m (recursive bisection)".into(),
                 );
+            }
+            let starts = parse_count("--starts", 1)?;
+            if starts > 1 && (k > 2 || engine == Engine::Kway) {
+                return Err(format!(
+                    "--starts {starts} with --engine {engine_name} --k {k}: recursive \
+                     bisection and kway run one start (--starts needs a 2-way engine at --k 2)"
+                ));
             }
             Ok(Command::Partition {
                 input,
                 engine,
                 k,
                 tolerance: parse_tol()?,
-                starts: parse_count("--starts", 1)?,
+                starts,
                 seed: parse_u64("--seed", 1)?,
                 output: flag_value("--out").map(PathBuf::from),
                 trace: flag_value("--trace").map(PathBuf::from),
@@ -1105,8 +1123,6 @@ mod tests {
             "x.hgr",
             "--engine",
             "clip",
-            "--k",
-            "4",
             "--tol",
             "0.1",
             "--starts",
@@ -1128,11 +1144,29 @@ mod tests {
                 ..
             } => {
                 assert_eq!(engine, Engine::Clip);
-                assert_eq!(k, 4);
+                assert_eq!(k, 2);
                 assert_eq!(tolerance, 0.1);
                 assert_eq!(starts, 8);
                 assert_eq!(seed, 99);
                 assert_eq!(output, Some(PathBuf::from("y.part")));
+            }
+            other => panic!("wrong command {other:?}"),
+        }
+        let cmd = parse_args(&args(&[
+            "partition",
+            "x.hgr",
+            "--engine",
+            "ml-clip",
+            "--k",
+            "4",
+        ]));
+        match cmd.unwrap() {
+            Command::Partition {
+                engine, k, starts, ..
+            } => {
+                assert_eq!(engine, Engine::MlClip);
+                assert_eq!(k, 4);
+                assert_eq!(starts, 1);
             }
             other => panic!("wrong command {other:?}"),
         }

@@ -396,6 +396,71 @@ fn removed_engine_options_exit_2() {
     }
 }
 
+/// Above `--k 2` the CLI runs one start of ML recursive bisection or of
+/// direct k-way FM, so a flat or hMetis-style engine there, or more than
+/// one start there or with kway, is a usage error naming the
+/// combination, not a run that reports what did not run.
+#[test]
+fn engine_k_and_starts_that_would_not_run_exit_2() {
+    for (line, error) in [
+        (
+            "partition x.hgr --engine lifo --k 4",
+            "--engine lifo with --k 4",
+        ),
+        (
+            "partition x.hgr --engine clip --k 4 --starts 4",
+            "--engine clip with --k 4",
+        ),
+        (
+            "partition x.hgr --engine hmetis --k 8",
+            "--engine hmetis with --k 8",
+        ),
+        (
+            "partition x.hgr --k 4 --starts 2",
+            "--starts 2 with --engine ml-lifo --k 4",
+        ),
+        (
+            "partition x.hgr --engine ml-clip --k 4 --starts 3",
+            "--starts 3 with --engine ml-clip --k 4",
+        ),
+        (
+            "partition x.hgr --engine kway --starts 2",
+            "--starts 2 with --engine kway --k 2",
+        ),
+        (
+            "partition x.hgr --engine kway --k 3 --starts 4",
+            "--starts 4 with --engine kway --k 3",
+        ),
+    ] {
+        let out = hypart()
+            .args(line.split_whitespace())
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(error), "{line}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line}: ran anyway");
+    }
+    // What does run: ML CLIP recursive bisection at k = 4, kway at k = 3.
+    let dir = temp_dir("engine_k_starts");
+    assert!(hypart_in(&dir, "gen mcnc200 --seed 3 --out t.hgr")
+        .status
+        .success());
+    for line in [
+        "partition t.hgr --engine ml-clip --k 4 --tol 0.1",
+        "partition t.hgr --engine kway --k 3 --tol 0.3",
+    ] {
+        let out = hypart_in(&dir, line);
+        assert!(
+            out.status.success(),
+            "{line}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A value outside what the library accepts exits 2 with the usage text,
 /// before anything runs or is written, instead of panicking.
 #[test]

@@ -195,22 +195,39 @@ impl<'h> Bisection<'h> {
     /// — they are engine policy; see
     /// [`BalanceConstraint::is_legal_move`](crate::BalanceConstraint::is_legal_move).
     pub fn move_vertex(&mut self, v: VertexId) -> i64 {
+        self.move_vertex_with(v, |_, _, _, _| {})
+    }
+
+    /// [`move_vertex`](Self::move_vertex) that also calls
+    /// `visit(e, from_pins, to_pins, assignment)` for each net `e` of `v`,
+    /// in [`Hypergraph::vertex_nets`] order, once `e`'s pin counts and the
+    /// cut are updated. `from_pins` and `to_pins` are `e`'s pin counts
+    /// *before* the move on `v`'s old and new side; `assignment` still
+    /// holds `v` on its old side. The FM engine updates neighbour gains
+    /// in the visit, so one pass over `v`'s nets does both.
+    pub(crate) fn move_vertex_with<F>(&mut self, v: VertexId, mut visit: F) -> i64
+    where
+        F: FnMut(NetId, u32, u32, &[PartId]),
+    {
         let from = self.side[v.index()];
         let to = from.other();
-        let w = self.graph.vertex_weight(v);
+        let graph = self.graph;
+        let w = graph.vertex_weight(v);
         let cut_before = self.cut_weight;
-        for &e in self.graph.vertex_nets(v) {
+        for &e in graph.vertex_nets(v) {
             let counts = &mut self.pins_in[e.index()];
+            let (from_pins, to_pins) = (counts[from.index()], counts[to.index()]);
             let was_cut = counts[0] > 0 && counts[1] > 0;
             counts[from.index()] -= 1;
             counts[to.index()] += 1;
             let now_cut = counts[0] > 0 && counts[1] > 0;
-            let we = u64::from(self.graph.net_weight(e));
+            let we = u64::from(graph.net_weight(e));
             match (was_cut, now_cut) {
                 (false, true) => self.cut_weight += we,
                 (true, false) => self.cut_weight -= we,
                 _ => {}
             }
+            visit(e, from_pins, to_pins, &self.side);
         }
         self.side[v.index()] = to;
         self.part_weight[from.index()] -= w;

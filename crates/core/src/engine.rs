@@ -44,12 +44,20 @@ pub struct FmOutcome {
 #[derive(Clone, Debug)]
 pub struct FmPartitioner {
     config: FmConfig,
+    /// Update gains with the generic per-pin computation: the oracle the
+    /// FM-82 critical-net update is twin-tested against.
+    #[cfg(test)]
+    generic_update: bool,
 }
 
 impl FmPartitioner {
     /// Creates a partitioner with the given configuration.
     pub fn new(config: FmConfig) -> Self {
-        FmPartitioner { config }
+        FmPartitioner {
+            config,
+            #[cfg(test)]
+            generic_update: false,
+        }
     }
 
     /// The active configuration.
@@ -171,6 +179,8 @@ impl FmPartitioner {
             dead_cut: 0,
             audit,
             audit_failure: None,
+            #[cfg(test)]
+            generic_update: self.generic_update,
         };
 
         let mut stats = FmStats {
@@ -245,6 +255,8 @@ struct PassState<'c, const CUTOFF: bool> {
     dead_cut: u64,
     audit: AuditLevel,
     audit_failure: Option<AuditError>,
+    #[cfg(test)]
+    generic_update: bool,
 }
 
 impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
@@ -292,9 +304,6 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
             margin: self.constraint.margin(bisection),
             prefix: 0,
         };
-        let mut zero_delta_events = 0u64;
-        let mut nonzero_delta_events = 0u64;
-
         let ended_with_leftovers = loop {
             let Some(v) = self.select(bisection) else {
                 break !self.ws.pool[0].is_empty() || !self.ws.pool[1].is_empty();
@@ -302,13 +311,7 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
             let from = bisection.side(v);
             self.ws.pool[from.index()].remove(v);
             let cut_prev = bisection.cut();
-            self.apply_and_update(
-                bisection,
-                v,
-                rng,
-                &mut zero_delta_events,
-                &mut nonzero_delta_events,
-            );
+            self.apply_and_update(bisection, v, rng);
             self.ws.moves.push(v);
             self.last_moved_from = Some(from);
             if traced {
@@ -400,8 +403,6 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
             eligible,
             cut_before,
             cut_after: bisection.cut(),
-            zero_delta_events,
-            nonzero_delta_events,
             corked,
         }
     }
@@ -532,47 +533,117 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
         }
     }
 
-    /// Finds the best selectable move from one side's container.
+    /// Finds the best selectable move from one side's container, visiting
+    /// its non-empty buckets from the highest key down.
     fn scan_side(&mut self, bisection: &Bisection<'_>, side: PartId) -> Option<(VertexId, i64)> {
         let container = &mut self.ws.pool[side.index()];
         let mut key = container.descend_max()?;
-        let min = container.min_key_bound();
         loop {
-            if let Some(head) = container.head_of(key) {
-                let mut cursor = Some(head);
-                let mut examined = 0usize;
-                while let Some(v) = cursor {
-                    if examined >= self.config.lookahead {
-                        break;
-                    }
-                    examined += 1;
-                    if self.constraint.is_legal_move(bisection, v) {
-                        return Some((v, key));
-                    }
-                    cursor = container.next_in_bucket(v);
+            let mut cursor = container.head_of(key);
+            let mut examined = 0usize;
+            while let Some(v) = cursor {
+                if examined >= self.config.lookahead {
+                    break;
                 }
-                // Every examined entry was illegal.
-                if self.config.illegal_head == IllegalHeadPolicy::SkipSide {
-                    return None;
+                examined += 1;
+                if self.constraint.is_legal_move(bisection, v) {
+                    return Some((v, key));
                 }
+                cursor = container.next_in_bucket(v);
             }
-            if key == min {
+            // Every examined entry was illegal.
+            if self.config.illegal_head == IllegalHeadPolicy::SkipSide {
                 return None;
             }
-            key -= 1;
+            key = container.next_key_below(key)?;
         }
     }
 
-    /// Applies the move of `v` and updates neighbor gains with the generic
-    /// four-cut-value delta computation the paper describes, honoring the
-    /// zero-delta policy.
+    /// Moves `v` and updates its neighbours' gains in the same pass over
+    /// `v`'s nets, with the critical-net rule of FM-82. With `F` and `T`
+    /// a net's pin counts on the from and to side before the move, each
+    /// other from-side pin's gain changes by `w·([F=2] + [T=0])` and each
+    /// to-side pin's by `−w·([F=1] + [T=1])`. Under
+    /// [`ZeroDeltaPolicy::Nonzero`] a net's scan skips the pins of a side
+    /// whose delta is 0 and ends once the last pin whose key changes has
+    /// been seen: the zero-delta skip the paper notes is implicit in
+    /// FM-82. Under [`ZeroDeltaPolicy::All`] every free pin is
+    /// re-inserted, a zero delta included. Either way the updates, and
+    /// the random draws of a random insertion, come in the order the
+    /// generic four-cut-value computation makes them.
     fn apply_and_update<R: Rng>(
         &mut self,
         bisection: &mut Bisection<'_>,
         v: VertexId,
         rng: &mut R,
-        zero_delta_events: &mut u64,
-        nonzero_delta_events: &mut u64,
+    ) {
+        #[cfg(test)]
+        if self.generic_update {
+            return self.apply_and_update_generic(bisection, v, rng);
+        }
+        let graph = bisection.graph();
+        let from = bisection.side(v);
+        let to = from.other();
+        let insertion = self.config.insertion;
+        let nonzero_only = self.config.zero_delta == ZeroDeltaPolicy::Nonzero;
+        let ws = &mut *self.ws;
+        let dead_cut = &mut self.dead_cut;
+        bisection.move_vertex_with(v, |e, f, t, side| {
+            let weight = graph.net_weight(e);
+            // `v` is locked on `to` until the pass ends.
+            if lock_pin(&mut ws.locked, e, to) {
+                *dead_cut += u64::from(weight);
+            }
+            let w = i64::from(weight);
+            // The key change of a pin, indexed by the pin's side.
+            let mut delta = [0i64; 2];
+            delta[from.index()] = w * i64::from(f == 2) + w * i64::from(t == 0);
+            delta[to.index()] = -w * i64::from(f == 1) - w * i64::from(t == 1);
+            // Under `Nonzero`, the pins still to be seen whose key changes.
+            let mut pending = if nonzero_only {
+                let from_side = if delta[from.index()] == 0 { 0 } else { f - 1 };
+                let to_side = if delta[to.index()] == 0 { 0 } else { t };
+                from_side + to_side
+            } else {
+                u32::MAX
+            };
+            if pending == 0 {
+                return;
+            }
+            for &y in graph.net_pins(e) {
+                if y == v {
+                    continue;
+                }
+                let s = side[y.index()].index();
+                if nonzero_only {
+                    if delta[s] == 0 {
+                        continue;
+                    }
+                    pending -= 1;
+                }
+                let container = &mut ws.pool[s];
+                // Pins locked this pass, fixed, or excluded are in no
+                // container.
+                if container.contains(y) {
+                    let key = container.key_of(y);
+                    container.update(y, key + delta[s], insertion, rng);
+                }
+                if pending == 0 {
+                    break;
+                }
+            }
+        });
+    }
+
+    /// [`apply_and_update`](Self::apply_and_update) as the generic
+    /// four-cut-value delta computation on every pin of every net of `v`,
+    /// after the move: the oracle of the FM-82 update's twin test.
+    #[cfg(test)]
+    fn apply_and_update_generic<R: Rng>(
+        &mut self,
+        bisection: &mut Bisection<'_>,
+        v: VertexId,
+        rng: &mut R,
     ) {
         let from = bisection.side(v);
         let to = from.other();
@@ -580,7 +651,6 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
         let graph = bisection.graph();
         for &e in graph.vertex_nets(v) {
             let w = i64::from(graph.net_weight(e));
-            // `v` is locked on `to` until the pass ends.
             if lock_pin(&mut self.ws.locked, e, to) {
                 self.dead_cut += u64::from(graph.net_weight(e));
             }
@@ -591,40 +661,21 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
             let mut before = after;
             before[from.index()] += 1;
             before[to.index()] -= 1;
-
-            // Under the `Nonzero` policy nets that cannot change any pin's
-            // contribution are skipped outright — exactly the fast path the
-            // `Nonzero` choice legitimizes. Under `All` every pin must be
-            // visited because even a zero delta triggers a re-insertion.
-            if self.config.zero_delta == ZeroDeltaPolicy::Nonzero
-                && before[from.index()] > 2
-                && before[to.index()] > 1
-            {
-                continue;
-            }
-
             for &y in graph.net_pins(e) {
                 if y == v {
                     continue;
                 }
                 let side_y = bisection.side(y);
                 if !self.ws.pool[side_y.index()].contains(y) {
-                    continue; // locked this pass, fixed, or excluded
+                    continue;
                 }
                 let s = side_y.index();
                 let o = side_y.other().index();
                 let contrib_before = i64::from(before[s] == 1) * w - i64::from(before[o] == 0) * w;
                 let contrib_after = i64::from(after[s] == 1) * w - i64::from(after[o] == 0) * w;
                 let delta = contrib_after - contrib_before;
-                let container = &mut self.ws.pool[s];
-                if delta == 0 {
-                    *zero_delta_events += 1;
-                    if self.config.zero_delta == ZeroDeltaPolicy::All {
-                        let key = container.key_of(y);
-                        container.update(y, key, self.config.insertion, rng);
-                    }
-                } else {
-                    *nonzero_delta_events += 1;
+                if delta != 0 || self.config.zero_delta == ZeroDeltaPolicy::All {
+                    let container = &mut self.ws.pool[s];
                     let key = container.key_of(y);
                     container.update(y, key + delta, self.config.insertion, rng);
                 }
@@ -913,15 +964,13 @@ mod tests {
         for p in &mut stats.passes {
             p.moves_made = 0;
             p.moves_rolled_back = 0;
-            p.zero_delta_events = 0;
-            p.nonzero_delta_events = 0;
         }
         stats
     }
 
     /// One refinement from `start`: (assignment, cut, stats, events).
     fn twin_run(
-        cfg: FmConfig,
+        engine: &FmPartitioner,
         h: &Hypergraph,
         start: &[PartId],
         c: &BalanceConstraint,
@@ -933,7 +982,6 @@ mod tests {
         let mut bisection = Bisection::new(h, start.to_vec()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut ctx = RunCtx::new(seed).with_sink(&sink);
-        let engine = FmPartitioner::new(cfg);
         let stats = if exhaustive {
             engine.refine_exhaustive(&mut bisection, c, &mut rng, &mut ctx)
         } else {
@@ -952,9 +1000,18 @@ mod tests {
         c: &BalanceConstraint,
         seed: u64,
     ) -> (usize, usize) {
-        let (assignment, cut, stats, events) = twin_run(cfg, h, start, c, seed, false);
+        // A random insertion draws numbers after the cutoff in the
+        // exhausted pass only, so the twins agree on one pass and may
+        // part ways from the second.
+        let cfg = if cfg.insertion == InsertionPolicy::Random {
+            cfg.with_max_passes(1)
+        } else {
+            cfg
+        };
+        let engine = FmPartitioner::new(cfg);
+        let (assignment, cut, stats, events) = twin_run(&engine, h, start, c, seed, false);
         let (want_assignment, want_cut, want_stats, want_events) =
-            twin_run(cfg, h, start, c, seed, true);
+            twin_run(&engine, h, start, c, seed, true);
         assert_eq!(assignment, want_assignment, "{cfg:?}");
         assert_eq!(cut, want_cut, "{cfg:?}");
         assert_eq!(
@@ -1103,7 +1160,7 @@ mod tests {
                     exclude,
                     lookahead,
                 )| {
-                    let cfg = FmConfig::default()
+                    FmConfig::default()
                         .with_selection(selection)
                         .with_insertion(insertion)
                         .with_pass_best(pass_best)
@@ -1111,15 +1168,7 @@ mod tests {
                         .with_zero_delta(zero_delta)
                         .with_illegal_head(illegal)
                         .with_exclude_overweight(exclude)
-                        .with_lookahead(lookahead);
-                    // A random insertion draws numbers after the cutoff
-                    // in the exhausted pass only, so the twins agree on
-                    // one pass and may part ways from the second.
-                    if insertion == InsertionPolicy::Random {
-                        cfg.with_max_passes(1)
-                    } else {
-                        cfg
-                    }
+                        .with_lookahead(lookahead)
                 },
             )
     }
@@ -1140,6 +1189,58 @@ mod tests {
             let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
             let (moves, exhausted) = assert_cutoff_is_exact(cfg, &h, &start, &c, seed);
             prop_assert!(moves <= exhausted);
+        }
+
+        /// The FM-82 critical-net update makes the generic update's
+        /// moves: the same assignment, cut, stats and event stream, every
+        /// `Move` and `Rollback` included.
+        #[test]
+        fn critical_net_update_matches_the_generic_update(
+            (h, start, tolerance) in twin_instance(),
+            cfg in twin_config(),
+            seed in any::<u64>(),
+        ) {
+            let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
+            assert_update_is_exact(cfg, &h, &start, &c, seed);
+        }
+    }
+
+    /// Asserts that the FM-82 update refines `start` exactly as the
+    /// generic per-pin update does.
+    fn assert_update_is_exact(
+        cfg: FmConfig,
+        h: &Hypergraph,
+        start: &[PartId],
+        c: &BalanceConstraint,
+        seed: u64,
+    ) {
+        let fast = FmPartitioner::new(cfg);
+        let generic = FmPartitioner {
+            generic_update: true,
+            ..fast.clone()
+        };
+        let got = twin_run(&fast, h, start, c, seed, false);
+        let want = twin_run(&generic, h, start, c, seed, false);
+        assert_eq!(got.0, want.0, "assignment, {cfg:?}");
+        assert_eq!(got.1, want.1, "cut, {cfg:?}");
+        assert_eq!(got.2, want.2, "stats, {cfg:?}");
+        assert_eq!(got.3, want.3, "events, {cfg:?}");
+    }
+
+    /// The twin on a netlist, whose multi-pin nets end scans early.
+    #[test]
+    fn critical_net_update_matches_on_a_netlist() {
+        let h = hypart_benchgen::ispd98_like(1, 0.02, 3);
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        let mut rng = SmallRng::seed_from_u64(4);
+        let start = generate_initial(&h, InitialSolution::RandomBalanced, &mut rng);
+        for base in [FmConfig::lifo(), FmConfig::clip()] {
+            for zero_delta in [ZeroDeltaPolicy::Nonzero, ZeroDeltaPolicy::All] {
+                for insertion in [InsertionPolicy::Lifo, InsertionPolicy::Random] {
+                    let cfg = base.with_zero_delta(zero_delta).with_insertion(insertion);
+                    assert_update_is_exact(cfg, &h, &start, &c, 4);
+                }
+            }
         }
     }
 

@@ -10,6 +10,11 @@
 //! Where a vertex is attached within its bucket is the
 //! [`InsertionPolicy`] decision (LIFO / FIFO / random); the engine passes
 //! the policy (and its RNG) down to every insertion.
+//!
+//! A bitmap with one bit per bucket marks the non-empty ones, so the
+//! selection scan ([`descend_max`](GainContainer::descend_max),
+//! [`next_key_below`](GainContainer::next_key_below)) jumps over runs of
+//! empty buckets a 64-bit word at a time instead of stepping key by key.
 
 use rand::Rng;
 
@@ -26,7 +31,8 @@ const NIL: u32 = u32::MAX;
 /// is what lets an [`crate::FmWorkspace`] reuse one arena across passes,
 /// levels, and starts. [`clear`](Self::clear) is O(len + buckets touched),
 /// not O(bucket range): insertions record the buckets they dirty and only
-/// those are reset. Exposed publicly so that other engines (e.g. k-way
+/// those are reset. A per-bucket bit marks the non-empty buckets for the
+/// selection scan. Exposed publicly so that other engines (e.g. k-way
 /// FM) can build on the same audited container — the paper argues that
 /// *benchmark algorithm implementations* in source form are as valuable
 /// as benchmark data.
@@ -49,6 +55,8 @@ pub struct GainContainer {
     /// work list. A bucket is pushed at most once (guarded by `dirty`).
     touched: Vec<u32>,
     dirty: Vec<bool>,
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` is non-empty.
+    nonempty: Vec<u64>,
     max_key: i64,
     len: usize,
 }
@@ -70,6 +78,7 @@ impl GainContainer {
             present: vec![false; num_vertices],
             touched: Vec::new(),
             dirty: vec![false; buckets],
+            nonempty: vec![0; buckets.div_ceil(64)],
             max_key: -max_abs_key - 1,
             len: 0,
         }
@@ -90,6 +99,7 @@ impl GainContainer {
             self.head.resize(buckets, NIL);
             self.tail.resize(buckets, NIL);
             self.dirty.resize(buckets, false);
+            self.nonempty.resize(buckets.div_ceil(64), 0);
             self.offset = max_abs_key;
         }
         if num_vertices > self.prev.len() {
@@ -118,13 +128,34 @@ impl GainContainer {
         idx as usize
     }
 
-    /// Marks `b` dirty, scheduling it for the next [`clear`](Self::clear).
+    /// Marks `b` non-empty and dirty, scheduling it for the next
+    /// [`clear`](Self::clear).
     #[inline]
     fn touch(&mut self, b: usize) {
+        self.nonempty[b / 64] |= 1 << (b % 64);
         if !self.dirty[b] {
             self.dirty[b] = true;
             self.touched.push(b as u32);
         }
+    }
+
+    /// Marks `b` empty.
+    #[inline]
+    fn mark_empty(&mut self, b: usize) {
+        self.nonempty[b / 64] &= !(1 << (b % 64));
+    }
+
+    /// The highest non-empty bucket at or below bucket `b`.
+    #[inline]
+    fn nonempty_at_or_below(&self, b: usize) -> Option<usize> {
+        let mut word = b / 64;
+        // Keep bits 0..=b % 64 of the first word.
+        let mut bits = self.nonempty[word] & (u64::MAX >> (63 - b % 64));
+        while bits == 0 {
+            word = word.checked_sub(1)?;
+            bits = self.nonempty[word];
+        }
+        Some(word * 64 + 63 - bits.leading_zeros() as usize)
     }
 
     /// Number of vertices currently stored.
@@ -236,6 +267,9 @@ impl GainContainer {
         } else {
             self.prev[n as usize] = p;
         }
+        if p == NIL && n == NIL {
+            self.mark_empty(b);
+        }
         self.present[v.index()] = false;
         self.len -= 1;
         // max_key is a lazy upper bound; it descends in `descend_max`.
@@ -263,16 +297,27 @@ impl GainContainer {
             self.max_key = -self.bound - 1;
             return None;
         }
-        while self.max_key >= -self.bound && self.head[self.bucket(self.max_key)] == NIL {
-            self.max_key -= 1;
-        }
-        debug_assert!(self.max_key >= -self.bound);
+        // Every stored key is at most `max_key`, so a bucket is found.
+        let b = self.nonempty_at_or_below(self.bucket(self.max_key))?;
+        self.max_key = b as i64 - self.offset;
         Some(self.max_key)
     }
 
+    /// The highest non-empty key below `key`, or `None` if every bucket
+    /// below it is empty: the next bucket a selection scan examines after
+    /// the one at `key`.
+    pub fn next_key_below(&self, key: i64) -> Option<i64> {
+        if key <= -self.bound {
+            return None;
+        }
+        let start = (key - 1).min(self.bound);
+        let b = self.nonempty_at_or_below(self.bucket(start))?;
+        Some(b as i64 - self.offset)
+    }
+
     /// Head vertex of the bucket at `key`, if any. (Without descending the
-    /// lazy max bound — combine with [`descend_max`](Self::descend_max) /
-    /// manual key iteration for selection scans.)
+    /// lazy max bound — combine with [`descend_max`](Self::descend_max) and
+    /// [`next_key_below`](Self::next_key_below) for selection scans.)
     #[inline]
     pub fn head_of(&self, key: i64) -> Option<VertexId> {
         if key < -self.bound || key > self.bound {
@@ -308,7 +353,9 @@ impl GainContainer {
     /// Removes all vertices in O(len + buckets touched): only buckets an
     /// insertion dirtied since the last clear are walked and reset — never
     /// the whole bucket range, which for macro-heavy instances is orders
-    /// of magnitude wider than the set of keys actually used.
+    /// of magnitude wider than the set of keys actually used. (Every set
+    /// bitmap bit belongs to a touched bucket, so zeroing the touched
+    /// buckets' words clears the bitmap.)
     pub fn clear(&mut self) {
         for &b in &self.touched {
             let b = b as usize;
@@ -320,6 +367,7 @@ impl GainContainer {
             self.head[b] = NIL;
             self.tail[b] = NIL;
             self.dirty[b] = false;
+            self.nonempty[b / 64] = 0;
         }
         self.touched.clear();
         self.len = 0;
@@ -343,6 +391,7 @@ impl GainContainer {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -535,5 +584,93 @@ mod tests {
         assert!(g.head_of(4).is_none());
         assert!(g.head_of(-4).is_none());
         assert_eq!(g.min_key_bound(), -3);
+    }
+
+    /// One operation of the bitmap proptest; vertices and keys are taken
+    /// modulo the container's current size and key range.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(u32, i64, u8),
+        Remove(u32),
+        Update(u32, i64, u8),
+        Clear,
+        Retarget(usize, i64),
+    }
+
+    /// Mostly inserts and updates, so buckets fill up between the rarer
+    /// clears and retargets.
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u8..15,
+            any::<u32>(),
+            any::<i64>(),
+            0u8..3,
+            1usize..80,
+            0i64..150,
+        )
+            .prop_map(|(kind, v, k, p, n, b)| match kind {
+                0..=5 => Op::Insert(v, k, p),
+                6..=8 => Op::Remove(v),
+                9..=12 => Op::Update(v, k, p),
+                13 => Op::Clear,
+                _ => Op::Retarget(n, b),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bitmap scan finds what a linear scan of `head_of` finds:
+        /// `descend_max` the highest non-empty key and `next_key_below`
+        /// the highest one below any key, after every operation.
+        #[test]
+        fn bitmap_scan_matches_a_linear_scan(
+            (n0, bound0) in (1usize..80, 0i64..150),
+            ops in proptest::collection::vec(op(), 1..200),
+        ) {
+            let mut g = GainContainer::new(n0, bound0);
+            let (mut n, mut bound) = (n0, bound0);
+            let mut r = rng();
+            let policies = [InsertionPolicy::Lifo, InsertionPolicy::Fifo, InsertionPolicy::Random];
+            let policy = |p: u8| policies[usize::from(p)];
+            for op in ops {
+                let span = 2 * bound + 1;
+                match op {
+                    Op::Insert(v, k, p) => {
+                        let v = VertexId::from_index(v as usize % n);
+                        if !g.contains(v) {
+                            g.insert(v, k.rem_euclid(span) - bound, policy(p), &mut r);
+                        }
+                    }
+                    Op::Remove(v) => {
+                        let v = VertexId::from_index(v as usize % n);
+                        if g.contains(v) {
+                            g.remove(v);
+                        }
+                    }
+                    Op::Update(v, k, p) => {
+                        let v = VertexId::from_index(v as usize % n);
+                        if g.contains(v) {
+                            g.update(v, k.rem_euclid(span) - bound, policy(p), &mut r);
+                        }
+                    }
+                    Op::Clear => g.clear(),
+                    Op::Retarget(new_n, new_bound) => {
+                        g.retarget(new_n, new_bound);
+                        (n, bound) = (new_n, new_bound);
+                    }
+                }
+                // Linear scan upwards: `below` is the highest key under
+                // `key` whose bucket has a head.
+                let mut below = None;
+                for key in -bound - 2..=bound + 2 {
+                    prop_assert_eq!(g.next_key_below(key), below, "below {}", key);
+                    if g.head_of(key).is_some() {
+                        below = Some(key);
+                    }
+                }
+                prop_assert_eq!(g.descend_max(), below);
+            }
+        }
     }
 }

@@ -17,11 +17,6 @@ pub struct PassStats {
     pub cut_before: u64,
     /// Weighted cut after rollback to the best prefix.
     pub cut_after: u64,
-    /// Gain-update events with a zero delta (counted whether or not the
-    /// re-insertion was performed — the `ZeroDeltaPolicy` decides that).
-    pub zero_delta_events: u64,
-    /// Gain-update events with a nonzero delta.
-    pub nonzero_delta_events: u64,
     /// `true` if the pass *corked*: it ended with movable vertices still in
     /// the gain container but fewer than [`CORKED_FRACTION`] of the
     /// eligible vertices moved — the CLIP failure mode of §2.3.
@@ -95,11 +90,6 @@ impl FmStats {
     pub fn improvement(&self) -> i64 {
         self.initial_cut as i64 - self.final_cut as i64
     }
-
-    /// Zero-delta events across all passes.
-    pub fn zero_delta_events(&self) -> u64 {
-        self.passes.iter().map(|p| p.zero_delta_events).sum()
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +113,11 @@ mod tests {
                 PassStats {
                     moves_made: 10,
                     corked: false,
-                    zero_delta_events: 5,
                     ..PassStats::default()
                 },
                 PassStats {
                     moves_made: 2,
                     corked: true,
-                    zero_delta_events: 1,
                     ..PassStats::default()
                 },
             ],
@@ -142,7 +130,6 @@ mod tests {
         assert_eq!(stats.corked_passes(), 1);
         assert!((stats.corked_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(stats.improvement(), 10);
-        assert_eq!(stats.zero_delta_events(), 6);
     }
 
     #[test]

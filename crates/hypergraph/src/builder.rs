@@ -36,7 +36,6 @@ pub struct HypergraphBuilder {
     net_pin_offsets: Vec<u32>,
     net_pin_list: Vec<VertexId>,
     fixed: Vec<(u32, PartId)>,
-    scratch: Vec<VertexId>,
     /// Per-vertex stamp: `pin_marks[v] == mark_epoch` while `v` is a pin
     /// of the net being added, so a k-pin net dedups in O(k), not O(k²).
     pin_marks: Vec<u32>,
@@ -62,7 +61,6 @@ impl HypergraphBuilder {
             net_pin_offsets: vec![0],
             net_pin_list: Vec::new(),
             fixed: Vec::new(),
-            scratch: Vec::new(),
             pin_marks: Vec::new(),
             mark_epoch: 0,
         }
@@ -121,6 +119,12 @@ impl HypergraphBuilder {
         id
     }
 
+    /// Sets the weight of an added vertex: for readers whose files list
+    /// the weights after the nets that reference the vertices.
+    pub(crate) fn set_vertex_weight(&mut self, v: VertexId, weight: u64) {
+        self.vertex_weights[v.index()] = weight;
+    }
+
     /// Adds `n` vertices of identical weight, returning the id of the first;
     /// ids are consecutive.
     pub fn add_vertices(&mut self, n: usize, weight: u64) -> VertexId {
@@ -140,42 +144,28 @@ impl HypergraphBuilder {
     where
         I: IntoIterator<Item = VertexId>,
     {
-        let net_index = self.net_weights.len();
         let num_vertices = self.vertex_weights.len();
-        let epoch = self.next_mark_epoch(num_vertices);
-        self.scratch.clear();
+        self.begin_net();
         for v in pins {
             if v.index() >= num_vertices {
+                self.net_pin_list.truncate(self.open_net_start());
                 return Err(BuildError::UnknownVertex {
-                    net: net_index,
+                    net: self.net_weights.len(),
                     vertex: v.raw(),
                     num_vertices,
                 });
             }
-            let mark = &mut self.pin_marks[v.index()];
-            if *mark != epoch {
-                *mark = epoch;
-                self.scratch.push(v);
-            }
+            self.push_pin(v);
         }
-        if self.scratch.is_empty() {
-            return Err(BuildError::EmptyNet { net: net_index });
-        }
-        let new_len = self
-            .net_pin_list
-            .len()
-            .checked_add(self.scratch.len())
-            .filter(|&l| u32::try_from(l).is_ok())
-            .ok_or(BuildError::TooManyPins)?;
-        self.net_pin_list.extend_from_slice(&self.scratch);
-        self.net_pin_offsets.push(new_len as u32);
-        self.net_weights.push(weight);
-        Ok(NetId::from_index(net_index))
+        self.end_net(weight)
     }
 
-    /// Takes a fresh stamp for the next net, growing the marks to cover
-    /// `num_vertices` vertices.
-    fn next_mark_epoch(&mut self, num_vertices: usize) -> u32 {
+    /// Opens a net: the pins [`push_pin`](Self::push_pin) appends until
+    /// [`end_net`](Self::end_net) are its pins. Lets a reader that checks
+    /// each pin as it parses it write the pins straight into the builder.
+    /// The net takes a fresh stamp, so no mark of an earlier net counts.
+    pub(crate) fn begin_net(&mut self) {
+        let num_vertices = self.vertex_weights.len();
         if self.pin_marks.len() < num_vertices {
             self.pin_marks.resize(num_vertices, 0);
         }
@@ -185,7 +175,48 @@ impl HypergraphBuilder {
             self.pin_marks.fill(0);
             self.mark_epoch = 1;
         }
-        self.mark_epoch
+    }
+
+    /// Appends pin `v`, an added vertex, to the open net unless it is
+    /// already one of its pins.
+    #[inline]
+    pub(crate) fn push_pin(&mut self, v: VertexId) {
+        let mark = &mut self.pin_marks[v.index()];
+        if *mark != self.mark_epoch {
+            *mark = self.mark_epoch;
+            self.net_pin_list.push(v);
+        }
+    }
+
+    /// Closes the open net with `weight`; a net it refuses leaves no pins
+    /// behind.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::EmptyNet`] if no pin was pushed and
+    /// [`BuildError::TooManyPins`] if the total pin count would overflow
+    /// the `u32` CSR offsets.
+    pub(crate) fn end_net(&mut self, weight: u32) -> Result<NetId, BuildError> {
+        let net_index = self.net_weights.len();
+        let start = self.open_net_start();
+        let len = self.net_pin_list.len();
+        if len == start {
+            return Err(BuildError::EmptyNet { net: net_index });
+        }
+        let Ok(end) = u32::try_from(len) else {
+            self.net_pin_list.truncate(start);
+            return Err(BuildError::TooManyPins);
+        };
+        self.net_pin_offsets.push(end);
+        self.net_weights.push(weight);
+        Ok(NetId::from_index(net_index))
+    }
+
+    /// Where the open net's pins start in the pin list.
+    fn open_net_start(&self) -> usize {
+        self.net_pin_offsets
+            .last()
+            .map_or(0, |&offset| offset as usize)
     }
 
     /// Adds a net whose pins are already strictly sorted (therefore

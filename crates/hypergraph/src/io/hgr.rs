@@ -10,11 +10,30 @@
 //!
 //! `fmt` is omitted or one of `1` (net weights), `10` (vertex weights),
 //! `11` (both) — exactly as in the hMETIS user manual.
+//!
+//! [`read`] reads its input whole, then makes one pass over the bytes:
+//! each token is split off and its digits read in the same scan, and
+//! each net goes straight into one [`HypergraphBuilder`] (vertex
+//! weights, which follow the nets, overwrite unit placeholders). It
+//! splits, trims and parses as `str::split_whitespace` and `str::parse`
+//! would on the lines of `BufRead::lines`, so it accepts and rejects the
+//! same inputs with the same errors, lines and messages: Unicode
+//! whitespace separates tokens, `+7` reads as 7, and a line of invalid
+//! UTF-8 is an I/O error. Lines that are pure ASCII, as real netlists
+//! are, skip UTF-8 decoding. One difference is by design: a reader that
+//! fails part-way fails the read before any line is parsed, where a
+//! line-by-line reader would first report a syntax error in an earlier
+//! line. The line-by-line reader it replaced is kept in the tests as its
+//! twin oracle.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
+#[cfg(test)]
+use std::io::{BufRead, BufReader};
+use std::iter::Peekable;
 use std::path::Path;
+use std::str::SplitWhitespace;
 
-use crate::error::ParseError;
+use crate::error::{BuildError, ParseError};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// Upper bound accepted for the header's declared net/vertex counts.
@@ -86,7 +105,313 @@ impl HgrFormat {
 /// # Ok(())
 /// # }
 /// ```
-pub fn read<R: std::io::Read>(reader: R) -> Result<Hypergraph, ParseError> {
+pub fn read<R: std::io::Read>(mut reader: R) -> Result<Hypergraph, ParseError> {
+    let mut input = Vec::new();
+    reader.read_to_end(&mut input)?;
+    // Lines as `BufRead::lines` splits them, numbered from 1.
+    let mut lines = input.split_inclusive(|&b| b == b'\n').zip(1usize..);
+    let (header_line_no, num_nets, num_vertices, fmt) = loop {
+        let Some((bytes, line_no)) = lines.next() else {
+            return Err(ParseError::syntax(1, "empty file: missing header"));
+        };
+        let line = Line::new(bytes)?;
+        if line_no == 1 && bytes.starts_with("\u{feff}".as_bytes()) {
+            return Err(ParseError::syntax(
+                1,
+                "file begins with a UTF-8 byte-order mark; re-save without a BOM",
+            ));
+        }
+        if let Some(toks) = line.content() {
+            let (num_nets, num_vertices, fmt) = parse_header(toks, line_no)?;
+            break (line_no, num_nets, num_vertices, fmt);
+        }
+    };
+
+    let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_nets);
+    // Vertex weights are read after the nets: unit placeholders until then.
+    builder.add_vertices(num_vertices, 1);
+    let mut nets_read = 0usize;
+    let mut weights_read = 0usize;
+    let mut total_weight = 0u64;
+    let mut last_line = header_line_no;
+    // A net the builder refuses (too many pins in total) fails the read
+    // only after every line has passed the syntax checks.
+    let mut build_error: Option<BuildError> = None;
+
+    for (bytes, line_no) in lines {
+        last_line = line_no;
+        let line = Line::new(bytes)?;
+        let Some(mut toks) = line.content() else {
+            continue;
+        };
+        if nets_read < num_nets {
+            let weight: u32 = if fmt.has_net_weights() {
+                parse_field(toks.next(), line_no, "net weight")?
+            } else {
+                1
+            };
+            // Each checked pin goes straight into the builder's pin list.
+            builder.begin_net();
+            let mut any_pin = false;
+            for tok in toks {
+                let one_based: usize = tok.parse().ok_or_else(|| {
+                    ParseError::syntax(
+                        line_no,
+                        format!(
+                            "pin `{}` is not an integer",
+                            String::from_utf8_lossy(tok.text)
+                        ),
+                    )
+                })?;
+                if one_based == 0 || one_based > num_vertices {
+                    return Err(ParseError::syntax(
+                        line_no,
+                        format!("pin {one_based} out of range 1..={num_vertices}"),
+                    ));
+                }
+                builder.push_pin(VertexId::from_index(one_based - 1));
+                any_pin = true;
+            }
+            if !any_pin {
+                return Err(ParseError::syntax(line_no, "net line has no pins"));
+            }
+            let added = builder.end_net(weight);
+            if build_error.is_none() {
+                build_error = added.err();
+            }
+            nets_read += 1;
+        } else if fmt.has_vertex_weights() && weights_read < num_vertices {
+            // The weight is the whole trimmed line: one token, or text
+            // with whitespace inside, which is no integer.
+            let w: Option<u64> = match (toks.next(), toks.next()) {
+                (Some(tok), None) => tok.parse(),
+                _ => None,
+            };
+            let w = w.ok_or_else(|| {
+                ParseError::syntax(
+                    line_no,
+                    format!(
+                        "vertex weight `{}` is not an integer",
+                        String::from_utf8_lossy(line.trimmed())
+                    ),
+                )
+            })?;
+            total_weight = total_weight
+                .checked_add(w)
+                .ok_or_else(|| ParseError::syntax(line_no, "total vertex weight overflows u64"))?;
+            builder.set_vertex_weight(VertexId::from_index(weights_read), w);
+            weights_read += 1;
+        } else {
+            return Err(ParseError::syntax(line_no, "unexpected trailing content"));
+        }
+    }
+
+    if nets_read != num_nets {
+        return Err(ParseError::syntax(
+            last_line,
+            format!("header promised {num_nets} nets but file contains {nets_read}"),
+        ));
+    }
+    if fmt.has_vertex_weights() && weights_read != num_vertices {
+        return Err(ParseError::syntax(
+            last_line,
+            format!(
+                "header promised {num_vertices} vertex weights but file contains {weights_read}"
+            ),
+        ));
+    }
+    if let Some(e) = build_error {
+        return Err(e.into());
+    }
+    Ok(builder.build()?)
+}
+
+/// Parses the header line's tokens: net count, vertex count and format.
+fn parse_header<'a>(
+    mut it: impl Iterator<Item = Token<'a>>,
+    line_no: usize,
+) -> Result<(usize, usize, HgrFormat), ParseError> {
+    let num_nets: usize = parse_field(it.next(), line_no, "net count")?;
+    let num_vertices: usize = parse_field(it.next(), line_no, "vertex count")?;
+    let fmt = match it.next() {
+        None => HgrFormat::Plain,
+        Some(tok) => {
+            let code: u32 = tok
+                .parse()
+                .ok_or_else(|| ParseError::syntax(line_no, "fmt field is not an integer"))?;
+            HgrFormat::from_code(code, line_no)?
+        }
+    };
+    if it.next().is_some() {
+        return Err(ParseError::syntax(line_no, "trailing tokens after header"));
+    }
+    for (count, what) in [(num_nets, "net count"), (num_vertices, "vertex count")] {
+        if count > MAX_DECLARED_COUNT {
+            return Err(ParseError::syntax(
+                line_no,
+                format!(
+                    "declared {what} {count} exceeds the supported maximum {MAX_DECLARED_COUNT}"
+                ),
+            ));
+        }
+    }
+    Ok((num_nets, num_vertices, fmt))
+}
+
+/// One line, line ending included (it is whitespace). A line with a
+/// non-ASCII byte is checked to be UTF-8, as `BufRead::lines` checks
+/// every line, and is split and trimmed as a `str`.
+struct Line<'a> {
+    bytes: &'a [u8],
+    /// The line as text, if it is not pure ASCII.
+    unicode: Option<&'a str>,
+}
+
+impl<'a> Line<'a> {
+    fn new(bytes: &'a [u8]) -> Result<Self, ParseError> {
+        let unicode = if bytes.is_ascii() {
+            None
+        } else {
+            let text = std::str::from_utf8(bytes).map_err(|_| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            Some(text)
+        };
+        Ok(Line { bytes, unicode })
+    }
+
+    /// The line without leading and trailing whitespace (`str::trim`).
+    fn trimmed(&self) -> &'a [u8] {
+        match self.unicode {
+            Some(text) => text.trim().as_bytes(),
+            None => {
+                let start = self.bytes.iter().position(|&b| !is_space(b));
+                let end = self.bytes.iter().rposition(|&b| !is_space(b));
+                match (start, end) {
+                    (Some(start), Some(end)) => &self.bytes[start..=end],
+                    _ => &[],
+                }
+            }
+        }
+    }
+
+    /// The whitespace-separated tokens (`str::split_whitespace`), or
+    /// `None` for a blank line or a `%` comment.
+    fn content(&self) -> Option<Peekable<Tokens<'a>>> {
+        let mut toks = match self.unicode {
+            Some(text) => Tokens::Unicode(text.split_whitespace()),
+            None => Tokens::Ascii(self.bytes),
+        }
+        .peekable();
+        match toks.peek() {
+            Some(first) if !first.text.starts_with(b"%") => Some(toks),
+            _ => None,
+        }
+    }
+}
+
+/// A token, and its value when it is 1 to 19 ASCII digits (below 10^19,
+/// so the value cannot overflow a `u64`).
+#[derive(Clone, Copy)]
+struct Token<'a> {
+    text: &'a [u8],
+    digits: Option<u64>,
+}
+
+impl Token<'_> {
+    /// The token as `str::parse` reads an unsigned integer.
+    fn parse<T: TryFrom<u64>>(self) -> Option<T> {
+        match self.digits {
+            Some(value) => T::try_from(value).ok(),
+            None => parse_uint(self.text),
+        }
+    }
+}
+
+/// The tokens of a [`Line`]: of a pure-ASCII line, split at its
+/// whitespace bytes with each token's digits read in the same scan; of
+/// any other, split as a `str`.
+enum Tokens<'a> {
+    /// The rest of an ASCII line.
+    Ascii(&'a [u8]),
+    Unicode(SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        match self {
+            Tokens::Ascii(rest) => {
+                let start = rest.iter().position(|&b| !is_space(b))?;
+                let tail = &rest[start..];
+                let mut len = 0;
+                let mut value = 0u64;
+                let mut all_digits = true;
+                for &b in tail {
+                    if is_space(b) {
+                        break;
+                    }
+                    let digit = b.wrapping_sub(b'0');
+                    all_digits &= digit <= 9;
+                    value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+                    len += 1;
+                }
+                *rest = &tail[len..];
+                Some(Token {
+                    text: &tail[..len],
+                    digits: (all_digits && len <= 19).then_some(value),
+                })
+            }
+            Tokens::Unicode(words) => words.next().map(|word| Token {
+                text: word.as_bytes(),
+                digits: None,
+            }),
+        }
+    }
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts: `\t`, `\n`, vertical
+/// tab, form feed, `\r` and space.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// A decimal integer as `str::parse` reads it for an unsigned type: an
+/// optional `+`, then one or more ASCII digits, in range.
+fn parse_uint<T: TryFrom<u64>>(tok: &[u8]) -> Option<T> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut n = 0u64;
+    for &b in digits {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+    }
+    T::try_from(n).ok()
+}
+
+/// The line-by-line reader [`read`] replaced: one `String` per line and
+/// one `Vec` per net, with every net held until the end. Kept as the
+/// oracle of [`read`]'s twin test.
+#[cfg(test)]
+fn read_reference<R: std::io::Read>(reader: R) -> Result<Hypergraph, ParseError> {
+    fn parse_field<T: std::str::FromStr>(
+        tok: Option<&str>,
+        line: usize,
+        what: &str,
+    ) -> Result<T, ParseError> {
+        tok.ok_or_else(|| ParseError::syntax(line, format!("missing {what}")))?
+            .parse()
+            .map_err(|_| ParseError::syntax(line, format!("{what} is not a valid integer")))
+    }
+
     let reader = BufReader::new(reader);
     let mut lines = reader.lines().enumerate();
 
@@ -140,8 +465,6 @@ pub fn read<R: std::io::Read>(reader: R) -> Result<Hypergraph, ParseError> {
     }
 
     let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_nets);
-    // Vertex weights are read after the nets; add unit placeholders now and
-    // rebuild at the end if the file carries vertex weights.
     builder.add_vertices(num_vertices, 1);
 
     let mut nets: Vec<(Vec<VertexId>, u32)> = Vec::with_capacity(num_nets);
@@ -290,14 +613,14 @@ pub fn write_path(h: &Hypergraph, path: impl AsRef<Path>) -> std::io::Result<()>
     write(h, &mut buf)
 }
 
-fn parse_field<T: std::str::FromStr>(
-    tok: Option<&str>,
+fn parse_field<T: TryFrom<u64>>(
+    tok: Option<Token<'_>>,
     line: usize,
     what: &str,
 ) -> Result<T, ParseError> {
-    tok.ok_or_else(|| ParseError::syntax(line, format!("missing {what}")))?
-        .parse()
-        .map_err(|_| ParseError::syntax(line, format!("{what} is not a valid integer")))
+    let tok = tok.ok_or_else(|| ParseError::syntax(line, format!("missing {what}")))?;
+    tok.parse()
+        .ok_or_else(|| ParseError::syntax(line, format!("{what} is not a valid integer")))
 }
 
 #[cfg(test)]
@@ -403,5 +726,207 @@ mod tests {
         let h2 = read_path(&path).unwrap();
         assert_eq!(h2.num_pins(), h.num_pins());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// What a read came to: the instance (weights and every net's weight
+    /// and pins, in order, plus the content digest), or the error's
+    /// variant and text (line and message).
+    fn outcome(result: Result<Hypergraph, ParseError>) -> Result<String, String> {
+        match result {
+            Ok(h) => {
+                let weights: Vec<u64> = h.vertices().map(|v| h.vertex_weight(v)).collect();
+                let nets: Vec<(u32, &[VertexId])> =
+                    h.nets().map(|e| (h.net_weight(e), h.net_pins(e))).collect();
+                Ok(format!("{:x} {weights:?} {nets:?}", h.content_digest()))
+            }
+            Err(e @ ParseError::Io(_)) => Err(format!("io: {e}")),
+            Err(e @ ParseError::Syntax { .. }) => Err(format!("syntax: {e}")),
+            Err(e @ ParseError::Build(_)) => Err(format!("build: {e}")),
+        }
+    }
+
+    fn assert_twins_agree(bytes: &[u8]) {
+        assert_eq!(
+            outcome(read(bytes)),
+            outcome(read_reference(bytes)),
+            "input {:?}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+
+    /// Every file of the `tests/corrupt/` corpus at the repository root.
+    fn corrupt_corpus() -> Vec<Vec<u8>> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corrupt");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "empty corpus at {}", dir.display());
+        files.iter().map(|p| std::fs::read(p).unwrap()).collect()
+    }
+
+    /// Valid files of every format, then the corpus: the files the third
+    /// input kind edits.
+    fn seed_files() -> Vec<Vec<u8>> {
+        let mut plain = HypergraphBuilder::new();
+        let vs: Vec<VertexId> = (0..5).map(|_| plain.add_vertex(1)).collect();
+        plain.add_net([vs[0], vs[1]], 1).unwrap();
+        plain.add_net([vs[1], vs[2], vs[3]], 1).unwrap();
+        plain.add_net([vs[3], vs[4], vs[0]], 1).unwrap();
+        let mut net_weighted = plain.clone();
+        net_weighted.add_net([vs[2], vs[4]], 12).unwrap();
+        let mut vertex_weighted = HypergraphBuilder::new();
+        for w in [3, 1, 4, 1, 5] {
+            vertex_weighted.add_vertex(w);
+        }
+        vertex_weighted.add_net([vs[4], vs[0], vs[2]], 1).unwrap();
+        let mut both = vertex_weighted.clone();
+        both.add_net([vs[1], vs[3]], 7).unwrap();
+        let mut files: Vec<Vec<u8>> = [plain, net_weighted, vertex_weighted, both]
+            .into_iter()
+            .map(|b| {
+                let mut bytes = Vec::new();
+                write(&b.build().unwrap(), &mut bytes).unwrap();
+                bytes
+            })
+            .collect();
+        files.extend(corrupt_corpus());
+        files
+    }
+
+    /// Pieces of the token text: numbers (with `+`, `-`, leading zeros
+    /// and past `u32` and `u64`), the format codes, comments, ASCII
+    /// whitespace and line endings, and non-ASCII text — Unicode
+    /// whitespace, a byte-order mark, a letter.
+    const PIECES: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "3",
+        "4",
+        "5",
+        "7",
+        "10",
+        "11",
+        "007",
+        "+3",
+        "-1",
+        "+",
+        "++2",
+        "4294967296",
+        "18446744073709551616",
+        "%",
+        "% c",
+        " ",
+        " ",
+        "\t",
+        "\n",
+        "\n",
+        "\r\n",
+        "\r",
+        "\u{b}",
+        "\u{c}",
+        "\u{a0}",
+        "\u{85}",
+        "\u{3000}",
+        "\u{feff}",
+        "é",
+    ];
+
+    /// Bytes an edit writes half of the time: close to the format, plus
+    /// the lead bytes of multi-byte UTF-8 and a byte never in UTF-8.
+    const EDIT_BYTES: &[u8] = b"0123456789 +-%\n\r\t\x0b\xc2\xa0\xef\xff";
+
+    /// One twin input: random bytes, token text, or a seed file with one
+    /// to three bytes overwritten, inserted or deleted.
+    fn twin_input(files: &[Vec<u8>], (kind, raw, which, edits): TwinRecipe) -> Vec<u8> {
+        match kind {
+            0 => raw,
+            1 => raw
+                .iter()
+                .flat_map(|&b| PIECES[usize::from(b) % PIECES.len()].bytes())
+                .collect(),
+            _ => {
+                let mut bytes = files[which % files.len()].clone();
+                for (at, byte, op) in edits {
+                    let byte = if byte & 1 == 0 {
+                        EDIT_BYTES[usize::from(byte >> 1) % EDIT_BYTES.len()]
+                    } else {
+                        byte
+                    };
+                    let at = at % (bytes.len() + 1);
+                    match op {
+                        0 if at < bytes.len() => bytes[at] = byte,
+                        1 => bytes.insert(at, byte),
+                        _ if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        _ => bytes.push(byte),
+                    }
+                }
+                bytes
+            }
+        }
+    }
+
+    type TwinRecipe = (u8, Vec<u8>, usize, Vec<(usize, u8, u8)>);
+
+    #[test]
+    fn twins_agree_on_the_corrupt_corpus_and_special_lines() {
+        for file in corrupt_corpus() {
+            assert_twins_agree(&file);
+        }
+        for text in [
+            "",
+            "\n\n",
+            "\u{feff}1 2\n1 2\n",
+            "% c\n\u{feff}1 2\n1 2\n",
+            "1 2\r\n+1 +2\r\n",
+            "1\u{a0}2\n1\u{3000}2\u{85}\n",
+            "1 2 10\n1 2\n\u{b}7\u{c}\n\u{a0}8\n",
+            "1 2 10\n1 2\n7 8\n",
+            "1 2 10\n1 2\n7\u{a0}8\n",
+            "1 2 1\n\n",
+            "1 2 1\n5\n",
+            "1 2 10\n1 2\n18446744073709551615\n1\n",
+            "2 3\n1 2 2 1\n3\n",
+        ] {
+            assert_twins_agree(text.as_bytes());
+        }
+        // Invalid UTF-8 on a pin line, after a bad pin, and past the end.
+        for bytes in [
+            &b"1 2\n1 \xff\n"[..],
+            b"1 2\n1 x\n\xff\n",
+            b"1 2\n1 2\n\xff\n",
+        ] {
+            assert_twins_agree(bytes);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4_000))]
+
+        /// The one-pass reader and the line-by-line reader give the same
+        /// instance, or the same error at the same line with the same
+        /// message, on the three input kinds of the parser fuzz suite.
+        #[test]
+        fn one_pass_reader_matches_the_line_reader(
+            recipe in (
+                0u8..3,
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+                proptest::prelude::any::<usize>(),
+                proptest::collection::vec(
+                    (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>(), 0u8..3),
+                    1..4,
+                ),
+            ),
+        ) {
+            thread_local! {
+                static FILES: Vec<Vec<u8>> = seed_files();
+            }
+            let bytes = FILES.with(|files| twin_input(files, recipe));
+            proptest::prop_assert_eq!(outcome(read(&bytes[..])), outcome(read_reference(&bytes[..])));
+        }
     }
 }

@@ -373,9 +373,9 @@ impl KWayFmPartitioner {
                 let Some(mut key) = container.descend_max() else {
                     continue;
                 };
-                let min = container.min_key_bound();
-                // Head-only inspection with skip-bucket on illegal heads,
-                // bounded by the current best (no point scanning below it).
+                // Head-only inspection of the non-empty buckets with
+                // skip-bucket on illegal heads, bounded by the current best
+                // (no point scanning below it).
                 loop {
                     if let Some(floor) = best.map(|(g, _, _)| g) {
                         if key <= floor {
@@ -390,10 +390,10 @@ impl KWayFmPartitioner {
                             break;
                         }
                     }
-                    if key == min {
+                    let Some(next) = container.next_key_below(key) else {
                         break;
-                    }
-                    key -= 1;
+                    };
+                    key = next;
                 }
             }
         }
