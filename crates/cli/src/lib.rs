@@ -2,12 +2,12 @@
 //!
 //! Subcommands:
 //!
-//! * `partition <netlist>` — 2-way or k-way partition a `.hgr` / netD
-//!   file with flat FM, multilevel FM, the hMetis-style driver or direct
-//!   k-way FM, write a `.part` solution, report cut / balance / timing
-//!   (the library's n-level and lane-parallel engines have no switch
-//!   here: EXPERIMENTS.md's 2-way engine triage finds both worse at
-//!   equal time);
+//! * `partition <netlist>` — 2-way partition a `.hgr` / netD file with
+//!   flat FM, multilevel FM or the hMetis-style driver, or k-way by
+//!   multilevel recursive bisection, write a `.part` solution, report
+//!   cut / balance / timing (the library's n-level and lane-parallel
+//!   engines have no switch here: EXPERIMENTS.md's 2-way engine triage
+//!   finds both worse at equal time);
 //! * `eval <netlist> <partfile>` — evaluate an existing solution
 //!   (cut, objectives, balance);
 //! * `stats <netlist>` — print the instance profile (the paper's §2.1
@@ -46,7 +46,7 @@ use hypart_eval::report::Report;
 use hypart_eval::runner::{run_trials_with, FlatFmHeuristic, MlHeuristic};
 use hypart_eval::stats::wilcoxon_rank_sum;
 use hypart_hypergraph::{io, Hypergraph, PartId};
-use hypart_kway::{recursive_bisection_with, KWayBalance, KWayFmPartitioner};
+use hypart_kway::{recursive_bisection_with, KWayBalance};
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_place::{hpwl, PlacerConfig, Rect, RowLegalizer, TopDownPlacer};
 use hypart_trace::json::JsonValue;
@@ -226,8 +226,6 @@ pub enum Engine {
     MlClip,
     /// hMetis-style multi-start + V-cycling.
     Hmetis,
-    /// Direct k-way FM, at every `k` including 2.
-    Kway,
 }
 
 impl Engine {
@@ -238,9 +236,8 @@ impl Engine {
             "ml-lifo" | "ml" => Ok(Engine::MlLifo),
             "ml-clip" => Ok(Engine::MlClip),
             "hmetis" => Ok(Engine::Hmetis),
-            "kway" => Ok(Engine::Kway),
             other => Err(format!(
-                "unknown engine `{other}` (expected lifo, clip, ml-lifo, ml-clip, hmetis, kway)"
+                "unknown engine `{other}` (expected lifo, clip, ml-lifo, ml-clip, hmetis)"
             )),
         }
     }
@@ -251,15 +248,15 @@ pub const USAGE: &str = "\
 hypart — hypergraph partitioning for VLSI CAD
 
 USAGE:
-  hypart partition <netlist> [--engine lifo|clip|ml-lifo|ml-clip|hmetis|kway]
+  hypart partition <netlist> [--engine lifo|clip|ml-lifo|ml-clip|hmetis]
                    [--k K] [--tol F] [--starts N] [--seed S] [--out FILE]
                    [--trace FILE.jsonl] [--budget-ms T]
                    [--audit off|checkpoints|paranoid]
 
-`--engine kway` runs direct k-way FM at every K; ml-lifo and ml-clip
-reach K = 2^m by recursive multilevel bisection. Each runs one start,
-so lifo, clip and hmetis run at K = 2 only, and --starts above 1 needs
-K = 2 and an engine other than kway.
+Above K = 2, ml-lifo and ml-clip reach any K by recursive multilevel
+bisection, one start; cells fixed on side s of a netD file end in part
+s. So lifo, clip and hmetis run at K = 2 only, and --starts above 1
+needs K = 2.
   hypart eval <netlist> <partfile> [--tol F]
   hypart stats <netlist>
   hypart place <netlist> [--width W] [--height H] [--rows R] [--seed S] [--out FILE]
@@ -295,9 +292,9 @@ circuits (default all 9).
 
 Every flag takes a value; a flag the subcommand does not list above,
 or one without its value, is a usage error. So is a value out of range:
---tol must lie in [0, 1], --scale in (0, 1], --width and --height must
-be finite and not negative, --starts and --trials must be at least 1,
-and mcncN needs N >= 8.
+--tol must lie in [0, 1], --scale in (0, 1], --k in [2, 65535],
+--width and --height must be finite and not negative, --starts and
+--trials must be at least 1, and mcncN needs N >= 8.
 
 Netlists are read as hMETIS .hgr, or as simplified ISPD98 netD when the
 file extension contains `net`.
@@ -402,27 +399,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let engine_name = flag_value("--engine").unwrap_or("ml-lifo");
             let engine = Engine::parse(engine_name)?;
             let k = parse_usize("--k", 2)?;
-            if k < 2 {
-                return Err("--k must be at least 2".into());
+            // Part ids are 16-bit throughout the k-way code.
+            if !(2..=usize::from(u16::MAX)).contains(&k) {
+                return Err("--k must be in [2, 65535]".into());
             }
-            // Above k = 2 the CLI runs ML recursive bisection or direct
-            // k-way FM, one start each: refuse what would not run.
+            // Above k = 2 the CLI runs one start of ML recursive
+            // bisection: refuse what would not run.
             if k > 2 && matches!(engine, Engine::Lifo | Engine::Clip | Engine::Hmetis) {
                 return Err(format!(
                     "--engine {engine_name} with --k {k}: {engine_name} runs at --k 2 only \
-                     (above it use ml-lifo or ml-clip recursive bisection, or kway)"
+                     (above it use ml-lifo or ml-clip recursive bisection)"
                 ));
             }
-            if k > 2 && engine != Engine::Kway && !k.is_power_of_two() {
-                return Err(
-                    "k > 2 with a 2-way engine requires k = 2^m (recursive bisection)".into(),
-                );
-            }
             let starts = parse_count("--starts", 1)?;
-            if starts > 1 && (k > 2 || engine == Engine::Kway) {
+            if starts > 1 && k > 2 {
                 return Err(format!(
                     "--starts {starts} with --engine {engine_name} --k {k}: recursive \
-                     bisection and kway run one start (--starts needs a 2-way engine at --k 2)"
+                     bisection runs one start (--starts needs --k 2)"
                 ));
             }
             Ok(Command::Partition {
@@ -989,8 +982,8 @@ struct PartitionRun {
 }
 
 /// Dispatches one partition invocation to the selected engine under the
-/// context's sink, seed, and budget: direct k-way FM for `Kway` at every
-/// `k`, a 2-way engine at `k == 2`, recursive bisection above it.
+/// context's sink, seed, and budget: a 2-way engine at `k == 2`,
+/// recursive bisection above it.
 fn partition_with(
     h: &Hypergraph,
     engine: Engine,
@@ -999,15 +992,12 @@ fn partition_with(
     starts: usize,
     ctx: &mut RunCtx<'_>,
 ) -> PartitionRun {
-    if k == 2 && engine != Engine::Kway {
+    if k == 2 {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
         return run_two_way_with(h, &c, engine, starts, ctx);
     }
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, tolerance);
-    let out = match engine {
-        Engine::Kway => KWayFmPartitioner::new().run_with(h, &balance, ctx),
-        _ => recursive_bisection_with(h, k, tolerance, &engine_ml_config(engine), ctx),
-    };
+    let out = recursive_bisection_with(h, k, tolerance, &engine_ml_config(engine), ctx);
     let balanced = out.is_balanced(&balance);
     PartitionRun {
         assignment: out.assignment,
@@ -1243,6 +1233,9 @@ mod tests {
     fn parse_rejects_bad_engine_and_k() {
         assert!(parse_args(&args(&["partition", "x.hgr", "--engine", "magic"])).is_err());
         assert!(parse_args(&args(&["partition", "x.hgr", "--k", "1"])).is_err());
+        assert!(parse_args(&args(&["partition", "x.hgr", "--k", "65536"])).is_err());
+        assert!(parse_args(&args(&["partition", "x.hgr", "--engine", "kway"])).is_err());
+        // Recursive bisection takes any k above 2.
         assert!(parse_args(&args(&[
             "partition",
             "x.hgr",
@@ -1250,16 +1243,6 @@ mod tests {
             "3",
             "--engine",
             "ml-lifo"
-        ]))
-        .is_err());
-        // k=3 is fine for the direct k-way engine.
-        assert!(parse_args(&args(&[
-            "partition",
-            "x.hgr",
-            "--k",
-            "3",
-            "--engine",
-            "kway"
         ]))
         .is_ok());
     }
@@ -1329,7 +1312,7 @@ mod tests {
     }
 
     #[test]
-    fn kway_partition_via_cli() {
+    fn odd_k_partition_via_cli() {
         let dir = std::env::temp_dir().join("hypart_cli_kway");
         std::fs::create_dir_all(&dir).unwrap();
         let hgr = dir.join("k.hgr");
@@ -1342,8 +1325,8 @@ mod tests {
         .unwrap();
         let report = run(Command::Partition {
             input: hgr.clone(),
-            engine: Engine::Kway,
-            k: 4,
+            engine: Engine::MlLifo,
+            k: 3,
             tolerance: 0.25,
             starts: 1,
             seed: 5,
@@ -1353,22 +1336,9 @@ mod tests {
             audit: AuditLevel::Paranoid,
         })
         .unwrap();
-        assert!(report.contains("k = 4"), "{report}");
+        assert!(report.contains("k = 3"), "{report}");
         assert!(dir.join("k.part").exists());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// `--engine kway` runs direct k-way FM at `--k 2` too, not the
-    /// 2-way multi-start driver, so `--starts` does not apply.
-    #[test]
-    fn kway_engine_at_k2_is_direct_kway_fm() {
-        let h = hypart_benchgen::mcnc_like(600, 3);
-        let run = partition_with(&h, Engine::Kway, 2, 0.1, 3, &mut RunCtx::new(5));
-        let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 2, 0.1);
-        let direct = KWayFmPartitioner::new().run_with(&h, &balance, &mut RunCtx::new(5));
-        assert_eq!(run.cut, direct.cut);
-        assert_eq!(run.assignment, direct.assignment);
-        assert_eq!(run.balanced, direct.is_balanced(&balance));
     }
 
     #[test]

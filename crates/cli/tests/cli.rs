@@ -98,7 +98,7 @@ fn kway_partition_writes_k_part_ids() {
     let out = hypart()
         .arg("partition")
         .arg(&hgr)
-        .args(["--engine", "kway", "--k", "4", "--tol", "0.3"])
+        .args(["--engine", "ml-lifo", "--k", "5", "--tol", "0.3"])
         .output()
         .expect("partition");
     assert!(
@@ -112,7 +112,43 @@ fn kway_partition_writes_k_part_ids() {
         .map(|l| l.trim().parse::<usize>().expect("part id"))
         .max()
         .expect("non-empty");
-    assert!((2..=3).contains(&max_part), "max part id {max_part}");
+    assert_eq!(max_part, 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recursive bisection keeps a netD file's pads on their sides at
+/// `--k 4`: every pad fixed on side s is written in part s.
+#[test]
+fn kway_partition_keeps_netd_pads_in_their_parts() {
+    use hypart_hypergraph::io::netd;
+    let dir = temp_dir("kway_pads");
+    let net = dir.join("pads.net");
+    let h = hypart_benchgen::with_pad_ring(&hypart_benchgen::mcnc_like(400, 3), 20, 1);
+    netd::write_path(&h, &net).expect("write netD");
+    let out = hypart()
+        .arg("partition")
+        .arg(&net)
+        .args(["--engine", "ml-lifo", "--k", "4"])
+        .output()
+        .expect("partition");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let solution = std::fs::read_to_string(dir.join("pads.part")).expect("solution file");
+    let parts: Vec<usize> = solution
+        .lines()
+        .map(|l| l.trim().parse().expect("part id"))
+        .collect();
+    let read = netd::read_path(&net).expect("read netD");
+    assert_eq!(parts.len(), read.num_vertices());
+    assert_eq!(read.num_fixed(), 20);
+    for v in read.vertices() {
+        if let Some(side) = read.fixed_part(v) {
+            assert_eq!(parts[v.index()], side.index(), "pad {v:?}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -396,10 +432,10 @@ fn removed_engine_options_exit_2() {
     }
 }
 
-/// Above `--k 2` the CLI runs one start of ML recursive bisection or of
-/// direct k-way FM, so a flat or hMetis-style engine there, or more than
-/// one start there or with kway, is a usage error naming the
-/// combination, not a run that reports what did not run.
+/// Above `--k 2` the CLI runs one start of ML recursive bisection, so a
+/// flat or hMetis-style engine there, or more than one start there, is a
+/// usage error naming the combination, not a run that reports what did
+/// not run. `kway` is no engine.
 #[test]
 fn engine_k_and_starts_that_would_not_run_exit_2() {
     for (line, error) in [
@@ -424,12 +460,8 @@ fn engine_k_and_starts_that_would_not_run_exit_2() {
             "--starts 3 with --engine ml-clip --k 4",
         ),
         (
-            "partition x.hgr --engine kway --starts 2",
-            "--starts 2 with --engine kway --k 2",
-        ),
-        (
-            "partition x.hgr --engine kway --k 3 --starts 4",
-            "--starts 4 with --engine kway --k 3",
+            "partition x.hgr --engine kway --k 3",
+            "unknown engine `kway`",
         ),
     ] {
         let out = hypart()
@@ -442,14 +474,14 @@ fn engine_k_and_starts_that_would_not_run_exit_2() {
         assert!(stderr.contains("USAGE"), "{line}: {stderr}");
         assert!(out.stdout.is_empty(), "{line}: ran anyway");
     }
-    // What does run: ML CLIP recursive bisection at k = 4, kway at k = 3.
+    // What does run: ML recursive bisection at k = 4 and k = 3.
     let dir = temp_dir("engine_k_starts");
     assert!(hypart_in(&dir, "gen mcnc200 --seed 3 --out t.hgr")
         .status
         .success());
     for line in [
         "partition t.hgr --engine ml-clip --k 4 --tol 0.1",
-        "partition t.hgr --engine kway --k 3 --tol 0.3",
+        "partition t.hgr --engine ml-lifo --k 3 --tol 0.3",
     ] {
         let out = hypart_in(&dir, line);
         assert!(
@@ -486,6 +518,7 @@ fn out_of_range_values_exit_2_before_writing() {
         ("partition t.hgr --tol -0.1", "--tol must be in [0, 1]"),
         ("partition t.hgr --tol NaN", "--tol must be in [0, 1]"),
         ("partition t.hgr --starts 0", "--starts must be at least 1"),
+        ("partition t.hgr --k 70000", "--k must be in [2, 65535]"),
         ("eval t.hgr t.part --tol inf", "--tol must be in [0, 1]"),
         ("report t.hgr --tol 1.5", "--tol must be in [0, 1]"),
         ("report t.hgr --trials 0", "--trials must be at least 1"),

@@ -24,7 +24,7 @@
 //!
 //! Engines poll cooperatively through a [`BudgetProbe`] snapshot: at every
 //! pass boundary via [`BudgetProbe::stop_now`], and every
-//! [`RunCtx::move_check_interval`] moves inside a pass via
+//! [`MOVE_CHECK_INTERVAL`] moves inside a pass via
 //! [`BudgetProbe::stop_every`] (so a long pass on a large instance cannot
 //! overshoot the deadline by a full pass). On expiry or cancellation the
 //! engine finishes its best-prefix rollback, emits
@@ -44,13 +44,13 @@ use crate::nlevel::NLevelWorkspace;
 use crate::par::ParLane;
 use crate::workspace::FmWorkspace;
 
-/// Default number of moves between mid-pass deadline checks.
+/// Number of moves between mid-pass deadline checks.
 ///
 /// `Instant::now` costs tens of nanoseconds; a gain-container move costs
 /// hundreds. Checking every 256 moves keeps the polling overhead well
 /// under 0.1% while bounding deadline overshoot to a few microseconds of
 /// work on any instance.
-pub const DEFAULT_MOVE_CHECK_INTERVAL: usize = 256;
+pub const MOVE_CHECK_INTERVAL: usize = 256;
 
 static NULL_SINK: NullSink = NullSink;
 
@@ -115,7 +115,6 @@ pub struct RunCtx<'s> {
     pub seed: u64,
     deadline: Option<Instant>,
     cancel: CancelToken,
-    check_moves: usize,
     audit: AuditLevel,
     fault_plan: FaultPlan,
 }
@@ -126,7 +125,6 @@ impl std::fmt::Debug for RunCtx<'_> {
             .field("seed", &self.seed)
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel)
-            .field("check_moves", &self.check_moves)
             .field("audit", &self.audit)
             .field("sink_enabled", &self.sink.is_enabled())
             .finish_non_exhaustive()
@@ -152,7 +150,6 @@ impl<'s> RunCtx<'s> {
             seed,
             deadline: None,
             cancel: CancelToken::new(),
-            check_moves: DEFAULT_MOVE_CHECK_INTERVAL,
             audit: AuditLevel::Off,
             fault_plan: FaultPlan::none(),
         }
@@ -169,7 +166,6 @@ impl<'s> RunCtx<'s> {
             seed: self.seed,
             deadline: self.deadline,
             cancel: self.cancel,
-            check_moves: self.check_moves,
             audit: self.audit,
             fault_plan: self.fault_plan,
         }
@@ -200,14 +196,6 @@ impl<'s> RunCtx<'s> {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets how many moves elapse between mid-pass budget checks
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn with_move_check_interval(mut self, moves: usize) -> Self {
-        self.check_moves = moves.max(1);
         self
     }
 
@@ -253,11 +241,6 @@ impl<'s> RunCtx<'s> {
         self.cancel.clone()
     }
 
-    /// The number of moves between mid-pass budget checks.
-    pub fn move_check_interval(&self) -> usize {
-        self.check_moves
-    }
-
     /// The active audit level.
     pub fn audit(&self) -> AuditLevel {
         self.audit
@@ -275,7 +258,6 @@ impl<'s> RunCtx<'s> {
         BudgetProbe {
             deadline: self.deadline,
             cancel: self.cancel.clone(),
-            check_moves: self.check_moves,
             counter: 0,
             latched: None,
         }
@@ -291,7 +273,6 @@ impl<'s> RunCtx<'s> {
 pub struct BudgetProbe {
     deadline: Option<Instant>,
     cancel: CancelToken,
-    check_moves: usize,
     counter: usize,
     latched: Option<StopReason>,
 }
@@ -303,7 +284,6 @@ impl BudgetProbe {
         BudgetProbe {
             deadline: None,
             cancel: CancelToken::new(),
-            check_moves: DEFAULT_MOVE_CHECK_INTERVAL,
             counter: 0,
             latched: None,
         }
@@ -324,11 +304,11 @@ impl BudgetProbe {
     }
 
     /// Counter-gated check for hot loops: performs the real check only
-    /// every `move_check_interval` calls (and returns the latched reason
+    /// every [`MOVE_CHECK_INTERVAL`] calls (and returns the latched reason
     /// in between). Call once per move.
     pub fn stop_every(&mut self) -> Option<StopReason> {
         self.counter += 1;
-        if self.counter >= self.check_moves {
+        if self.counter >= MOVE_CHECK_INTERVAL {
             self.counter = 0;
             self.stop_now()
         } else {
@@ -380,13 +360,11 @@ mod tests {
 
     #[test]
     fn stop_every_is_counter_gated() {
-        let ctx = RunCtx::new(0)
-            .with_move_check_interval(4)
-            .with_deadline(Instant::now() - Duration::from_millis(1));
+        let ctx = RunCtx::new(0).with_deadline(Instant::now() - Duration::from_millis(1));
         let mut probe = ctx.probe();
-        assert_eq!(probe.stop_every(), None);
-        assert_eq!(probe.stop_every(), None);
-        assert_eq!(probe.stop_every(), None);
+        for _ in 1..MOVE_CHECK_INTERVAL {
+            assert_eq!(probe.stop_every(), None);
+        }
         assert_eq!(probe.stop_every(), Some(StopReason::Deadline));
         // Latched from here on, even between check boundaries.
         assert_eq!(probe.stop_every(), Some(StopReason::Deadline));

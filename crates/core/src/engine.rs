@@ -114,7 +114,7 @@ impl FmPartitioner {
     /// depend on what the workspace held before.
     ///
     /// The budget is polled cooperatively: at every pass boundary and
-    /// every [`RunCtx::move_check_interval`] moves inside a pass. A
+    /// every [`MOVE_CHECK_INTERVAL`](crate::MOVE_CHECK_INTERVAL) moves inside a pass. A
     /// mid-pass stop still performs the normal best-prefix rollback, so
     /// the bisection is always a legal, coherent solution; the run then
     /// emits [`RunEvent::BudgetExhausted`] and returns with

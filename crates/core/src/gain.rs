@@ -32,10 +32,10 @@ const NIL: u32 = u32::MAX;
 /// levels, and starts. [`clear`](Self::clear) is O(len + buckets touched),
 /// not O(bucket range): insertions record the buckets they dirty and only
 /// those are reset. A per-bucket bit marks the non-empty buckets for the
-/// selection scan. Exposed publicly so that other engines (e.g. k-way
-/// FM) can build on the same audited container — the paper argues that
-/// *benchmark algorithm implementations* in source form are as valuable
-/// as benchmark data.
+/// selection scan. Exposed publicly so that other engines (e.g. n-level
+/// localized FM) can build on the same audited container — the paper
+/// argues that *benchmark algorithm implementations* in source form are
+/// as valuable as benchmark data.
 #[derive(Clone, Debug)]
 pub struct GainContainer {
     /// Array capacity: bucket indices cover keys in `[-offset, offset]`.

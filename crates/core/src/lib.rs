@@ -76,7 +76,7 @@ pub use config::{
     FmConfig, IllegalHeadPolicy, InitialSolution, InsertionPolicy, PassBestRule, SelectionRule,
     TieBreak, ZeroDeltaPolicy,
 };
-pub use ctx::{BudgetProbe, CancelToken, RunCtx, DEFAULT_MOVE_CHECK_INTERVAL};
+pub use ctx::{BudgetProbe, CancelToken, RunCtx, MOVE_CHECK_INTERVAL};
 pub use engine::{FmOutcome, FmPartitioner};
 pub use hierarchy::{CoarseLevel, Hierarchy, SharedHierarchy};
 pub use hypart_trace::StopReason;

@@ -120,7 +120,7 @@ fn propose_shard(
 ///
 /// `lanes` must be non-empty; the shard count equals `lanes.len()`.
 /// Budgets and cancellation are honoured at round boundaries and every
-/// [`RunCtx::move_check_interval`] commits; auditing follows the
+/// [`MOVE_CHECK_INTERVAL`](crate::MOVE_CHECK_INTERVAL) commits; auditing follows the
 /// context's [`AuditLevel`](crate::AuditLevel) (round boundaries, plus
 /// per-move recounts under `Paranoid` on small instances).
 pub fn refine_rounds_parallel(

@@ -10,9 +10,10 @@
 //! O(len + buckets touched).
 //!
 //! One workspace serves every engine layer: the flat 2-way engine takes
-//! two containers, direct k-way FM takes a k·(k−1) grid from the same
-//! pool. Workspaces are plain owned data — to parallelize, give each unit
-//! of parallel work its own (as [`crate::RunCtx::child`] does).
+//! two containers, the n-level engine's localized FM a k² grid (one per
+//! ordered pair of parts) from the same pool. Workspaces are plain owned
+//! data — to parallelize, give each unit of parallel work its own context
+//! and with it its own workspace.
 
 use crate::gain::GainContainer;
 use hypart_hypergraph::VertexId;
@@ -20,14 +21,15 @@ use hypart_hypergraph::VertexId;
 /// Reusable gain-container arena plus per-pass scratch vectors.
 ///
 /// Feed one to [`crate::FmPartitioner::refine_with`] (or the
-/// multilevel / k-way equivalents) to amortize container setup across
+/// multilevel and n-level equivalents) to amortize container setup across
 /// passes, levels, and starts. A fresh workspace is what
 /// [`crate::RunCtx::new`] holds; reuse never changes results, only removes
 /// allocation and reset cost.
 #[derive(Clone, Debug, Default)]
 pub struct FmWorkspace {
     /// Container pool, re-targeted on acquisition. The flat engine uses
-    /// entries 0–1 (one per partition side); k-way FM uses a k² grid.
+    /// entries 0–1 (one per partition side); n-level localized FM a k²
+    /// grid.
     pub(crate) pool: Vec<GainContainer>,
     /// Free movable vertices of the current pass.
     pub(crate) eligible: Vec<VertexId>,

@@ -46,7 +46,6 @@ mod graph;
 mod ids;
 pub mod io;
 pub mod stats;
-pub mod subgraph;
 
 pub use builder::HypergraphBuilder;
 pub use error::{BuildError, ParseError};

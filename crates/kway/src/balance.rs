@@ -55,64 +55,15 @@ impl KWayBalance {
         self.upper
     }
 
-    /// Width of the window (the k-way corking criterion: a cell heavier
-    /// than this can never move between feasible solutions).
-    #[inline]
-    pub fn window(&self) -> u64 {
-        self.upper - self.lower
-    }
-
     /// `true` if a part of weight `w` is inside the window.
     #[inline]
     pub fn contains(&self, w: u64) -> bool {
         (self.lower..=self.upper).contains(&w)
     }
 
-    /// Distance of `w` from the window (0 inside).
-    #[inline]
-    pub fn violation(&self, w: u64) -> u64 {
-        if w < self.lower {
-            self.lower - w
-        } else {
-            w.saturating_sub(self.upper)
-        }
-    }
-
-    /// Sum of all parts' violations.
-    pub fn total_violation(&self, partition: &KWayPartition<'_>) -> u64 {
-        (0..self.k)
-            .map(|p| self.violation(partition.part_weight(p)))
-            .sum()
-    }
-
     /// `true` if every part is inside the window.
     pub fn is_satisfied(&self, partition: &KWayPartition<'_>) -> bool {
         (0..self.k).all(|p| self.contains(partition.part_weight(p)))
-    }
-
-    /// Whether moving `v` to part `to` is legal: the result is feasible,
-    /// or strictly reduces total violation when starting infeasible
-    /// (mirroring the 2-way rule).
-    pub fn is_legal_move(
-        &self,
-        partition: &KWayPartition<'_>,
-        v: hypart_hypergraph::VertexId,
-        to: usize,
-    ) -> bool {
-        let from = partition.part_of(v);
-        if from == to {
-            return false;
-        }
-        let w = partition.graph().vertex_weight(v);
-        let w_from = partition.part_weight(from) - w;
-        let w_to = partition.part_weight(to) + w;
-        let delta_after = self.violation(w_from) + self.violation(w_to);
-        if delta_after == 0 {
-            return true;
-        }
-        let delta_before =
-            self.violation(partition.part_weight(from)) + self.violation(partition.part_weight(to));
-        delta_before > 0 && delta_after < delta_before
     }
 }
 
@@ -135,14 +86,6 @@ mod tests {
         let b = KWayBalance::with_fraction(10, 3, 0.0);
         assert!(b.lower() <= b.upper());
         assert!(b.contains(3) || b.contains(4));
-    }
-
-    #[test]
-    fn violation_distances() {
-        let b = KWayBalance::with_fraction(1000, 4, 0.10);
-        assert_eq!(b.violation(250), 0);
-        assert_eq!(b.violation(220), 5);
-        assert_eq!(b.violation(280), 5);
     }
 
     #[test]

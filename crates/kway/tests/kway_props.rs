@@ -1,12 +1,13 @@
-//! Property tests of the k-way substrate: incremental bookkeeping vs
-//! from-scratch recomputation, engine invariants, k = 2 consistency with
-//! the 2-way engine's model.
+//! Property tests of the k-way substrate: recursive bisection's reported
+//! numbers, objective bounds, k = 2 consistency with the 2-way model.
 
 use proptest::prelude::*;
 
 use hypart_benchgen::random_hypergraph;
+use hypart_core::PartitionAuditor;
 use hypart_hypergraph::VertexId;
-use hypart_kway::{KWayBalance, KWayFmPartitioner, KWayPartition};
+use hypart_kway::{recursive_bisection, KWayPartition};
+use hypart_ml::MlConfig;
 
 fn params() -> impl Strategy<Value = (usize, usize, usize, u64, u64, usize)> {
     (
@@ -22,43 +23,25 @@ fn params() -> impl Strategy<Value = (usize, usize, usize, u64, u64, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After any sequence of moves, incrementally maintained cut, (λ−1)
-    /// cost, span, and part weights match from-scratch recomputation.
-    #[test]
-    fn incremental_matches_scratch((n, m, s, w, seed, k) in params(),
-                                   moves in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..80)) {
-        let h = random_hypergraph(n, m, s, w, seed);
-        let assignment: Vec<u16> = (0..n).map(|i| (i % k) as u16).collect();
-        let mut p = KWayPartition::new(&h, k, assignment);
-        for (vr, tr) in moves {
-            let v = VertexId::new(vr % n as u32);
-            let to = (tr as usize) % k;
-            if to == p.part_of(v) {
-                continue;
-            }
-            let predicted = p.gain(v, to);
-            let realized = p.move_vertex(v, to);
-            prop_assert_eq!(predicted, realized);
-            prop_assert_eq!(p.cut(), p.recompute_cut());
-            prop_assert_eq!(p.lambda_minus_one(), p.recompute_lambda_minus_one());
-        }
-        let total: u64 = (0..k).map(|q| p.part_weight(q)).sum();
-        prop_assert_eq!(total, h.total_vertex_weight());
-    }
-
-    /// The k-way engine's reported numbers always verify, and the
-    /// lexicographic (violation, cut) score never worsens vs its own
-    /// initial solution (checked via determinism and the refine contract).
+    /// Recursive bisection's reported cut and part weights pass the
+    /// independent auditor, and its (λ−1) cost matches a recount.
     #[test]
     fn engine_results_verify((n, m, s, w, seed, k) in params()) {
         let h = random_hypergraph(n, m, s, w, seed);
-        let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, 0.5);
-        let out = KWayFmPartitioner::new().run(&h, &balance, seed);
-        let p = KWayPartition::new(&h, k, out.assignment.clone());
-        prop_assert_eq!(p.recompute_cut(), out.cut);
-        prop_assert_eq!(p.recompute_lambda_minus_one(), out.lambda_minus_one);
-        let weights: Vec<u64> = (0..k).map(|q| p.part_weight(q)).collect();
-        prop_assert_eq!(&weights, &out.part_weights);
+        let out = recursive_bisection(&h, k, 0.5, &MlConfig::ml_lifo(), seed);
+        let part_of = |v: VertexId| usize::from(out.assignment[v.index()]);
+        let audit = PartitionAuditor::audit_parts(&h, k, part_of, out.cut, &out.part_weights, None);
+        prop_assert!(audit.is_ok(), "{:?}", audit);
+        let lambda_minus_one: u64 = h
+            .nets()
+            .map(|e| {
+                let mut parts: Vec<usize> = h.net_pins(e).iter().map(|&v| part_of(v)).collect();
+                parts.sort_unstable();
+                parts.dedup();
+                parts.len().saturating_sub(1) as u64 * u64::from(h.net_weight(e))
+            })
+            .sum();
+        prop_assert_eq!(lambda_minus_one, out.lambda_minus_one);
     }
 
     /// λ−1 cost dominates hyperedge cut and both are bounded by their

@@ -207,7 +207,6 @@ fn parallel_initial(
     let traced = ctx.sink.is_enabled();
     let deadline = ctx.deadline();
     let token = ctx.cancel_token();
-    let check_moves = ctx.move_check_interval();
     let audit = ctx.audit();
     let fault = ctx.fault_plan().clone();
 
@@ -217,7 +216,6 @@ fn parallel_initial(
         let sink: &dyn TraceSink = if traced { buffer } else { &NullSink };
         let mut child = RunCtx::new(seed)
             .with_cancel_token(token.clone())
-            .with_move_check_interval(check_moves)
             .with_audit(audit)
             .with_fault_plan(fault.clone())
             .with_sink(sink);

@@ -76,8 +76,7 @@ impl TopDownPlacer {
             }
             region_counter += 1;
             let split_vertical = rect.width() >= rect.height();
-            let (sub, dummies) =
-                self.build_region_instance(h, &cells, rect, split_vertical, &placement);
+            let sub = self.build_region_instance(h, &cells, rect, split_vertical, &placement);
             let constraint = BalanceConstraint::with_fraction(
                 sub.total_vertex_weight(),
                 PlacerConfig::TOLERANCE,
@@ -101,7 +100,6 @@ impl TopDownPlacer {
                     PartId::P1 => second.push(orig),
                 }
             }
-            let _ = dummies;
             let total = (weight[0] + weight[1]).max(1);
             // Area-proportional cutline, kept away from the edges so thin
             // slivers cannot starve a child region.
@@ -141,7 +139,7 @@ impl TopDownPlacer {
         rect: Rect,
         split_vertical: bool,
         placement: &Placement,
-    ) -> (Hypergraph, usize) {
+    ) -> Hypergraph {
         let mut index_of = vec![u32::MAX; h.num_vertices()];
         let mut builder = HypergraphBuilder::with_capacity(cells.len() + 2, cells.len());
         for (i, &v) in cells.iter().enumerate() {
@@ -153,7 +151,6 @@ impl TopDownPlacer {
         let right_terminal = builder.add_vertex(0);
         builder.fix_vertex(left_terminal, PartId::P0);
         builder.fix_vertex(right_terminal, PartId::P1);
-        let mut dummies_used = 0usize;
 
         let center = rect.center();
         let mut seen = std::collections::HashSet::new();
@@ -189,7 +186,6 @@ impl TopDownPlacer {
                     } else {
                         right_terminal
                     });
-                    dummies_used += 1;
                 }
                 if pins.len() >= 2 {
                     if let Err(err) = builder.add_net(pins, h.net_weight(e)) {
@@ -199,7 +195,7 @@ impl TopDownPlacer {
             }
         }
         match builder.build() {
-            Ok(sub) => (sub, dummies_used),
+            Ok(sub) => sub,
             Err(e) => unreachable!("a region instance is a valid hypergraph: {e}"),
         }
     }

@@ -216,8 +216,7 @@ pub struct PartitionRequest {
     pub id: u64,
     /// The instance to partition.
     pub instance: InstanceRef,
-    /// Number of parts (2, or a larger power of two via recursive
-    /// bisection).
+    /// Number of parts in [2, 4096] (above 2 via recursive bisection).
     pub k: usize,
     /// Balance tolerance fraction (e.g. `0.1` = each side within ±10 %).
     pub fraction: f64,
@@ -421,8 +420,8 @@ impl Request {
                 Some(x) => x
                     .as_u64()
                     .map(|k| k as usize)
-                    .filter(|&k| k >= 2 && k.is_power_of_two() && k <= 1 << 12)
-                    .ok_or_else(|| format!("{op}: `k` must be a power of two in [2, 4096]")),
+                    .filter(|&k| (2..=1 << 12).contains(&k))
+                    .ok_or_else(|| format!("{op}: `k` must be an integer in [2, 4096]")),
             }
         };
         match op {
@@ -1068,7 +1067,8 @@ mod tests {
     #[test]
     fn request_validation_rejects_bad_fields() {
         for text in [
-            r#"{"op":"partition","id":1,"hgr":"x","k":3}"#,
+            r#"{"op":"partition","id":1,"hgr":"x","k":1}"#,
+            r#"{"op":"partition","id":1,"hgr":"x","k":4097}"#,
             r#"{"op":"partition","id":1,"hgr":"x","fraction":1.5}"#,
             r#"{"op":"partition","id":1}"#,
             r#"{"op":"partition","hgr":"x"}"#,
@@ -1079,6 +1079,12 @@ mod tests {
             let v = JsonValue::parse(text).unwrap();
             assert!(Request::from_json(&v).is_err(), "accepted: {text}");
         }
+        // Recursive bisection takes any k in range, not only powers of two.
+        let v = JsonValue::parse(r#"{"op":"partition","id":1,"hgr":"x","k":3}"#).unwrap();
+        assert!(matches!(
+            Request::from_json(&v),
+            Ok(Request::Partition(PartitionRequest { k: 3, .. }))
+        ));
         // Integer fields that are ill-typed or beyond MAX_WIRE_INT (so
         // rounded in transit) are refused by name, never defaulted.
         for (field, text) in [

@@ -184,10 +184,10 @@ fn unknown_digest_and_bad_requests_fail_typed() {
         other => panic!("expected unknown_instance, got {other:?}"),
     }
 
-    // k = 3 violates the power-of-two validation; the raw frame carries
-    // an id, so the error comes back job-scoped.
+    // k = 1 violates the [2, 4096] validation; the raw frame carries an
+    // id, so the error comes back job-scoped.
     let text = format!(
-        r#"{{"op":"partition","id":6,"digest":"{}","k":3}}"#,
+        r#"{{"op":"partition","id":6,"digest":"{}","k":1}}"#,
         digest_to_hex(1)
     );
     let value = hypart_trace::json::JsonValue::parse(&text).unwrap();
@@ -205,7 +205,7 @@ fn unknown_digest_and_bad_requests_fail_typed() {
     assert_eq!(
         reply.get("reply").and_then(|v| v.as_str()),
         Some("error"),
-        "raw k=3 frame must fail typed: {reply:?}"
+        "raw k=1 frame must fail typed: {reply:?}"
     );
     let stats = client.stats().unwrap();
     assert!(stats.errors >= 2);

@@ -1,10 +1,10 @@
 //! Top-down placement flow: the use model that motivates the paper (§2.1).
 //!
-//! A placer recursively bisects the netlist; at every level below the top,
-//! terminal propagation fixes boundary cells into partitions. This example
-//! runs a 3-level recursive min-cut bisection of an ISPD98-like netlist
-//! with fixed terminals, under the tight runtime regime the paper says
-//! placement imposes (single-start partitioning at every node of the
+//! A placer recursively bisects the netlist into bins; pads stay fixed on
+//! their sides all the way down. This example splits an ISPD98-like
+//! netlist with a fixed pad ring into 8 placement bins by recursive
+//! multilevel min-cut bisection, under the tight runtime regime the
+//! paper says placement imposes (one start at every node of the
 //! recursion tree).
 //!
 //! Run: `cargo run --release --example placement_flow`
@@ -12,16 +12,9 @@
 use std::time::Instant;
 
 use hypart::benchgen::{ispd98_like, with_pad_ring};
-use hypart::hypergraph::subgraph::induce;
 use hypart::prelude::*;
 
-/// One node of the placement recursion: a subset of cells to bisect.
-struct Region {
-    cells: Vec<VertexId>,
-    depth: usize,
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     // An ibm01-like netlist with pads fixed alternately, as a chip has.
     let base = ispd98_like(1, 0.10, 2024);
     let h = with_pad_ring(&base, 64, 7);
@@ -33,55 +26,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         h.num_fixed()
     );
 
-    let ml = MlPartitioner::new(MlConfig::ml_lifo());
     let t0 = Instant::now();
+    let out = recursive_bisection(&h, 8, 0.10, &MlConfig::ml_lifo(), 1000);
+    let elapsed = t0.elapsed();
 
-    // Region queue for a depth-3 recursive bisection (8 placement bins).
-    let mut regions = vec![Region {
-        cells: h.vertices().collect(),
-        depth: 0,
-    }];
-    let mut bins: Vec<Vec<VertexId>> = Vec::new();
-    let mut total_cut = 0u64;
-
-    while let Some(region) = regions.pop() {
-        if region.depth == 3 || region.cells.len() < 32 {
-            bins.push(region.cells);
-            continue;
+    // A pad fixed on side s ends in bin s.
+    for v in h.vertices() {
+        if let Some(side) = h.fixed_part(v) {
+            assert_eq!(usize::from(out.assignment[v.index()]), side.index());
         }
-        // Extract the sub-hypergraph induced by this region's cells.
-        let sub = induce(&h, &region.cells);
-        let (sub, back_map) = (sub.graph, sub.back_map);
-        let constraint = BalanceConstraint::with_fraction(sub.total_vertex_weight(), 0.10);
-        // Placement runtime regimes allow a single start per region.
-        let out = ml.run(&sub, &constraint, 1000 + region.depth as u64);
-        total_cut += out.cut;
-
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for (sub_idx, &orig) in back_map.iter().enumerate() {
-            match out.assignment[sub_idx] {
-                PartId::P0 => left.push(orig),
-                PartId::P1 => right.push(orig),
-            }
-        }
-        regions.push(Region {
-            cells: left,
-            depth: region.depth + 1,
-        });
-        regions.push(Region {
-            cells: right,
-            depth: region.depth + 1,
-        });
     }
-
+    let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 8, 0.10);
     println!(
-        "recursive bisection into {} bins: total cut {} in {:.2?} \
-         (bin sizes: {:?})",
-        bins.len(),
-        total_cut,
-        t0.elapsed(),
-        bins.iter().map(Vec::len).collect::<Vec<_>>()
+        "recursive bisection into {} bins: cut {}, (λ−1) {} in {elapsed:.2?} \
+         (bin weights {:?}, balanced: {})",
+        out.num_parts,
+        out.cut,
+        out.lambda_minus_one,
+        out.part_weights,
+        out.is_balanced(&balance)
     );
-    Ok(())
 }

@@ -16,7 +16,7 @@
 //! | [`hypergraph`] | `hypart-hypergraph` | [`Hypergraph`], builder, stats, `.hgr`/netD/partition I/O |
 //! | [`core`] | `hypart-core` | [`FmPartitioner`], [`FmConfig`] knobs, [`Bisection`], [`BalanceConstraint`], objectives, brute force |
 //! | [`ml`] | `hypart-ml` | [`MlPartitioner`], coarsening, V-cycles, [`multi_start_with`] driver |
-//! | [`kway`] | `hypart-kway` | k-way FM, recursive bisection, [`hypart_kway::KWayPartition`] |
+//! | [`kway`] | `hypart-kway` | recursive bisection into any k, [`hypart_kway::KWayPartition`] |
 //! | [`place`] | `hypart-place` | top-down min-cut placement, terminal propagation, HPWL, row legalization |
 //! | [`baselines`] | `hypart-baselines` | spectral ratio-cut and simulated-annealing comparison baselines |
 //! | [`benchgen`] | `hypart-benchgen` | ISPD98-like / MCNC-like / random instance generators |
@@ -70,10 +70,7 @@ pub mod prelude {
         TrialSet,
     };
     pub use hypart_hypergraph::{Hypergraph, HypergraphBuilder, NetId, PartId, VertexId};
-    pub use hypart_kway::{
-        recursive_bisection, recursive_bisection_with, KWayBalance, KWayFmPartitioner,
-        MlKWayPartitioner,
-    };
+    pub use hypart_kway::{recursive_bisection, recursive_bisection_with, KWayBalance};
     pub use hypart_ml::{
         multi_start_with, MlConfig, MlPartitioner, MultiStartOutcome, MultiStartPlan, Starts,
     };

@@ -3,7 +3,7 @@
 
 use hypart::baselines::{AnnealingPartitioner, SpectralPartitioner};
 use hypart::benchgen::{ispd98_like, mcnc_like};
-use hypart::kway::{KWayPartition, MlKWayPartitioner};
+use hypart::core::PartitionAuditor;
 use hypart::place::{hpwl, Placement, Point, RowLegalizer};
 use hypart::prelude::*;
 
@@ -47,7 +47,7 @@ fn placement_stack_end_to_end() {
 fn kway_stack_agrees_with_two_way_on_k2() {
     let h = mcnc_like(300, 2);
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 2, 0.10);
-    let kway = MlKWayPartitioner::default().run(&h, &balance, 4);
+    let kway = recursive_bisection(&h, 2, 0.10, &MlConfig::ml_lifo(), 4);
     assert!(kway.is_balanced(&balance));
 
     // Evaluate the same assignment through the 2-way model.
@@ -64,7 +64,7 @@ fn kway_stack_agrees_with_two_way_on_k2() {
     let two_way = MlPartitioner::new(MlConfig::ml_lifo()).run(&h, &c, 4);
     assert!(
         kway.cut <= two_way.cut.max(1) * 3 && two_way.cut <= kway.cut.max(1) * 3,
-        "k=2 multilevel-kway {} vs 2-way ML {}",
+        "k=2 recursive bisection {} vs 2-way ML {}",
         kway.cut,
         two_way.cut
     );
@@ -74,11 +74,11 @@ fn kway_stack_agrees_with_two_way_on_k2() {
 fn kway_outcome_verifies_for_odd_k() {
     let h = ispd98_like(2, 0.02, 11);
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 3, 0.25);
-    let out = MlKWayPartitioner::default().run(&h, &balance, 1);
-    let p = KWayPartition::new(&h, 3, out.assignment.clone());
-    assert_eq!(p.recompute_cut(), out.cut);
-    assert_eq!(p.recompute_lambda_minus_one(), out.lambda_minus_one);
+    let out = recursive_bisection(&h, 3, 0.25, &MlConfig::ml_lifo(), 1);
     assert!(out.is_balanced(&balance));
+    let window = Some((balance.lower(), balance.upper()));
+    let part_of = |v: VertexId| usize::from(out.assignment[v.index()]);
+    PartitionAuditor::audit_parts(&h, 3, part_of, out.cut, &out.part_weights, window).unwrap();
 }
 
 #[test]

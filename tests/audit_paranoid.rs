@@ -10,7 +10,7 @@
 use hypart::benchgen;
 use hypart::core::{AuditLevel, BalanceConstraint, FmConfig, FmPartitioner, RunCtx};
 use hypart::hypergraph::{Hypergraph, HypergraphBuilder};
-use hypart::kway::{recursive_bisection_with, KWayBalance, KWayFmPartitioner};
+use hypart::kway::recursive_bisection_with;
 use hypart::ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart::trace::{MemorySink, RunEvent, TraceSink};
 
@@ -114,21 +114,6 @@ fn multi_start_driver_is_paranoid_clean() {
     assert!(out.audit_failure.is_none(), "{:?}", out.audit_failure);
     assert_eq!(out.failed_starts(), 0);
     assert!(violations(&sink).is_empty());
-}
-
-#[test]
-fn direct_kway_fm_is_paranoid_clean() {
-    for (name, h) in instances() {
-        let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.25);
-        let sink = MemorySink::new();
-        let out = KWayFmPartitioner::new().run_with(&h, &balance, &mut paranoid_ctx(3, &sink));
-        assert!(
-            out.audit_failure.is_none(),
-            "{name}: {:?}",
-            out.audit_failure
-        );
-        assert!(violations(&sink).is_empty(), "{name}");
-    }
 }
 
 #[test]

@@ -60,15 +60,14 @@ fn wrappers_reproduce_canonical_jsonl_streams() {
     });
     assert_eq!(ml_stream, via_workspace, "multilevel stream drifted");
 
-    // Direct k-way: run vs run_with.
-    let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
-    let kway = KWayFmPartitioner::new();
-    let wrapped = kway.run(&h, &balance, 5);
-    let canonical = kway.run_with(&h, &balance, &mut RunCtx::new(5));
+    // Recursive bisection: the seed wrapper vs the context entry point.
+    let ml_config = MlConfig::ml_lifo();
+    let wrapped = recursive_bisection(&h, 3, 0.15, &ml_config, 5);
+    let canonical = recursive_bisection_with(&h, 3, 0.15, &ml_config, &mut RunCtx::new(5));
     assert_eq!(wrapped.assignment, canonical.assignment, "k-way drifted");
     assert_eq!(wrapped.cut, canonical.cut, "k-way drifted");
     let kway_stream = jsonl_of(|sink| {
-        kway.run_with(&h, &balance, &mut RunCtx::new(5).with_sink(sink));
+        recursive_bisection_with(&h, 3, 0.15, &ml_config, &mut RunCtx::new(5).with_sink(sink));
     });
 
     // An unbudgeted context adds no events: no BudgetExhausted,

@@ -50,7 +50,8 @@ fn jsonl_schema_matches_golden_file() {
 }
 
 /// Engine-level golden traces on a small `ispd98_like` instance: flat FM,
-/// CLIP, multilevel, and k-way each pin their full JSONL stream. These are
+/// CLIP, multilevel, and recursive bisection each pin their full JSONL
+/// stream. These are
 /// the hot-path-optimization oracle — `FmWorkspace` reuse, per-rule bucket
 /// sizing, and the O(touched) container clear must all be *behaviorally
 /// invisible*, so the streams have to stay bitwise identical.
@@ -87,9 +88,11 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         );
     });
 
-    let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.15);
-    let kway = trace_of(&|sink| {
-        KWayFmPartitioner::new().run_with(&h, &balance, &mut RunCtx::new(5).with_sink(sink));
+    // Recursive bisection at k = 3: the first split pads its smaller
+    // side, so this golden pins the uneven split.
+    let rb3 = trace_of(&|sink| {
+        let mut ctx = RunCtx::new(7).with_sink(sink);
+        recursive_bisection_with(&h, 3, 0.15, &MlConfig::ml_lifo(), &mut ctx);
     });
 
     // Deep multilevel: an instance large enough that the multi-start run
@@ -112,14 +115,6 @@ fn engine_traces() -> Vec<(&'static str, String)> {
             &MultiStartPlan::count(1, 1),
             &mut RunCtx::new(3).with_sink(sink),
         );
-    });
-
-    // Multilevel k-way on the same deep instance: coarsening feeds the
-    // direct k-way engine at every level.
-    let kd = KWayBalance::with_fraction(hd.total_vertex_weight(), 4, 0.15);
-    let mlkway = trace_of(&|sink| {
-        let mut ctx = RunCtx::new(7).with_sink(sink);
-        MlKWayPartitioner::new(deep_coarsen).run_with(&hd, &kd, &mut ctx);
     });
 
     // n-level backend: single-pair contraction with memento undo and
@@ -157,9 +152,8 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         ("trace_fm_ispd98.jsonl", flat),
         ("trace_clip_ispd98.jsonl", clip),
         ("trace_ml_ispd98.jsonl", ml),
-        ("trace_kway_ispd98.jsonl", kway),
+        ("trace_rb3_ispd98.jsonl", rb3),
         ("trace_ml_deep.jsonl", ml_deep),
-        ("trace_mlkway_deep.jsonl", mlkway),
         ("trace_nlevel_ispd98.jsonl", nlevel),
         ("trace_nlevel_kway_ispd98.jsonl", nlevel_kway),
         ("trace_nlevel_multistart_ispd98.jsonl", nlevel_multistart),
@@ -203,33 +197,30 @@ fn nlevel_traces_carry_contraction_brackets() {
 }
 
 /// The deep-ML golden really exercises a multi-level hierarchy: its trace
-/// must announce at least three `LevelDown` events (and the ML-k-way one
-/// as well), otherwise the golden would silently stop covering the
-/// coarsening recursion it exists to pin.
+/// must announce at least three `LevelDown` events, otherwise the golden
+/// would silently stop covering the coarsening recursion it exists to pin.
 #[test]
 fn deep_ml_trace_has_three_coarsening_levels() {
-    for file in ["trace_ml_deep.jsonl", "trace_mlkway_deep.jsonl"] {
-        let (_, text) = engine_traces()
-            .into_iter()
-            .find(|(f, _)| *f == file)
-            .expect("deep trace present");
-        let max_level = text
-            .lines()
-            .map(|line| {
-                let value = JsonValue::parse(line).expect("golden line parses");
-                RunEvent::from_json(&value).expect("golden line is an event")
-            })
-            .filter_map(|e| match e {
-                RunEvent::LevelDown { level, .. } => Some(level),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        assert!(
-            max_level >= 3,
-            "{file}: expected >=3 coarsening levels, got {max_level}"
-        );
-    }
+    let (_, text) = engine_traces()
+        .into_iter()
+        .find(|(f, _)| *f == "trace_ml_deep.jsonl")
+        .expect("deep trace present");
+    let max_level = text
+        .lines()
+        .map(|line| {
+            let value = JsonValue::parse(line).expect("golden line parses");
+            RunEvent::from_json(&value).expect("golden line is an event")
+        })
+        .filter_map(|e| match e {
+            RunEvent::LevelDown { level, .. } => Some(level),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    assert!(
+        max_level >= 3,
+        "trace_ml_deep.jsonl: expected >=3 coarsening levels, got {max_level}"
+    );
 }
 
 #[test]
