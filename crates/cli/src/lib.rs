@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use hypart_bench::{Artifact, ExperimentConfig, TABLE45_INSTANCES};
 use hypart_core::{
-    objective, AuditLevel, BalanceConstraint, Bisection, FmConfig, FmPartitioner, RunCtx,
-    StopReason,
+    objective, sweep_with, AuditLevel, BalanceConstraint, Bisection, FmConfig, FmPartitioner,
+    RunCtx, StopReason, Trial,
 };
 use hypart_eval::bsf::BsfCurve;
 use hypart_eval::json::trial_set_to_json;
@@ -842,11 +842,11 @@ solution : {}
                         trace_path.display(),
                         counters.summary()
                     );
-                    (outcome, note)
+                    (outcome?, note)
                 }
                 None => {
                     let mut ctx = make_ctx();
-                    let outcome = partition_with(&h, engine, k, tolerance, starts, &mut ctx);
+                    let outcome = partition_with(&h, engine, k, tolerance, starts, &mut ctx)?;
                     (outcome, String::new())
                 }
             };
@@ -916,7 +916,8 @@ fn engine_ml_config(engine: Engine) -> MlConfig {
 
 /// `trace`: replays one JSONL run-event trace into a [`CounterSink`]
 /// and renders its per-kind counts, corking rate, move/rollback totals
-/// and final cut — the counters `partition --trace` prints live.
+/// and the last `run_end`'s cut — the counters `partition --trace`
+/// prints live.
 ///
 /// # Errors
 ///
@@ -991,7 +992,7 @@ fn partition_with(
     tolerance: f64,
     starts: usize,
     ctx: &mut RunCtx<'_>,
-) -> PartitionRun {
+) -> Result<PartitionRun, CliError> {
     if k == 2 {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), tolerance);
         return run_two_way_with(h, &c, engine, starts, ctx);
@@ -999,60 +1000,69 @@ fn partition_with(
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), k, tolerance);
     let out = recursive_bisection_with(h, k, tolerance, &engine_ml_config(engine), ctx);
     let balanced = out.is_balanced(&balance);
-    PartitionRun {
+    Ok(PartitionRun {
         assignment: out.assignment,
         cut: out.cut,
         balanced,
         stopped: out.stopped,
         failed_starts: 0,
         audit_failure: out.audit_failure.map(|e| e.to_string()),
-    }
+    })
 }
 
-/// `starts` starts of a flat or multilevel 2-way engine; the best
-/// (balanced first, then lowest cut) is reported.
+/// `starts` starts of a flat or multilevel 2-way engine; the best under
+/// [`Trial::displaces`] is reported. A flat sweep in which every start
+/// panicked has no partition to report: [`CliError::Runtime`].
 fn run_two_way_with(
     h: &Hypergraph,
     c: &BalanceConstraint,
     engine: Engine,
     starts: usize,
     ctx: &mut RunCtx<'_>,
-) -> PartitionRun {
+) -> Result<PartitionRun, CliError> {
     match engine {
         Engine::Lifo | Engine::Clip => {
-            let base_seed = ctx.seed;
             let fm = if engine == Engine::Lifo {
                 FmConfig::lifo()
             } else {
                 FmConfig::clip()
             };
             let partitioner = FmPartitioner::new(fm);
-            let mut best = partitioner.run_with(h, c, ctx);
-            let mut stopped = best.stopped;
-            let mut audit_failure = best.stats.audit_failure.clone();
-            for i in 1..starts as u64 {
-                if stopped.is_stopped() {
-                    break;
-                }
-                ctx.seed = base_seed.wrapping_add(i);
-                let out = partitioner.run_with(h, c, ctx);
-                stopped = out.stopped;
-                if audit_failure.is_none() {
-                    audit_failure = out.stats.audit_failure.clone();
-                }
-                if (!out.balanced, out.cut) < (!best.balanced, best.cut) {
-                    best = out;
-                }
-            }
-            ctx.seed = base_seed;
-            PartitionRun {
+            let mut audit_failure = None;
+            let sweep = sweep_with(
+                ctx,
+                starts as u64,
+                |_, _| {},
+                |_, ctx| {
+                    let seed = ctx.seed;
+                    let t = Instant::now();
+                    let out = partitioner.run_with(h, c, ctx);
+                    if audit_failure.is_none() {
+                        audit_failure = out.stats.audit_failure.clone();
+                    }
+                    let trial = Trial {
+                        seed,
+                        cut: out.cut,
+                        balanced: out.balanced,
+                        stopped: out.stopped,
+                        elapsed: t.elapsed(),
+                    };
+                    (trial, out)
+                },
+            );
+            let Some(best) = sweep.best else {
+                let payload = sweep.panicked.first().map_or("unknown", |p| &p.payload);
+                let detail = format!("every start panicked; first payload: {payload}");
+                return Err(CliError::Runtime(detail));
+            };
+            Ok(PartitionRun {
                 assignment: best.assignment.iter().map(|p| p.index() as u16).collect(),
                 cut: best.cut,
                 balanced: best.balanced,
-                stopped,
-                failed_starts: 0,
+                stopped: sweep.stopped,
+                failed_starts: sweep.panicked.len(),
                 audit_failure: audit_failure.map(|e| e.to_string()),
-            }
+            })
         }
         _ => {
             let ml = MlPartitioner::new(engine_ml_config(engine));
@@ -1065,14 +1075,14 @@ fn run_two_way_with(
                 _ => MultiStartPlan::count(starts, 0),
             };
             let out = multi_start_with(&ml, h, c, &plan, ctx);
-            PartitionRun {
+            Ok(PartitionRun {
                 assignment: out.assignment.iter().map(|p| p.index() as u16).collect(),
                 cut: out.cut,
                 balanced: out.balanced,
                 stopped: out.stopped,
-                failed_starts: out.failed_starts(),
+                failed_starts: out.panicked.len(),
                 audit_failure: out.audit_failure.map(|e| e.to_string()),
-            }
+            })
         }
     }
 }
@@ -1213,7 +1223,7 @@ mod tests {
         let h = hypart_benchgen::mcnc_like(300, 8);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let mut ctx = RunCtx::new(5).with_fault_plan(hypart_core::FaultPlan::panic_in_start(1));
-        let run = run_two_way_with(&h, &c, Engine::MlLifo, 4, &mut ctx);
+        let run = run_two_way_with(&h, &c, Engine::MlLifo, 4, &mut ctx).unwrap();
         assert_eq!(run.failed_starts, 1);
 
         let ml = MlPartitioner::new(engine_ml_config(Engine::MlLifo));
@@ -1227,6 +1237,45 @@ mod tests {
         let assignment: Vec<u16> = best.assignment.iter().map(|p| p.index() as u16).collect();
         assert_eq!(run.assignment, assignment);
         assert_eq!(run.stopped, StopReason::Completed);
+    }
+
+    /// The flat twin: `--engine lifo --starts 4` runs on the same start
+    /// loop, so a start that panics is isolated and counted, and the
+    /// report is the fault-free sweep's best over starts 0, 2 and 3.
+    #[test]
+    fn panicked_flat_start_is_isolated_by_the_cli_loop() {
+        let h = hypart_benchgen::mcnc_like(300, 8);
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        let mut ctx = RunCtx::new(5).with_fault_plan(hypart_core::FaultPlan::panic_in_start(1));
+        let run = run_two_way_with(&h, &c, Engine::Lifo, 4, &mut ctx).unwrap();
+        assert_eq!(run.failed_starts, 1);
+
+        let fm = FmPartitioner::new(FmConfig::lifo());
+        let best = [0, 2, 3]
+            .map(|i| fm.run_with(&h, &c, &mut RunCtx::new(5 + i)))
+            .into_iter()
+            .min_by_key(|out| (!out.balanced, out.cut))
+            .unwrap();
+        assert_eq!(run.cut, best.cut);
+        assert_eq!(run.balanced, best.balanced);
+        let assignment: Vec<u16> = best.assignment.iter().map(|p| p.index() as u16).collect();
+        assert_eq!(run.assignment, assignment);
+        assert_eq!(run.stopped, StopReason::Completed);
+    }
+
+    /// A flat sweep in which every start panicked has no partition to
+    /// report: it is a runtime error naming the payload, not a crash.
+    #[test]
+    fn every_flat_start_panicked_is_a_runtime_error() {
+        let h = hypart_benchgen::mcnc_like(60, 1);
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        let mut ctx = RunCtx::new(0).with_fault_plan(hypart_core::FaultPlan::panic_in_start(0));
+        let Err(CliError::Runtime(detail)) = run_two_way_with(&h, &c, Engine::Clip, 1, &mut ctx)
+        else {
+            panic!("a sweep without survivors must be a runtime error");
+        };
+        assert!(detail.contains("every start panicked"), "{detail}");
+        assert!(detail.contains("injected fault"), "{detail}");
     }
 
     #[test]

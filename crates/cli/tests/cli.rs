@@ -388,7 +388,7 @@ fn trace_summarizes_partition_traces() {
         "pass_end",
         "corked passes",
         "moves / rollbacks",
-        "final cut",
+        "last run_end cut",
     ] {
         let line = |text: &str| {
             text.lines()
@@ -408,6 +408,32 @@ fn trace_summarizes_partition_traces() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad.jsonl:1:"));
     let out = hypart_in(&dir, "trace");
     assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The trace summary never passes off the last start's cut as the
+/// result: under four ML starts from seed 1 on mcnc300 the reported cut
+/// (7) is not the last `run_end`'s (9), and the summary names its line
+/// for what it is.
+#[test]
+fn trace_summary_names_the_last_run_end_not_the_result() {
+    let dir = temp_dir("trace_final_cut");
+    assert!(hypart_in(&dir, "gen mcnc300 --out m.hgr").status.success());
+    let line = "partition m.hgr --engine ml-lifo --starts 4 --seed 1 --trace t.jsonl";
+    let out = hypart_in(&dir, line);
+    assert!(out.status.success());
+    let report = String::from_utf8_lossy(&out.stdout).to_string();
+    let value = |label: &str| -> Option<u64> {
+        let line = report.lines().find(|l| l.trim_start().starts_with(label))?;
+        line.rsplit([' ', ':']).next()?.parse().ok()
+    };
+    let cut = value("cut ").expect("cut line");
+    let last_run_end = value("last run_end cut").expect("summary cut line");
+    assert_ne!(cut, last_run_end, "the case this test pins");
+    assert!(
+        value("final cut").is_none_or(|v| v == cut),
+        "a line called final cut must carry the result: {report}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

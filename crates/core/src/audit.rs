@@ -457,8 +457,9 @@ impl FaultPlan {
     }
 
     /// Panics with a recognizable payload if this plan targets start
-    /// `index`. Drivers call this inside their per-start `catch_unwind`
-    /// region.
+    /// `index`. The start loop, [`sweep_with`](crate::sweep_with), calls
+    /// this inside its per-start `catch_unwind` region, and the lane
+    /// engine inside each initial try's.
     pub fn trip_start(&self, index: u64) {
         if self.should_panic_start(index) {
             panic!("injected fault: panic in start {index}");

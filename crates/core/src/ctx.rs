@@ -192,13 +192,6 @@ impl<'s> RunCtx<'s> {
         self
     }
 
-    /// Replaces the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Replaces the refinement workspace (e.g. to reuse arenas across
     /// contexts).
     #[must_use]

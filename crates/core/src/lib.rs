@@ -64,6 +64,7 @@ pub mod objective;
 mod par;
 mod par_refine;
 mod stats;
+mod sweep;
 mod workspace;
 
 pub use audit::{
@@ -88,4 +89,5 @@ pub use nlevel::{
 pub use par::{derive_seed, ensure_lanes, MoveProposal, ParLane};
 pub use par_refine::{refine_rounds_parallel, ParRefineOutcome, PAR_REFINE_MAX_ROUNDS};
 pub use stats::{FmStats, PassStats, CORKED_FRACTION};
+pub use sweep::{sweep_with, PanickedStart, Sweep, Trial};
 pub use workspace::FmWorkspace;

@@ -1,0 +1,249 @@
+//! The one seeded start loop. The paper's §3 judges a heuristic by
+//! independent seeded starts; [`sweep_with`] runs them for the trial
+//! runner, the multilevel multi-start driver and the CLI's flat
+//! `--starts`, so the seed schedule, the launch gate, the panic boundary
+//! and the best-of rule each exist once.
+
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+use hypart_trace::{RunEvent, StopReason};
+
+use crate::coarsen_ws::CoarsenWorkspace;
+use crate::ctx::RunCtx;
+use crate::nlevel::NLevelWorkspace;
+use crate::workspace::FmWorkspace;
+
+/// The record of one start (one trial) of a seeded sweep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Trial {
+    /// Seed of the start.
+    pub seed: u64,
+    /// Weighted cut achieved.
+    pub cut: u64,
+    /// `true` if the solution satisfied the balance constraint.
+    pub balanced: bool,
+    /// Why the start ended: ran to convergence, or was cut short by the
+    /// context's deadline / cancellation token.
+    pub stopped: StopReason,
+    /// Wall-clock duration of the start.
+    pub elapsed: Duration,
+}
+
+impl Trial {
+    /// Whether this start displaces `best` as the reported best of a
+    /// sweep. A start the budget truncated never displaces a completed
+    /// one, then balanced beats unbalanced, then the lower cut wins; a
+    /// tie keeps `best`, the earlier seed. The reported best is thus a
+    /// pure function of the set of seeds that completed.
+    pub fn displaces(&self, best: &Trial) -> bool {
+        let rank = |t: &Trial| (t.stopped.is_stopped(), !t.balanced, t.cut);
+        rank(self) < rank(best)
+    }
+}
+
+/// A start that panicked and was isolated by [`sweep_with`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PanickedStart {
+    /// Zero-based index of the start in seed order.
+    pub index: u64,
+    /// Best-effort text of the panic payload.
+    pub payload: String,
+}
+
+/// What [`sweep_with`] returns.
+#[derive(Debug)]
+pub struct Sweep<T> {
+    /// One record per start that returned, in seed order.
+    pub trials: Vec<Trial>,
+    /// The starts that panicked, in seed order. They leave no record in
+    /// [`trials`](Self::trials).
+    pub panicked: Vec<PanickedStart>,
+    /// The value of the best returned start under [`Trial::displaces`];
+    /// `None` only if every start panicked.
+    pub best: Option<T>,
+    /// [`StopReason::Completed`] if the sweep ran every start it was
+    /// asked for; otherwise why it ended early — the launch gate found
+    /// the budget gone, or a start was truncated.
+    pub stopped: StopReason,
+}
+
+/// Runs up to `starts` seeded starts under one context (`u64::MAX`:
+/// until the budget or the cancellation token stops the sweep).
+///
+/// Start `i` runs with `ctx.seed = base + i`; `base` is restored on
+/// return. Before every start but the first, the launch gate polls the
+/// budget; once it has run out the sweep emits
+/// [`RunEvent::BudgetExhausted`] and ends. `begin(i, ctx)` runs outside
+/// the panic boundary, so a bracket it opens is always closed. Inside
+/// the boundary the fault plan may trip, then `start(i, ctx)` returns
+/// the start's [`Trial`] and value. A panic replaces the workspaces the start may
+/// have left mid-pass, emits [`RunEvent::StartAborted`] and is recorded
+/// as a [`PanickedStart`]. A start the budget truncated ends the sweep.
+pub fn sweep_with<'s, T>(
+    ctx: &mut RunCtx<'s>,
+    starts: u64,
+    mut begin: impl FnMut(u64, &mut RunCtx<'s>),
+    mut start: impl FnMut(u64, &mut RunCtx<'s>) -> (Trial, T),
+) -> Sweep<T> {
+    let base_seed = ctx.seed;
+    let fault = ctx.fault_plan().clone();
+    let mut probe = ctx.probe();
+    let mut sweep = Sweep {
+        trials: Vec::new(),
+        panicked: Vec::new(),
+        best: None,
+        stopped: StopReason::Completed,
+    };
+    let mut best: Option<Trial> = None;
+    for i in 0..starts {
+        if i > 0 {
+            if let Some(reason) = probe.stop_now() {
+                ctx.sink.emit(RunEvent::BudgetExhausted { reason });
+                sweep.stopped = reason;
+                break;
+            }
+        }
+        let seed = base_seed.wrapping_add(i);
+        ctx.seed = seed;
+        begin(i, ctx);
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            fault.trip_start(i);
+            start(i, ctx)
+        }));
+        let (trial, value) = match attempt {
+            Ok(done) => done,
+            Err(payload) => {
+                // The start may have unwound mid-pass, leaving its
+                // workspaces in an unknown state.
+                ctx.workspace = FmWorkspace::new();
+                ctx.coarsen = CoarsenWorkspace::new();
+                ctx.nlevel = NLevelWorkspace::new();
+                ctx.sink.emit(RunEvent::StartAborted { index: i, seed });
+                sweep.panicked.push(PanickedStart {
+                    index: i,
+                    payload: payload_text(payload.as_ref()),
+                });
+                continue;
+            }
+        };
+        sweep.trials.push(trial);
+        if best.is_none_or(|b| trial.displaces(&b)) {
+            best = Some(trial);
+            sweep.best = Some(value);
+        }
+        if trial.stopped.is_stopped() {
+            sweep.stopped = trial.stopped;
+            break;
+        }
+    }
+    ctx.seed = base_seed;
+    sweep
+}
+
+/// Renders a caught panic payload as best-effort text.
+fn payload_text(payload: &(dyn Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    text.unwrap_or("non-string panic payload").to_string()
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::audit::FaultPlan;
+    use hypart_trace::MemorySink;
+    use std::time::Instant;
+
+    fn trial(seed: u64, cut: u64, balanced: bool, stopped: StopReason) -> Trial {
+        let elapsed = Duration::ZERO;
+        Trial {
+            seed,
+            cut,
+            balanced,
+            stopped,
+            elapsed,
+        }
+    }
+
+    /// A start whose cut is a fixed function of its seed.
+    fn scored(ctx: &mut RunCtx<'_>) -> (Trial, u64) {
+        let cut = ctx.seed.wrapping_mul(7919) % 97;
+        (trial(ctx.seed, cut, true, StopReason::Completed), ctx.seed)
+    }
+
+    #[test]
+    fn starts_run_in_seed_order_and_the_seed_is_restored() {
+        let mut ctx = RunCtx::new(40);
+        let mut begun = Vec::new();
+        let sweep = sweep_with(
+            &mut ctx,
+            4,
+            |i, ctx| begun.push((i, ctx.seed)),
+            |_, ctx| scored(ctx),
+        );
+        assert_eq!(begun, [(0, 40), (1, 41), (2, 42), (3, 43)]);
+        let seeds: Vec<u64> = sweep.trials.iter().map(|t| t.seed).collect();
+        assert_eq!(seeds, [40, 41, 42, 43]);
+        assert_eq!(sweep.stopped, StopReason::Completed);
+        assert_eq!(ctx.seed, 40);
+    }
+
+    #[test]
+    fn no_start_opens_after_the_gate_stops_the_sweep() {
+        let sink = MemorySink::new();
+        let expired = Instant::now() - Duration::from_millis(1);
+        let mut ctx = RunCtx::new(0).with_sink(&sink).with_deadline(expired);
+        let begin =
+            |index, ctx: &mut RunCtx<'_>| ctx.sink.emit(RunEvent::StartBegin { index, seed: 0 });
+        let sweep = sweep_with(&mut ctx, u64::MAX, begin, |_, ctx| scored(ctx));
+        // The first start always runs; the gate ends the sweep before the
+        // second, and nothing follows its terminator.
+        assert_eq!(sweep.trials.len(), 1);
+        assert_eq!(sweep.stopped, StopReason::Deadline);
+        let reason = StopReason::Deadline;
+        let events = [
+            RunEvent::StartBegin { index: 0, seed: 0 },
+            RunEvent::BudgetExhausted { reason },
+        ];
+        assert_eq!(sink.take(), events);
+    }
+
+    #[test]
+    fn panicked_start_is_isolated_and_the_survivors_are_the_fault_free_starts() {
+        let clean = sweep_with(&mut RunCtx::new(5), 6, |_, _| {}, |_, ctx| scored(ctx));
+        let sink = MemorySink::new();
+        let plan = FaultPlan::panic_in_start(2);
+        let mut ctx = RunCtx::new(5).with_sink(&sink).with_fault_plan(plan);
+        let mut begun = Vec::new();
+        let sweep = sweep_with(&mut ctx, 6, |i, _| begun.push(i), |_, ctx| scored(ctx));
+        // `begin` runs outside the boundary, so the panicked start opened too.
+        assert_eq!(begun, [0, 1, 2, 3, 4, 5]);
+        let payload = "injected fault: panic in start 2".to_string();
+        assert_eq!(sweep.panicked, [PanickedStart { index: 2, payload }]);
+        assert_eq!(sink.take(), [RunEvent::StartAborted { index: 2, seed: 7 }]);
+        let mut expect = clean.trials;
+        expect.remove(2);
+        assert_eq!(sweep.trials, expect);
+        assert_eq!(sweep.best, clean.best);
+        assert_eq!(ctx.seed, 5);
+    }
+
+    #[test]
+    fn best_of_rule_orders_completion_then_balance_then_cut() {
+        use StopReason::{Completed, Deadline};
+        let t = |cut, balanced, stopped| trial(0, cut, balanced, stopped);
+        // A truncated start never displaces a completed one, however low
+        // its cut, and a completed one always displaces a truncated one.
+        assert!(!t(1, true, Deadline).displaces(&t(50, false, Completed)));
+        assert!(t(50, false, Completed).displaces(&t(1, true, Deadline)));
+        // Balanced beats unbalanced, however high its cut.
+        assert!(t(50, true, Completed).displaces(&t(1, false, Completed)));
+        assert!(!t(1, false, Completed).displaces(&t(50, true, Completed)));
+        // Then the lower cut wins, and a tie keeps the earlier seed.
+        assert!(t(9, true, Completed).displaces(&t(10, true, Completed)));
+        assert!(!t(10, true, Completed).displaces(&t(10, true, Completed)));
+    }
+}

@@ -1,37 +1,25 @@
 //! Seeded multi-trial execution of partitioning heuristics.
 //!
-//! The trial runner isolates panics at the trial boundary: a trial that
-//! panics is counted in [`TrialSet::failed_trials`], announced with a
-//! [`RunEvent::StartAborted`], and skipped — the surviving trials are
-//! unaffected, so one crashing configuration cannot take down a whole
-//! experiment sweep.
+//! [`run_trials_with`] runs on [`hypart_core::sweep_with`], the one
+//! seeded start loop it shares with the multilevel multi-start driver
+//! and the CLI's flat `--starts`. The loop isolates panics at the trial
+//! boundary: a trial that panics is counted in
+//! [`TrialSet::failed_trials`], announced with a
+//! [`RunEvent::StartAborted`] that closes its `TrialBegin`, and skipped —
+//! the surviving trials are unaffected, so one crashing configuration
+//! cannot take down a whole experiment sweep. What stays here is the
+//! runner's own: the `TrialBegin`/`TrialEnd` brackets.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use hypart_core::{
-    BalanceConstraint, CoarsenWorkspace, FmConfig, FmPartitioner, FmWorkspace, NLevelWorkspace,
-    RunCtx, StopReason,
-};
+use hypart_core::{sweep_with, BalanceConstraint, FmConfig, FmPartitioner, RunCtx};
 use hypart_hypergraph::Hypergraph;
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_trace::RunEvent;
 
-/// One trial's outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Trial {
-    /// Seed of the trial.
-    pub seed: u64,
-    /// Weighted cut achieved.
-    pub cut: u64,
-    /// `true` if the solution satisfied the balance constraint.
-    pub balanced: bool,
-    /// Why the trial ended: ran to convergence, or was cut short by the
-    /// context's deadline / cancellation token.
-    pub stopped: StopReason,
-    /// Wall-clock duration of the trial.
-    pub elapsed: Duration,
-}
+/// One trial's outcome — the per-start record of the shared start loop,
+/// re-exported here where the evaluation harness has always named it.
+pub use hypart_core::Trial;
 
 /// An algorithm under experimental evaluation.
 ///
@@ -276,8 +264,9 @@ impl TrialSet {
 /// best-so-far (flagged in [`Trial::stopped`]) and the remaining trials
 /// are skipped — the returned set then holds fewer than `num_trials`
 /// records, and the stop is announced with a
-/// [`RunEvent::BudgetExhausted`]. The first trial always runs so the set
-/// is never empty.
+/// [`RunEvent::BudgetExhausted`]. The first trial always runs. A trial
+/// that panics leaves no record; its `TrialBegin` is closed by a
+/// [`RunEvent::StartAborted`] instead of a `TrialEnd`.
 pub fn run_trials_with(
     heuristic: &dyn Heuristic,
     h: &Hypergraph,
@@ -285,69 +274,38 @@ pub fn run_trials_with(
     num_trials: usize,
     ctx: &mut RunCtx<'_>,
 ) -> TrialSet {
-    let base_seed = ctx.seed;
-    let fault = ctx.fault_plan().clone();
-    let mut probe = ctx.probe();
-    let mut trials = Vec::with_capacity(num_trials);
-    let mut failed_trials = 0usize;
-    for i in 0..num_trials {
-        if i > 0 {
-            if let Some(reason) = probe.stop_now() {
-                ctx.sink.emit(RunEvent::BudgetExhausted { reason });
-                break;
-            }
-        }
-        let seed = base_seed.wrapping_add(i as u64);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            fault.trip_start(i as u64);
+    let sweep = sweep_with(
+        ctx,
+        num_trials as u64,
+        |trial, ctx| {
             if ctx.sink.is_enabled() {
                 ctx.sink.emit(RunEvent::TrialBegin {
-                    trial: i as u64,
-                    seed,
+                    trial,
+                    seed: ctx.seed,
                     heuristic: heuristic.name().to_string(),
                     instance: h.name().to_string(),
                 });
             }
-            ctx.seed = seed;
-            let trial = heuristic.solve_with(h, constraint, ctx);
+        },
+        |trial, ctx| {
+            let seed = ctx.seed;
+            let out = heuristic.solve_with(h, constraint, ctx);
             if ctx.sink.is_enabled() {
                 ctx.sink.emit(RunEvent::TrialEnd {
-                    trial: i as u64,
+                    trial,
                     seed,
-                    cut: trial.cut,
-                    balanced: trial.balanced,
+                    cut: out.cut,
+                    balanced: out.balanced,
                 });
             }
-            trial
-        }));
-        let trial = match attempt {
-            Ok(trial) => trial,
-            Err(_) => {
-                // The heuristic may have unwound mid-run: replace the
-                // shared workspaces and press on with the next seed.
-                ctx.workspace = FmWorkspace::new();
-                ctx.coarsen = CoarsenWorkspace::new();
-                ctx.nlevel = NLevelWorkspace::new();
-                ctx.sink.emit(RunEvent::StartAborted {
-                    index: i as u64,
-                    seed,
-                });
-                failed_trials += 1;
-                continue;
-            }
-        };
-        let trial_stopped = trial.stopped;
-        trials.push(trial);
-        if trial_stopped.is_stopped() {
-            break;
-        }
-    }
-    ctx.seed = base_seed;
+            (out, ())
+        },
+    );
     TrialSet {
         heuristic: heuristic.name().to_string(),
         instance: h.name().to_string(),
-        trials,
-        failed_trials,
+        trials: sweep.trials,
+        failed_trials: sweep.panicked.len(),
     }
 }
 
@@ -355,8 +313,9 @@ pub fn run_trials_with(
 mod tests {
     use super::*;
     use hypart_benchgen::toys::two_clusters;
-    use hypart_core::{FaultPlan, FmConfig};
+    use hypart_core::{FaultPlan, FmConfig, StopReason};
     use hypart_trace::MemorySink;
+    use std::time::Duration;
 
     fn setup() -> (Hypergraph, BalanceConstraint) {
         let h = two_clusters(8, 2);
@@ -471,6 +430,26 @@ mod tests {
             .collect();
         let cuts: Vec<u64> = set.trials.iter().map(|t| t.cut).collect();
         assert_eq!(cuts, expect);
+    }
+
+    /// The `TrialBegin` of a panicked trial opens before the panic
+    /// boundary, so the trial's `StartAborted` closes it.
+    #[test]
+    fn panicked_trial_begin_is_closed_by_start_aborted() {
+        let (h, c) = setup();
+        let heur = FlatFmHeuristic::new("LIFO", FmConfig::lifo());
+        let sink = MemorySink::new();
+        let plan = FaultPlan::panic_in_start(1);
+        let mut ctx = RunCtx::new(3).with_sink(&sink).with_fault_plan(plan);
+        run_trials_with(&heur, &h, &c, 3, &mut ctx);
+        let events = sink.take();
+        let kinds: Vec<&str> = events
+            .iter()
+            .map(RunEvent::kind)
+            .filter(|k| k.starts_with("trial_") || *k == "start_aborted")
+            .collect();
+        let (begin, end, aborted) = ("trial_begin", "trial_end", "start_aborted");
+        assert_eq!(kinds, [begin, end, begin, aborted, begin, end]);
     }
 
     #[test]

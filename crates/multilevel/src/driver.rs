@@ -13,105 +13,21 @@
 //! out, reporting the best among the fully completed starts — real
 //! deadlines instead of post-hoc trial truncation.
 //!
-//! Every start runs inside a panic boundary: a start that panics is
-//! isolated, recorded as [`StartOutcome::Panicked`] and announced with
-//! [`RunEvent::StartAborted`], and the sweep returns the best of the
-//! surviving starts. The reported best stays a pure function of the set
-//! of seeds that completed, so a crash in start *i* never perturbs what
-//! the other starts report.
+//! Both protocols run on [`hypart_core::sweep_with`], the one seeded
+//! start loop: it owns the seed schedule, the launch gate, the panic
+//! boundary and the best-of rule ([`Trial::displaces`]), so a crash in
+//! start *i* never perturbs what the other starts report. This module
+//! adds the `StartBegin`/`StartEnd` brackets, the first audit failure,
+//! the hierarchy path and the V-cycle tail.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::partitioner::{MlOutcome, MlPartitioner};
+use crate::partitioner::MlPartitioner;
 use hypart_core::{
-    AuditError, BalanceConstraint, CoarsenWorkspace, FmWorkspace, Hierarchy, NLevelWorkspace,
-    RunCtx, StopReason,
+    sweep_with, AuditError, BalanceConstraint, Hierarchy, PanickedStart, RunCtx, StopReason, Trial,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
 use hypart_trace::RunEvent;
-
-/// Record of one independent start inside a multi-start run.
-#[derive(Clone, Debug)]
-pub struct StartRecord {
-    /// Seed used for the start.
-    pub seed: u64,
-    /// Cut the start achieved.
-    pub cut: u64,
-    /// Whether the start ran to convergence or was truncated by the
-    /// context's budget.
-    pub stopped: StopReason,
-    /// Wall-clock time of the start.
-    pub elapsed: Duration,
-}
-
-/// Disposition of one start of a multi-start sweep.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StartOutcome {
-    /// The start ran to natural convergence.
-    Completed,
-    /// The start was truncated by the context's budget. Its (legal,
-    /// partially refined) result still participates as a placeholder but
-    /// never displaces a completed start.
-    Truncated(StopReason),
-    /// The start panicked. The panic was caught at the start boundary,
-    /// recorded here, announced with [`RunEvent::StartAborted`] — and the
-    /// start contributes nothing to the reported best.
-    Panicked {
-        /// Zero-based index of the start in seed order.
-        start: usize,
-        /// Best-effort text of the panic payload.
-        payload: String,
-    },
-}
-
-/// Per-start dispositions of a multi-start sweep, in seed order. One
-/// entry per *attempted* start: a sweep that runs out of budget records
-/// only the starts it launched.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MultiStartStats {
-    /// One disposition per attempted start, in seed order.
-    pub outcomes: Vec<StartOutcome>,
-}
-
-impl MultiStartStats {
-    /// Number of starts that ran to convergence.
-    pub fn completed(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, StartOutcome::Completed))
-            .count()
-    }
-
-    /// Number of starts truncated by the budget.
-    pub fn truncated(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, StartOutcome::Truncated(_)))
-            .count()
-    }
-
-    /// Number of starts that panicked and were isolated.
-    pub fn panicked(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, StartOutcome::Panicked { .. }))
-            .count()
-    }
-
-    fn push(&mut self, stopped: StopReason) {
-        self.outcomes.push(if stopped.is_stopped() {
-            StartOutcome::Truncated(stopped)
-        } else {
-            StartOutcome::Completed
-        });
-    }
-
-    fn push_panicked(&mut self, start: usize, payload: String) {
-        self.outcomes
-            .push(StartOutcome::Panicked { start, payload });
-    }
-}
 
 /// Result of a multi-start + V-cycle run.
 #[derive(Clone, Debug)]
@@ -122,77 +38,22 @@ pub struct MultiStartOutcome {
     pub cut: u64,
     /// `true` if the final solution is balanced.
     pub balanced: bool,
-    /// Per-start records, in seed order (before V-cycling).
-    pub starts: Vec<StartRecord>,
+    /// One record per start that returned, in seed order (before
+    /// V-cycling).
+    pub trials: Vec<Trial>,
+    /// The starts that panicked and were isolated, in seed order. They
+    /// leave no record in [`trials`](Self::trials).
+    pub panicked: Vec<PanickedStart>,
     /// Number of V-cycles applied to the best start.
     pub vcycles_applied: usize,
     /// [`StopReason::Completed`] if every start and V-cycle ran to
     /// convergence; otherwise why the sweep was cut short. A truncated
     /// start never displaces a fully completed one as the reported best.
     pub stopped: StopReason,
-    /// Total wall-clock time including V-cycling.
-    pub total_elapsed: Duration,
-    /// Per-start dispositions in seed order, including panicked starts
-    /// (which leave no [`StartRecord`] in [`starts`](Self::starts)).
-    pub stats: MultiStartStats,
     /// First invariant violation found across all starts (seed order)
     /// and V-cycles, when auditing is enabled on the context. Always
     /// `None` with auditing off.
     pub audit_failure: Option<AuditError>,
-}
-
-impl MultiStartOutcome {
-    /// Best cut among the independent starts (before V-cycling).
-    pub fn best_start_cut(&self) -> u64 {
-        self.starts.iter().map(|s| s.cut).min().unwrap_or(0)
-    }
-
-    /// Number of starts that panicked and were isolated.
-    pub fn failed_starts(&self) -> usize {
-        self.stats.panicked()
-    }
-}
-
-/// Renders a caught panic payload as best-effort text for reporting.
-fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Unwraps the best surviving start, or — when every start panicked —
-/// panics with a diagnostic naming the first recorded payload.
-fn best_or_all_panicked(best: Option<MlOutcome>, stats: &MultiStartStats) -> MlOutcome {
-    best.unwrap_or_else(|| {
-        let payload = stats
-            .outcomes
-            .iter()
-            .find_map(|o| match o {
-                StartOutcome::Panicked { payload, .. } => Some(payload.as_str()),
-                _ => None,
-            })
-            .unwrap_or("unknown");
-        panic!("every start panicked; first payload: {payload}");
-    })
-}
-
-/// Whether `out` displaces `best` as the reported solution. Balanced
-/// beats unbalanced, then lower cut; a budget-truncated start never
-/// displaces a completed one (and a completed one always displaces a
-/// truncated placeholder), keeping the reported best a pure function of
-/// the set of seeds that completed.
-fn displaces(best: &MlOutcome, out: &MlOutcome) -> bool {
-    if out.stopped.is_stopped() {
-        return false;
-    }
-    if best.stopped.is_stopped() {
-        return true;
-    }
-    (!best.balanced && out.balanced) || (best.balanced == out.balanced && out.cut < best.cut)
 }
 
 /// How many starts a multi-start sweep launches.
@@ -290,85 +151,59 @@ pub fn multi_start_with(
         }
         Starts::UntilBudget => (u64::MAX, true),
     };
-    let t0 = Instant::now();
-    let base_seed = ctx.seed;
-    let fault = ctx.fault_plan().clone();
-    let mut probe = ctx.probe();
-    let mut starts = Vec::new();
-    let mut stats = MultiStartStats::default();
     let mut audit_failure: Option<AuditError> = None;
-    let mut best: Option<MlOutcome> = None;
-    let mut stopped = StopReason::Completed;
-    for i in 0..limit {
-        if i > 0 {
-            if let Some(reason) = probe.stop_now() {
-                stopped = reason;
-                ctx.sink.emit(RunEvent::BudgetExhausted { reason });
-                break;
+    let sweep = sweep_with(
+        ctx,
+        limit,
+        |index, ctx| {
+            if bracketed {
+                ctx.sink.emit(RunEvent::StartBegin {
+                    index,
+                    seed: ctx.seed,
+                });
             }
-        }
-        let seed = base_seed.wrapping_add(i);
-        if bracketed {
-            ctx.sink.emit(RunEvent::StartBegin { index: i, seed });
-        }
-        let t = Instant::now();
-        ctx.seed = seed;
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            fault.trip_start(i);
-            match plan.hierarchy {
+        },
+        |index, ctx| {
+            let seed = ctx.seed;
+            let t = Instant::now();
+            let out = match plan.hierarchy {
                 Some(hierarchy) => {
                     partitioner.run_from_hierarchy_with(h, hierarchy, constraint, ctx)
                 }
                 None => partitioner.run_with(h, constraint, ctx),
+            };
+            if bracketed {
+                ctx.sink.emit(RunEvent::StartEnd {
+                    index,
+                    seed,
+                    cut: out.cut,
+                    completed: !out.stopped.is_stopped(),
+                });
             }
-        }));
-        let out = match attempt {
-            Ok(out) => out,
-            Err(payload) => {
-                // The engine may have unwound mid-pass: its workspace
-                // buffers are in an unknown state, so replace them and
-                // carry on with the surviving seeds.
-                ctx.workspace = FmWorkspace::new();
-                ctx.coarsen = CoarsenWorkspace::new();
-                ctx.nlevel = NLevelWorkspace::new();
-                ctx.sink.emit(RunEvent::StartAborted { index: i, seed });
-                stats.push_panicked(i as usize, payload_string(payload));
-                continue;
+            if audit_failure.is_none() {
+                audit_failure = out.audit_failure.clone();
             }
-        };
-        if bracketed {
-            ctx.sink.emit(RunEvent::StartEnd {
-                index: i,
+            let trial = Trial {
                 seed,
                 cut: out.cut,
-                completed: !out.stopped.is_stopped(),
-            });
-        }
-        stats.push(out.stopped);
-        if audit_failure.is_none() {
-            audit_failure = out.audit_failure.clone();
-        }
-        starts.push(StartRecord {
-            seed,
-            cut: out.cut,
-            stopped: out.stopped,
-            elapsed: t.elapsed(),
-        });
-        let start_stop = out.stopped;
-        if best.as_ref().is_none_or(|b| displaces(b, &out)) {
-            best = Some(out);
-        }
-        if start_stop.is_stopped() {
-            stopped = start_stop;
-            break;
-        }
-    }
-    ctx.seed = base_seed;
-    let mut best = best_or_all_panicked(best, &stats);
+                balanced: out.balanced,
+                stopped: out.stopped,
+                elapsed: t.elapsed(),
+            };
+            (trial, out)
+        },
+    );
+    let mut stopped = sweep.stopped;
+    let Some(mut best) = sweep.best else {
+        let payload = sweep.panicked.first().map_or("unknown", |p| &p.payload);
+        panic!("every start panicked; first payload: {payload}");
+    };
 
     // V-cycle the best until a cycle stops improving or the budget runs
     // out. The seeds are offset from the start seeds so a cycle never
     // replays a start.
+    let base_seed = ctx.seed;
+    let mut probe = ctx.probe();
     let mut vcycles_applied = 0usize;
     if !stopped.is_stopped() {
         for i in 0..plan.max_vcycles {
@@ -417,11 +252,10 @@ pub fn multi_start_with(
         assignment: best.assignment,
         cut: best.cut,
         balanced: best.balanced,
-        starts,
+        trials: sweep.trials,
+        panicked: sweep.panicked,
         vcycles_applied,
         stopped,
-        total_elapsed: t0.elapsed(),
-        stats,
         audit_failure,
     }
 }
@@ -434,6 +268,7 @@ mod tests {
     use hypart_benchgen::mcnc_like;
     use hypart_core::FaultPlan;
     use hypart_trace::MemorySink;
+    use std::time::Duration;
 
     /// An unbudgeted `nruns`-start sweep from `seed`.
     fn sweep(
@@ -455,8 +290,9 @@ mod tests {
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let one = sweep(&ml, &h, &c, 1, 100, 0);
         let four = sweep(&ml, &h, &c, 4, 100, 0);
-        assert!(four.best_start_cut() <= one.best_start_cut());
-        assert_eq!(four.starts.len(), 4);
+        let best_start_cut = |out: &MultiStartOutcome| out.trials.iter().map(|t| t.cut).min();
+        assert!(best_start_cut(&four) <= best_start_cut(&one));
+        assert_eq!(four.trials.len(), 4);
         assert_eq!(four.stopped, StopReason::Completed);
     }
 
@@ -473,12 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn records_timing() {
+    fn records_each_start() {
         let h = mcnc_like(200, 1);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let out = sweep(&ml, &h, &c, 2, 0, 1);
-        assert!(out.total_elapsed >= out.starts.iter().map(|s| s.elapsed).sum());
+        let seeds: Vec<u64> = out.trials.iter().map(|t| t.seed).collect();
+        assert_eq!(seeds, vec![0, 1]);
+        assert!(out.trials.iter().all(|t| t.elapsed > Duration::ZERO));
     }
 
     #[test]
@@ -550,8 +388,8 @@ mod tests {
 
         // Fault-free reference sweep: 16 starts, no V-cycling.
         let clean = sweep(&ml, &h, &c, 16, 5, 0);
-        assert_eq!(clean.stats.panicked(), 0);
-        assert_eq!(clean.stats.outcomes.len(), 16);
+        assert!(clean.panicked.is_empty());
+        assert_eq!(clean.trials.len(), 16);
 
         // Same sweep with an injected panic in start 3.
         let sink = MemorySink::new();
@@ -561,13 +399,11 @@ mod tests {
         let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::count(16, 0), &mut ctx);
 
         // The run completes with exactly one isolated start...
-        assert_eq!(out.starts.len(), 15);
-        assert_eq!(out.stats.outcomes.len(), 16);
-        assert_eq!(out.stats.panicked(), 1);
-        assert_eq!(out.failed_starts(), 1);
+        assert_eq!(out.trials.len(), 15);
+        assert_eq!(out.panicked.len(), 1);
         assert!(matches!(
-            &out.stats.outcomes[3],
-            StartOutcome::Panicked { start: 3, payload } if payload.contains("injected fault")
+            &out.panicked[0],
+            PanickedStart { index: 3, payload } if payload.contains("injected fault")
         ));
         // ...announced by exactly one StartAborted event at its seed.
         let aborted: Vec<RunEvent> = sink
@@ -581,13 +417,13 @@ mod tests {
         // later start runs on the workspaces that replaced the unwound
         // ones.
         let expect: Vec<u64> = clean
-            .starts
+            .trials
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != 3)
             .map(|(_, s)| s.cut)
             .collect();
-        let got: Vec<u64> = out.starts.iter().map(|s| s.cut).collect();
+        let got: Vec<u64> = out.trials.iter().map(|s| s.cut).collect();
         assert_eq!(got, expect);
         assert_eq!(out.cut, expect.iter().copied().min().unwrap());
     }

@@ -335,10 +335,6 @@ fn uncontract_phase(
         cut: bisection.cut(),
         balanced,
         levels,
-        corked_passes: 0,
-        // The n-level backend has no pass structure; report localized
-        // moves where the coarse engine reports refinement passes.
-        total_passes: total_moves,
         stopped,
         audit_failure,
         assignment: bisection.into_assignment(),

@@ -338,8 +338,6 @@ fn parallel_uncoarsen<R: Rng>(
     mut audit_failure: Option<AuditError>,
 ) -> MlOutcome {
     let engine = FmPartitioner::new(config.refine);
-    let mut corked_passes = 0usize;
-    let mut total_passes = 0usize;
     let mut assignment = coarsest_assignment;
     let mut probe = ctx.probe();
     let mut stopped = StopReason::Completed;
@@ -370,15 +368,12 @@ fn parallel_uncoarsen<R: Rng>(
         };
         if graph.num_vertices() >= PAR_REFINE_MIN_VERTICES {
             let out = refine_rounds_parallel(&mut bisection, constraint, lanes, ctx);
-            total_passes += out.rounds;
             if audit_failure.is_none() {
                 audit_failure = out.audit_failure;
             }
             stopped = out.stopped;
         } else {
             let stats = engine.refine_with(&mut bisection, constraint, rng, ctx);
-            corked_passes += stats.corked_passes();
-            total_passes += stats.num_passes();
             if audit_failure.is_none() {
                 audit_failure = stats.audit_failure.clone();
             }
@@ -410,8 +405,6 @@ fn parallel_uncoarsen<R: Rng>(
         cut: bisection.cut(),
         balanced,
         levels: levels.len(),
-        corked_passes,
-        total_passes,
         stopped,
         audit_failure,
         assignment: bisection.into_assignment(),

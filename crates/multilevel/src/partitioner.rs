@@ -129,11 +129,6 @@ pub struct MlOutcome {
     pub balanced: bool,
     /// Number of coarsening levels used.
     pub levels: usize,
-    /// Corked passes observed across all refinement stages (corking
-    /// remains observable inside ML wrappers, per §2.2).
-    pub corked_passes: usize,
-    /// Total refinement passes across all levels.
-    pub total_passes: usize,
     /// Why the run ended. On a deadline/cancellation stop, remaining
     /// refinement is skipped but the solution is still projected to the
     /// input graph, so the outcome is always a legal full-size partition.
@@ -382,8 +377,6 @@ impl MlPartitioner {
         mut audit_failure: Option<AuditError>,
     ) -> MlOutcome {
         let engine = FmPartitioner::new(self.config.refine);
-        let mut corked_passes = 0usize;
-        let mut total_passes = 0usize;
         let mut assignment = coarsest_assignment;
         let mut probe = ctx.probe();
         let mut stopped = StopReason::Completed;
@@ -417,8 +410,6 @@ impl MlPartitioner {
                 Err(e) => unreachable!("projected assignment is valid: {e}"),
             };
             let stats = engine.refine_with(&mut bisection, constraint, rng, ctx);
-            corked_passes += stats.corked_passes();
-            total_passes += stats.num_passes();
             if audit_failure.is_none() {
                 audit_failure = stats.audit_failure.clone();
             }
@@ -451,8 +442,6 @@ impl MlPartitioner {
             cut: bisection.cut(),
             balanced,
             levels: levels.len(),
-            corked_passes,
-            total_passes,
             stopped,
             audit_failure,
             assignment: bisection.into_assignment(),

@@ -112,7 +112,7 @@ fn expired_budget_runs_exactly_the_mandatory_start() {
         let sink = MemorySink::new();
         let mut ctx = RunCtx::new(7).with_sink(&sink).with_deadline(expired);
         let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx);
-        assert_eq!(out.starts.len(), 1, "exactly the mandatory start runs");
+        assert_eq!(out.trials.len(), 1, "exactly the mandatory start runs");
         assert_eq!(out.stopped, StopReason::Deadline);
         assert_eq!(out.vcycles_applied, 0);
         assert_eq!(

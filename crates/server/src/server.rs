@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use hypart_core::{AuditLevel, BalanceConstraint, CancelToken, RunCtx};
 use hypart_hypergraph::{io::hgr, Hypergraph, PartId};
-use hypart_kway::{recursive_bisection_with, KWayBalance};
+use hypart_kway::{recursive_bisection_with, KWayBalance, KWayPartition};
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_trace::{RunEvent, StopReason, TraceSink};
 
@@ -1043,25 +1043,16 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Scores an assignment with the k-way objective. The reader has already
+/// refused a wrong length or an out-of-range part as `bad_request`, and
+/// `.hgr` input carries no fixed cells, so [`KWayPartition::new`]'s
+/// preconditions hold.
 fn eval_job(req: &EvalRequest, h: &Hypergraph, digest: u128) -> JobResult {
-    let mut cut = 0u64;
-    for e in h.nets() {
-        let pins = h.net_pins(e);
-        if let Some((&first, rest)) = pins.split_first() {
-            let p0 = req.assignment[first.index()];
-            if rest.iter().any(|&v| req.assignment[v.index()] != p0) {
-                cut += u64::from(h.net_weight(e));
-            }
-        }
-    }
-    let mut part_weights = vec![0u64; req.k];
-    for (v, &p) in req.assignment.iter().enumerate() {
-        part_weights[usize::from(p)] += h.vertex_weight(hypart_hypergraph::VertexId::new(v as u32));
-    }
+    let partition = KWayPartition::new(h, req.k, req.assignment.clone());
     let balance = KWayBalance::with_fraction(h.total_vertex_weight(), req.k, req.fraction);
     JobResult {
-        cut,
-        balanced: part_weights.iter().all(|&w| balance.contains(w)),
+        cut: partition.cut(),
+        balanced: balance.is_satisfied(&partition),
         stopped: StopReason::Completed,
         audit_clean: true,
         hierarchy_reused: false,
@@ -1162,7 +1153,7 @@ fn bisection_job(
         audit_clean: out.audit_failure.is_none(),
         hierarchy_reused: reused,
         levels: hierarchy.len(),
-        starts: out.stats.outcomes.len(),
+        starts: out.trials.len() + out.panicked.len(),
         digest,
         assignment: req
             .include_assignment

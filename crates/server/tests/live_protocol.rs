@@ -274,38 +274,49 @@ fn cancel_stops_a_queued_job_and_unknown_cancel_is_typed() {
     server.shutdown();
 }
 
+/// `eval` scores an assignment with the k-way objective: for a 2-way and
+/// a 4-way job's own assignment it reports the job's cut and balance
+/// flag, without running an engine.
 #[test]
 fn eval_scores_an_assignment_without_running_engines() {
     let server = start_default();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let mut req = PartitionRequest::new(1, InstanceRef::Inline(hgr_text(60, 4)), 9);
-    req.include_assignment = true;
-    client.send(&Request::Partition(req)).unwrap();
-    let (digest, assignment, cut) = match client.wait_outcome(1).unwrap() {
-        JobOutcome::Finished { result, .. } => (
-            result.digest,
-            result.assignment.clone().unwrap(),
-            result.cut,
-        ),
-        other => panic!("setup job failed: {other:?}"),
-    };
-    client
-        .send(&Request::Eval(EvalRequest {
-            id: 2,
-            instance: InstanceRef::Digest(digest),
-            assignment,
-            k: 2,
-            fraction: 0.1,
-            request_token: None,
-        }))
-        .unwrap();
-    match client.wait_outcome(2).unwrap() {
-        JobOutcome::Finished { result, .. } => {
-            assert_eq!(result.cut, cut, "eval must agree with the engine's cut");
-            assert_eq!(result.starts, 0);
-            assert_eq!(result.stopped, StopReason::Completed);
+    for (id, k) in [(1, 2), (3, 4)] {
+        let mut req = PartitionRequest::new(id, InstanceRef::Inline(hgr_text(60, 4)), 9);
+        req.k = k;
+        req.include_assignment = true;
+        client.send(&Request::Partition(req)).unwrap();
+        let (digest, assignment, cut, balanced) = match client.wait_outcome(id).unwrap() {
+            JobOutcome::Finished { result, .. } => (
+                result.digest,
+                result.assignment.clone().unwrap(),
+                result.cut,
+                result.balanced,
+            ),
+            other => panic!("setup job failed: {other:?}"),
+        };
+        client
+            .send(&Request::Eval(EvalRequest {
+                id: id + 1,
+                instance: InstanceRef::Digest(digest),
+                assignment,
+                k,
+                fraction: 0.1,
+                request_token: None,
+            }))
+            .unwrap();
+        match client.wait_outcome(id + 1).unwrap() {
+            JobOutcome::Finished { result, .. } => {
+                assert_eq!(
+                    result.cut, cut,
+                    "k = {k}: eval must agree with the engine's cut"
+                );
+                assert_eq!(result.balanced, balanced, "k = {k}: balance flag");
+                assert_eq!(result.starts, 0);
+                assert_eq!(result.stopped, StopReason::Completed);
+            }
+            other => panic!("eval failed: {other:?}"),
         }
-        other => panic!("eval failed: {other:?}"),
     }
     server.shutdown();
 }

@@ -27,7 +27,8 @@ fn traced_multi_start(
     ctx: RunCtx<'_>,
 ) -> String {
     let sink = JsonlSink::new(Vec::new());
-    let mut ctx = ctx.with_seed(seed).with_sink(&sink);
+    let mut ctx = ctx.with_sink(&sink);
+    ctx.seed = seed;
     multi_start_with(ml, h, c, &MultiStartPlan::count(2, 1), &mut ctx);
     drop(ctx);
     String::from_utf8(sink.finish().expect("in-memory write")).expect("utf-8")

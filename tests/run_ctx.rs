@@ -175,9 +175,9 @@ fn cancellation_interrupts_multi_start() {
 
     assert_eq!(out.stopped, StopReason::Cancelled);
     assert!(
-        out.starts.len() < 64,
+        out.trials.len() < 64,
         "the sweep must stop launching starts once cancelled, ran {}",
-        out.starts.len()
+        out.trials.len()
     );
     assert_eq!(out.vcycles_applied, 0, "V-cycling is skipped when stopped");
     assert_eq!(out.assignment.len(), h.num_vertices());
