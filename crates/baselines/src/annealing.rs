@@ -7,12 +7,12 @@
 //! sharply from FM's — exactly the kind of instrument diversity §3.2's
 //! comparison methodology is designed to handle.
 
-use hypart_core::{generate_initial, BalanceConstraint, InitialSolution};
+use hypart_core::{generate_initial, BalanceConstraint, InitialSolution, Outcome};
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{bisection_of, BaselineOutcome};
+use crate::{bisection_of, completed};
 
 /// A simulated-annealing bipartitioner.
 #[derive(Clone, Copy, Debug, Default)]
@@ -31,18 +31,13 @@ impl AnnealingPartitioner {
 
     /// Runs the annealing schedule from a seeded balanced initial
     /// solution, returning the best feasible solution encountered.
-    pub fn run(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-    ) -> BaselineOutcome {
+    pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Outcome {
         let mut rng = SmallRng::seed_from_u64(seed);
         let initial = generate_initial(h, InitialSolution::RandomBalanced, &mut rng);
         let mut bisection = bisection_of(h, initial);
         let free: Vec<VertexId> = h.vertices().filter(|&v| !h.is_fixed(v)).collect();
         if free.is_empty() {
-            return BaselineOutcome::from_bisection(bisection, constraint);
+            return completed(bisection, constraint);
         }
 
         // Calibrate the starting temperature so ~80 % of uphill moves are
@@ -95,10 +90,8 @@ impl AnnealingPartitioner {
         }
 
         match best {
-            Some((_, assignment)) => {
-                BaselineOutcome::from_bisection(bisection_of(h, assignment), constraint)
-            }
-            None => BaselineOutcome::from_bisection(bisection, constraint),
+            Some((_, assignment)) => completed(bisection_of(h, assignment), constraint),
+            None => completed(bisection, constraint),
         }
     }
 }

@@ -39,19 +39,8 @@ mod spectral;
 pub use annealing::AnnealingPartitioner;
 pub use spectral::SpectralPartitioner;
 
-use hypart_core::{BalanceConstraint, Bisection};
+use hypart_core::{BalanceConstraint, Bisection, Outcome, StopReason};
 use hypart_hypergraph::{Hypergraph, PartId};
-
-/// Result of a baseline partitioning run.
-#[derive(Clone, Debug)]
-pub struct BaselineOutcome {
-    /// Final assignment.
-    pub assignment: Vec<PartId>,
-    /// Weighted cut.
-    pub cut: u64,
-    /// `true` if the balance constraint is satisfied.
-    pub balanced: bool,
-}
 
 /// The bisection of `h` that `assignment` describes. Both baselines build
 /// their assignments full-length and with every fixed vertex on its side.
@@ -62,14 +51,10 @@ fn bisection_of(h: &Hypergraph, assignment: Vec<PartId>) -> Bisection<'_> {
     }
 }
 
-impl BaselineOutcome {
-    fn from_bisection(bisection: Bisection<'_>, constraint: &BalanceConstraint) -> Self {
-        BaselineOutcome {
-            cut: bisection.cut(),
-            balanced: constraint.is_satisfied(&bisection),
-            assignment: bisection.into_assignment(),
-        }
-    }
+/// The outcome `bisection` describes. A baseline always runs to
+/// completion and has no auditor.
+fn completed(bisection: Bisection<'_>, constraint: &BalanceConstraint) -> Outcome {
+    Outcome::new(bisection, constraint, StopReason::Completed, None)
 }
 
 /// Blanket adapter so both baselines plug into the evaluation harness
@@ -86,16 +71,8 @@ macro_rules! impl_heuristic {
                 h: &Hypergraph,
                 constraint: &BalanceConstraint,
                 ctx: &mut hypart_core::RunCtx<'_>,
-            ) -> hypart_eval::runner::Trial {
-                let t = std::time::Instant::now();
-                let out = self.run(h, constraint, ctx.seed);
-                hypart_eval::runner::Trial {
-                    seed: ctx.seed,
-                    cut: out.cut,
-                    balanced: out.balanced,
-                    stopped: hypart_core::StopReason::Completed,
-                    elapsed: t.elapsed(),
-                }
+            ) -> Outcome {
+                self.run(h, constraint, ctx.seed)
             }
         }
     };

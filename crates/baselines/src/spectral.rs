@@ -7,12 +7,12 @@
 //! The Laplacian is never materialized: the matrix–vector product is
 //! evaluated per net in O(pins).
 
-use hypart_core::BalanceConstraint;
+use hypart_core::{BalanceConstraint, Outcome};
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{bisection_of, BaselineOutcome};
+use crate::{bisection_of, completed};
 
 /// Spectral ratio-cut bisection.
 #[derive(Clone, Copy, Debug, Default)]
@@ -26,15 +26,10 @@ impl SpectralPartitioner {
     /// start vector (the method is otherwise deterministic); the sweep cut
     /// is the best *feasible* prefix under `constraint`, falling back to
     /// the ratio-cut-optimal prefix when no prefix is feasible.
-    pub fn run(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        seed: u64,
-    ) -> BaselineOutcome {
+    pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Outcome {
         let n = h.num_vertices();
         if n == 0 {
-            return BaselineOutcome::from_bisection(bisection_of(h, Vec::new()), constraint);
+            return completed(bisection_of(h, Vec::new()), constraint);
         }
         let fiedler = self.fiedler_vector(h, seed);
 
@@ -94,7 +89,7 @@ impl SpectralPartitioner {
                 assignment[v.index()] = PartId::P0;
             }
         }
-        BaselineOutcome::from_bisection(bisection_of(h, assignment), constraint)
+        completed(bisection_of(h, assignment), constraint)
     }
 
     /// Approximates the Fiedler vector by power iteration on `σI − L`

@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use hypart_bench::{Artifact, ExperimentConfig, TABLE45_INSTANCES};
 use hypart_core::{
-    objective, sweep_with, AuditLevel, BalanceConstraint, Bisection, FmConfig, FmPartitioner,
-    RunCtx, StopReason, Trial,
+    objective, sweep_with, AllPanicked, AuditLevel, BalanceConstraint, Bisection, FmConfig,
+    FmPartitioner, RunCtx, StopReason,
 };
 use hypart_eval::bsf::BsfCurve;
 use hypart_eval::json::trial_set_to_json;
@@ -264,7 +264,8 @@ needs K = 2.
 
 `eval` scores a solution; `report` runs seeded trials of flat LIFO, flat
 CLIP and ML LIFO FM and writes a markdown comparison.
-  hypart gen <ibm01..ibm18|mcncN> [--scale S] [--seed K] --out FILE
+  hypart gen ibm01..ibm18 [--scale S] [--seed K] --out FILE
+  hypart gen mcncN [--seed K] --out FILE
   hypart serve [--addr HOST:PORT] [--workers N] [--queue N]
                [--instance-cache N] [--hierarchy-cache N] [--max-cells N]
 
@@ -461,15 +462,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             seed: parse_u64("--seed", 1)?,
             output: flag_value("--out").map(PathBuf::from),
         }),
-        "gen" => Ok(Command::Gen {
-            spec: positional
-                .first()
-                .ok_or("gen: missing instance spec")?
-                .to_string(),
-            scale: parse_scale(0.1)?,
-            seed: parse_u64("--seed", 1)?,
-            out: flag_value("--out").ok_or("gen: missing --out FILE")?.into(),
-        }),
+        "gen" => {
+            let spec = positional.first().ok_or("gen: missing instance spec")?;
+            // mcncN names its size in cells; only the ibmXX profiles scale.
+            if spec.starts_with("mcnc") && flag_value("--scale").is_some() {
+                return Err(format!("gen {spec}: `--scale` applies to ibmXX specs only"));
+            }
+            Ok(Command::Gen {
+                spec: spec.to_string(),
+                scale: parse_scale(0.1)?,
+                seed: parse_u64("--seed", 1)?,
+                out: flag_value("--out").ok_or("gen: missing --out FILE")?.into(),
+            })
+        }
         "serve" => Ok(Command::Serve {
             addr: flag_value("--addr").unwrap_or("127.0.0.1:7077").to_string(),
             workers: parse_count("--workers", 2)?,
@@ -1011,8 +1016,9 @@ fn partition_with(
 }
 
 /// `starts` starts of a flat or multilevel 2-way engine; the best under
-/// [`Trial::displaces`] is reported. A flat sweep in which every start
-/// panicked has no partition to report: [`CliError::Runtime`].
+/// [`Trial::displaces`](hypart_core::Trial::displaces) is reported. A
+/// sweep in which every start panicked has no partition to report:
+/// [`CliError::Runtime`].
 fn run_two_way_with(
     h: &Hypergraph,
     c: &BalanceConstraint,
@@ -1020,7 +1026,7 @@ fn run_two_way_with(
     starts: usize,
     ctx: &mut RunCtx<'_>,
 ) -> Result<PartitionRun, CliError> {
-    match engine {
+    let swept = match engine {
         Engine::Lifo | Engine::Clip => {
             let fm = if engine == Engine::Lifo {
                 FmConfig::lifo()
@@ -1028,41 +1034,12 @@ fn run_two_way_with(
                 FmConfig::clip()
             };
             let partitioner = FmPartitioner::new(fm);
-            let mut audit_failure = None;
-            let sweep = sweep_with(
-                ctx,
-                starts as u64,
-                |_, _| {},
-                |_, ctx| {
-                    let seed = ctx.seed;
-                    let t = Instant::now();
-                    let out = partitioner.run_with(h, c, ctx);
-                    if audit_failure.is_none() {
-                        audit_failure = out.stats.audit_failure.clone();
-                    }
-                    let trial = Trial {
-                        seed,
-                        cut: out.cut,
-                        balanced: out.balanced,
-                        stopped: out.stopped,
-                        elapsed: t.elapsed(),
-                    };
-                    (trial, out)
-                },
-            );
-            let Some(best) = sweep.best else {
-                let payload = sweep.panicked.first().map_or("unknown", |p| &p.payload);
-                let detail = format!("every start panicked; first payload: {payload}");
-                return Err(CliError::Runtime(detail));
-            };
-            Ok(PartitionRun {
-                assignment: best.assignment.iter().map(|p| p.index() as u16).collect(),
-                cut: best.cut,
-                balanced: best.balanced,
-                stopped: sweep.stopped,
-                failed_starts: sweep.panicked.len(),
-                audit_failure: audit_failure.map(|e| e.to_string()),
-            })
+            let start = |_, ctx: &mut RunCtx<'_>| partitioner.run_with(h, c, ctx);
+            let sweep = sweep_with(ctx, starts as u64, |_, _| {}, start);
+            match sweep.outcome {
+                Some(out) => Ok((out, sweep.panicked.len())),
+                None => Err(AllPanicked(sweep.panicked)),
+            }
         }
         _ => {
             let ml = MlPartitioner::new(engine_ml_config(engine));
@@ -1074,17 +1051,18 @@ fn run_two_way_with(
                 Engine::Hmetis => MultiStartPlan::count(starts, 4),
                 _ => MultiStartPlan::count(starts, 0),
             };
-            let out = multi_start_with(&ml, h, c, &plan, ctx);
-            Ok(PartitionRun {
-                assignment: out.assignment.iter().map(|p| p.index() as u16).collect(),
-                cut: out.cut,
-                balanced: out.balanced,
-                stopped: out.stopped,
-                failed_starts: out.panicked.len(),
-                audit_failure: out.audit_failure.map(|e| e.to_string()),
-            })
+            multi_start_with(&ml, h, c, &plan, ctx).map(|out| (out.outcome, out.panicked.len()))
         }
-    }
+    };
+    let (out, failed_starts) = swept.map_err(|all| CliError::Runtime(all.to_string()))?;
+    Ok(PartitionRun {
+        assignment: out.assignment.iter().map(|p| p.index() as u16).collect(),
+        cut: out.cut,
+        balanced: out.balanced,
+        stopped: out.stopped,
+        failed_starts,
+        audit_failure: out.audit_failure.map(|e| e.to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -1276,6 +1254,25 @@ mod tests {
         };
         assert!(detail.contains("every start panicked"), "{detail}");
         assert!(detail.contains("injected fault"), "{detail}");
+    }
+
+    /// The multilevel twin: a multi-start sweep without survivors is the
+    /// same runtime error (exit 4), not a crash (exit 101).
+    #[test]
+    fn every_ml_start_panicked_is_a_runtime_error() {
+        let h = hypart_benchgen::mcnc_like(60, 1);
+        let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
+        for engine in [Engine::MlLifo, Engine::MlClip, Engine::Hmetis] {
+            let plan = hypart_core::FaultPlan::panic_in_start(0);
+            let mut ctx = RunCtx::new(0).with_fault_plan(plan);
+            let Err(err) = run_two_way_with(&h, &c, engine, 1, &mut ctx) else {
+                panic!("{engine:?}: a sweep without survivors must be an error");
+            };
+            assert_eq!(err.exit_code(), 4, "{engine:?}");
+            let detail = err.to_string();
+            assert!(detail.contains("every start panicked"), "{detail}");
+            assert!(detail.contains("injected fault"), "{detail}");
+        }
     }
 
     #[test]

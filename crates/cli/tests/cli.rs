@@ -557,6 +557,10 @@ fn out_of_range_values_exit_2_before_writing() {
             "--scale must be in (0, 1]",
         ),
         ("gen mcnc5 --out g.hgr", "bad mcnc spec `mcnc5`"),
+        (
+            "gen mcnc50 --scale 0.5 --out g.hgr",
+            "gen mcnc50: `--scale` applies to ibmXX specs only",
+        ),
         ("experiment table1 --scale 0", "--scale must be in (0, 1]"),
         ("place t.hgr --width -5", "--width must be finite"),
         ("place t.hgr --width NaN", "--width must be finite"),

@@ -14,26 +14,15 @@ use crate::bisection::Bisection;
 use crate::config::{FmConfig, IllegalHeadPolicy, SelectionRule, TieBreak, ZeroDeltaPolicy};
 use crate::ctx::{BudgetProbe, RunCtx};
 use crate::initial::generate_initial;
-use crate::stats::{FmStats, PassStats, CORKED_FRACTION};
+use crate::sweep::Outcome;
 use crate::workspace::FmWorkspace;
 use hypart_hypergraph::{Hypergraph, NetId, PartId, VertexId};
 use hypart_trace::{RunEvent, StopReason, TraceSink};
 
-/// Result of a full FM run on one instance.
-#[derive(Clone, Debug)]
-pub struct FmOutcome {
-    /// Final partition assignment (index = vertex id).
-    pub assignment: Vec<PartId>,
-    /// Final weighted cut.
-    pub cut: u64,
-    /// `true` if the final solution satisfies the balance constraint.
-    pub balanced: bool,
-    /// Why the run ended ([`StopReason::Completed`] unless the context's
-    /// budget ran out or its token was cancelled).
-    pub stopped: StopReason,
-    /// Detailed run statistics.
-    pub stats: FmStats,
-}
+/// A pass counts as corked (§2.3) when it ends with vertices still in the
+/// gain containers but has moved fewer than this fraction of its eligible
+/// vertices (1/20 = 5 %); its `PassEnd` event then carries `corked`.
+pub const CORKED_FRACTION: (usize, usize) = (1, 20);
 
 /// A configurable flat Fiduccia–Mattheyses 2-way partitioner.
 ///
@@ -78,21 +67,15 @@ impl FmPartitioner {
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> FmOutcome {
+    ) -> Outcome {
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
         let assignment = generate_initial(h, self.config.initial, &mut rng);
         let mut bisection = match Bisection::new(h, assignment) {
             Ok(b) => b,
             Err(e) => unreachable!("generated initial solution is always valid: {e}"),
         };
-        let stats = self.refine_with(&mut bisection, constraint, &mut rng, ctx);
-        FmOutcome {
-            cut: bisection.cut(),
-            balanced: constraint.is_satisfied(&bisection),
-            stopped: stats.stopped,
-            assignment: bisection.into_assignment(),
-            stats,
-        }
+        let (stopped, audit_failure) = self.refine_with(&mut bisection, constraint, &mut rng, ctx);
+        Outcome::new(bisection, constraint, stopped, audit_failure)
     }
 
     /// Runs a complete partitioning of `h`: generate the configured initial
@@ -100,7 +83,7 @@ impl FmPartitioner {
     ///
     /// Equivalent to [`run_with`](FmPartitioner::run_with) with a default
     /// [`RunCtx`] (no sink, no deadline).
-    pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> FmOutcome {
+    pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Outcome {
         self.run_with(h, constraint, &mut RunCtx::new(seed))
     }
 
@@ -117,8 +100,12 @@ impl FmPartitioner {
     /// every [`MOVE_CHECK_INTERVAL`](crate::MOVE_CHECK_INTERVAL) moves inside a pass. A
     /// mid-pass stop still performs the normal best-prefix rollback, so
     /// the bisection is always a legal, coherent solution; the run then
-    /// emits [`RunEvent::BudgetExhausted`] and returns with
-    /// `stats.stopped` set to the [`StopReason`].
+    /// emits [`RunEvent::BudgetExhausted`].
+    ///
+    /// Returns why the refinement ended and the first invariant violation
+    /// the auditor found (always `None` with auditing off). Per-pass
+    /// numbers are the `RunBegin`, `PassBegin`, `OverweightExcluded`,
+    /// `PassEnd` and `RunEnd` events on the context's sink.
     ///
     /// A pass ends as soon as no later prefix can beat its best one (the
     /// pass cutoff, DESIGN §6), which returns the partition an exhausted
@@ -129,7 +116,7 @@ impl FmPartitioner {
         constraint: &BalanceConstraint,
         rng: &mut R,
         ctx: &mut RunCtx<'_>,
-    ) -> FmStats {
+    ) -> (StopReason, Option<AuditError>) {
         self.refine::<R, true>(bisection, constraint, rng, ctx)
     }
 
@@ -143,7 +130,7 @@ impl FmPartitioner {
         constraint: &BalanceConstraint,
         rng: &mut R,
         ctx: &mut RunCtx<'_>,
-    ) -> FmStats {
+    ) -> (StopReason, Option<AuditError>) {
         self.refine::<R, false>(bisection, constraint, rng, ctx)
     }
 
@@ -155,7 +142,7 @@ impl FmPartitioner {
         constraint: &BalanceConstraint,
         rng: &mut R,
         ctx: &mut RunCtx<'_>,
-    ) -> FmStats {
+    ) -> (StopReason, Option<AuditError>) {
         let mut probe = ctx.probe();
         let audit = ctx.audit();
         let sink: &dyn TraceSink = ctx.sink;
@@ -182,15 +169,10 @@ impl FmPartitioner {
             #[cfg(test)]
             generic_update: self.generic_update,
         };
-
-        let mut stats = FmStats {
-            initial_cut: bisection.cut(),
-            fixed: graph.num_fixed(),
-            ..FmStats::default()
-        };
         sink.emit(RunEvent::RunBegin {
-            cut: stats.initial_cut,
+            cut: bisection.cut(),
         });
+        let mut passes = 0;
         for pass_index in 0..self.config.max_passes {
             // Pass-boundary budget check: the cheapest place to stop, and
             // the one that keeps the reported partition identical to what
@@ -199,8 +181,8 @@ impl FmPartitioner {
                 break;
             }
             let before = (constraint.total_violation(bisection), bisection.cut());
-            let pass = state.run_pass(bisection, rng, sink, pass_index, &mut probe);
-            stats.passes.push(pass);
+            state.run_pass(bisection, rng, sink, pass_index, &mut probe);
+            passes += 1;
             // Pass-boundary checkpoint: independently recount cut, pin
             // distribution, part weights, and fixed-vertex respect.
             if state.audit.is_on() {
@@ -213,11 +195,9 @@ impl FmPartitioner {
                 break;
             }
         }
-        stats.stopped = probe.reason();
-        if stats.stopped.is_stopped() {
-            sink.emit(RunEvent::BudgetExhausted {
-                reason: stats.stopped,
-            });
+        let stopped = probe.reason();
+        if stopped.is_stopped() {
+            sink.emit(RunEvent::BudgetExhausted { reason: stopped });
         }
         // Final checkpoint: when the engine claims a balanced solution,
         // also assert the recomputed weights sit inside the window.
@@ -227,14 +207,11 @@ impl FmPartitioner {
                 .then(|| (constraint.lower(), constraint.upper()));
             state.record_audit(PartitionAuditor::audit_bisection(bisection, window), sink);
         }
-        stats.audit_failure = state.audit_failure.take();
-        stats.excluded_overweight = state.excluded_overweight;
-        stats.final_cut = bisection.cut();
         sink.emit(RunEvent::RunEnd {
-            cut: stats.final_cut,
-            passes: stats.passes.len(),
+            cut: bisection.cut(),
+            passes,
         });
-        stats
+        (stopped, state.audit_failure)
     }
 }
 
@@ -267,7 +244,7 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
         sink: &S,
         pass_index: usize,
         probe: &mut BudgetProbe,
-    ) -> PassStats {
+    ) {
         self.seed(bisection, rng);
         // Paranoid seeding audit: every container key must agree with a
         // freshly computed gain (classic FM) or the CLIP zero-seed.
@@ -397,14 +374,6 @@ impl<const CUTOFF: bool> PassState<'_, CUTOFF> {
             leftovers: ended_with_leftovers,
             corked,
         });
-        PassStats {
-            moves_made,
-            moves_rolled_back: rolled_back,
-            eligible,
-            cut_before,
-            cut_after: bisection.cut(),
-            corked,
-        }
     }
 
     /// Emits an `InvariantViolation` event and records the first failure
@@ -792,10 +761,16 @@ mod tests {
 
     #[test]
     fn refinement_never_worsens_the_cut() {
+        use hypart_trace::MemorySink;
         let h = two_clusters(8, 5);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let out = FmPartitioner::new(FmConfig::lifo()).run(&h, &c, 3);
-        assert!(out.stats.final_cut <= out.stats.initial_cut);
+        let sink = MemorySink::new();
+        let mut ctx = RunCtx::new(3).with_sink(&sink);
+        let out = FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut ctx);
+        let Some(RunEvent::RunBegin { cut: initial }) = sink.take().first().cloned() else {
+            panic!("a run opens with RunBegin");
+        };
+        assert!(out.cut <= initial);
     }
 
     #[test]
@@ -819,8 +794,19 @@ mod tests {
         }
         let h = b.build().unwrap();
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.02);
-        let out = FmPartitioner::new(FmConfig::lifo()).run(&h, &c, 1);
-        assert_eq!(out.stats.excluded_overweight, 1);
+        let sink = hypart_trace::MemorySink::new();
+        let mut ctx = RunCtx::new(1).with_sink(&sink);
+        FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut ctx);
+        let excluded: Vec<usize> = sink
+            .take()
+            .iter()
+            .filter_map(|e| match e {
+                RunEvent::OverweightExcluded { count, .. } => Some(*count),
+                _ => None,
+            })
+            .collect();
+        assert!(!excluded.is_empty());
+        assert!(excluded.iter().all(|&count| count == 1), "{excluded:?}");
     }
 
     #[test]
@@ -899,11 +885,7 @@ mod tests {
                 .with_audit(AuditLevel::Paranoid)
                 .with_sink(&sink);
             let out = FmPartitioner::new(cfg).run_with(&h, &c, &mut ctx);
-            assert!(
-                out.stats.audit_failure.is_none(),
-                "{:?}",
-                out.stats.audit_failure
-            );
+            assert!(out.audit_failure.is_none(), "{:?}", out.audit_failure);
             assert!(
                 !sink
                     .events()
@@ -919,7 +901,7 @@ mod tests {
         let h = two_clusters(5, 2);
         let c = BalanceConstraint::with_slack(h.total_vertex_weight(), 1);
         let out = FmPartitioner::new(FmConfig::lifo()).run(&h, &c, 3);
-        assert!(out.stats.audit_failure.is_none());
+        assert!(out.audit_failure.is_none());
     }
 
     /// `events` without `Move`/`Rollback`, and with the `PassEnd` fields
@@ -958,17 +940,7 @@ mod tests {
         passes
     }
 
-    /// Stats with the counts that depend on where a pass stopped zeroed.
-    fn without_move_counts(stats: &FmStats) -> FmStats {
-        let mut stats = stats.clone();
-        for p in &mut stats.passes {
-            p.moves_made = 0;
-            p.moves_rolled_back = 0;
-        }
-        stats
-    }
-
-    /// One refinement from `start`: (assignment, cut, stats, events).
+    /// One refinement from `start`: (assignment, cut, events).
     fn twin_run(
         engine: &FmPartitioner,
         h: &Hypergraph,
@@ -976,19 +948,20 @@ mod tests {
         c: &BalanceConstraint,
         seed: u64,
         exhaustive: bool,
-    ) -> (Vec<PartId>, u64, FmStats, Vec<RunEvent>) {
+    ) -> (Vec<PartId>, u64, Vec<RunEvent>) {
         use hypart_trace::MemorySink;
         let sink = MemorySink::new();
         let mut bisection = Bisection::new(h, start.to_vec()).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut ctx = RunCtx::new(seed).with_sink(&sink);
-        let stats = if exhaustive {
+        let (stopped, _) = if exhaustive {
             engine.refine_exhaustive(&mut bisection, c, &mut rng, &mut ctx)
         } else {
             engine.refine_with(&mut bisection, c, &mut rng, &mut ctx)
         };
+        assert_eq!(stopped, StopReason::Completed);
         let cut = bisection.cut();
-        (bisection.into_assignment(), cut, stats, sink.take())
+        (bisection.into_assignment(), cut, sink.take())
     }
 
     /// Asserts that the cutoff run from `start` is the exhausted run with
@@ -1009,16 +982,10 @@ mod tests {
             cfg
         };
         let engine = FmPartitioner::new(cfg);
-        let (assignment, cut, stats, events) = twin_run(&engine, h, start, c, seed, false);
-        let (want_assignment, want_cut, want_stats, want_events) =
-            twin_run(&engine, h, start, c, seed, true);
+        let (assignment, cut, events) = twin_run(&engine, h, start, c, seed, false);
+        let (want_assignment, want_cut, want_events) = twin_run(&engine, h, start, c, seed, true);
         assert_eq!(assignment, want_assignment, "{cfg:?}");
         assert_eq!(cut, want_cut, "{cfg:?}");
-        assert_eq!(
-            without_move_counts(&stats),
-            without_move_counts(&want_stats),
-            "{cfg:?}"
-        );
         assert_eq!(
             without_stop_point(&events),
             without_stop_point(&want_events),
@@ -1032,7 +999,8 @@ mod tests {
                 "pass {i}: cutoff moves are not a prefix of the exhausted pass's ({cfg:?})"
             );
         }
-        (stats.total_moves(), want_stats.total_moves())
+        let total = |passes: &[Vec<RunEvent>]| passes.iter().map(Vec::len).sum();
+        (total(&passes), total(&want_passes))
     }
 
     #[test]
@@ -1178,7 +1146,7 @@ mod tests {
 
         /// The pass cutoff is exact: ending a pass once its dead nets
         /// outweigh its feasible best prefix gives the exhausted pass's
-        /// assignment, cut, pass count and per-pass stats, and its moves
+        /// assignment, cut, pass count and per-pass events, and its moves
         /// are a prefix of the exhausted pass's.
         #[test]
         fn cutoff_matches_the_exhausted_pass(
@@ -1192,8 +1160,8 @@ mod tests {
         }
 
         /// The FM-82 critical-net update makes the generic update's
-        /// moves: the same assignment, cut, stats and event stream, every
-        /// `Move` and `Rollback` included.
+        /// moves: the same assignment, cut and event stream, every `Move`
+        /// and `Rollback` included.
         #[test]
         fn critical_net_update_matches_the_generic_update(
             (h, start, tolerance) in twin_instance(),
@@ -1223,8 +1191,7 @@ mod tests {
         let want = twin_run(&generic, h, start, c, seed, false);
         assert_eq!(got.0, want.0, "assignment, {cfg:?}");
         assert_eq!(got.1, want.1, "cut, {cfg:?}");
-        assert_eq!(got.2, want.2, "stats, {cfg:?}");
-        assert_eq!(got.3, want.3, "events, {cfg:?}");
+        assert_eq!(got.2, want.2, "events, {cfg:?}");
     }
 
     /// The twin on a netlist, whose multi-pin nets end scans early.

@@ -18,8 +18,9 @@
 //! * **corking controls** — exclude cells wider than the balance window
 //!   from the gain container, and optional in-bucket lookahead.
 //!
-//! The engine reports detailed [`FmStats`] per run, including the corking
-//! diagnostics of §2.3 of the paper.
+//! Every 2-way engine returns one [`Outcome`]. Per-pass numbers, including
+//! the corking diagnostics of §2.3 of the paper, are the run's trace
+//! events (`hypart_trace::RunEvent`), read from a sink on the [`RunCtx`].
 //!
 //! # Example
 //!
@@ -63,7 +64,6 @@ pub mod nlevel;
 pub mod objective;
 mod par;
 mod par_refine;
-mod stats;
 mod sweep;
 mod workspace;
 
@@ -78,7 +78,7 @@ pub use config::{
     TieBreak, ZeroDeltaPolicy,
 };
 pub use ctx::{BudgetProbe, CancelToken, RunCtx, MOVE_CHECK_INTERVAL};
-pub use engine::{FmOutcome, FmPartitioner};
+pub use engine::{FmPartitioner, CORKED_FRACTION};
 pub use hierarchy::{CoarseLevel, Hierarchy, SharedHierarchy};
 pub use hypart_trace::StopReason;
 pub use initial::generate_initial;
@@ -88,6 +88,5 @@ pub use nlevel::{
 };
 pub use par::{derive_seed, ensure_lanes, MoveProposal, ParLane};
 pub use par_refine::{refine_rounds_parallel, ParRefineOutcome, PAR_REFINE_MAX_ROUNDS};
-pub use stats::{FmStats, PassStats, CORKED_FRACTION};
-pub use sweep::{sweep_with, PanickedStart, Sweep, Trial};
+pub use sweep::{sweep_with, AllPanicked, Outcome, PanickedStart, Sweep, Trial};
 pub use workspace::FmWorkspace;

@@ -1,19 +1,66 @@
-//! The one seeded start loop. The paper's §3 judges a heuristic by
-//! independent seeded starts; [`sweep_with`] runs them for the trial
-//! runner, the multilevel multi-start driver and the CLI's flat
-//! `--starts`, so the seed schedule, the launch gate, the panic boundary
-//! and the best-of rule each exist once.
+//! The one seeded start loop and the one 2-way result. The paper's §3
+//! judges a heuristic by independent seeded starts; [`sweep_with`] runs
+//! them for the trial runner, the multilevel multi-start driver and the
+//! CLI's flat `--starts`, so the seed schedule, the launch gate, the
+//! panic boundary, the per-start record and the best-of rule each exist
+//! once. Every 2-way engine call returns an [`Outcome`], and so does a
+//! sweep.
 
 use std::any::Any;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use hypart_hypergraph::PartId;
 use hypart_trace::{RunEvent, StopReason};
 
+use crate::audit::AuditError;
+use crate::balance::BalanceConstraint;
+use crate::bisection::Bisection;
 use crate::coarsen_ws::CoarsenWorkspace;
 use crate::ctx::RunCtx;
 use crate::nlevel::NLevelWorkspace;
 use crate::workspace::FmWorkspace;
+
+/// The result of one 2-way engine call — a flat FM run, a multilevel
+/// start or V-cycle, a baseline — or of a whole sweep of them. Per-pass
+/// and per-level numbers are not kept here: they are the run's
+/// [`RunEvent`]s, read from a trace sink.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// Final assignment on the input hypergraph (index = vertex id).
+    pub assignment: Vec<PartId>,
+    /// Final weighted cut.
+    pub cut: u64,
+    /// `true` if the final solution satisfies the balance constraint.
+    pub balanced: bool,
+    /// Why the run ended: [`StopReason::Completed`] unless the context's
+    /// budget ran out or its token was cancelled. A stopped run still
+    /// returns a legal, full-size partition.
+    pub stopped: StopReason,
+    /// First invariant violation the [`crate::PartitionAuditor`] found,
+    /// when auditing is on in the context. Always `None` with auditing
+    /// off.
+    pub audit_failure: Option<AuditError>,
+}
+
+impl Outcome {
+    /// The outcome `bisection` describes under `constraint`.
+    pub fn new(
+        bisection: Bisection<'_>,
+        constraint: &BalanceConstraint,
+        stopped: StopReason,
+        audit_failure: Option<AuditError>,
+    ) -> Self {
+        Outcome {
+            cut: bisection.cut(),
+            balanced: constraint.is_satisfied(&bisection),
+            stopped,
+            audit_failure,
+            assignment: bisection.into_assignment(),
+        }
+    }
+}
 
 /// The record of one start (one trial) of a seeded sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,21 +99,34 @@ pub struct PanickedStart {
     pub payload: String,
 }
 
+/// What a sweep in which every start panicked reports in place of a
+/// partition: its [`PanickedStart`]s, in seed order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AllPanicked(pub Vec<PanickedStart>);
+
+impl fmt::Display for AllPanicked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let payload = self.0.first().map_or("unknown", |p| p.payload.as_str());
+        write!(f, "every start panicked; first payload: {payload}")
+    }
+}
+
 /// What [`sweep_with`] returns.
 #[derive(Debug)]
-pub struct Sweep<T> {
+pub struct Sweep {
     /// One record per start that returned, in seed order.
     pub trials: Vec<Trial>,
     /// The starts that panicked, in seed order. They leave no record in
     /// [`trials`](Self::trials).
     pub panicked: Vec<PanickedStart>,
-    /// The value of the best returned start under [`Trial::displaces`];
-    /// `None` only if every start panicked.
-    pub best: Option<T>,
+    /// The sweep's result; `None` only if every start panicked. Its
+    /// partition is the best returned start's under
+    /// [`Trial::displaces`]. Its `stopped` is
     /// [`StopReason::Completed`] if the sweep ran every start it was
-    /// asked for; otherwise why it ended early — the launch gate found
-    /// the budget gone, or a start was truncated.
-    pub stopped: StopReason,
+    /// asked for, and otherwise why it ended early: the launch gate found
+    /// the budget gone, or a start was truncated. Its `audit_failure` is
+    /// the first any start found, in seed order.
+    pub outcome: Option<Outcome>,
 }
 
 /// Runs up to `starts` seeded starts under one context (`u64::MAX`:
@@ -78,42 +138,45 @@ pub struct Sweep<T> {
 /// [`RunEvent::BudgetExhausted`] and ends. `begin(i, ctx)` runs outside
 /// the panic boundary, so a bracket it opens is always closed. Inside
 /// the boundary the fault plan may trip, then `start(i, ctx)` returns
-/// the start's [`Trial`] and value. A panic replaces the workspaces the start may
-/// have left mid-pass, emits [`RunEvent::StartAborted`] and is recorded
-/// as a [`PanickedStart`]. A start the budget truncated ends the sweep.
-pub fn sweep_with<'s, T>(
+/// the start's [`Outcome`]; the loop times the boundary and records the
+/// start's [`Trial`]. A panic replaces the workspaces the start may have
+/// left mid-pass, emits [`RunEvent::StartAborted`] and is recorded as a
+/// [`PanickedStart`]. A start the budget truncated ends the sweep.
+pub fn sweep_with<'s>(
     ctx: &mut RunCtx<'s>,
     starts: u64,
     mut begin: impl FnMut(u64, &mut RunCtx<'s>),
-    mut start: impl FnMut(u64, &mut RunCtx<'s>) -> (Trial, T),
-) -> Sweep<T> {
+    mut start: impl FnMut(u64, &mut RunCtx<'s>) -> Outcome,
+) -> Sweep {
     let base_seed = ctx.seed;
     let fault = ctx.fault_plan().clone();
     let mut probe = ctx.probe();
     let mut sweep = Sweep {
         trials: Vec::new(),
         panicked: Vec::new(),
-        best: None,
-        stopped: StopReason::Completed,
+        outcome: None,
     };
     let mut best: Option<Trial> = None;
+    let mut stopped = StopReason::Completed;
+    let mut audit_failure = None;
     for i in 0..starts {
         if i > 0 {
             if let Some(reason) = probe.stop_now() {
                 ctx.sink.emit(RunEvent::BudgetExhausted { reason });
-                sweep.stopped = reason;
+                stopped = reason;
                 break;
             }
         }
         let seed = base_seed.wrapping_add(i);
         ctx.seed = seed;
         begin(i, ctx);
+        let t = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             fault.trip_start(i);
             start(i, ctx)
         }));
-        let (trial, value) = match attempt {
-            Ok(done) => done,
+        let mut out = match attempt {
+            Ok(out) => out,
             Err(payload) => {
                 // The start may have unwound mid-pass, leaving its
                 // workspaces in an unknown state.
@@ -128,17 +191,31 @@ pub fn sweep_with<'s, T>(
                 continue;
             }
         };
+        let trial = Trial {
+            seed,
+            cut: out.cut,
+            balanced: out.balanced,
+            stopped: out.stopped,
+            elapsed: t.elapsed(),
+        };
         sweep.trials.push(trial);
+        if audit_failure.is_none() {
+            audit_failure = out.audit_failure.take();
+        }
         if best.is_none_or(|b| trial.displaces(&b)) {
             best = Some(trial);
-            sweep.best = Some(value);
+            sweep.outcome = Some(out);
         }
         if trial.stopped.is_stopped() {
-            sweep.stopped = trial.stopped;
+            stopped = trial.stopped;
             break;
         }
     }
     ctx.seed = base_seed;
+    if let Some(out) = &mut sweep.outcome {
+        out.stopped = stopped;
+        out.audit_failure = audit_failure;
+    }
     sweep
 }
 
@@ -155,23 +232,16 @@ mod tests {
     use super::*;
     use crate::audit::FaultPlan;
     use hypart_trace::MemorySink;
-    use std::time::Instant;
-
-    fn trial(seed: u64, cut: u64, balanced: bool, stopped: StopReason) -> Trial {
-        let elapsed = Duration::ZERO;
-        Trial {
-            seed,
-            cut,
-            balanced,
-            stopped,
-            elapsed,
-        }
-    }
 
     /// A start whose cut is a fixed function of its seed.
-    fn scored(ctx: &mut RunCtx<'_>) -> (Trial, u64) {
-        let cut = ctx.seed.wrapping_mul(7919) % 97;
-        (trial(ctx.seed, cut, true, StopReason::Completed), ctx.seed)
+    fn scored(ctx: &mut RunCtx<'_>) -> Outcome {
+        Outcome {
+            assignment: Vec::new(),
+            cut: ctx.seed.wrapping_mul(7919) % 97,
+            balanced: true,
+            stopped: StopReason::Completed,
+            audit_failure: None,
+        }
     }
 
     #[test]
@@ -187,7 +257,10 @@ mod tests {
         assert_eq!(begun, [(0, 40), (1, 41), (2, 42), (3, 43)]);
         let seeds: Vec<u64> = sweep.trials.iter().map(|t| t.seed).collect();
         assert_eq!(seeds, [40, 41, 42, 43]);
-        assert_eq!(sweep.stopped, StopReason::Completed);
+        let best = sweep.trials.iter().map(|t| t.cut).min();
+        let out = sweep.outcome.unwrap();
+        assert_eq!(Some(out.cut), best);
+        assert_eq!(out.stopped, StopReason::Completed);
         assert_eq!(ctx.seed, 40);
     }
 
@@ -202,7 +275,7 @@ mod tests {
         // The first start always runs; the gate ends the sweep before the
         // second, and nothing follows its terminator.
         assert_eq!(sweep.trials.len(), 1);
-        assert_eq!(sweep.stopped, StopReason::Deadline);
+        assert_eq!(sweep.outcome.unwrap().stopped, StopReason::Deadline);
         let reason = StopReason::Deadline;
         let events = [
             RunEvent::StartBegin { index: 0, seed: 0 },
@@ -224,17 +297,24 @@ mod tests {
         let payload = "injected fault: panic in start 2".to_string();
         assert_eq!(sweep.panicked, [PanickedStart { index: 2, payload }]);
         assert_eq!(sink.take(), [RunEvent::StartAborted { index: 2, seed: 7 }]);
-        let mut expect = clean.trials;
+        let cuts = |trials: &[Trial]| trials.iter().map(|t| (t.seed, t.cut)).collect::<Vec<_>>();
+        let mut expect = cuts(&clean.trials);
         expect.remove(2);
-        assert_eq!(sweep.trials, expect);
-        assert_eq!(sweep.best, clean.best);
+        assert_eq!(cuts(&sweep.trials), expect);
+        assert_eq!(sweep.outcome.unwrap().cut, clean.outcome.unwrap().cut);
         assert_eq!(ctx.seed, 5);
     }
 
     #[test]
     fn best_of_rule_orders_completion_then_balance_then_cut() {
         use StopReason::{Completed, Deadline};
-        let t = |cut, balanced, stopped| trial(0, cut, balanced, stopped);
+        let t = |cut, balanced, stopped| Trial {
+            seed: 0,
+            cut,
+            balanced,
+            stopped,
+            elapsed: Duration::ZERO,
+        };
         // A truncated start never displaces a completed one, however low
         // its cut, and a completed one always displaces a truncated one.
         assert!(!t(1, true, Deadline).displaces(&t(50, false, Completed)));

@@ -6,9 +6,10 @@ use proptest::prelude::*;
 
 use hypart_core::{
     BalanceConstraint, Bisection, FmConfig, FmPartitioner, IllegalHeadPolicy, InitialSolution,
-    InsertionPolicy, PassBestRule, SelectionRule, TieBreak, ZeroDeltaPolicy,
+    InsertionPolicy, PassBestRule, RunCtx, SelectionRule, TieBreak, ZeroDeltaPolicy,
 };
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
+use hypart_trace::{MemorySink, RunEvent};
 use rand::SeedableRng;
 
 /// Compact random-hypergraph recipe: (size nibble, net triples, weights).
@@ -109,11 +110,13 @@ proptest! {
         let initial_bis = Bisection::new(&h, initial).expect("valid initial");
         let score_before = (c.total_violation(&initial_bis), initial_bis.cut());
 
-        let out = FmPartitioner::new(cfg).run(&h, &c, seed);
+        let sink = MemorySink::new();
+        let out = FmPartitioner::new(cfg).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
         let bis = Bisection::new(&h, out.assignment).expect("valid assignment");
         prop_assert_eq!(bis.recompute_cut(), out.cut);
         prop_assert_eq!(out.balanced, c.is_satisfied(&bis));
-        prop_assert_eq!(out.stats.initial_cut, score_before.1);
+        let opened = sink.take().first().cloned();
+        prop_assert_eq!(opened, Some(RunEvent::RunBegin { cut: score_before.1 }));
         let score_after = (c.total_violation(&bis), bis.cut());
         prop_assert!(score_after <= score_before,
             "score worsened {score_before:?} -> {score_after:?}");
@@ -125,11 +128,14 @@ proptest! {
     fn runs_are_reproducible(r in recipe(), cfg in config(), seed in any::<u64>()) {
         let h = build(&r);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.25);
-        let a = FmPartitioner::new(cfg).run(&h, &c, seed);
-        let b = FmPartitioner::new(cfg).run(&h, &c, seed);
+        let run = |sink: &MemorySink| {
+            FmPartitioner::new(cfg).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(sink))
+        };
+        let (trace_a, trace_b) = (MemorySink::new(), MemorySink::new());
+        let (a, b) = (run(&trace_a), run(&trace_b));
         prop_assert_eq!(a.assignment, b.assignment);
         prop_assert_eq!(a.cut, b.cut);
-        prop_assert_eq!(a.stats.num_passes(), b.stats.num_passes());
+        prop_assert_eq!(trace_a.take(), trace_b.take());
     }
 
     /// Tightening the balance window never produces an unbalanced report

@@ -1,12 +1,14 @@
 //! Integration tests of the engine's trace emission: the event stream
-//! must have the documented shape, agree with the returned
-//! [`FmStats`]/[`FmOutcome`], and satisfy the paper's §2.3 corking
-//! definition exactly.
+//! is the only record of a run's passes, so it must have the documented
+//! shape, agree with itself and with the returned [`Outcome`], and satisfy
+//! the paper's §2.3 corking definition exactly.
+//!
+//! [`Outcome`]: hypart_core::Outcome
 
 use proptest::prelude::*;
 
 use hypart_benchgen::ispd98_like;
-use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner, PassStats, RunCtx, CORKED_FRACTION};
+use hypart_core::{BalanceConstraint, FmConfig, FmPartitioner, RunCtx, CORKED_FRACTION};
 use hypart_trace::{MemorySink, RunEvent};
 
 /// Splits a run-level stream into per-pass event slices (everything
@@ -55,94 +57,52 @@ fn event_stream_shape_matches_outcome() {
         .collect();
     assert_eq!(begins, vec![0]);
     assert_eq!(ends, vec![events.len() - 1]);
-    assert_eq!(
-        events[0],
-        RunEvent::RunBegin {
-            cut: out.stats.initial_cut
-        }
-    );
-    assert_eq!(
-        events[events.len() - 1],
-        RunEvent::RunEnd {
-            cut: out.cut,
-            passes: out.stats.num_passes()
-        }
-    );
 
     // At least one PassBegin/PassEnd pair, pass indices dense and
-    // monotone, and one pair per PassStats record.
+    // monotone. The first pass starts from the run's initial cut and each
+    // later one where the previous ended; each pass's Move and Rollback
+    // events match its PassEnd counts; RunEnd counts the passes and
+    // carries the returned cut.
     let passes = passes_of(&events);
     assert!(!passes.is_empty());
-    assert_eq!(passes.len(), out.stats.num_passes());
+    let RunEvent::RunBegin {
+        cut: mut cut_before,
+    } = events[0]
+    else {
+        unreachable!()
+    };
     for (expect, pass) in passes.iter().enumerate() {
-        let RunEvent::PassBegin { pass: b, .. } = pass[0] else {
+        let RunEvent::PassBegin { pass: b, cut, .. } = pass[0] else {
             panic!("pass slice must start with PassBegin");
         };
-        let RunEvent::PassEnd { pass: e, .. } = pass[pass.len() - 1] else {
+        let RunEvent::PassEnd {
+            pass: e,
+            cut: after,
+            moves_made,
+            moves_rolled_back,
+            ..
+        } = pass[pass.len() - 1]
+        else {
             panic!("pass slice must end with PassEnd");
         };
         assert_eq!(b, expect, "PassBegin indices monotone from 0");
         assert_eq!(e, expect, "PassEnd index matches its PassBegin");
+        assert_eq!(cut, cut_before, "pass {expect} starts where the run stood");
+        cut_before = after;
+        let count = |f: fn(&RunEvent) -> bool| pass.iter().filter(|e| f(e)).count();
+        assert_eq!(count(|e| matches!(e, RunEvent::Move { .. })), moves_made);
+        assert_eq!(
+            count(|e| matches!(e, RunEvent::Rollback { .. })),
+            moves_rolled_back
+        );
     }
-
-    // Rollback events match the stats' rolled-back move count, per pass
-    // and in total; Move events match moves_made.
-    for (stats, pass) in out.stats.passes.iter().zip(&passes) {
-        let moves = pass
-            .iter()
-            .filter(|e| matches!(e, RunEvent::Move { .. }))
-            .count();
-        let rollbacks = pass
-            .iter()
-            .filter(|e| matches!(e, RunEvent::Rollback { .. }))
-            .count();
-        assert_eq!(moves, stats.moves_made);
-        assert_eq!(rollbacks, stats.moves_rolled_back);
-    }
-    let total_rollbacks = events
-        .iter()
-        .filter(|e| matches!(e, RunEvent::Rollback { .. }))
-        .count();
-    assert_eq!(
-        total_rollbacks,
-        out.stats
-            .passes
-            .iter()
-            .map(|p| p.moves_rolled_back)
-            .sum::<usize>()
-    );
-}
-
-#[test]
-fn fm_stats_are_derivable_from_events() {
-    let h = ispd98_like(1, 0.03, 7);
-    let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.05);
-    let sink = MemorySink::new();
-    let out =
-        FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut RunCtx::new(2).with_sink(&sink));
-    let events = sink.take();
-
-    for (stats, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
-        let RunEvent::PassBegin { cut, eligible, .. } = pass[0] else {
-            unreachable!()
-        };
-        assert_eq!(cut, stats.cut_before);
-        assert_eq!(eligible, stats.eligible);
-        let RunEvent::PassEnd {
-            cut,
-            moves_made,
-            moves_rolled_back,
-            corked,
-            ..
-        } = pass[pass.len() - 1]
-        else {
-            unreachable!()
-        };
-        assert_eq!(cut, stats.cut_after);
-        assert_eq!(moves_made, stats.moves_made);
-        assert_eq!(moves_rolled_back, stats.moves_rolled_back);
-        assert_eq!(corked, stats.corked);
-    }
+    assert_eq!(cut_before, out.cut);
+    let passes = passes.len();
+    let run_end = RunEvent::RunEnd {
+        cut: out.cut,
+        passes,
+    };
+    assert_eq!(events[events.len() - 1], run_end);
 }
 
 #[test]
@@ -165,7 +125,7 @@ fn corked_by_definition(leftovers: bool, moves_made: usize, eligible: usize) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `PassStats::cut_after` equals the minimum prefix of the pass's
+    /// A pass's `PassEnd` cut equals the minimum prefix of its
     /// `Move`-event cut trajectory: rollback restores exactly the best
     /// cut seen.
     #[test]
@@ -174,40 +134,42 @@ proptest! {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let base = if clip { FmConfig::clip() } else { FmConfig::lifo() };
         let sink = MemorySink::new();
-        let out = FmPartitioner::new(base).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
+        FmPartitioner::new(base).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
         let events = sink.take();
-        prop_assert!(out.stats.num_passes() > 0);
-        for (p, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
+        let passes = passes_of(&events);
+        prop_assert!(!passes.is_empty());
+        for pass in passes {
+            let RunEvent::PassBegin { cut: before, .. } = pass[0] else { unreachable!() };
+            let RunEvent::PassEnd { cut: after, .. } = pass[pass.len() - 1] else { unreachable!() };
             let trajectory: Vec<u64> = pass.iter().filter_map(|e| match e {
                 RunEvent::Move { cut, .. } => Some(*cut),
                 _ => None,
             }).collect();
-            let best = trajectory.iter().copied().fold(p.cut_before, u64::min);
-            prop_assert_eq!(p.cut_after, best,
-                "cut_after {} != min-prefix {} (before {}, trajectory {:?})",
-                p.cut_after, best, p.cut_before, trajectory);
+            let best = trajectory.iter().copied().fold(before, u64::min);
+            prop_assert_eq!(after, best,
+                "cut after {} != min-prefix {} (before {}, trajectory {:?})",
+                after, best, before, trajectory);
         }
     }
 
-    /// The `corked` flag matches the `CORKED_FRACTION` definition exactly,
-    /// both in the event stream (from `PassEnd` observables) and in the
-    /// returned stats, with `Corked` events on exactly the corked passes.
+    /// The `corked` flag of every `PassEnd` matches the `CORKED_FRACTION`
+    /// definition exactly, from the pass's own observables, with `Corked`
+    /// events on exactly the corked passes.
     #[test]
     fn corked_flag_matches_definition(seed in 0u64..16, instance_seed in 0u64..8) {
         let h = ispd98_like(1, 0.03, instance_seed);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.02);
         let sink = MemorySink::new();
-        let out = FmPartitioner::new(
+        FmPartitioner::new(
             FmConfig::clip().with_exclude_overweight(false),
         ).run_with(&h, &c, &mut RunCtx::new(seed).with_sink(&sink));
         let events = sink.take();
-        for (stats, pass) in out.stats.passes.iter().zip(passes_of(&events)) {
+        for pass in passes_of(&events) {
             let RunEvent::PassBegin { eligible, .. } = pass[0] else { unreachable!() };
             let RunEvent::PassEnd { moves_made, leftovers, corked, .. } =
                 pass[pass.len() - 1] else { unreachable!() };
             let expect = corked_by_definition(leftovers, moves_made, eligible);
             prop_assert_eq!(corked, expect);
-            prop_assert_eq!(stats.corked, expect);
             let corked_events = pass.iter().filter(
                 |e| matches!(e, RunEvent::Corked { .. })).count();
             prop_assert_eq!(corked_events, usize::from(expect));
@@ -215,9 +177,9 @@ proptest! {
     }
 }
 
-/// The definition itself, pinned against hand-built `PassStats`.
+/// The definition itself, pinned on hand-picked pass observables.
 #[test]
-fn corked_definition_on_hand_built_stats() {
+fn corked_definition_on_hand_built_passes() {
     // 5 of 100 eligible moved with leftovers: 5 * 20 == 100, NOT corked
     // (strict inequality).
     assert!(!corked_by_definition(true, 5, 100));
@@ -227,14 +189,4 @@ fn corked_definition_on_hand_built_stats() {
     assert!(!corked_by_definition(false, 0, 100));
     // Nothing eligible: not corked.
     assert!(!corked_by_definition(true, 0, 0));
-    let p = PassStats {
-        moves_made: 4,
-        eligible: 100,
-        corked: true,
-        ..PassStats::default()
-    };
-    assert_eq!(
-        p.corked,
-        corked_by_definition(true, p.moves_made, p.eligible)
-    );
 }

@@ -10,9 +10,7 @@
 //! cannot take down a whole experiment sweep. What stays here is the
 //! runner's own: the `TrialBegin`/`TrialEnd` brackets.
 
-use std::time::Instant;
-
-use hypart_core::{sweep_with, BalanceConstraint, FmConfig, FmPartitioner, RunCtx};
+use hypart_core::{sweep_with, BalanceConstraint, FmConfig, FmPartitioner, Outcome, RunCtx};
 use hypart_hypergraph::Hypergraph;
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
 use hypart_trace::RunEvent;
@@ -33,13 +31,14 @@ pub trait Heuristic {
     /// Solves one instance from `ctx.seed` under the context's sink,
     /// workspaces and budget. Engines that honour the budget stop
     /// cooperatively at the context's deadline or cancellation and
-    /// record the fact in [`Trial::stopped`].
+    /// record the fact in [`Outcome::stopped`]. The trial runner times
+    /// the call and keeps its [`Trial`].
     fn solve_with(
         &self,
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> Trial;
+    ) -> Outcome;
 }
 
 /// Flat FM / CLIP heuristic (single start of [`FmPartitioner`]).
@@ -69,16 +68,8 @@ impl Heuristic for FlatFmHeuristic {
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> Trial {
-        let t = Instant::now();
-        let out = self.partitioner.run_with(h, constraint, ctx);
-        Trial {
-            seed: ctx.seed,
-            cut: out.cut,
-            balanced: out.balanced,
-            stopped: out.stopped,
-            elapsed: t.elapsed(),
-        }
+    ) -> Outcome {
+        self.partitioner.run_with(h, constraint, ctx)
     }
 }
 
@@ -109,16 +100,8 @@ impl Heuristic for MlHeuristic {
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> Trial {
-        let t = Instant::now();
-        let out = self.partitioner.run_with(h, constraint, ctx);
-        Trial {
-            seed: ctx.seed,
-            cut: out.cut,
-            balanced: out.balanced,
-            stopped: out.stopped,
-            elapsed: t.elapsed(),
-        }
+    ) -> Outcome {
+        self.partitioner.run_with(h, constraint, ctx)
     }
 }
 
@@ -160,21 +143,20 @@ impl Heuristic for MultiStartHeuristic {
         &self.name
     }
 
+    /// # Panics
+    ///
+    /// If every start of the sweep panicked, with the sweep's
+    /// diagnostic, so the trial runner counts one failed trial.
     fn solve_with(
         &self,
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> Trial {
-        let t = Instant::now();
+    ) -> Outcome {
         let plan = MultiStartPlan::count(self.nruns, self.max_vcycles);
-        let out = multi_start_with(&self.partitioner, h, constraint, &plan, ctx);
-        Trial {
-            seed: ctx.seed,
-            cut: out.cut,
-            balanced: out.balanced,
-            stopped: out.stopped,
-            elapsed: t.elapsed(),
+        match multi_start_with(&self.partitioner, h, constraint, &plan, ctx) {
+            Ok(out) => out.outcome,
+            Err(all) => panic!("{all}"),
         }
     }
 }
@@ -298,7 +280,7 @@ pub fn run_trials_with(
                     balanced: out.balanced,
                 });
             }
-            (out, ())
+            out
         },
     );
     TrialSet {
@@ -430,6 +412,17 @@ mod tests {
             .collect();
         let cuts: Vec<u64> = set.trials.iter().map(|t| t.cut).collect();
         assert_eq!(cuts, expect);
+    }
+
+    /// A multi-start trial whose every start panicked re-raises, so the
+    /// trial runner counts it as one failed trial.
+    #[test]
+    #[should_panic(expected = "every start panicked")]
+    fn multi_start_trial_with_every_start_panicked_re_raises() {
+        let (h, c) = setup();
+        let heur = MultiStartHeuristic::new("hMetis-like x1", MlConfig::ml_lifo(), 1, 0);
+        let mut ctx = RunCtx::new(0).with_fault_plan(FaultPlan::panic_in_start(0));
+        heur.solve_with(&h, &c, &mut ctx);
     }
 
     /// The `TrialBegin` of a panicked trial opens before the panic

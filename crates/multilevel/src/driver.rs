@@ -15,29 +15,28 @@
 //!
 //! Both protocols run on [`hypart_core::sweep_with`], the one seeded
 //! start loop: it owns the seed schedule, the launch gate, the panic
-//! boundary and the best-of rule ([`Trial::displaces`]), so a crash in
-//! start *i* never perturbs what the other starts report. This module
-//! adds the `StartBegin`/`StartEnd` brackets, the first audit failure,
-//! the hierarchy path and the V-cycle tail.
-
-use std::time::Instant;
+//! boundary, the per-start record and the best-of rule
+//! ([`Trial::displaces`]), so a crash in start *i* never perturbs what
+//! the other starts report. This module adds the `StartBegin`/`StartEnd`
+//! brackets, the hierarchy path and the V-cycle tail.
 
 use crate::partitioner::MlPartitioner;
 use hypart_core::{
-    sweep_with, AuditError, BalanceConstraint, Hierarchy, PanickedStart, RunCtx, StopReason, Trial,
+    sweep_with, AllPanicked, BalanceConstraint, Hierarchy, Outcome, PanickedStart, RunCtx, Trial,
 };
-use hypart_hypergraph::{Hypergraph, PartId};
+use hypart_hypergraph::Hypergraph;
 use hypart_trace::RunEvent;
 
 /// Result of a multi-start + V-cycle run.
 #[derive(Clone, Debug)]
 pub struct MultiStartOutcome {
-    /// Best assignment after V-cycling.
-    pub assignment: Vec<PartId>,
-    /// Best cut after V-cycling.
-    pub cut: u64,
-    /// `true` if the final solution is balanced.
-    pub balanced: bool,
+    /// The best partition after V-cycling. Its `stopped` is
+    /// [`Completed`](hypart_core::StopReason::Completed) if every start
+    /// and V-cycle ran to convergence, and otherwise why the sweep was
+    /// cut short; a truncated start never displaces a fully completed
+    /// one as the reported best. Its `audit_failure` is the first found
+    /// across all starts (seed order) and V-cycles.
+    pub outcome: Outcome,
     /// One record per start that returned, in seed order (before
     /// V-cycling).
     pub trials: Vec<Trial>,
@@ -46,14 +45,6 @@ pub struct MultiStartOutcome {
     pub panicked: Vec<PanickedStart>,
     /// Number of V-cycles applied to the best start.
     pub vcycles_applied: usize,
-    /// [`StopReason::Completed`] if every start and V-cycle ran to
-    /// convergence; otherwise why the sweep was cut short. A truncated
-    /// start never displaces a fully completed one as the reported best.
-    pub stopped: StopReason,
-    /// First invariant violation found across all starts (seed order)
-    /// and V-cycles, when auditing is enabled on the context. Always
-    /// `None` with auditing off.
-    pub audit_failure: Option<AuditError>,
 }
 
 /// How many starts a multi-start sweep launches.
@@ -133,17 +124,21 @@ impl MultiStartPlan<'_> {
 /// the budget stops it, and `VcycleBegin`/`VcycleEnd` around each
 /// V-cycle.
 ///
+/// # Errors
+///
+/// [`AllPanicked`] if every start panicked: there is no partition to
+/// report.
+///
 /// # Panics
 ///
-/// Panics if the plan asks for `Starts::Count(0)`, or if every start
-/// panicked.
+/// Panics if the plan asks for `Starts::Count(0)`.
 pub fn multi_start_with(
     partitioner: &MlPartitioner,
     h: &Hypergraph,
     constraint: &BalanceConstraint,
     plan: &MultiStartPlan<'_>,
     ctx: &mut RunCtx<'_>,
-) -> MultiStartOutcome {
+) -> Result<MultiStartOutcome, AllPanicked> {
     let (limit, bracketed) = match plan.starts {
         Starts::Count(nruns) => {
             assert!(nruns >= 1, "multi_start needs at least one run");
@@ -151,7 +146,6 @@ pub fn multi_start_with(
         }
         Starts::UntilBudget => (u64::MAX, true),
     };
-    let mut audit_failure: Option<AuditError> = None;
     let sweep = sweep_with(
         ctx,
         limit,
@@ -164,8 +158,6 @@ pub fn multi_start_with(
             }
         },
         |index, ctx| {
-            let seed = ctx.seed;
-            let t = Instant::now();
             let out = match plan.hierarchy {
                 Some(hierarchy) => {
                     partitioner.run_from_hierarchy_with(h, hierarchy, constraint, ctx)
@@ -175,29 +167,19 @@ pub fn multi_start_with(
             if bracketed {
                 ctx.sink.emit(RunEvent::StartEnd {
                     index,
-                    seed,
+                    seed: ctx.seed,
                     cut: out.cut,
                     completed: !out.stopped.is_stopped(),
                 });
             }
-            if audit_failure.is_none() {
-                audit_failure = out.audit_failure.clone();
-            }
-            let trial = Trial {
-                seed,
-                cut: out.cut,
-                balanced: out.balanced,
-                stopped: out.stopped,
-                elapsed: t.elapsed(),
-            };
-            (trial, out)
+            out
         },
     );
-    let mut stopped = sweep.stopped;
-    let Some(mut best) = sweep.best else {
-        let payload = sweep.panicked.first().map_or("unknown", |p| &p.payload);
-        panic!("every start panicked; first payload: {payload}");
+    let Some(mut best) = sweep.outcome else {
+        return Err(AllPanicked(sweep.panicked));
     };
+    let mut stopped = best.stopped;
+    let mut audit_failure = best.audit_failure.take();
 
     // V-cycle the best until a cycle stops improving or the budget runs
     // out. The seeds are offset from the start seeds so a cycle never
@@ -221,10 +203,10 @@ pub fn multi_start_with(
             ctx.seed = base_seed
                 .wrapping_add(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(i as u64);
-            let cycled = partitioner.vcycle_with(h, constraint, &best.assignment, ctx);
+            let mut cycled = partitioner.vcycle_with(h, constraint, &best.assignment, ctx);
             vcycles_applied += 1;
             if audit_failure.is_none() {
-                audit_failure = cycled.audit_failure.clone();
+                audit_failure = cycled.audit_failure.take();
             }
             if ctx.sink.is_enabled() {
                 ctx.sink.emit(RunEvent::VcycleEnd {
@@ -248,16 +230,14 @@ pub fn multi_start_with(
         ctx.seed = base_seed;
     }
 
-    MultiStartOutcome {
-        assignment: best.assignment,
-        cut: best.cut,
-        balanced: best.balanced,
+    best.stopped = stopped;
+    best.audit_failure = audit_failure;
+    Ok(MultiStartOutcome {
+        outcome: best,
         trials: sweep.trials,
         panicked: sweep.panicked,
         vcycles_applied,
-        stopped,
-        audit_failure,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -266,7 +246,7 @@ mod tests {
     use super::*;
     use crate::partitioner::MlConfig;
     use hypart_benchgen::mcnc_like;
-    use hypart_core::FaultPlan;
+    use hypart_core::{FaultPlan, StopReason};
     use hypart_trace::MemorySink;
     use std::time::Duration;
 
@@ -280,7 +260,7 @@ mod tests {
         max_vcycles: usize,
     ) -> MultiStartOutcome {
         let plan = MultiStartPlan::count(nruns, max_vcycles);
-        multi_start_with(ml, h, c, &plan, &mut RunCtx::new(seed))
+        multi_start_with(ml, h, c, &plan, &mut RunCtx::new(seed)).unwrap()
     }
 
     #[test]
@@ -293,7 +273,7 @@ mod tests {
         let best_start_cut = |out: &MultiStartOutcome| out.trials.iter().map(|t| t.cut).min();
         assert!(best_start_cut(&four) <= best_start_cut(&one));
         assert_eq!(four.trials.len(), 4);
-        assert_eq!(four.stopped, StopReason::Completed);
+        assert_eq!(four.outcome.stopped, StopReason::Completed);
     }
 
     #[test]
@@ -303,7 +283,7 @@ mod tests {
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let no_vc = sweep(&ml, &h, &c, 2, 7, 0);
         let vc = sweep(&ml, &h, &c, 2, 7, 3);
-        assert!(vc.cut <= no_vc.cut);
+        assert!(vc.outcome.cut <= no_vc.outcome.cut);
         assert!(vc.vcycles_applied >= 1);
         assert_eq!(no_vc.vcycles_applied, 0);
     }
@@ -325,12 +305,15 @@ mod tests {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let sink = MemorySink::new();
-        let out = ml.run_with(&h, &c, &mut RunCtx::new(4).with_sink(&sink));
+        ml.run_with(&h, &c, &mut RunCtx::new(4).with_sink(&sink));
         let events = sink.take();
-        let downs = events
+        let downs: Vec<usize> = events
             .iter()
-            .filter(|e| matches!(e, RunEvent::LevelDown { .. }))
-            .count();
+            .filter_map(|e| match e {
+                RunEvent::LevelDown { level, .. } => Some(*level),
+                _ => None,
+            })
+            .collect();
         let ups: Vec<usize> = events
             .iter()
             .filter_map(|e| match e {
@@ -338,10 +321,11 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(downs, out.levels);
-        // Uncoarsening refines at every level, coarsest first, down to the
-        // input graph (level 0).
-        let expect: Vec<usize> = (0..=out.levels).rev().collect();
+        // Coarsening announces levels 1, 2, …; uncoarsening refines at
+        // every level, coarsest first, down to the input graph (level 0).
+        assert!(!downs.is_empty());
+        assert_eq!(downs, (1..=downs.len()).collect::<Vec<_>>());
+        let expect: Vec<usize> = (0..=downs.len()).rev().collect();
         assert_eq!(ups, expect);
         // V-cycle brackets only appear in the multi-start driver.
         assert!(!events
@@ -356,7 +340,8 @@ mod tests {
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let sink = MemorySink::new();
         let plan = MultiStartPlan::count(2, 3);
-        let out = multi_start_with(&ml, &h, &c, &plan, &mut RunCtx::new(7).with_sink(&sink));
+        let mut ctx = RunCtx::new(7).with_sink(&sink);
+        let out = multi_start_with(&ml, &h, &c, &plan, &mut ctx).unwrap();
         let events = sink.take();
         let begins = events
             .iter()
@@ -396,7 +381,7 @@ mod tests {
         let mut ctx = RunCtx::new(5)
             .with_sink(&sink)
             .with_fault_plan(FaultPlan::panic_in_start(3));
-        let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::count(16, 0), &mut ctx);
+        let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::count(16, 0), &mut ctx).unwrap();
 
         // The run completes with exactly one isolated start...
         assert_eq!(out.trials.len(), 15);
@@ -425,16 +410,25 @@ mod tests {
             .collect();
         let got: Vec<u64> = out.trials.iter().map(|s| s.cut).collect();
         assert_eq!(got, expect);
-        assert_eq!(out.cut, expect.iter().copied().min().unwrap());
+        assert_eq!(out.outcome.cut, expect.iter().copied().min().unwrap());
     }
 
+    /// A sweep without survivors returns its panicked starts, and their
+    /// diagnostic names the first payload.
     #[test]
-    #[should_panic(expected = "every start panicked")]
     fn all_panicked_starts_give_a_clear_diagnostic() {
         let h = mcnc_like(100, 1);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let ml = MlPartitioner::new(MlConfig::ml_lifo());
         let mut ctx = RunCtx::new(0).with_fault_plan(FaultPlan::panic_in_start(0));
-        let _ = multi_start_with(&ml, &h, &c, &MultiStartPlan::count(1, 0), &mut ctx);
+        let plan = MultiStartPlan::count(1, 2);
+        let Err(all) = multi_start_with(&ml, &h, &c, &plan, &mut ctx) else {
+            panic!("a sweep without survivors has no outcome");
+        };
+        let payload = "injected fault: panic in start 0".to_string();
+        assert_eq!(all.0, [PanickedStart { index: 0, payload }]);
+        let message = all.to_string();
+        assert!(message.starts_with("every start panicked"), "{message}");
+        assert!(message.contains("injected fault"), "{message}");
     }
 }

@@ -48,4 +48,8 @@ pub use par_coarsen::{
     PAR_STAGE_MIN_NETS,
 };
 pub use parallel::PAR_REFINE_MIN_VERTICES;
-pub use partitioner::{MlConfig, MlOutcome, MlPartitioner};
+pub use partitioner::{MlConfig, MlPartitioner};
+
+/// The 2-way result every [`MlPartitioner`] entry point returns, under
+/// the name the benchmark package uses for it.
+pub use hypart_core::Outcome as MlOutcome;

@@ -32,10 +32,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::coarsen::cluster_cap;
-use crate::partitioner::{MlConfig, MlOutcome, MlPartitioner};
+use crate::partitioner::{finish, MlConfig, MlPartitioner};
 use hypart_core::{
-    refine_localized, select_contractions, AuditError, AuditLevel, BalanceConstraint, Bisection,
-    ContractionLimits, NLevelWorkspace, PartitionAuditor, RunCtx, StopReason,
+    refine_localized, select_contractions, AuditError, AuditLevel, BalanceConstraint,
+    ContractionLimits, NLevelWorkspace, Outcome, RunCtx, StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use hypart_trace::RunEvent;
@@ -64,7 +64,7 @@ pub(crate) fn run_nlevel(
     h: &Hypergraph,
     constraint: &BalanceConstraint,
     ctx: &mut RunCtx<'_>,
-) -> MlOutcome {
+) -> Outcome {
     let config = partitioner.config();
     let mut rng = SmallRng::seed_from_u64(ctx.seed);
     // Borrow the n-level arenas for the duration of this run, so the
@@ -111,7 +111,7 @@ pub(crate) fn vcycle_nlevel(
     constraint: &BalanceConstraint,
     assignment: &[PartId],
     ctx: &mut RunCtx<'_>,
-) -> MlOutcome {
+) -> Outcome {
     let config = partitioner.config();
     let mut rng = SmallRng::seed_from_u64(ctx.seed);
     let mut ws = std::mem::take(&mut ctx.nlevel);
@@ -229,7 +229,7 @@ fn uncontract_phase(
     rng: &mut SmallRng,
     ctx: &mut RunCtx<'_>,
     mut audit_failure: Option<AuditError>,
-) -> MlOutcome {
+) -> Outcome {
     let config = partitioner.config();
     let levels = ws.contract.mementos.len();
     if ctx.sink.is_enabled() {
@@ -314,31 +314,7 @@ fn uncontract_phase(
         .map(|&p| if p == 0 { PartId::P0 } else { PartId::P1 })
         .collect();
     debug_assert_eq!(assignment.len(), h.num_vertices());
-    let bisection = match Bisection::new(h, assignment) {
-        Ok(b) => b,
-        Err(e) => unreachable!("n-level assignment is valid: {e}"),
-    };
-    let balanced = constraint.is_satisfied(&bisection);
-    if ctx.audit().is_on() {
-        let window = balanced.then(|| (constraint.lower(), constraint.upper()));
-        if let Err(e) = PartitionAuditor::audit_bisection(&bisection, window) {
-            ctx.sink.emit(RunEvent::InvariantViolation {
-                check: e.check().to_string(),
-                detail: e.to_string(),
-            });
-            if audit_failure.is_none() {
-                audit_failure = Some(e);
-            }
-        }
-    }
-    MlOutcome {
-        cut: bisection.cut(),
-        balanced,
-        levels,
-        stopped,
-        audit_failure,
-        assignment: bisection.into_assignment(),
-    }
+    finish(h, assignment, constraint, stopped, audit_failure, ctx)
 }
 
 #[cfg(test)]

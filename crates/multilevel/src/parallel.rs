@@ -28,11 +28,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::coarsen::CoarseLevel;
 use crate::par_coarsen::build_hierarchy_par_with;
-use crate::partitioner::{emit_level_downs, MlConfig, MlOutcome, MlPartitioner};
+use crate::partitioner::{emit_level_downs, finish, MlConfig, MlPartitioner};
 use hypart_core::{
     derive_seed, ensure_lanes, generate_initial, refine_rounds_parallel, AuditError,
-    BalanceConstraint, Bisection, FmPartitioner, InitialSolution, ParLane, PartitionAuditor,
-    RunCtx, StopReason,
+    BalanceConstraint, Bisection, FmPartitioner, InitialSolution, Outcome, ParLane, RunCtx,
+    StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
 use hypart_trace::{MemorySink, NullSink, RunEvent, TraceSink};
@@ -61,7 +61,7 @@ impl MlPartitioner {
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> MlOutcome {
+    ) -> Outcome {
         let config = self.config().clone();
         let lane_count = config.threads.max(1);
         ensure_lanes(&mut ctx.lanes, lane_count);
@@ -112,7 +112,7 @@ impl MlPartitioner {
         constraint: &BalanceConstraint,
         assignment: &[PartId],
         ctx: &mut RunCtx<'_>,
-    ) -> MlOutcome {
+    ) -> Outcome {
         assert_eq!(
             assignment.len(),
             h.num_vertices(),
@@ -233,12 +233,12 @@ fn parallel_initial(
             Ok(b) => b,
             Err(e) => unreachable!("generated initial is valid: {e}"),
         };
-        let stats = engine.refine_with(&mut bisection, constraint, &mut rng, &mut child);
+        let (_, failure) = engine.refine_with(&mut bisection, constraint, &mut rng, &mut child);
         (
             constraint.total_violation(&bisection),
             bisection.cut(),
             bisection.into_assignment(),
-            stats.audit_failure,
+            failure,
         )
     };
 
@@ -336,7 +336,7 @@ fn parallel_uncoarsen<R: Rng>(
     ctx: &mut RunCtx<'_>,
     lanes: &mut [ParLane],
     mut audit_failure: Option<AuditError>,
-) -> MlOutcome {
+) -> Outcome {
     let engine = FmPartitioner::new(config.refine);
     let mut assignment = coarsest_assignment;
     let mut probe = ctx.probe();
@@ -373,40 +373,11 @@ fn parallel_uncoarsen<R: Rng>(
             }
             stopped = out.stopped;
         } else {
-            let stats = engine.refine_with(&mut bisection, constraint, rng, ctx);
-            if audit_failure.is_none() {
-                audit_failure = stats.audit_failure.clone();
-            }
-            stopped = stats.stopped;
+            let (stop, failure) = engine.refine_with(&mut bisection, constraint, rng, ctx);
+            audit_failure = audit_failure.or(failure);
+            stopped = stop;
         }
         assignment = bisection.into_assignment();
     }
-
-    let bisection = match Bisection::new(h, assignment) {
-        Ok(b) => b,
-        Err(e) => unreachable!("refined assignment is valid: {e}"),
-    };
-    let balanced = constraint.is_satisfied(&bisection);
-    // Final whole-run checkpoint, identical to the serial engine's:
-    // re-verify the claimed solution on the input graph from scratch.
-    if ctx.audit().is_on() {
-        let window = balanced.then(|| (constraint.lower(), constraint.upper()));
-        if let Err(e) = PartitionAuditor::audit_bisection(&bisection, window) {
-            ctx.sink.emit(RunEvent::InvariantViolation {
-                check: e.check().to_string(),
-                detail: e.to_string(),
-            });
-            if audit_failure.is_none() {
-                audit_failure = Some(e);
-            }
-        }
-    }
-    MlOutcome {
-        cut: bisection.cut(),
-        balanced,
-        levels: levels.len(),
-        stopped,
-        audit_failure,
-        assignment: bisection.into_assignment(),
-    }
+    finish(h, assignment, constraint, stopped, audit_failure, ctx)
 }

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use crate::coarsen::{build_hierarchy_with, CoarsenConfig};
 use hypart_core::{
     generate_initial, AuditError, BalanceConstraint, Bisection, EngineKind, FmConfig,
-    FmPartitioner, Hierarchy, InitialSolution, PartitionAuditor, RunCtx, StopReason,
+    FmPartitioner, Hierarchy, InitialSolution, Outcome, PartitionAuditor, RunCtx, StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
 use hypart_trace::{RunEvent, TraceSink};
@@ -118,27 +118,6 @@ impl MlConfig {
     }
 }
 
-/// Result of one multilevel run.
-#[derive(Clone, Debug)]
-pub struct MlOutcome {
-    /// Final assignment on the input hypergraph.
-    pub assignment: Vec<PartId>,
-    /// Final weighted cut.
-    pub cut: u64,
-    /// `true` if the final solution satisfies the balance constraint.
-    pub balanced: bool,
-    /// Number of coarsening levels used.
-    pub levels: usize,
-    /// Why the run ended. On a deadline/cancellation stop, remaining
-    /// refinement is skipped but the solution is still projected to the
-    /// input graph, so the outcome is always a legal full-size partition.
-    pub stopped: StopReason,
-    /// First invariant violation found by the [`PartitionAuditor`] at any
-    /// level, when auditing is enabled on the context. Always `None` with
-    /// auditing off.
-    pub audit_failure: Option<AuditError>,
-}
-
 /// A multilevel 2-way partitioner (hMetis-style V-cycle refinement is
 /// available via [`vcycle_with`](MlPartitioner::vcycle_with)).
 #[derive(Clone, Debug)]
@@ -174,7 +153,7 @@ impl MlPartitioner {
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> MlOutcome {
+    ) -> Outcome {
         if self.config.engine == EngineKind::NLevel {
             return crate::nlevel::run_nlevel(self, h, constraint, ctx);
         }
@@ -189,7 +168,7 @@ impl MlPartitioner {
     ///
     /// Equivalent to [`run_with`](MlPartitioner::run_with) with a default
     /// [`RunCtx`] (no sink, no deadline).
-    pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> MlOutcome {
+    pub fn run(&self, h: &Hypergraph, constraint: &BalanceConstraint, seed: u64) -> Outcome {
         self.run_with(h, constraint, &mut RunCtx::new(seed))
     }
 
@@ -245,7 +224,7 @@ impl MlPartitioner {
         hierarchy: &Hierarchy,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
-    ) -> MlOutcome {
+    ) -> Outcome {
         if let Some(first) = hierarchy.levels().first() {
             assert_eq!(
                 first.map.len(),
@@ -279,7 +258,7 @@ impl MlPartitioner {
         constraint: &BalanceConstraint,
         assignment: &[PartId],
         ctx: &mut RunCtx<'_>,
-    ) -> MlOutcome {
+    ) -> Outcome {
         assert_eq!(
             assignment.len(),
             h.num_vertices(),
@@ -344,9 +323,9 @@ impl MlPartitioner {
                 Ok(b) => b,
                 Err(e) => unreachable!("generated initial is valid: {e}"),
             };
-            let stats = engine.refine_with(&mut bisection, constraint, rng, ctx);
+            let (stopped, failure) = engine.refine_with(&mut bisection, constraint, rng, ctx);
             if audit_failure.is_none() {
-                *audit_failure = stats.audit_failure.clone();
+                *audit_failure = failure;
             }
             let score = (constraint.total_violation(&bisection), bisection.cut());
             if best.as_ref().is_none_or(|(v, c, _)| score < (*v, *c)) {
@@ -355,7 +334,7 @@ impl MlPartitioner {
             // The first try always completes construction (even with an
             // already-expired deadline the engine returns a valid, merely
             // unrefined bisection); later tries are skipped once stopped.
-            if stats.stopped.is_stopped() {
+            if stopped.is_stopped() {
                 break;
             }
         }
@@ -375,7 +354,7 @@ impl MlPartitioner {
         rng: &mut R,
         ctx: &mut RunCtx<'_>,
         mut audit_failure: Option<AuditError>,
-    ) -> MlOutcome {
+    ) -> Outcome {
         let engine = FmPartitioner::new(self.config.refine);
         let mut assignment = coarsest_assignment;
         let mut probe = ctx.probe();
@@ -409,44 +388,45 @@ impl MlPartitioner {
                 Ok(b) => b,
                 Err(e) => unreachable!("projected assignment is valid: {e}"),
             };
-            let stats = engine.refine_with(&mut bisection, constraint, rng, ctx);
-            if audit_failure.is_none() {
-                audit_failure = stats.audit_failure.clone();
-            }
+            let (stop, failure) = engine.refine_with(&mut bisection, constraint, rng, ctx);
+            audit_failure = audit_failure.or(failure);
             // A stop inside the engine was already announced there.
-            stopped = stats.stopped;
+            stopped = stop;
             assignment = bisection.into_assignment();
         }
+        finish(h, assignment, constraint, stopped, audit_failure, ctx)
+    }
+}
 
-        let bisection = match Bisection::new(h, assignment) {
-            Ok(b) => b,
-            Err(e) => unreachable!("refined assignment is valid: {e}"),
-        };
-        let balanced = constraint.is_satisfied(&bisection);
-        // Final whole-run checkpoint: re-verify the claimed solution on the
-        // input graph from scratch, independent of per-level engine audits
-        // (which are skipped entirely when the budget expires early).
-        if ctx.audit().is_on() {
-            let window = balanced.then(|| (constraint.lower(), constraint.upper()));
-            if let Err(e) = PartitionAuditor::audit_bisection(&bisection, window) {
-                ctx.sink.emit(RunEvent::InvariantViolation {
-                    check: e.check().to_string(),
-                    detail: e.to_string(),
-                });
-                if audit_failure.is_none() {
-                    audit_failure = Some(e);
-                }
-            }
-        }
-        MlOutcome {
-            cut: bisection.cut(),
-            balanced,
-            levels: levels.len(),
-            stopped,
-            audit_failure,
-            assignment: bisection.into_assignment(),
+/// Closes a multilevel run on the input graph `h`: the whole-run
+/// checkpoint re-verifies the claimed solution from scratch, independent
+/// of the per-level engine audits (which a budget stop skips), and
+/// `audit_failure` keeps the first violation found.
+pub(crate) fn finish(
+    h: &Hypergraph,
+    assignment: Vec<PartId>,
+    constraint: &BalanceConstraint,
+    stopped: StopReason,
+    mut audit_failure: Option<AuditError>,
+    ctx: &RunCtx<'_>,
+) -> Outcome {
+    let bisection = match Bisection::new(h, assignment) {
+        Ok(b) => b,
+        Err(e) => unreachable!("a multilevel assignment is valid: {e}"),
+    };
+    if ctx.audit().is_on() {
+        let window = constraint
+            .is_satisfied(&bisection)
+            .then(|| (constraint.lower(), constraint.upper()));
+        if let Err(e) = PartitionAuditor::audit_bisection(&bisection, window) {
+            ctx.sink.emit(RunEvent::InvariantViolation {
+                check: e.check().to_string(),
+                detail: e.to_string(),
+            });
+            audit_failure.get_or_insert(e);
         }
     }
+    Outcome::new(bisection, constraint, stopped, audit_failure)
 }
 
 /// Emits one [`RunEvent::LevelDown`] per coarse level, coarsest last.
@@ -517,9 +497,15 @@ mod tests {
     fn ml_clip_works_and_is_balanced() {
         let h = ispd98_like(1, 0.03, 6);
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
-        let out = MlPartitioner::new(MlConfig::ml_clip()).run(&h, &c, 4);
+        let sink = hypart_trace::MemorySink::new();
+        let ml = MlPartitioner::new(MlConfig::ml_clip());
+        let out = ml.run_with(&h, &c, &mut RunCtx::new(4).with_sink(&sink));
         assert!(out.balanced);
-        assert!(out.levels > 0);
+        let coarsened = sink
+            .take()
+            .iter()
+            .any(|e| matches!(e, RunEvent::LevelDown { .. }));
+        assert!(coarsened);
     }
 
     #[test]

@@ -37,7 +37,8 @@ fn constraint(h: &Hypergraph) -> BalanceConstraint {
 /// A default-config sweep until the context's budget runs out.
 fn budgeted(h: &Hypergraph, ctx: &mut RunCtx<'_>) -> MultiStartOutcome {
     let ml = MlPartitioner::new(MlConfig::default());
-    multi_start_with(&ml, h, &constraint(h), &MultiStartPlan::until_budget(), ctx)
+    let plan = MultiStartPlan::until_budget();
+    multi_start_with(&ml, h, &constraint(h), &plan, ctx).expect("a start survives")
 }
 
 /// Asserts the bracket-pairing contract over a full event stream and
@@ -111,12 +112,12 @@ fn expired_budget_runs_exactly_the_mandatory_start() {
     for plan in [MultiStartPlan::until_budget(), MultiStartPlan::count(4, 2)] {
         let sink = MemorySink::new();
         let mut ctx = RunCtx::new(7).with_sink(&sink).with_deadline(expired);
-        let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx);
+        let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx).unwrap();
         assert_eq!(out.trials.len(), 1, "exactly the mandatory start runs");
-        assert_eq!(out.stopped, StopReason::Deadline);
+        assert_eq!(out.outcome.stopped, StopReason::Deadline);
         assert_eq!(out.vcycles_applied, 0);
         assert_eq!(
-            out.assignment.len(),
+            out.outcome.assignment.len(),
             h.num_vertices(),
             "still a real partition"
         );
@@ -157,7 +158,9 @@ fn expired_budget_from_hierarchy_pairs_brackets_too() {
         hierarchy: Some(&hierarchy),
         ..MultiStartPlan::until_budget()
     };
-    let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx);
+    let out = multi_start_with(&ml, &h, &constraint(&h), &plan, &mut ctx)
+        .unwrap()
+        .outcome;
 
     let (opened, ends, aborts) = check_brackets(&sink.events());
     assert_eq!((opened, ends, aborts), (1, 1, 0));
@@ -179,7 +182,7 @@ fn tiny_budget_keeps_brackets_paired() {
     let (opened, ends, aborts) = check_brackets(&sink.events());
     assert!(opened >= 1);
     assert_eq!(opened, ends + aborts);
-    assert_eq!(out.stopped, StopReason::Deadline);
+    assert_eq!(out.outcome.stopped, StopReason::Deadline);
 }
 
 /// A cancelled token observed at entry: the mandatory start still runs,
@@ -197,7 +200,7 @@ fn pre_cancelled_sweep_still_brackets_the_mandatory_start() {
     let (opened, ends, _) = check_brackets(&sink.events());
     assert_eq!(opened, 1);
     assert_eq!(ends, 1);
-    assert_eq!(out.stopped, StopReason::Cancelled);
+    assert_eq!(out.outcome.stopped, StopReason::Cancelled);
 }
 
 /// An injected panic in a mid-sweep start closes its bracket with
@@ -226,5 +229,5 @@ fn injected_panic_closes_bracket_with_start_aborted() {
             .iter()
             .any(|e| matches!(e, RunEvent::StartAborted { index: 1, .. })));
     }
-    assert_eq!(out.assignment.len(), h.num_vertices());
+    assert_eq!(out.outcome.assignment.len(), h.num_vertices());
 }

@@ -16,9 +16,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hypart_benchgen::mcnc_like;
-use hypart_core::{BalanceConstraint, RunCtx};
+use hypart_core::{BalanceConstraint, Outcome, RunCtx};
 use hypart_hypergraph::Hypergraph;
-use hypart_ml::{Hierarchy, MlConfig, MlOutcome, MlPartitioner};
+use hypart_ml::{Hierarchy, MlConfig, MlPartitioner};
 use hypart_trace::{JsonlSink, MemorySink};
 
 fn golden() -> Hypergraph {
@@ -29,7 +29,7 @@ fn constraint(h: &Hypergraph) -> BalanceConstraint {
     BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10)
 }
 
-fn run_from(h: &Hypergraph, hierarchy: &Hierarchy, seed: u64) -> (Vec<u8>, MlOutcome) {
+fn run_from(h: &Hypergraph, hierarchy: &Hierarchy, seed: u64) -> (Vec<u8>, Outcome) {
     let ml = MlPartitioner::new(MlConfig::default());
     let sink = JsonlSink::new(Vec::new());
     let mut ctx = RunCtx::new(seed).with_sink(&sink);

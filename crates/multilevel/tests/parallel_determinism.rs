@@ -27,11 +27,11 @@ use rand::SeedableRng;
 use hypart_benchgen::ispd98_like;
 use hypart_core::{
     ensure_lanes, AuditLevel, BalanceConstraint, Bisection, CancelToken, CoarsenWorkspace,
-    FaultPlan, PartitionAuditor, RunCtx,
+    FaultPlan, Outcome, PartitionAuditor, RunCtx,
 };
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder, PartId, VertexId};
 use hypart_ml::coarsen::{coarsen_once_reference, CoarsenConfig, CoarsenScheme};
-use hypart_ml::{coarsen_once_par_with, MlConfig, MlOutcome, MlPartitioner};
+use hypart_ml::{coarsen_once_par_with, MlConfig, MlPartitioner};
 use hypart_trace::{JsonlSink, MemorySink, RunEvent, StopReason};
 
 /// The golden ML instance: large enough to engage the parallel
@@ -47,7 +47,7 @@ fn constraint(h: &Hypergraph) -> BalanceConstraint {
 
 /// Runs one deterministic parallel start at `threads` lanes and returns
 /// the raw JSONL trace bytes plus the outcome.
-fn traced_run(h: &Hypergraph, threads: usize, seed: u64) -> (Vec<u8>, MlOutcome) {
+fn traced_run(h: &Hypergraph, threads: usize, seed: u64) -> (Vec<u8>, Outcome) {
     let sink = JsonlSink::new(Vec::new());
     let mut ctx = RunCtx::new(seed).with_sink(&sink);
     let ml = MlPartitioner::new(MlConfig::default().with_threads(threads));

@@ -20,16 +20,16 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hypart_benchgen::mcnc_like;
-use hypart_core::{derive_seed, BalanceConstraint, RunCtx};
+use hypart_core::{derive_seed, BalanceConstraint, Outcome, RunCtx};
 use hypart_hypergraph::Hypergraph;
-use hypart_ml::{MlConfig, MlOutcome, MlPartitioner};
+use hypart_ml::{MlConfig, MlPartitioner};
 use hypart_trace::JsonlSink;
 
 fn golden() -> Hypergraph {
     mcnc_like(220, 0x5EED)
 }
 
-fn traced_run(h: &Hypergraph, threads: usize, seed: u64) -> (Vec<u8>, MlOutcome) {
+fn traced_run(h: &Hypergraph, threads: usize, seed: u64) -> (Vec<u8>, Outcome) {
     let sink = JsonlSink::new(Vec::new());
     let mut ctx = RunCtx::new(seed).with_sink(&sink);
     let ml = MlPartitioner::new(MlConfig::default().with_threads(threads));

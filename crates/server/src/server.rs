@@ -1145,7 +1145,12 @@ fn bisection_job(
         hierarchy: Some(&hierarchy),
         ..starts
     };
-    let out = multi_start_with(&partitioner, h, &constraint, &plan, ctx);
+    // A sweep without survivors is re-raised as a panic.
+    let swept = match multi_start_with(&partitioner, h, &constraint, &plan, ctx) {
+        Ok(swept) => swept,
+        Err(all) => panic!("{all}"),
+    };
+    let out = &swept.outcome;
     JobResult {
         cut: out.cut,
         balanced: out.balanced,
@@ -1153,7 +1158,7 @@ fn bisection_job(
         audit_clean: out.audit_failure.is_none(),
         hierarchy_reused: reused,
         levels: hierarchy.len(),
-        starts: out.trials.len() + out.panicked.len(),
+        starts: swept.trials.len() + swept.panicked.len(),
         digest,
         assignment: req
             .include_assignment
@@ -1388,6 +1393,9 @@ mod tests {
         let sink = sink(&recorder, false);
         let out = partitioner.run_with(&h, &constraint, &mut RunCtx::new(1).with_sink(&sink));
         sink.flush();
+        let levels = partitioner
+            .coarsen_hierarchy_with(&h, &mut RunCtx::new(1))
+            .len();
         let result = Response::Result {
             id: 7,
             result: JobResult {
@@ -1396,7 +1404,7 @@ mod tests {
                 stopped: out.stopped,
                 audit_clean: true,
                 hierarchy_reused: false,
-                levels: out.levels,
+                levels,
                 starts: 1,
                 digest: 0,
                 assignment: None,

@@ -47,14 +47,20 @@ fn demo(h: &Hypergraph, trials: usize) {
         ("CLIP + exclusion fix", FmConfig::clip()),
     ] {
         let engine = FmPartitioner::new(fm);
-        let mut corked = 0usize;
-        let mut passes = 0usize;
+        let trace = MemorySink::new();
         let mut cuts = Vec::with_capacity(trials);
         for seed in 0..trials as u64 {
-            let out = engine.run(h, &constraint, seed);
-            corked += out.stats.corked_passes();
-            passes += out.stats.num_passes();
+            let out = engine.run_with(h, &constraint, &mut RunCtx::new(seed).with_sink(&trace));
             cuts.push(out.cut);
+        }
+        // Every pass ends with a `PassEnd` event carrying the §2.3
+        // `corked` flag.
+        let (mut corked, mut passes) = (0, 0);
+        for event in trace.take() {
+            if let RunEvent::PassEnd { corked: c, .. } = event {
+                corked += usize::from(c);
+                passes += 1;
+            }
         }
         let min = cuts.iter().min().copied().unwrap_or(0);
         let avg = cuts.iter().sum::<u64>() as f64 / cuts.len() as f64;

@@ -24,43 +24,57 @@ fn main() {
     let engine = FmPartitioner::new(FmConfig::lifo());
     let sink = MemorySink::new();
     let out = engine.run_with(&h, &constraint, &mut RunCtx::new(7).with_sink(&sink));
+    let events = sink.take();
 
-    // One trajectory per pass: the cuts of its `Move` events.
-    let mut trajectories: Vec<Vec<u64>> = Vec::new();
-    for event in sink.take() {
-        match event {
-            RunEvent::PassBegin { .. } => trajectories.push(Vec::new()),
-            RunEvent::Move { cut, .. } => {
-                if let Some(trajectory) = trajectories.last_mut() {
-                    trajectory.push(cut);
-                }
-            }
-            _ => {}
-        }
-    }
-
+    let Some(&RunEvent::RunEnd { passes, .. }) = events.last() else {
+        unreachable!("a run closes with RunEnd");
+    };
+    let Some(&RunEvent::RunBegin { cut: initial }) = events.first() else {
+        unreachable!("a run opens with RunBegin");
+    };
     println!(
         "instance {}: {} cells; run converged in {} passes, cut {} -> {}\n",
         h.name(),
         h.num_vertices(),
-        out.stats.num_passes(),
-        out.stats.initial_cut,
+        passes,
+        initial,
         out.cut
     );
 
-    for (i, (pass, trajectory)) in out.stats.passes.iter().zip(&trajectories).enumerate() {
-        println!(
-            "pass {}: {} of {} eligible moves made, {} rolled back, cut {} -> {}{}",
-            i + 1,
-            pass.moves_made,
-            pass.eligible,
-            pass.moves_rolled_back,
-            pass.cut_before,
-            pass.cut_after,
-            if pass.corked { "  [CORKED]" } else { "" }
-        );
-        if !trajectory.is_empty() {
-            println!("{}", ascii_trajectory(trajectory, 72, 9));
+    // Each pass is a `PassBegin`, its `Move` events (the trajectory) and
+    // rollbacks, and a `PassEnd`.
+    let (mut eligible_at_start, mut cut_before) = (0, 0);
+    let mut trajectory: Vec<u64> = Vec::new();
+    for event in events {
+        match event {
+            RunEvent::PassBegin { cut, eligible, .. } => {
+                (eligible_at_start, cut_before) = (eligible, cut);
+                trajectory.clear();
+            }
+            RunEvent::Move { cut, .. } => trajectory.push(cut),
+            RunEvent::PassEnd {
+                pass,
+                cut,
+                moves_made,
+                moves_rolled_back,
+                corked,
+                ..
+            } => {
+                println!(
+                    "pass {}: {} of {} eligible moves made, {} rolled back, cut {} -> {}{}",
+                    pass + 1,
+                    moves_made,
+                    eligible_at_start,
+                    moves_rolled_back,
+                    cut_before,
+                    cut,
+                    if corked { "  [CORKED]" } else { "" }
+                );
+                if !trajectory.is_empty() {
+                    println!("{}", ascii_trajectory(&trajectory, 72, 9));
+                }
+            }
+            _ => {}
         }
     }
     println!(

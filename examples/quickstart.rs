@@ -29,20 +29,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2-way partition under a near-bisection constraint.
     let constraint = BalanceConstraint::with_slack(h.total_vertex_weight(), 1);
 
+    // Per-pass and per-level numbers are trace events: a sink on the
+    // run's context receives them.
+    let trace = MemorySink::new();
+    let count = |kind: &str| trace.take().iter().filter(|e| e.kind() == kind).count();
+
     // Flat LIFO FM — the paper's competent flat engine.
-    let flat = FmPartitioner::new(FmConfig::lifo()).run(&h, &constraint, 42);
+    let mut ctx = RunCtx::new(42).with_sink(&trace);
+    let flat = FmPartitioner::new(FmConfig::lifo()).run_with(&h, &constraint, &mut ctx);
     println!(
         "flat LIFO FM : cut {} (balanced: {}, passes: {})",
         flat.cut,
         flat.balanced,
-        flat.stats.num_passes()
+        count("pass_end")
     );
 
     // Multilevel with the same refinement engine.
-    let ml = MlPartitioner::new(MlConfig::ml_lifo()).run(&h, &constraint, 42);
+    let mut ctx = RunCtx::new(42).with_sink(&trace);
+    let ml = MlPartitioner::new(MlConfig::ml_lifo()).run_with(&h, &constraint, &mut ctx);
     println!(
         "ML LIFO FM   : cut {} (balanced: {}, levels: {})",
-        ml.cut, ml.balanced, ml.levels
+        ml.cut,
+        ml.balanced,
+        count("level_down")
     );
 
     // Inspect the solution: which cells landed where.

@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`hypergraph`] | `hypart-hypergraph` | [`Hypergraph`], builder, stats, `.hgr`/netD/partition I/O |
-//! | [`core`] | `hypart-core` | [`FmPartitioner`], [`FmConfig`] knobs, [`Bisection`], [`BalanceConstraint`], objectives, brute force |
+//! | [`core`] | `hypart-core` | [`FmPartitioner`], [`FmConfig`] knobs, [`Bisection`], [`BalanceConstraint`], the 2-way [`Outcome`], objectives, brute force |
 //! | [`ml`] | `hypart-ml` | [`MlPartitioner`], coarsening, V-cycles, [`multi_start_with`] driver |
 //! | [`kway`] | `hypart-kway` | recursive bisection into any k, [`hypart_kway::KWayPartition`] |
 //! | [`place`] | `hypart-place` | top-down min-cut placement, terminal propagation, HPWL, row legalization |
@@ -61,9 +61,8 @@ pub use hypart_trace as trace;
 pub mod prelude {
     pub use hypart_core::{
         BalanceConstraint, Bisection, CancelToken, ContractionLimits, ContractionMemento,
-        DynHypergraph, EngineKind, FmConfig, FmOutcome, FmPartitioner, InsertionPolicy,
-        NLevelPartition, NLevelWorkspace, RunCtx, SelectionRule, StopReason, TieBreak,
-        ZeroDeltaPolicy,
+        DynHypergraph, EngineKind, FmConfig, FmPartitioner, InsertionPolicy, NLevelPartition,
+        NLevelWorkspace, Outcome, RunCtx, SelectionRule, StopReason, TieBreak, ZeroDeltaPolicy,
     };
     pub use hypart_eval::runner::{
         run_trials_with, FlatFmHeuristic, Heuristic, MlHeuristic, MultiStartHeuristic, Trial,
@@ -81,7 +80,7 @@ pub mod prelude {
 }
 
 #[doc(inline)]
-pub use hypart_core::{BalanceConstraint, Bisection, FmConfig, FmOutcome, FmPartitioner};
+pub use hypart_core::{BalanceConstraint, Bisection, FmConfig, FmPartitioner, Outcome};
 #[doc(inline)]
 pub use hypart_hypergraph::{Hypergraph, HypergraphBuilder, PartId};
 #[doc(inline)]

@@ -58,9 +58,9 @@ fn flat_lifo_fm_is_paranoid_clean() {
         let out =
             FmPartitioner::new(FmConfig::lifo()).run_with(&h, &c, &mut paranoid_ctx(7, &sink));
         assert!(
-            out.stats.audit_failure.is_none(),
+            out.audit_failure.is_none(),
             "{name}: {:?}",
-            out.stats.audit_failure
+            out.audit_failure
         );
         assert!(violations(&sink).is_empty(), "{name}");
     }
@@ -74,9 +74,9 @@ fn flat_clip_fm_is_paranoid_clean() {
         let out =
             FmPartitioner::new(FmConfig::clip()).run_with(&h, &c, &mut paranoid_ctx(13, &sink));
         assert!(
-            out.stats.audit_failure.is_none(),
+            out.audit_failure.is_none(),
             "{name}: {:?}",
-            out.stats.audit_failure
+            out.audit_failure
         );
         assert!(violations(&sink).is_empty(), "{name}");
     }
@@ -110,8 +110,10 @@ fn multi_start_driver_is_paranoid_clean() {
         &c,
         &MultiStartPlan::count(4, 1),
         &mut paranoid_ctx(9, &sink),
-    );
-    assert!(out.audit_failure.is_none(), "{:?}", out.audit_failure);
+    )
+    .expect("no start panics");
+    let audit_failure = &out.outcome.audit_failure;
+    assert!(audit_failure.is_none(), "{audit_failure:?}");
     assert!(out.panicked.is_empty());
     assert!(violations(&sink).is_empty());
 }

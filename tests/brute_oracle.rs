@@ -10,14 +10,21 @@
 //! - claim `balanced` exactly when the auditor's window check passes;
 //! - when balanced, cut no less than the optimum.
 //!
-//! The run also tallies, per engine, how often it hit the optimum and how
-//! often it missed feasibility where the optimum is feasible. A k-way
-//! miss is no failure: recursive bisection meets the k-way window through
-//! per-level windows, which can be stricter. See the tallies with
+//! The multilevel engines run twice: at the default stop size of 120
+//! cells, which no instance here reaches, so they never coarsen; and at a
+//! stop size of 2, so coarsening, projection and restricted V-cycles are
+//! checked against the optimum too.
+//!
+//! The run also tallies, per engine, how often it hit the optimum, how
+//! often it missed feasibility where the optimum is feasible, and in how
+//! many cases it coarsened at least once. A k-way miss is no failure:
+//! recursive bisection meets the k-way window through per-level windows,
+//! which can be stricter. See the tallies with
 //! `cargo test --test brute_oracle -- --nocapture`.
 
 use hypart::core::brute::optimal_bisection;
 use hypart::core::PartitionAuditor;
+use hypart::ml::coarsen::CoarsenConfig;
 use hypart::prelude::*;
 use proptest::prelude::*;
 
@@ -25,12 +32,15 @@ use proptest::prelude::*;
 const CASES: u32 = 256;
 
 /// The engines under test, in the order of the printed tally.
-const ENGINES: [&str; 5] = [
+const ENGINES: [&str; 8] = [
     "flat LIFO",
     "flat CLIP",
     "ML LIFO",
     "ML CLIP",
     "multi-start ML LIFO (2 starts, 1 V-cycle)",
+    "ML LIFO, stop size 2",
+    "ML CLIP, stop size 2",
+    "multi-start ML LIFO (2 starts, 1 V-cycle), stop size 2",
 ];
 
 /// A random instance and tolerance: 2–`max_cells` cells (at most 14) of
@@ -69,29 +79,37 @@ fn instance(max_cells: usize) -> impl Strategy<Value = (Hypergraph, f64)> {
         })
 }
 
-/// Runs engine `index` of [`ENGINES`]: (assignment, cut, balanced).
+/// Runs engine `index` of [`ENGINES`] under `sink`.
 fn run_engine(
     index: usize,
     h: &Hypergraph,
     c: &BalanceConstraint,
     seed: u64,
-) -> (Vec<PartId>, u64, bool) {
-    let mut ctx = RunCtx::new(seed);
-    match index {
-        0 | 1 => {
-            let cfg = [FmConfig::lifo(), FmConfig::clip()][index];
-            let out = FmPartitioner::new(cfg).run_with(h, c, &mut ctx);
-            (out.assignment, out.cut, out.balanced)
-        }
-        2 | 3 => {
-            let cfg = [MlConfig::ml_lifo(), MlConfig::ml_clip()][index - 2].clone();
-            let out = MlPartitioner::new(cfg).run_with(h, c, &mut ctx);
-            (out.assignment, out.cut, out.balanced)
-        }
+    sink: &dyn TraceSink,
+) -> Outcome {
+    let mut ctx = RunCtx::new(seed).with_sink(sink);
+    if index < 2 {
+        let cfg = [FmConfig::lifo(), FmConfig::clip()][index];
+        return FmPartitioner::new(cfg).run_with(h, c, &mut ctx);
+    }
+    let (row, coarsen) = match index {
+        2..=4 => (index - 2, CoarsenConfig::default()),
+        _ => (
+            index - 5,
+            CoarsenConfig {
+                stop_size: 2,
+                ..Default::default()
+            },
+        ),
+    };
+    let ml = |cfg: MlConfig| MlPartitioner::new(cfg.with_coarsen(coarsen));
+    match row {
+        0 => ml(MlConfig::ml_lifo()).run_with(h, c, &mut ctx),
+        1 => ml(MlConfig::ml_clip()).run_with(h, c, &mut ctx),
         _ => {
-            let ml = MlPartitioner::new(MlConfig::ml_lifo());
-            let out = multi_start_with(&ml, h, c, &MultiStartPlan::count(2, 1), &mut ctx);
-            (out.assignment, out.cut, out.balanced)
+            let plan = MultiStartPlan::count(2, 1);
+            let out = multi_start_with(&ml(MlConfig::ml_lifo()), h, c, &plan, &mut ctx);
+            out.expect("no start panics").outcome
         }
     }
 }
@@ -105,6 +123,8 @@ struct Tally {
     hits: u32,
     /// Of those, cases the engine returned unbalanced.
     feasibility_misses: u32,
+    /// Of all cases, those in which the engine coarsened at least once.
+    coarsened: u32,
 }
 
 #[test]
@@ -121,7 +141,14 @@ fn two_way_engines_respect_the_brute_force_optimum() {
         let optimum = optimal_bisection(&h, &c);
         let window = Some((c.lower(), c.upper()));
         for (index, name) in ENGINES.iter().enumerate() {
-            let (assignment, cut, balanced) = run_engine(index, &h, &c, seed);
+            let sink = MemorySink::new();
+            let out = run_engine(index, &h, &c, seed, &sink);
+            let coarsened = sink
+                .take()
+                .iter()
+                .any(|e| matches!(e, RunEvent::LevelDown { .. }));
+            tally[index].coarsened += u32::from(coarsened);
+            let (assignment, cut, balanced) = (out.assignment, out.cut, out.balanced);
             let context = format!("case {case}, {name}, seed {seed}");
             assert_eq!(assignment.len(), h.num_vertices(), "{context}");
             let part_of = |v: VertexId| assignment[v.index()].index();
@@ -150,11 +177,22 @@ fn two_way_engines_respect_the_brute_force_optimum() {
             }
         }
     }
-    eprintln!("engine | optimum hits | feasibility misses (of cases with a feasible optimum)");
+    eprintln!(
+        "engine | optimum hits | feasibility misses (of cases with a feasible optimum) \
+         | coarsened (of all cases)"
+    );
     for (name, t) in ENGINES.iter().zip(&tally) {
         eprintln!(
-            "{name} | {}/{} | {}/{}",
-            t.hits, t.feasible, t.feasibility_misses, t.feasible
+            "{name} | {}/{} | {}/{} | {}/{CASES}",
+            t.hits, t.feasible, t.feasibility_misses, t.feasible, t.coarsened
+        );
+    }
+    // The stop-size-2 rows are there to exercise coarsening.
+    for (name, t) in ENGINES.iter().zip(&tally).skip(5) {
+        assert!(
+            t.coarsened > CASES / 2,
+            "{name} coarsened in {} cases",
+            t.coarsened
         );
     }
 }

@@ -140,12 +140,16 @@ fn unit_area_mode_masks_corking_and_actual_area_exposes_it() {
     // a tight window, but not on the unit-area variant of the same
     // instance. Summed over a fixed set of instance and trial seeds so the
     // signal is deterministic rather than hinging on one lucky stream.
+    // Corked passes are counted from the trace, as `hypart experiment
+    // corking_trace` counts them.
     let corkable = FmPartitioner::new(FmConfig::clip().with_exclude_overweight(false));
-    let corked_on = |h: &Hypergraph| -> usize {
+    let corked_on = |h: &Hypergraph| -> u64 {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.02);
-        (0..12)
-            .map(|s| corkable.run(h, &c, s).stats.corked_passes())
-            .sum()
+        let counters = CounterSink::new();
+        for s in 0..12 {
+            corkable.run_with(h, &c, &mut RunCtx::new(s).with_sink(&counters));
+        }
+        counters.corked_passes()
     };
 
     let mut actual_corked = 0;
@@ -172,14 +176,18 @@ fn engines_are_deterministic_across_the_stack() {
         &c,
         &MultiStartPlan::count(2, 1),
         &mut RunCtx::new(9),
-    );
+    )
+    .expect("no start panics")
+    .outcome;
     let b = multi_start_with(
         &MlPartitioner::new(MlConfig::ml_clip()),
         &h,
         &c,
         &MultiStartPlan::count(2, 1),
         &mut RunCtx::new(9),
-    );
+    )
+    .expect("no start panics")
+    .outcome;
     assert_eq!(a.cut, b.cut);
     assert_eq!(a.assignment, b.assignment);
 }

@@ -151,7 +151,8 @@ fn steady_state_nlevel_loop_is_allocation_free() {
         &constraint,
         &MultiStartPlan::count(2, 0),
         &mut ctx,
-    );
+    )
+    .expect("no start panics");
     let cold_allocs = allocations() - before_cold;
     let cold_bytes = allocated_bytes() - before_cold_bytes;
     let (before_warm, before_warm_bytes) = (allocations(), allocated_bytes());
@@ -161,10 +162,14 @@ fn steady_state_nlevel_loop_is_allocation_free() {
         &constraint,
         &MultiStartPlan::count(2, 0),
         &mut ctx,
-    );
+    )
+    .expect("no start panics");
     let warm_allocs = allocations() - before_warm;
     let warm_bytes = allocated_bytes() - before_warm_bytes;
-    assert_eq!(warm.cut, cold.cut, "workspace reuse changed the result");
+    assert_eq!(
+        warm.outcome.cut, cold.outcome.cut,
+        "workspace reuse changed the result"
+    );
     assert!(
         warm_allocs * 2 <= cold_allocs,
         "warm multi-start allocated {warm_allocs} times vs {cold_allocs} cold \

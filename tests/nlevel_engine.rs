@@ -74,7 +74,9 @@ fn budgeted_nlevel_multi_start_hits_deadline() {
     let sink = MemorySink::new();
     let mut ctx = RunCtx::new(3).with_budget(budget).with_sink(&sink);
     let t0 = Instant::now();
-    let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx);
+    let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx)
+        .expect("no start panics")
+        .outcome;
     let elapsed = t0.elapsed();
 
     assert!(
@@ -131,7 +133,9 @@ fn cancellation_and_expired_deadlines_degrade_legally() {
             canceller.cancel();
         });
         multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx)
-    });
+    })
+    .expect("no start panics")
+    .outcome;
     assert_eq!(out.stopped, StopReason::Cancelled);
     assert_eq!(out.assignment.len(), h.num_vertices());
     let bis = Bisection::new(&h, out.assignment.clone()).expect("legal partition");
@@ -168,7 +172,9 @@ fn nlevel_matches_or_beats_coarse_ml_at_equal_budget() {
         let c = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.10);
         let run = |p: &MlPartitioner| {
             let mut ctx = RunCtx::new(9).with_budget(budget);
-            let out = multi_start_with(p, h, &c, &MultiStartPlan::until_budget(), &mut ctx);
+            let out = multi_start_with(p, h, &c, &MultiStartPlan::until_budget(), &mut ctx)
+                .expect("no start panics")
+                .outcome;
             assert!(out.balanced, "instance {i}: unbalanced best-so-far");
             out.cut
         };

@@ -29,7 +29,7 @@ fn traced_multi_start(
     let sink = JsonlSink::new(Vec::new());
     let mut ctx = ctx.with_sink(&sink);
     ctx.seed = seed;
-    multi_start_with(ml, h, c, &MultiStartPlan::count(2, 1), &mut ctx);
+    multi_start_with(ml, h, c, &MultiStartPlan::count(2, 1), &mut ctx).expect("no start panics");
     drop(ctx);
     String::from_utf8(sink.finish().expect("in-memory write")).expect("utf-8")
 }

@@ -103,7 +103,9 @@ fn budgeted_multi_start_hits_deadline() {
     let sink = MemorySink::new();
     let mut ctx = RunCtx::new(3).with_budget(budget).with_sink(&sink);
     let t0 = Instant::now();
-    let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx);
+    let out = multi_start_with(&ml, &h, &c, &MultiStartPlan::until_budget(), &mut ctx)
+        .expect("no start panics")
+        .outcome;
     let elapsed = t0.elapsed();
 
     assert!(
@@ -171,15 +173,17 @@ fn cancellation_interrupts_multi_start() {
         });
         // Far more starts than can finish in 30 ms on this instance.
         multi_start_with(&ml, &h, &c, &MultiStartPlan::count(64, 2), &mut ctx)
-    });
+    })
+    .expect("no start panics");
 
-    assert_eq!(out.stopped, StopReason::Cancelled);
+    assert_eq!(out.outcome.stopped, StopReason::Cancelled);
     assert!(
         out.trials.len() < 64,
         "the sweep must stop launching starts once cancelled, ran {}",
         out.trials.len()
     );
     assert_eq!(out.vcycles_applied, 0, "V-cycling is skipped when stopped");
+    let out = out.outcome;
     assert_eq!(out.assignment.len(), h.num_vertices());
     let bis = Bisection::new(&h, out.assignment.clone()).expect("legal partition");
     assert_eq!(bis.cut(), out.cut);

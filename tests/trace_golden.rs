@@ -85,7 +85,8 @@ fn engine_traces() -> Vec<(&'static str, String)> {
             &cm,
             &MultiStartPlan::count(2, 1),
             &mut RunCtx::new(9).with_sink(sink),
-        );
+        )
+        .expect("no start panics");
     });
 
     // Recursive bisection at k = 3: the first split pads its smaller
@@ -114,7 +115,8 @@ fn engine_traces() -> Vec<(&'static str, String)> {
             &cd,
             &MultiStartPlan::count(1, 1),
             &mut RunCtx::new(3).with_sink(sink),
-        );
+        )
+        .expect("no start panics");
     });
 
     // n-level backend: single-pair contraction with memento undo and
@@ -145,7 +147,8 @@ fn engine_traces() -> Vec<(&'static str, String)> {
             &c,
             &MultiStartPlan::count(2, 1),
             &mut RunCtx::new(9).with_sink(sink),
-        );
+        )
+        .expect("no start panics");
     });
 
     vec![
