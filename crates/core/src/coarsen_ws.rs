@@ -18,10 +18,10 @@
 //!   coarse graph reuses the builder's staging vectors and the CSR
 //!   counting pass scratch.
 //!
-//! Workspaces are plain owned data — parallel drivers give each thread its
-//! own, as they already do for [`crate::FmWorkspace`]. Reuse never changes
-//! results: a fresh workspace is exactly what the plain entry points
-//! construct internally.
+//! The workspace holds the serial coarsener's state only: the
+//! lane-parallel coarsener keeps its window scratch to itself. Reuse
+//! never changes results: a fresh workspace is exactly what the plain
+//! entry points construct internally.
 
 use hypart_hypergraph::{CsrScratch, HypergraphBuilder, PartId, VertexId};
 
@@ -154,29 +154,6 @@ impl CoarseNet {
     }
 }
 
-/// One speculative matching decision computed by a parallel proposal
-/// pass from a frozen snapshot of the clustering state.
-///
-/// `key` is the serial candidate key of the chosen partner — a cluster
-/// id, or a vertex index tagged with the coarsener's pair bit — or one of
-/// the two sentinels. The serial commit validates the proposal against
-/// the live state and falls back to an exact serial scan when stale.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MatchProposal {
-    /// Chosen candidate key, [`NONE`](MatchProposal::NONE) for "stay a
-    /// singleton", [`SKIP`](MatchProposal::SKIP) for "was already matched
-    /// at snapshot time".
-    pub key: u32,
-}
-
-impl MatchProposal {
-    /// The vertex had no admissible candidate in the snapshot: it becomes
-    /// a singleton cluster (unless the live state disagrees).
-    pub const NONE: u32 = u32::MAX;
-    /// The vertex was already matched when the snapshot was taken.
-    pub const SKIP: u32 = u32::MAX - 1;
-}
-
 /// Reusable scratch arenas for the multilevel coarsener.
 ///
 /// Carried on [`crate::RunCtx`] next to [`crate::FmWorkspace`]; the
@@ -220,19 +197,6 @@ pub struct CoarsenWorkspace {
     pub restrict: Vec<PartId>,
     /// Next-level restriction sides, swapped with `restrict` per level.
     pub restrict_next: Vec<PartId>,
-    /// Speculative matching proposals of the current window (parallel
-    /// coarsening only; one entry per window position).
-    pub match_props: Vec<MatchProposal>,
-    /// Per-net dirty stamp: `net_stamp[e] == net_epoch` iff a vertex
-    /// incident to net `e` changed cluster membership during the current
-    /// matching window (parallel coarsening only). Epoch-retired like
-    /// [`SparseScores`], so it is never cleared per window.
-    pub net_stamp: Vec<u32>,
-    /// Epoch of the current matching window for `net_stamp`.
-    pub net_epoch: u32,
-    /// Per-net staging offsets into `pin_arena` (parallel net staging
-    /// only): net `e` stages its coarse pins at `net_off[e]..net_off[e+1]`.
-    pub net_off: Vec<u32>,
 }
 
 impl CoarsenWorkspace {

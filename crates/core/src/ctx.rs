@@ -11,9 +11,10 @@
 //! * a shared atomic **cancellation token** ([`CancelToken`]) flippable
 //!   from another thread,
 //! * the **trace sink** receiving [`RunEvent`](hypart_trace::RunEvent)s,
-//! * the reusable [`FmWorkspace`] refinement scratch arenas, the
-//!   [`CoarsenWorkspace`](crate::CoarsenWorkspace) coarsening arenas, and
-//!   the [`NLevelWorkspace`](crate::NLevelWorkspace) n-level arenas,
+//! * the reusable [`FmWorkspace`] refinement scratch arenas and the
+//!   [`CoarsenWorkspace`](crate::CoarsenWorkspace) coarsening arenas of
+//!   the serial engines (the n-level and lane-parallel engines build
+//!   their own scratch per call),
 //! * the RNG **seed**.
 //!
 //! Engines take `&mut RunCtx` in their canonical `*_with` entry points;
@@ -40,8 +41,6 @@ use hypart_trace::{NullSink, StopReason, TraceSink};
 
 use crate::audit::{AuditLevel, FaultPlan};
 use crate::coarsen_ws::CoarsenWorkspace;
-use crate::nlevel::NLevelWorkspace;
-use crate::par::ParLane;
 use crate::workspace::FmWorkspace;
 
 /// Number of moves between mid-pass deadline checks.
@@ -105,12 +104,6 @@ pub struct RunCtx<'s> {
     pub workspace: FmWorkspace,
     /// Reusable coarsening scratch arenas, re-pointed at each level.
     pub coarsen: CoarsenWorkspace,
-    /// Reusable n-level scratch arenas (dynamic hypergraph view,
-    /// memento stack, partition state, gain cache), re-pointed per run.
-    pub nlevel: NLevelWorkspace,
-    /// Per-lane scratch of the shared-memory parallel engine (empty and
-    /// unused on the serial paths; grown on first parallel run).
-    pub lanes: Vec<ParLane>,
     /// Base RNG seed for the run.
     pub seed: u64,
     deadline: Option<Instant>,
@@ -145,8 +138,6 @@ impl<'s> RunCtx<'s> {
             sink: &NULL_SINK,
             workspace: FmWorkspace::new(),
             coarsen: CoarsenWorkspace::new(),
-            nlevel: NLevelWorkspace::new(),
-            lanes: Vec::new(),
             seed,
             deadline: None,
             cancel: CancelToken::new(),
@@ -161,8 +152,6 @@ impl<'s> RunCtx<'s> {
             sink,
             workspace: self.workspace,
             coarsen: self.coarsen,
-            nlevel: self.nlevel,
-            lanes: self.lanes,
             seed: self.seed,
             deadline: self.deadline,
             cancel: self.cancel,

@@ -156,7 +156,7 @@ impl FmPartitioner {
             SelectionRule::Clip => 2 * graph.max_gain_bound(),
         }
         .max(1);
-        workspace.containers(2, graph.num_vertices(), bound);
+        workspace.containers(graph.num_vertices(), bound);
         let mut state = PassState::<CUTOFF> {
             config: &self.config,
             constraint,

@@ -72,7 +72,7 @@ pub use audit::{
 };
 pub use balance::BalanceConstraint;
 pub use bisection::{Bisection, BisectionError};
-pub use coarsen_ws::{CandInfo, CoarseNet, CoarsenWorkspace, MatchProposal, SparseScores};
+pub use coarsen_ws::{CandInfo, CoarseNet, CoarsenWorkspace, SparseScores};
 pub use config::{
     FmConfig, IllegalHeadPolicy, InitialSolution, InsertionPolicy, PassBestRule, SelectionRule,
     TieBreak, ZeroDeltaPolicy,
@@ -82,11 +82,8 @@ pub use engine::{FmPartitioner, CORKED_FRACTION};
 pub use hierarchy::{CoarseLevel, Hierarchy, SharedHierarchy};
 pub use hypart_trace::StopReason;
 pub use initial::generate_initial;
-pub use nlevel::{
-    refine_localized, select_contractions, ContractScratch, ContractionLimits, ContractionMemento,
-    DynHypergraph, EngineKind, LocalSearchScratch, NLevelPartition, NLevelWorkspace,
-};
-pub use par::{derive_seed, ensure_lanes, MoveProposal, ParLane};
+pub use nlevel::EngineKind;
+pub use par::{derive_seed, MoveProposal, ParLane};
 pub use par_refine::{refine_rounds_parallel, ParRefineOutcome, PAR_REFINE_MAX_ROUNDS};
 pub use sweep::{sweep_with, AllPanicked, Outcome, PanickedStart, Sweep, Trial};
 pub use workspace::FmWorkspace;

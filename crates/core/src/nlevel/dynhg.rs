@@ -37,9 +37,9 @@
 //!   class's free list for reuse.
 //!
 //! [`DynHypergraph::reset_from_csr`] re-points every arena at a new (or
-//! the same) source graph while keeping all allocations, which is what
-//! makes multi-start / V-cycle / recursive-bisection reuse through
-//! [`crate::NLevelWorkspace`] allocation-free in steady state.
+//! the same) source graph while keeping all allocations, so a view
+//! reused through a [`super::NLevelWorkspace`] allocates nothing once
+//! its arenas have grown.
 
 use hypart_hypergraph::{Hypergraph, NetId, PartId, VertexId};
 
@@ -445,17 +445,6 @@ impl DynHypergraph {
         }
     }
 
-    /// [`materialize_into`](DynHypergraph::materialize_into) with owned
-    /// map allocation: returns the graph and the dense-id →
-    /// original-slot map. Reuse paths should prefer `materialize_into`
-    /// with workspace buffers.
-    pub fn materialize(&self) -> (Hypergraph, Vec<VertexId>) {
-        let mut dense_of = Vec::new();
-        let mut slot_of = Vec::new();
-        let h = self.materialize_into(&mut dense_of, &mut slot_of);
-        (h, slot_of)
-    }
-
     /// Checks that this view matches the source graph it was built from —
     /// every vertex active with its original weight, fixed side, and
     /// incidence count, every net at full size. Test/audit support for
@@ -601,7 +590,8 @@ mod tests {
         d.contract(VertexId::new(0), VertexId::new(1));
         d.contract(VertexId::new(0), VertexId::new(2));
         // Net 0 is now single-pin; nets 1 and 2 survive.
-        let (ch, slot_of) = d.materialize();
+        let mut slot_of = Vec::new();
+        let ch = d.materialize_into(&mut Vec::new(), &mut slot_of);
         assert_eq!(ch.num_vertices(), 4);
         assert_eq!(ch.num_nets(), 2);
         assert_eq!(slot_of[0], VertexId::new(0));

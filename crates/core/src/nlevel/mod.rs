@@ -17,19 +17,20 @@
 //!   contraction, valid under strict LIFO undo;
 //! * [`select_contractions`] — the rating-driven contraction schedule
 //!   (heavy-edge connectivity, deterministic seeded tie-breaks);
-//! * [`NLevelPartition`] — incremental partition state (per-net part
-//!   counts, weighted cut) over a [`DynHypergraph`], plus the localized
-//!   FM refiner [`refine_localized`]. It is written for any part count,
-//!   but its only caller, the 2-way backend, always runs it at k = 2;
-//! * [`NLevelWorkspace`] — the reusable scratch arenas of everything
-//!   above (carried on [`crate::RunCtx`] like the FM and coarsening
-//!   workspaces), which make the steady-state hot path allocation-free.
+//! * [`NLevelPartition`] — incremental 2-way partition state (per-net
+//!   side counts, weighted cut) over a [`DynHypergraph`], plus the
+//!   localized FM refiner [`refine_localized`]. Like *k-way Hypergraph
+//!   Partitioning via n-Level Recursive Bisection* \[Schlag et al.\],
+//!   the backend refines 2-way and reaches k parts only by recursive
+//!   bisection;
+//! * [`NLevelWorkspace`] — the scratch arenas of everything above, built
+//!   once per run by the driver and kept to itself (never on
+//!   [`crate::RunCtx`]); within a run the contract / uncontract /
+//!   localized-FM loop allocates nothing once they have grown.
 //!
 //! The 2-way multilevel config selects between the two backends with
-//! [`EngineKind`] (`MlConfig::engine`), so the driver, eval runner,
-//! server daemon, and CLI pick backends uniformly. k-way runs reach the
-//! n-level backend only through recursive bisection; the multilevel
-//! k-way engine is coarse-grained only.
+//! [`EngineKind`] (`MlConfig::engine`). k-way runs reach the n-level
+//! backend only through recursive bisection.
 
 mod dynhg;
 mod partition;

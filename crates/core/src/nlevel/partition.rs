@@ -1,49 +1,49 @@
-//! Incremental k-way partition state over a [`DynHypergraph`], plus the
+//! Incremental 2-way partition state over a [`DynHypergraph`], plus the
 //! localized FM refiner that runs after every uncontraction.
 //!
-//! [`NLevelPartition`] owns plain vectors (labels, per-net part counts,
-//! part weights, weighted cut) and takes the hypergraph view as a method
+//! [`NLevelPartition`] owns plain vectors (sides, per-net side counts,
+//! side weights, weighted cut) and takes the hypergraph view as a method
 //! argument, so the driver can interleave `partition.begin_uncontract`
 //! (bookkeeping, *before* the undo) with `d.uncontract` (the structural
 //! undo) without borrow conflicts. The vectors are grow-only:
-//! [`NLevelPartition::reset`] rebuilds the state for a new run inside
-//! the existing allocations, which is how the state recycles through
-//! [`crate::NLevelWorkspace`].
+//! [`NLevelPartition::reset`] rebuilds the state for a new view inside
+//! the existing allocations.
 //!
 //! [`refine_localized`] is the n-level refinement step: it seeds the
-//! gain containers with only the two vertices released by the current
-//! uncontraction, then grows the active set along boundary nets as moves
-//! land. Any balance-admissible move is applied — adverse (negative
-//! gain) moves included, the classic FM hill-climb — with every move
-//! logged and the exploration tail rolled back to the best
-//! `(violation, cut)` prefix on exit. Vertices move at most once per
-//! invocation and the search stalls out a bounded number of moves after
-//! the last improvement, so termination is structural.
+//! two gain containers (one per side) with only the two vertices
+//! released by the current uncontraction, then grows the active set
+//! along boundary nets as moves land. Any balance-admissible move is
+//! applied — adverse (negative gain) moves included, the classic FM
+//! hill-climb — with every move logged and the exploration tail rolled
+//! back to the best `(violation, cut)` prefix on exit. Vertices move at
+//! most once per invocation and the search stalls out a bounded number
+//! of moves after the last improvement, so termination is structural.
+//! Like the coarse backend, n-level reaches k parts only through
+//! recursive bisection, so the state is 2-way throughout.
 //!
 //! # The exact gain cache
 //!
 //! Refinement runs ~n times per n-level pass, and the dominant cost used
 //! to be gain *recomputation*: every activation rescanned all nets of
 //! every neighbor of every applied move. The refiner now keeps an exact
-//! per-vertex gain row in its [`LocalSearchScratch`]: filled once per
-//! vertex per invocation (one pass over the vertex's nets, via
-//! [`NLevelPartition::gain_all`]) and delta-maintained in O(affected
-//! pins) per applied move by
-//! [`NLevelPartition::move_vertex_cached`] — and only pins of nets whose
-//! pre-move part counts sit next to the uncut threshold are touched at
-//! all; nets that stay deeply cut contribute zero delta and are skipped
-//! without a pin scan. The invariant is strict equality: a cached row
-//! always matches what [`NLevelPartition::gain`] would recompute, so
-//! caching cannot change any decision (debug builds assert this at every
-//! pop). Between invocations — across uncontractions in particular — the
-//! whole cache retires in O(1) via an epoch bump, so no per-uncontract
-//! invalidation is needed.
+//! per-vertex gain in its [`LocalSearchScratch`]: filled once per vertex
+//! per invocation (one pass over the vertex's nets, via
+//! [`NLevelPartition::gain`]) and delta-maintained in O(affected pins)
+//! per applied move by [`NLevelPartition::move_vertex_cached`] — and only
+//! pins of nets whose pre-move side counts sit next to the uncut
+//! threshold are touched at all; nets that stay deeply cut contribute
+//! zero delta and are skipped without a pin scan. The invariant is strict
+//! equality: a cached gain always matches what [`NLevelPartition::gain`]
+//! would recompute, so caching cannot change any decision (debug builds
+//! assert this at every pop). Between invocations — across
+//! uncontractions in particular — the whole cache retires in O(1) via an
+//! epoch bump, so no per-uncontract invalidation is needed.
 
 use super::dynhg::{ContractionMemento, DynHypergraph};
 use super::workspace::LocalSearchScratch;
 use crate::config::InsertionPolicy;
 use crate::ctx::RunCtx;
-use hypart_hypergraph::{NetId, VertexId};
+use hypart_hypergraph::{NetId, PartId, VertexId};
 use hypart_trace::RunEvent;
 use rand::Rng;
 
@@ -51,101 +51,88 @@ use rand::Rng;
 /// refinement (the same "skip huge nets" cutoff the matcher uses).
 const ACTIVATION_NET_SIZE_CAP: u32 = 300;
 
-/// Incremental k-way partition state for the n-level backend.
+/// Incremental 2-way partition state for the n-level backend.
 ///
-/// Tracks, per net, how many of its *active* pins lie in each part
-/// (`counts`, a flat `nets × k` table), plus part weights and the
-/// weighted cut, all updated in O(affected pins) per move or
-/// uncontraction. Labels live in the full slot range of the underlying
-/// [`DynHypergraph`]; inactive slots keep the label of their survivor so
-/// uncontraction is label inheritance plus a constant-size count patch.
+/// Tracks, per net, how many of its *active* pins lie on each side
+/// (`counts`), plus side weights and the weighted cut, all updated in
+/// O(affected pins) per move or uncontraction. Sides live in the full
+/// slot range of the underlying [`DynHypergraph`]; inactive slots keep
+/// the side of their survivor so uncontraction is side inheritance plus
+/// a constant-size count patch.
 ///
-/// The default value is an empty placeholder (`k == 0`) for workspace
-/// storage; [`NLevelPartition::reset`] turns it into a live state.
+/// The default value is an empty placeholder for workspace storage;
+/// [`NLevelPartition::reset`] turns it into a live state.
 #[derive(Clone, Debug, Default)]
 pub struct NLevelPartition {
-    part: Vec<u16>,
-    counts: Vec<u32>,
-    part_weight: Vec<u64>,
+    part: Vec<PartId>,
+    counts: Vec<[u32; 2]>,
+    part_weight: [u64; 2],
     cut: u64,
-    k: usize,
 }
 
 impl NLevelPartition {
-    /// Builds the state from per-slot labels (< `k`); only active slots
-    /// of `d` are read, inactive slots are carried verbatim.
+    /// Builds the state from per-slot sides; only active slots of `d`
+    /// are read, inactive slots are carried verbatim.
     ///
     /// # Panics
     ///
-    /// Panics if `labels` is shorter than `d.num_slots()` or `k == 0`.
-    pub fn new(d: &DynHypergraph, k: usize, labels: Vec<u16>) -> NLevelPartition {
+    /// Panics if `sides` is shorter than `d.num_slots()`.
+    pub fn new(d: &DynHypergraph, sides: Vec<PartId>) -> NLevelPartition {
         let mut p = NLevelPartition {
-            part: labels,
+            part: sides,
             ..NLevelPartition::default()
         };
-        p.rebuild(d, k);
+        p.rebuild(d);
         p
     }
 
-    /// Rebuilds the state in place from per-slot labels, keeping all
+    /// Rebuilds the state in place from per-slot sides, keeping all
     /// allocations — the recycling twin of [`NLevelPartition::new`],
     /// with identical results.
     ///
     /// # Panics
     ///
-    /// Panics if `labels` is shorter than `d.num_slots()` or `k == 0`.
-    pub fn reset(&mut self, d: &DynHypergraph, k: usize, labels: &[u16]) {
+    /// Panics if `sides` is shorter than `d.num_slots()`.
+    pub fn reset(&mut self, d: &DynHypergraph, sides: &[PartId]) {
         self.part.clear();
-        self.part.extend_from_slice(labels);
-        self.rebuild(d, k);
+        self.part.extend_from_slice(sides);
+        self.rebuild(d);
     }
 
-    /// Recomputes counts, part weights, and cut from `self.part`.
-    fn rebuild(&mut self, d: &DynHypergraph, k: usize) {
-        assert!(k > 0, "k must be positive");
-        assert!(self.part.len() >= d.num_slots(), "label per slot required");
-        self.k = k;
-        let nets = d.num_nets();
+    /// Recomputes counts, side weights, and cut from `self.part`.
+    fn rebuild(&mut self, d: &DynHypergraph) {
+        assert!(self.part.len() >= d.num_slots(), "side per slot required");
         self.counts.clear();
-        self.counts.resize(nets * k, 0);
-        self.part_weight.clear();
-        self.part_weight.resize(k, 0);
+        self.counts.resize(d.num_nets(), [0; 2]);
+        self.part_weight = [0; 2];
         for slot in 0..d.num_slots() {
             let v = VertexId::from_index(slot);
             if d.is_active(v) {
-                self.part_weight[self.part[slot] as usize] += d.weight(v);
+                self.part_weight[self.part[slot].index()] += d.weight(v);
             }
         }
         self.cut = 0;
-        for e in 0..nets {
+        for (e, counts) in self.counts.iter_mut().enumerate() {
             let net = NetId::from_index(e);
-            let row = &mut self.counts[e * k..(e + 1) * k];
             for &p in d.net_pins(net) {
-                row[self.part[p.index()] as usize] += 1;
+                counts[self.part[p.index()].index()] += 1;
             }
-            let size = d.net_size(net);
-            if size >= 2 && row.iter().all(|&c| c != size) {
+            if is_cut(*counts, d.net_size(net)) {
                 self.cut += u64::from(d.net_weight(net));
             }
         }
     }
 
-    /// Number of parts.
+    /// Side of vertex `v`.
     #[inline]
-    pub fn num_parts(&self) -> usize {
-        self.k
+    pub fn part_of(&self, v: VertexId) -> PartId {
+        self.part[v.index()]
     }
 
-    /// Part of vertex `v`.
+    /// Weight of side `p`.
     #[inline]
-    pub fn part_of(&self, v: VertexId) -> usize {
-        self.part[v.index()] as usize
-    }
-
-    /// Weight of part `p`.
-    #[inline]
-    pub fn part_weight(&self, p: usize) -> u64 {
-        self.part_weight[p]
+    pub fn part_weight(&self, p: PartId) -> u64 {
+        self.part_weight[p.index()]
     }
 
     /// Current weighted cut (incrementally maintained).
@@ -154,237 +141,173 @@ impl NLevelPartition {
         self.cut
     }
 
-    /// The per-slot label vector.
+    /// The per-slot side vector.
     #[inline]
-    pub fn assignment(&self) -> &[u16] {
+    pub fn assignment(&self) -> &[PartId] {
         &self.part
     }
 
-    /// Consumes the state, returning the per-slot label vector.
-    pub fn into_assignment(self) -> Vec<u16> {
+    /// Consumes the state, returning the per-slot side vector.
+    pub fn into_assignment(self) -> Vec<PartId> {
         self.part
     }
 
-    /// Sum over parts of the distance outside `[lower, upper]`.
+    /// Sum over both sides of the distance outside `[lower, upper]`.
     pub fn total_violation(&self, lower: u64, upper: u64) -> u64 {
         self.part_weight
             .iter()
-            .map(|&w| w.saturating_sub(upper) + lower.saturating_sub(w))
+            .map(|&w| window_violation(w, lower, upper))
             .sum()
     }
 
-    /// Cut delta of moving `v` to part `to`, negated (positive = cut
-    /// improves). `v` must be active in `d`.
-    pub fn gain(&self, d: &DynHypergraph, v: VertexId, to: usize) -> i64 {
-        let from = self.part_of(v);
-        debug_assert_ne!(from, to);
+    /// Cut delta of moving `v` to the other side, negated (positive =
+    /// cut improves). `v` must be active in `d`.
+    pub fn gain(&self, d: &DynHypergraph, v: VertexId) -> i64 {
+        let from = self.part_of(v).index();
         let mut gain = 0i64;
         for &e in d.incident_nets(v) {
             let size = d.net_size(e);
             if size < 2 {
                 continue;
             }
-            let row = e.index() * self.k;
+            let c = self.counts[e.index()];
+            debug_assert!(c[from] >= 1);
+            // v sits in `from`, so c[from] ≥ 1 and the other side cannot
+            // hold all pins: uncut before iff c[from] == size, uncut
+            // after iff c[to] + 1 == size.
             let w = i64::from(d.net_weight(e));
-            debug_assert!(self.counts[row + from] >= 1);
-            // v sits in `from`, so counts[from] ≥ 1 and no *other* part
-            // can hold all pins: uncut before iff counts[from] == size,
-            // uncut after iff counts[to] + 1 == size.
-            let was_cut = self.counts[row + from] != size;
-            let now_cut = self.counts[row + to] + 1 != size;
-            gain += w * (i64::from(was_cut) - i64::from(now_cut));
+            gain += w * (i64::from(c[1 - from] + 1 == size) - i64::from(c[from] == size));
         }
         gain
     }
 
-    /// Fills `out` (length `k`) with the gain of moving `v` to every
-    /// part, in one pass over `v`'s nets — the cache-row filler, exactly
-    /// equivalent to `k − 1` calls of [`NLevelPartition::gain`]. The
-    /// entry at `v`'s own part is set to zero (it is meaningless).
-    pub(crate) fn gain_all(&self, d: &DynHypergraph, v: VertexId, out: &mut [i64]) {
-        debug_assert_eq!(out.len(), self.k);
+    /// Moves `v` to the other side, updating counts, weights and cut.
+    /// Returns the realized gain (cut before minus cut after).
+    pub fn move_vertex(&mut self, d: &DynHypergraph, v: VertexId) -> i64 {
         let from = self.part_of(v);
-        for g in out.iter_mut() {
-            *g = 0;
-        }
-        for &e in d.incident_nets(v) {
-            let size = d.net_size(e);
-            if size < 2 {
-                continue;
-            }
-            let row = e.index() * self.k;
-            let w = i64::from(d.net_weight(e));
-            debug_assert!(self.counts[row + from] >= 1);
-            if self.counts[row + from] == size {
-                // Uncut before the move: every departure cuts it.
-                for g in out.iter_mut() {
-                    *g -= w;
-                }
-            }
-            for (t, g) in out.iter_mut().enumerate() {
-                if self.counts[row + t] + 1 == size {
-                    *g += w;
-                }
-            }
-        }
-        out[from] = 0;
-    }
-
-    /// Moves `v` to part `to`, updating counts, weights and cut. Returns
-    /// the realized gain (cut before minus cut after).
-    pub fn move_vertex(&mut self, d: &DynHypergraph, v: VertexId, to: usize) -> i64 {
-        let from = self.part_of(v);
-        debug_assert_ne!(from, to);
         let before = self.cut;
         for &e in d.incident_nets(v) {
             let size = d.net_size(e);
-            let row = e.index() * self.k;
-            debug_assert!(self.counts[row + from] >= 1);
-            self.counts[row + from] -= 1;
-            self.counts[row + to] += 1;
-            if size < 2 {
-                continue;
-            }
-            let w = u64::from(d.net_weight(e));
-            let was_cut = self.counts[row + from] + 1 != size;
-            let now_cut = self.counts[row + to] != size;
+            let c = &mut self.counts[e.index()];
+            let was_cut = is_cut(*c, size);
+            c[from.index()] -= 1;
+            c[from.other().index()] += 1;
+            let now_cut = is_cut(*c, size);
             if was_cut && !now_cut {
-                self.cut -= w;
+                self.cut -= u64::from(d.net_weight(e));
             } else if !was_cut && now_cut {
-                self.cut += w;
+                self.cut += u64::from(d.net_weight(e));
             }
         }
-        let weight = d.weight(v);
-        self.part_weight[from] -= weight;
-        self.part_weight[to] += weight;
-        self.part[v.index()] = to as u16;
+        self.shift_weight(d, v, from);
         before as i64 - self.cut as i64
     }
 
     /// [`NLevelPartition::move_vertex`] plus exact maintenance of every
-    /// live gain row in `cache`: for each net of `v`, the four possible
-    /// per-target deltas are derived from the pre-move part counts, and
-    /// the net's pins are scanned **only when at least one delta is
-    /// nonzero** — i.e. only when the net is uncut or one pin away from
-    /// uncut on the affected sides. Deeply cut nets (the common case on
-    /// large mixed nets) cost O(1).
+    /// live cached gain in `cache`: for each net of `v`, the gain deltas
+    /// of the pins left on `v`'s old side and of the pins on its new side
+    /// follow from the pre-move side counts, and the net's pins are
+    /// scanned **only when a delta is nonzero** — i.e. only when the net
+    /// is uncut or one pin away from uncut. Deeply cut nets (the common
+    /// case on large mixed nets) cost O(1).
     ///
-    /// `v`'s own row is left stale; callers lock `v` immediately, so it
-    /// is never read again this invocation.
+    /// `v`'s own cached gain is left stale; callers lock `v` immediately,
+    /// so it is never read again this invocation.
     pub(crate) fn move_vertex_cached(
         &mut self,
         d: &DynHypergraph,
         v: VertexId,
-        to: usize,
         cache: &mut LocalSearchScratch,
     ) -> i64 {
         let from = self.part_of(v);
-        debug_assert_ne!(from, to);
-        debug_assert_eq!(cache.k, self.k);
-        let k = self.k;
+        let (f, t) = (from.index(), from.other().index());
         let before = self.cut;
         for &e in d.incident_nets(v) {
             let size = d.net_size(e);
-            let row = e.index() * k;
-            let c_from = self.counts[row + from];
-            let c_to = self.counts[row + to];
-            debug_assert!(c_from >= 1);
-            self.counts[row + from] = c_from - 1;
-            self.counts[row + to] = c_to + 1;
+            let c = self.counts[e.index()];
+            debug_assert!(c[f] >= 1);
+            let counts = &mut self.counts[e.index()];
+            counts[f] -= 1;
+            counts[t] += 1;
             if size < 2 {
                 continue;
             }
             let w = i64::from(d.net_weight(e));
-            let was_cut = c_from != size;
-            let now_cut = c_to + 1 != size;
+            let (was_cut, now_cut) = (c[f] != size, c[t] + 1 != size);
             if was_cut && !now_cut {
                 self.cut -= w as u64;
             } else if !was_cut && now_cut {
                 self.cut += w as u64;
             }
-            // Gain-row deltas for a pin y in part p with target t,
-            // derived from gain contribution w·([cₜ+1 = s] − [cₚ = s]):
-            //   t = from: the count there dropped by one,
-            //   t = to:   the count there rose by one,
-            //   p = from / p = to: the "was uncut" term flips for every
-            //   target alike.
-            let tf = w * (i64::from(c_from == size) - i64::from(c_from + 1 == size));
-            let tt = w * (i64::from(c_to + 2 == size) - i64::from(c_to + 1 == size));
-            let cf = -w * (i64::from(c_from - 1 == size) - i64::from(c_from == size));
-            let ct = -w * (i64::from(c_to + 1 == size) - i64::from(c_to == size));
-            if tf == 0 && tt == 0 && cf == 0 && ct == 0 {
+            // A pin on side p moving to q contributes
+            // w·([c_q + 1 = s] − [c_p = s]) to its gain. The move takes
+            // one pin off `from` and puts one on `to`:
+            //   pins left on `from` (moving to `to`) see c_to rise and
+            //   c_from drop;
+            //   pins on `to` (moving to `from`) see c_from drop and c_to
+            //   rise.
+            let full = |count: u32| i64::from(count == size);
+            let stay = w * (full(c[t] + 2) - full(c[t] + 1) + full(c[f]) - full(c[f] - 1));
+            let joined = w * (full(c[f]) - full(c[f] + 1) + full(c[t]) - full(c[t] + 1));
+            if stay == 0 && joined == 0 {
                 continue;
             }
             for &y in d.net_pins(e) {
                 if y == v || !cache.is_cached(y) {
                     continue;
                 }
-                let p = self.part[y.index()] as usize;
-                let grow = y.index() * k;
-                if tf != 0 && p != from {
-                    cache.gains[grow + from] += tf;
-                }
-                if tt != 0 && p != to {
-                    cache.gains[grow + to] += tt;
-                }
-                let common = if p == from {
-                    cf
-                } else if p == to {
-                    ct
+                cache.gains[y.index()] += if self.part[y.index()] == from {
+                    stay
                 } else {
-                    0
+                    joined
                 };
-                if common != 0 {
-                    for t in 0..k {
-                        if t != p {
-                            cache.gains[grow + t] += common;
-                        }
-                    }
-                }
             }
         }
-        let weight = d.weight(v);
-        self.part_weight[from] -= weight;
-        self.part_weight[to] += weight;
-        self.part[v.index()] = to as u16;
+        self.shift_weight(d, v, from);
         before as i64 - self.cut as i64
+    }
+
+    /// Moves `v`'s weight and side from `from` to the other side.
+    fn shift_weight(&mut self, d: &DynHypergraph, v: VertexId, from: PartId) {
+        let weight = d.weight(v);
+        self.part_weight[from.index()] -= weight;
+        self.part_weight[from.other().index()] += weight;
+        self.part[v.index()] = from.other();
     }
 
     /// Partition-side bookkeeping for undoing `m`. **Call before**
     /// [`DynHypergraph::uncontract`]: the case-A detection reads the
     /// parked tail pin, which the structural undo consumes.
     ///
-    /// `v` inherits `u`'s label, so the cut never changes: case-A nets
-    /// regain a pin in a part they already touch (via `u`), case-B nets
+    /// `v` inherits `u`'s side, so the cut never changes: case-A nets
+    /// regain a pin on a side they already touch (via `u`), case-B nets
     /// swap which vertex represents the cluster without changing counts.
     pub fn begin_uncontract(&mut self, d: &DynHypergraph, m: &ContractionMemento) {
-        let p = self.part[m.u.index()] as usize;
-        self.part[m.v.index()] = p as u16;
+        let p = self.part[m.u.index()];
+        self.part[m.v.index()] = p;
         for &e in d.incident_nets(m.v) {
             if d.tail_pin(e) == Some(m.v) {
-                self.counts[e.index() * self.k + p] += 1;
+                self.counts[e.index()][p.index()] += 1;
             }
         }
-        // Weights: `uncontract` restores d's vertex weights; the part
+        // Weights: `uncontract` restores d's vertex weights; the side
         // totals are unchanged because u's aggregate already counted v.
     }
 
     /// Recomputes the weighted cut from scratch (audit paths only).
     pub fn recompute_cut(&self, d: &DynHypergraph) -> u64 {
-        let mut cut = 0u64;
-        for e in 0..d.num_nets() {
-            let net = NetId::from_index(e);
-            let size = d.net_size(net);
-            if size < 2 {
-                continue;
-            }
-            let row = &self.counts[e * self.k..(e + 1) * self.k];
-            if row.iter().all(|&c| c != size) {
-                cut += u64::from(d.net_weight(net));
-            }
-        }
-        cut
+        (0..d.num_nets())
+            .map(NetId::from_index)
+            .filter(|&e| is_cut(self.counts[e.index()], d.net_size(e)))
+            .map(|e| u64::from(d.net_weight(e)))
+            .sum()
     }
+}
+
+/// Whether a net of `size` active pins with side counts `counts` is cut.
+#[inline]
+fn is_cut(counts: [u32; 2], size: u32) -> bool {
+    size >= 2 && counts[0] != size && counts[1] != size
 }
 
 /// A localized search stalls out after this many consecutive applied
@@ -392,7 +315,7 @@ impl NLevelPartition {
 /// past a local minimum, but only this far.
 const STALL_LIMIT: usize = 64;
 
-/// Fills `v`'s gain row in `scratch` if it is stale this invocation.
+/// Fills `v`'s cached gain in `scratch` if it is stale this invocation.
 fn ensure_cached(
     partition: &NLevelPartition,
     d: &DynHypergraph,
@@ -400,20 +323,19 @@ fn ensure_cached(
     v: VertexId,
 ) {
     if !scratch.is_cached(v) {
-        let row = v.index() * scratch.k;
-        let k = scratch.k;
-        partition.gain_all(d, v, &mut scratch.gains[row..row + k]);
+        scratch.gains[v.index()] = partition.gain(d, v);
         scratch.gain_stamp[v.index()] = scratch.epoch;
     }
 }
 
 /// Localized FM refinement around one uncontraction.
 ///
-/// Seeds the gain containers with `seeds` (normally the released pair
-/// `[u, v]`), then repeatedly applies the best pending move that keeps
-/// the balance window `[lower, upper]` satisfiable — **including
-/// adverse (negative-gain) moves**, the classic FM hill-climb. Every
-/// applied move is logged; whenever the lexicographic potential
+/// Seeds the two gain containers (one per side) with `seeds` (normally
+/// the released pair `[u, v]`), then repeatedly applies the best pending
+/// move that keeps the balance window `[lower, upper]` satisfiable —
+/// **including adverse (negative-gain) moves**, the classic FM
+/// hill-climb; a tie between the two sides' best keys goes to side 0.
+/// Every applied move is logged; whenever the lexicographic potential
 /// (total violation, cut) reaches a new strict minimum the log position
 /// is recorded, and on exit everything after the best prefix is rolled
 /// back. Neighbors of every moved vertex (through nets of size ≤ 300)
@@ -423,7 +345,7 @@ fn ensure_cached(
 /// improvement, so termination is structural.
 ///
 /// All gains come from the exact cache in `scratch` (see the module
-/// docs): one row fill per touched vertex, O(affected pins) deltas per
+/// docs): one fill per touched vertex, O(affected pins) deltas per
 /// applied move, identical values to recomputation — reusing a dirty
 /// scratch never changes results, it only skips allocations.
 ///
@@ -442,13 +364,10 @@ pub fn refine_localized<R: Rng>(
     scratch: &mut LocalSearchScratch,
     ctx: &mut RunCtx<'_>,
 ) -> usize {
-    let k = partition.num_parts();
     let sink = ctx.sink;
     let traced = sink.is_enabled();
-    let containers = ctx
-        .workspace
-        .containers(k * k, d.num_slots(), d.gain_bound());
-    scratch.begin(d.num_slots(), k);
+    let containers = ctx.workspace.containers(d.num_slots(), d.gain_bound());
+    scratch.begin(d.num_slots());
     let mut best_len = 0usize;
     let mut cur_viol = partition.total_violation(lower, upper);
     let mut best_viol = cur_viol;
@@ -458,26 +377,18 @@ pub fn refine_localized<R: Rng>(
         if !d.is_active(s) || d.fixed_part(s).is_some() {
             continue;
         }
-        let from = partition.part_of(s);
-        if containers[from * k + ((from + 1) % k)].contains(s) {
+        let side = partition.part_of(s).index();
+        if containers[side].contains(s) {
             continue;
         }
         ensure_cached(partition, d, scratch, s);
-        for to in 0..k {
-            if to != from {
-                let g = scratch.gain_of(s, to);
-                containers[from * k + to].insert(s, g, insertion, rng);
-            }
-        }
+        containers[side].insert(s, scratch.gain_of(s), insertion, rng);
     }
 
     loop {
-        // Highest-keyed head across all (from, to) containers.
-        let mut best: Option<(i64, usize, VertexId)> = None;
-        for (idx, container) in containers.iter_mut().enumerate() {
-            if idx / k == idx % k {
-                continue;
-            }
+        // Highest-keyed head across both sides.
+        let mut best: Option<(i64, PartId, VertexId)> = None;
+        for (container, side) in containers.iter_mut().zip(PartId::ALL) {
             let Some(key) = container.descend_max() else {
                 continue;
             };
@@ -485,55 +396,40 @@ pub fn refine_localized<R: Rng>(
                 continue;
             }
             if let Some(head) = container.head_of(key) {
-                best = Some((key, idx, head));
+                best = Some((key, side, head));
             }
         }
-        let Some((key, idx, v)) = best else { break };
-        let (from, to) = (idx / k, idx % k);
-        if partition.part_of(v) != from {
-            // Stale residue from an earlier move; drop it.
-            containers[idx].remove(v);
-            continue;
-        }
-        let true_gain = scratch.gain_of(v, to);
+        let Some((key, from, v)) = best else { break };
+        debug_assert_eq!(partition.part_of(v), from, "container holds a moved vertex");
+        let true_gain = scratch.gain_of(v);
         debug_assert_eq!(
             true_gain,
-            partition.gain(d, v, to),
+            partition.gain(d, v),
             "gain cache drifted from recomputation"
         );
         if true_gain != key {
-            containers[idx].update(v, true_gain, insertion, rng);
+            containers[from.index()].update(v, true_gain, insertion, rng);
             continue;
         }
         let w = d.weight(v);
         let from_after = partition.part_weight(from) - w;
-        let to_after = partition.part_weight(to) + w;
+        let to_after = partition.part_weight(from.other()) + w;
         let inside = from_after >= lower && to_after <= upper;
-        let viol_before = window_violation(partition.part_weight(from), lower, upper)
-            + window_violation(partition.part_weight(to), lower, upper);
+        let viol_before = partition.total_violation(lower, upper);
         let viol_after =
             window_violation(from_after, lower, upper) + window_violation(to_after, lower, upper);
         // Balance admissibility only — adverse gains are welcome, the
         // best-prefix rollback keeps them honest.
         let admissible = (inside && viol_after <= viol_before) || viol_after < viol_before;
+        containers[from.index()].remove(v);
         if !admissible {
-            for t in 0..k {
-                if t != from {
-                    containers[from * k + t].remove(v);
-                }
-            }
             continue;
         }
 
-        for t in 0..k {
-            if t != from {
-                containers[from * k + t].remove(v);
-            }
-        }
-        let realized = partition.move_vertex_cached(d, v, to, scratch);
+        let realized = partition.move_vertex_cached(d, v, scratch);
         debug_assert_eq!(realized, true_gain);
         scratch.lock(v);
-        scratch.log.push((v, from));
+        scratch.log.push(v);
         if traced {
             sink.emit(RunEvent::Move {
                 vertex: v.raw() as u64,
@@ -550,7 +446,7 @@ pub fn refine_localized<R: Rng>(
             break;
         }
 
-        // Refresh / activate the boundary around the move. Cached rows
+        // Refresh / activate the boundary around the move. Cached gains
         // are already move-exact; only first-touch vertices pay a fill.
         for &e in d.incident_nets(v) {
             if d.net_size(e) > ACTIVATION_NET_SIZE_CAP {
@@ -560,19 +456,13 @@ pub fn refine_localized<R: Rng>(
                 if y == v || scratch.is_locked(y) || d.fixed_part(y).is_some() {
                     continue;
                 }
-                let s = partition.part_of(y);
-                let present = containers[s * k + ((s + 1) % k)].contains(y);
+                let side = partition.part_of(y).index();
                 ensure_cached(partition, d, scratch, y);
-                for t in 0..k {
-                    if t == s {
-                        continue;
-                    }
-                    let g = scratch.gain_of(y, t);
-                    if present {
-                        containers[s * k + t].update(y, g, insertion, rng);
-                    } else {
-                        containers[s * k + t].insert(y, g, insertion, rng);
-                    }
+                let g = scratch.gain_of(y);
+                if containers[side].contains(y) {
+                    containers[side].update(y, g, insertion, rng);
+                } else {
+                    containers[side].insert(y, g, insertion, rng);
                 }
             }
         }
@@ -583,10 +473,10 @@ pub fn refine_localized<R: Rng>(
     // moves: the cache is dead after the loop, the next invocation's
     // epoch bump retires it wholesale).
     while scratch.log.len() > best_len {
-        let Some((v, origin)) = scratch.log.pop() else {
+        let Some(v) = scratch.log.pop() else {
             break;
         };
-        partition.move_vertex(d, v, origin);
+        partition.move_vertex(d, v);
     }
     debug_assert_eq!(partition.cut(), best_cut);
     debug_assert_eq!(partition.total_violation(lower, upper), best_viol);
@@ -617,14 +507,22 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Sides from 0/1 labels.
+    fn sides(labels: &[u8]) -> Vec<PartId> {
+        labels
+            .iter()
+            .map(|&l| if l == 0 { PartId::P0 } else { PartId::P1 })
+            .collect()
+    }
+
     #[test]
     fn new_counts_weights_and_cut_agree_with_recompute() {
         let h = toy();
         let d = DynHypergraph::new(&h);
-        let p = NLevelPartition::new(&d, 2, vec![0, 0, 0, 1, 1, 1]);
+        let p = NLevelPartition::new(&d, sides(&[0, 0, 0, 1, 1, 1]));
         assert_eq!(p.cut(), 1);
-        assert_eq!(p.part_weight(0), 3);
-        assert_eq!(p.part_weight(1), 3);
+        assert_eq!(p.part_weight(PartId::P0), 3);
+        assert_eq!(p.part_weight(PartId::P1), 3);
         assert_eq!(p.recompute_cut(&d), p.cut());
     }
 
@@ -632,13 +530,13 @@ mod tests {
     fn reset_matches_new_after_dirtying() {
         let h = toy();
         let d = DynHypergraph::new(&h);
-        let mut p = NLevelPartition::new(&d, 2, vec![0, 1, 0, 1, 0, 1]);
-        p.move_vertex(&d, VertexId::new(1), 0);
-        // Reset onto fresh labels: indistinguishable from a fresh build.
-        p.reset(&d, 2, &[0, 0, 0, 1, 1, 1]);
-        let q = NLevelPartition::new(&d, 2, vec![0, 0, 0, 1, 1, 1]);
+        let mut p = NLevelPartition::new(&d, sides(&[0, 1, 0, 1, 0, 1]));
+        p.move_vertex(&d, VertexId::new(1));
+        // Reset onto fresh sides: indistinguishable from a fresh build.
+        p.reset(&d, &sides(&[0, 0, 0, 1, 1, 1]));
+        let q = NLevelPartition::new(&d, sides(&[0, 0, 0, 1, 1, 1]));
         assert_eq!(p.cut(), q.cut());
-        assert_eq!(p.part_weight(0), q.part_weight(0));
+        assert_eq!(p.part_weight(PartId::P0), q.part_weight(PartId::P0));
         assert_eq!(p.assignment(), q.assignment());
         assert_eq!(p.recompute_cut(&d), p.cut());
     }
@@ -647,52 +545,35 @@ mod tests {
     fn move_vertex_updates_cut_incrementally() {
         let h = toy();
         let d = DynHypergraph::new(&h);
-        let mut p = NLevelPartition::new(&d, 2, vec![0, 0, 0, 1, 1, 1]);
+        let mut p = NLevelPartition::new(&d, sides(&[0, 0, 0, 1, 1, 1]));
         let v2 = VertexId::new(2);
-        let g = p.gain(&d, v2, 1);
-        let realized = p.move_vertex(&d, v2, 1);
+        let g = p.gain(&d, v2);
+        let realized = p.move_vertex(&d, v2);
         assert_eq!(g, realized);
+        assert_eq!(p.part_of(v2), PartId::P1);
         assert_eq!(p.recompute_cut(&d), p.cut());
-        assert_eq!(p.part_weight(0), 2);
-        assert_eq!(p.part_weight(1), 4);
+        assert_eq!(p.part_weight(PartId::P0), 2);
+        assert_eq!(p.part_weight(PartId::P1), 4);
     }
 
     #[test]
-    fn gain_all_matches_per_target_gain() {
+    fn cached_moves_keep_every_live_gain_exact() {
         let h = toy();
         let d = DynHypergraph::new(&h);
-        let p = NLevelPartition::new(&d, 3, vec![0, 1, 0, 2, 1, 2]);
-        let mut row = [0i64; 3];
-        for slot in 0..6 {
-            let v = VertexId::new(slot);
-            p.gain_all(&d, v, &mut row);
-            for (t, &g) in row.iter().enumerate() {
-                if t != p.part_of(v) {
-                    assert_eq!(g, p.gain(&d, v, t), "v{slot} → {t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_moves_keep_every_live_row_exact() {
-        let h = toy();
-        let d = DynHypergraph::new(&h);
-        let mut p = NLevelPartition::new(&d, 2, vec![0, 0, 1, 1, 0, 1]);
+        let mut p = NLevelPartition::new(&d, sides(&[0, 0, 1, 1, 0, 1]));
         let mut s = LocalSearchScratch::new();
-        s.begin(d.num_slots(), 2);
+        s.begin(d.num_slots());
         for slot in 0..6 {
             ensure_cached(&p, &d, &mut s, VertexId::new(slot));
         }
         // A few moves, each followed by a full cache/recompute audit of
         // every vertex except the ones already moved.
         let mut moved = Vec::new();
-        for (slot, to) in [(2usize, 0usize), (4, 1), (0, 1)] {
+        for slot in [2usize, 4, 0] {
             let v = VertexId::from_index(slot);
-            let to = if p.part_of(v) == to { 1 - to } else { to };
-            let expected = p.gain(&d, v, to);
-            assert_eq!(s.gain_of(v, to), expected);
-            let realized = p.move_vertex_cached(&d, v, to, &mut s);
+            let expected = p.gain(&d, v);
+            assert_eq!(s.gain_of(v), expected);
+            let realized = p.move_vertex_cached(&d, v, &mut s);
             assert_eq!(realized, expected);
             moved.push(slot);
             assert_eq!(p.recompute_cut(&d), p.cut());
@@ -701,8 +582,7 @@ mod tests {
                     continue;
                 }
                 let yv = VertexId::from_index(y);
-                let t = 1 - p.part_of(yv);
-                assert_eq!(s.gain_of(yv, t), p.gain(&d, yv, t), "row {y} drifted");
+                assert_eq!(s.gain_of(yv), p.gain(&d, yv), "gain of {y} drifted");
             }
         }
     }
@@ -713,28 +593,27 @@ mod tests {
         let mut d = DynHypergraph::new(&h);
         let (a, b) = (VertexId::new(0), VertexId::new(1));
         let m = d.contract(a, b);
-        let mut labels = vec![0u16; 6];
-        labels[3] = 1;
-        labels[4] = 1;
-        labels[5] = 1;
-        let mut p = NLevelPartition::new(&d, 2, labels);
+        let mut p = NLevelPartition::new(&d, sides(&[0, 0, 0, 1, 1, 1]));
         let cut_before = p.cut();
-        let weights_before = (p.part_weight(0), p.part_weight(1));
+        let weights_before = (p.part_weight(PartId::P0), p.part_weight(PartId::P1));
         p.begin_uncontract(&d, &m);
         d.uncontract(&m);
         assert_eq!(p.cut(), cut_before);
         assert_eq!(p.recompute_cut(&d), p.cut());
-        assert_eq!((p.part_weight(0), p.part_weight(1)), weights_before);
+        assert_eq!(
+            (p.part_weight(PartId::P0), p.part_weight(PartId::P1)),
+            weights_before
+        );
         assert_eq!(p.part_of(b), p.part_of(a));
     }
 
     #[test]
     fn localized_refinement_moves_the_bridge_vertex() {
         // Put v2 on the wrong side: net 0 (w=2) cut, net 2 (w=1) uncut.
-        // Moving v2 from part 1 to part 0 gains 2 - 1 = 1.
+        // Moving v2 from side 1 to side 0 gains 2 - 1 = 1.
         let h = toy();
         let d = DynHypergraph::new(&h);
-        let mut p = NLevelPartition::new(&d, 2, vec![0, 0, 1, 1, 1, 1]);
+        let mut p = NLevelPartition::new(&d, sides(&[0, 0, 1, 1, 1, 1]));
         assert_eq!(p.cut(), 2);
         let mut ctx = RunCtx::new(11);
         let mut rng = SmallRng::seed_from_u64(1);
@@ -751,7 +630,7 @@ mod tests {
             &mut ctx,
         );
         assert!(moves >= 1);
-        assert_eq!(p.part_of(VertexId::new(2)), 0);
+        assert_eq!(p.part_of(VertexId::new(2)), PartId::P0);
         assert_eq!(p.cut(), 1);
         assert_eq!(p.recompute_cut(&d), p.cut());
     }
@@ -761,7 +640,7 @@ mod tests {
         let h = toy();
         let d = DynHypergraph::new(&h);
         // Perfectly balanced optimum: no move should apply.
-        let mut p = NLevelPartition::new(&d, 2, vec![0, 0, 0, 1, 1, 1]);
+        let mut p = NLevelPartition::new(&d, sides(&[0, 0, 0, 1, 1, 1]));
         let mut ctx = RunCtx::new(3);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut scratch = LocalSearchScratch::new();

@@ -53,14 +53,12 @@ fn splitmix64(mut x: u64) -> u64 {
 /// free vertices or vertices fixed on the same side.
 ///
 /// Deterministic: a pure function of `(d, limits, restriction, seed)`.
-/// `scores` (the coarsening workspace's connectivity accumulator) and
-/// `scratch` are borrowed arenas; reuse never changes results.
+/// `scratch` is a borrowed arena; reuse never changes results.
 pub fn select_contractions(
     d: &mut DynHypergraph,
     limits: &ContractionLimits,
     restriction: Option<&[PartId]>,
     seed: u64,
-    scores: &mut SparseScores,
     scratch: &mut ContractScratch,
     probe: &mut BudgetProbe,
 ) {
@@ -80,7 +78,7 @@ pub fn select_contractions(
             if !d.is_active(u) {
                 continue;
             }
-            if let Some(pair) = best_partner(d, u, limits, restriction, seed, scores) {
+            if let Some(pair) = best_partner(d, u, limits, restriction, seed, &mut scratch.scores) {
                 scratch.pairs.push(pair);
             }
         }
@@ -207,17 +205,8 @@ mod tests {
         };
         let ctx = RunCtx::new(7);
         let mut probe = ctx.probe();
-        let mut scores = SparseScores::new();
         let mut scratch = ContractScratch::new();
-        select_contractions(
-            &mut d,
-            &limits,
-            None,
-            7,
-            &mut scores,
-            &mut scratch,
-            &mut probe,
-        );
+        select_contractions(&mut d, &limits, None, 7, &mut scratch, &mut probe);
         assert!(d.num_active() <= 8, "should contract well below 32");
         while let Some(m) = scratch.mementos.pop() {
             d.uncontract(&m);
@@ -237,16 +226,7 @@ mod tests {
             let mut d = DynHypergraph::new(&h);
             let ctx = RunCtx::new(seed);
             let mut probe = ctx.probe();
-            let mut scores = SparseScores::new();
-            select_contractions(
-                &mut d,
-                &limits,
-                None,
-                seed,
-                &mut scores,
-                scratch,
-                &mut probe,
-            );
+            select_contractions(&mut d, &limits, None, seed, scratch, &mut probe);
             scratch.mementos.clone()
         };
         let mut fresh = ContractScratch::new();
@@ -269,17 +249,8 @@ mod tests {
         };
         let ctx = RunCtx::new(1);
         let mut probe = ctx.probe();
-        let mut scores = SparseScores::new();
         let mut scratch = ContractScratch::new();
-        select_contractions(
-            &mut d,
-            &limits,
-            None,
-            1,
-            &mut scores,
-            &mut scratch,
-            &mut probe,
-        );
+        select_contractions(&mut d, &limits, None, 1, &mut scratch, &mut probe);
         for slot in 0..d.num_slots() {
             let v = VertexId::from_index(slot);
             if d.is_active(v) {

@@ -1,31 +1,27 @@
-//! Reusable n-level scratch arenas.
+//! Scratch arenas of the n-level backend.
 //!
-//! The n-level backend runs once per start of every multi-start sweep and
-//! once per V-cycle, and each run touches `O(n)` scratch: the
-//! [`DynHypergraph`] view itself, the contraction schedule's pair/match
-//! buffers, the partition's `nets × k` count table, the label scatter
-//! buffer, the flat-sweep seed list, and the localized refiner's
-//! lock/log/gain-cache state. An [`NLevelWorkspace`] owns all of it once,
-//! grow-only, exactly like [`crate::FmWorkspace`] and
-//! [`crate::CoarsenWorkspace`] do for their engines: the drivers re-point
-//! the arenas per run ([`DynHypergraph::reset_from_csr`],
-//! [`crate::NLevelPartition::reset`], epoch bumps) instead of
-//! reallocating, so the steady-state contract / uncontract / localized-FM
-//! loop allocates nothing.
-//!
-//! Workspaces are plain owned data — parallel drivers give each thread
-//! its own, as they already do for the FM and coarsening workspaces.
-//! Reuse never changes results: a fresh workspace is exactly what the
-//! plain entry points construct internally, and the dirty-workspace twin
-//! tests pin bitwise-identical traces across reuse.
+//! Each n-level run touches `O(n)` scratch: the [`DynHypergraph`] view
+//! itself, the contraction schedule's pair/match buffers and
+//! connectivity accumulator, the partition's two pin counts per net, the
+//! label scatter buffer, the flat-sweep seed list, and the localized
+//! refiner's lock/log/gain-cache state. An [`NLevelWorkspace`] owns all
+//! of it, grow-only. The driver builds one per run and keeps it to
+//! itself; within the run it re-points the arenas
+//! ([`DynHypergraph::reset_from_csr`], [`NLevelPartition::reset`], epoch
+//! bumps) instead of reallocating, so the contract / uncontract /
+//! localized-FM loop allocates nothing once the arenas have grown.
+//! Reusing a workspace never changes results, which the
+//! allocation-counter test checks by running the loop twice on one.
 
 use super::dynhg::{ContractionMemento, DynHypergraph};
 use super::partition::NLevelPartition;
-use hypart_hypergraph::VertexId;
+use crate::coarsen_ws::SparseScores;
+use hypart_hypergraph::{PartId, VertexId};
 
 /// Scratch of the rating-driven contraction schedule
-/// ([`crate::select_contractions`]): the produced memento stack plus the
-/// per-round match flags and candidate-pair buffer.
+/// ([`super::select_contractions`]): the produced memento stack plus the
+/// per-round match flags, candidate-pair buffer and connectivity
+/// accumulator.
 #[derive(Clone, Debug, Default)]
 pub struct ContractScratch {
     /// The memento stack of the most recent schedule, in contraction
@@ -36,6 +32,8 @@ pub struct ContractScratch {
     /// Candidate pairs of the current round: `(rating, tie-break hash,
     /// survivor, absorbed)`, sorted descending.
     pub(crate) pairs: Vec<(u64, u64, u32, u32)>,
+    /// Per-vertex partner ratings of the current round.
+    pub(crate) scores: SparseScores,
 }
 
 impl ContractScratch {
@@ -45,33 +43,31 @@ impl ContractScratch {
     }
 }
 
-/// Scratch of the localized FM refiner ([`crate::refine_localized`]):
+/// Scratch of the localized FM refiner ([`super::refine_localized`]):
 /// epoch-stamped lock flags, the applied-move log, and the exact
 /// per-vertex gain cache.
 ///
 /// The gain cache holds, for every vertex stamped in the current epoch,
-/// the exact gain of moving it to each of the `k` parts — identical at
-/// all times to what [`crate::NLevelPartition::gain`] would recompute.
-/// It is filled once per vertex per invocation (one pass over the
-/// vertex's nets) and then delta-maintained in O(affected pins) per
-/// applied move, replacing the per-activation full rescans. One epoch
-/// bump retires the whole cache in O(1) at the next invocation.
+/// the exact gain of moving it to the other side — identical at all
+/// times to what [`NLevelPartition::gain`] would recompute. It is filled
+/// once per vertex per invocation (one pass over the vertex's nets) and
+/// then delta-maintained in O(affected pins) per applied move, replacing
+/// the per-activation full rescans. One epoch bump retires the whole
+/// cache in O(1) at the next invocation.
 #[derive(Clone, Debug, Default)]
 pub struct LocalSearchScratch {
     /// Current invocation epoch; stamps below it are stale.
     pub(crate) epoch: u32,
-    /// Gain-row stride of the current invocation (the partition's `k`).
-    pub(crate) k: usize,
     /// `locked[v] == epoch` iff `v` already moved this invocation.
     pub(crate) locked: Vec<u32>,
-    /// `gain_stamp[v] == epoch` iff `v`'s gain row is live.
+    /// `gain_stamp[v] == epoch` iff `v`'s cached gain is live.
     pub(crate) gain_stamp: Vec<u32>,
-    /// Flat `slots × k` gain rows (entries at the vertex's own part are
-    /// unused).
+    /// Cached gain per slot of moving the vertex to the other side.
     pub(crate) gains: Vec<i64>,
-    /// `(vertex, origin part)` per applied move, for best-prefix
-    /// rollback.
-    pub(crate) log: Vec<(VertexId, usize)>,
+    /// Applied moves, in order, for best-prefix rollback: each vertex
+    /// moves at most once per invocation, so moving it back to the other
+    /// side undoes it.
+    pub(crate) log: Vec<VertexId>,
 }
 
 impl LocalSearchScratch {
@@ -80,27 +76,18 @@ impl LocalSearchScratch {
         LocalSearchScratch::default()
     }
 
-    /// Starts a new invocation over `slots` slots and `k` parts: all
-    /// locks and cached gains become stale in O(1) (amortized — a full
-    /// epoch wrap every 2³² invocations costs one stamp clear).
-    pub(crate) fn begin(&mut self, slots: usize, k: usize) {
-        self.k = k;
+    /// Starts a new invocation over `slots` slots: all locks and cached
+    /// gains become stale in O(1) (amortized — a full epoch wrap every
+    /// 2³² invocations costs one stamp clear).
+    pub(crate) fn begin(&mut self, slots: usize) {
         if self.locked.len() < slots {
             self.locked.resize(slots, 0);
-        }
-        if self.gain_stamp.len() < slots {
             self.gain_stamp.resize(slots, 0);
-        }
-        if self.gains.len() < slots * k {
-            self.gains.resize(slots * k, 0);
+            self.gains.resize(slots, 0);
         }
         if self.epoch == u32::MAX {
-            for s in &mut self.locked {
-                *s = 0;
-            }
-            for s in &mut self.gain_stamp {
-                *s = 0;
-            }
+            self.locked.fill(0);
+            self.gain_stamp.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -119,41 +106,37 @@ impl LocalSearchScratch {
         self.locked[v.index()] = self.epoch;
     }
 
-    /// Whether `v`'s gain row is live this invocation.
+    /// Whether `v`'s cached gain is live this invocation.
     #[inline]
     pub(crate) fn is_cached(&self, v: VertexId) -> bool {
         self.gain_stamp[v.index()] == self.epoch
     }
 
-    /// The cached gain of moving `v` to part `to`. The row must be live.
+    /// The cached gain of moving `v` to the other side. It must be live.
     #[inline]
-    pub(crate) fn gain_of(&self, v: VertexId, to: usize) -> i64 {
-        debug_assert!(self.is_cached(v), "gain row read before fill");
-        self.gains[v.index() * self.k + to]
+    pub(crate) fn gain_of(&self, v: VertexId) -> i64 {
+        debug_assert!(self.is_cached(v), "gain read before fill");
+        self.gains[v.index()]
     }
 }
 
-/// Reusable scratch arenas for the n-level backend.
+/// The scratch arenas of one n-level run.
 ///
-/// Carried on [`crate::RunCtx`] next to [`crate::FmWorkspace`] and
-/// [`crate::CoarsenWorkspace`]; the n-level drivers take it out of the
-/// context for the duration of one run (so the view, the partition, and
-/// the context can be borrowed independently) and put it back at the
-/// end. All fields are public: the drivers live in the multilevel and
-/// k-way crates and drive them directly.
+/// The n-level drivers build one per run and pass it between their
+/// phases; it never lives on [`crate::RunCtx`]. All fields are public:
+/// the drivers live in the multilevel crate and drive them directly.
 #[derive(Clone, Debug, Default)]
 pub struct NLevelWorkspace {
-    /// The recycled dynamic hypergraph view (slab adjacency arenas
-    /// inside); re-pointed at each run via
-    /// [`DynHypergraph::reset_from_csr`].
+    /// The dynamic hypergraph view (slab adjacency arenas inside),
+    /// re-pointed at the input via [`DynHypergraph::reset_from_csr`].
     pub dynhg: DynHypergraph,
     /// Contraction-schedule scratch, including the memento stack.
     pub contract: ContractScratch,
-    /// The recycled partition state, rebuilt per run via
+    /// The partition state, rebuilt from `labels` via
     /// [`NLevelPartition::reset`].
     pub partition: NLevelPartition,
     /// Per-slot label scatter buffer (initial-partition projection).
-    pub labels: Vec<u16>,
+    pub labels: Vec<PartId>,
     /// Flat-sweep seed list (all active vertices of the current view).
     pub seeds: Vec<VertexId>,
     /// `materialize` scratch: original slot → dense coarse id.
@@ -179,17 +162,17 @@ mod tests {
     #[test]
     fn local_search_scratch_epochs_retire_locks_and_cache() {
         let mut s = LocalSearchScratch::new();
-        s.begin(4, 2);
+        s.begin(4);
         let v = VertexId::new(1);
         assert!(!s.is_locked(v));
         assert!(!s.is_cached(v));
         s.lock(v);
         s.gain_stamp[1] = s.epoch;
-        s.gains[2] = 7;
+        s.gains[1] = 7;
         assert!(s.is_locked(v));
-        assert_eq!(s.gain_of(v, 0), 7);
+        assert_eq!(s.gain_of(v), 7);
         // Next invocation: everything stale, allocations kept.
-        s.begin(4, 2);
+        s.begin(4);
         assert!(!s.is_locked(v));
         assert!(!s.is_cached(v));
     }
@@ -197,10 +180,10 @@ mod tests {
     #[test]
     fn local_search_scratch_survives_epoch_wrap() {
         let mut s = LocalSearchScratch::new();
-        s.begin(2, 2);
+        s.begin(2);
         s.lock(VertexId::new(0));
         s.epoch = u32::MAX;
-        s.begin(2, 2);
+        s.begin(2);
         assert_eq!(s.epoch, 1);
         assert!(!s.is_locked(VertexId::new(0)));
     }

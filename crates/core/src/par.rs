@@ -4,11 +4,10 @@
 //! configured thread, each owning the scratch arenas its jobs need
 //! ([`FmWorkspace`] for refinement tries, a
 //! [`SparseScores`] accumulator for matching proposals, a proposal
-//! buffer for refinement rounds). Lanes live on
-//! [`RunCtx`](crate::RunCtx) next to the serial workspaces, so arena
-//! reuse across levels, starts, and V-cycles works exactly as it does
-//! serially — and, as with the serial workspaces, reuse never changes
-//! results.
+//! buffer for refinement rounds). The engine builds its lanes once per
+//! run or V-cycle and reuses them across that call's levels; they never
+//! live on [`RunCtx`](crate::RunCtx), which carries only the serial
+//! engines' workspaces.
 //!
 //! Lanes are plain owned data. The engine lends each spawned job mutable
 //! access to exactly one lane (disjoint `&mut` splits of the lane
@@ -29,7 +28,7 @@ pub struct MoveProposal {
 }
 
 /// The scratch state owned by one parallel lane.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ParLane {
     /// Refinement workspace for initial-portfolio tries run on this lane.
     pub fm: FmWorkspace,
@@ -42,21 +41,6 @@ pub struct ParLane {
     /// inside the shard's `catch_unwind` region, read by the serial
     /// commit).
     pub aborted: bool,
-}
-
-impl ParLane {
-    /// Creates an empty lane; arenas grow on first use.
-    pub fn new() -> Self {
-        ParLane::default()
-    }
-}
-
-/// Grows `lanes` to at least `count` lanes (never shrinks, so arenas
-/// built up by a wider earlier run are kept).
-pub fn ensure_lanes(lanes: &mut Vec<ParLane>, count: usize) {
-    while lanes.len() < count {
-        lanes.push(ParLane::new());
-    }
 }
 
 /// Derives a decorrelated per-unit seed from a base seed and a unit
@@ -76,19 +60,6 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ensure_lanes_grows_and_never_shrinks() {
-        let mut lanes = Vec::new();
-        ensure_lanes(&mut lanes, 4);
-        assert_eq!(lanes.len(), 4);
-        lanes[2].moves.push(MoveProposal { vertex: 1, gain: 3 });
-        ensure_lanes(&mut lanes, 2);
-        assert_eq!(lanes.len(), 4);
-        assert_eq!(lanes[2].moves.len(), 1);
-        ensure_lanes(&mut lanes, 6);
-        assert_eq!(lanes.len(), 6);
-    }
 
     #[test]
     fn derived_seeds_are_stable_and_index_sensitive() {

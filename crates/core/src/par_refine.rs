@@ -288,7 +288,6 @@ pub fn refine_rounds_parallel(
 mod tests {
     use super::*;
     use crate::generate_initial;
-    use crate::par::ensure_lanes;
     use crate::AuditLevel;
     use crate::FaultPlan;
     use crate::InitialSolution;
@@ -320,8 +319,7 @@ mod tests {
         let h = two_blocks();
         let constraint = BalanceConstraint::with_fraction(h.total_vertex_weight(), 0.25);
         let mut bisection = Bisection::new(&h, assignment).unwrap();
-        let mut lanes = Vec::new();
-        ensure_lanes(&mut lanes, shards);
+        let mut lanes = vec![ParLane::default(); shards];
         let out = refine_rounds_parallel(&mut bisection, &constraint, &mut lanes, ctx);
         let cut = bisection.cut();
         (bisection.into_assignment(), cut, out)

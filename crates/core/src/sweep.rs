@@ -19,7 +19,6 @@ use crate::balance::BalanceConstraint;
 use crate::bisection::Bisection;
 use crate::coarsen_ws::CoarsenWorkspace;
 use crate::ctx::RunCtx;
-use crate::nlevel::NLevelWorkspace;
 use crate::workspace::FmWorkspace;
 
 /// The result of one 2-way engine call — a flat FM run, a multilevel
@@ -182,7 +181,6 @@ pub fn sweep_with<'s>(
                 // workspaces in an unknown state.
                 ctx.workspace = FmWorkspace::new();
                 ctx.coarsen = CoarsenWorkspace::new();
-                ctx.nlevel = NLevelWorkspace::new();
                 ctx.sink.emit(RunEvent::StartAborted { index: i, seed });
                 sweep.panicked.push(PanickedStart {
                     index: i,

@@ -9,11 +9,10 @@
 //! allocations and only grows them), turning per-call setup into
 //! O(len + buckets touched).
 //!
-//! One workspace serves every engine layer: the flat 2-way engine takes
-//! two containers, the n-level engine's localized FM a k² grid (one per
-//! ordered pair of parts) from the same pool. Workspaces are plain owned
-//! data — to parallelize, give each unit of parallel work its own context
-//! and with it its own workspace.
+//! One workspace serves every 2-way refiner: the flat engine and the
+//! n-level engine's localized FM each take the same two containers, one
+//! per side. Workspaces are plain owned data — to parallelize, give each
+//! unit of parallel work its own context and with it its own workspace.
 
 use crate::gain::GainContainer;
 use hypart_hypergraph::VertexId;
@@ -27,9 +26,8 @@ use hypart_hypergraph::VertexId;
 /// allocation and reset cost.
 #[derive(Clone, Debug, Default)]
 pub struct FmWorkspace {
-    /// Container pool, re-targeted on acquisition. The flat engine uses
-    /// entries 0–1 (one per partition side); n-level localized FM a k²
-    /// grid.
+    /// Container pool, re-targeted on acquisition: entries 0–1, one per
+    /// partition side.
     pub(crate) pool: Vec<GainContainer>,
     /// Free movable vertices of the current pass.
     pub(crate) eligible: Vec<VertexId>,
@@ -49,22 +47,17 @@ impl FmWorkspace {
         FmWorkspace::default()
     }
 
-    /// Borrows `count` cleared containers sized for `num_vertices`
-    /// vertices and keys in `±max_abs_key`, reusing (and growing only when
-    /// necessary) the pooled allocations.
-    pub fn containers(
-        &mut self,
-        count: usize,
-        num_vertices: usize,
-        max_abs_key: i64,
-    ) -> &mut [GainContainer] {
-        while self.pool.len() < count {
+    /// Borrows the two cleared containers, one per side, sized for
+    /// `num_vertices` vertices and keys in `±max_abs_key`, reusing (and
+    /// growing only when necessary) the pooled allocations.
+    pub fn containers(&mut self, num_vertices: usize, max_abs_key: i64) -> &mut [GainContainer] {
+        while self.pool.len() < 2 {
             self.pool.push(GainContainer::new(0, 0));
         }
-        for c in &mut self.pool[..count] {
+        for c in &mut self.pool {
             c.retarget(num_vertices, max_abs_key);
         }
-        &mut self.pool[..count]
+        &mut self.pool
     }
 }
 
@@ -79,20 +72,18 @@ mod tests {
     fn pool_grows_and_comes_back_cleared() {
         let mut ws = FmWorkspace::new();
         let mut rng = SmallRng::seed_from_u64(1);
-        let cs = ws.containers(2, 8, 5);
+        let cs = ws.containers(8, 5);
         assert_eq!(cs.len(), 2);
         cs[0].insert(VertexId::new(3), 4, InsertionPolicy::Lifo, &mut rng);
         assert_eq!(cs[0].len(), 1);
-        // Re-acquire: same pool, larger grid, everything cleared.
-        let cs = ws.containers(9, 16, 12);
-        assert_eq!(cs.len(), 9);
+        // Re-acquire: same pool, larger target, everything cleared.
+        let cs = ws.containers(16, 12);
+        assert_eq!(cs.len(), 2);
         for c in cs.iter_mut() {
             assert!(c.is_empty());
             assert_eq!(c.min_key_bound(), -12);
         }
-        // Shrinking the request leaves surplus pool entries untouched.
-        let cs = ws.containers(2, 4, 3);
-        assert_eq!(cs.len(), 2);
-        assert_eq!(cs[0].min_key_bound(), -3);
+        let cs = ws.containers(4, 3);
+        assert_eq!(cs[1].min_key_bound(), -3);
     }
 }

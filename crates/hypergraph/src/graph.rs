@@ -29,6 +29,9 @@ pub struct Hypergraph {
     fixed: Vec<Option<PartId>>,
     total_vertex_weight: u64,
     num_fixed: usize,
+    /// The largest weighted vertex degree (see
+    /// [`max_gain_bound`](Hypergraph::max_gain_bound)).
+    max_gain_bound: i64,
 }
 
 /// Reusable scratch for the inverse-CSR counting pass of hypergraph
@@ -111,6 +114,16 @@ impl Hypergraph {
 
         let total_vertex_weight = vertex_weights.iter().sum();
         let num_fixed = fixed.iter().filter(|f| f.is_some()).count();
+        let max_gain_bound = vertex_net_offsets
+            .windows(2)
+            .map(|w| {
+                vertex_net_list[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|e| i64::from(net_weights[e.index()]))
+                    .sum::<i64>()
+            })
+            .max()
+            .unwrap_or(0);
 
         Hypergraph {
             name,
@@ -123,6 +136,7 @@ impl Hypergraph {
             fixed,
             total_vertex_weight,
             num_fixed,
+            max_gain_bound,
         }
     }
 
@@ -339,16 +353,10 @@ impl Hypergraph {
     /// Upper bound on the gain of any single vertex move under the weighted
     /// net-cut objective: the maximum over vertices of the sum of incident
     /// net weights. Gain containers size their bucket arrays with this.
+    /// Computed once when the CSR is built.
+    #[inline]
     pub fn max_gain_bound(&self) -> i64 {
-        self.vertices()
-            .map(|v| {
-                self.vertex_nets(v)
-                    .iter()
-                    .map(|&e| i64::from(self.net_weight(e)))
-                    .sum::<i64>()
-            })
-            .max()
-            .unwrap_or(0)
+        self.max_gain_bound
     }
 
     /// Returns a copy of this hypergraph with a different name.
@@ -439,7 +447,7 @@ impl Hypergraph {
 
 #[cfg(test)]
 mod tests {
-    use crate::{HypergraphBuilder, NetId, PartId, VertexId};
+    use crate::{Hypergraph, HypergraphBuilder, NetId, PartId, VertexId};
 
     fn tiny() -> crate::Hypergraph {
         // v0 --e0-- v1 --e1-- v2 ; e2 = {v0, v1, v2}
@@ -489,6 +497,49 @@ mod tests {
         let h = tiny();
         // v1 touches nets of weight 1, 5, 1 -> bound 7.
         assert_eq!(h.max_gain_bound(), 7);
+    }
+
+    /// The bound as a scan over every vertex's nets.
+    fn scanned_gain_bound(h: &Hypergraph) -> i64 {
+        h.vertices()
+            .map(|v| {
+                h.vertex_nets(v)
+                    .iter()
+                    .map(|&e| i64::from(h.net_weight(e)))
+                    .sum::<i64>()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        /// The bound stored at build time equals the scan, on random
+        /// hypergraphs and on their fixed-vertex and unit-area copies.
+        #[test]
+        fn stored_gain_bound_equals_the_scan(
+            n in 0usize..40,
+            nets in proptest::collection::vec(
+                (proptest::collection::vec(0usize..40, 1..8), 0u32..1000),
+                0..60,
+            ),
+            fix in 0usize..40,
+        ) {
+            let mut b = HypergraphBuilder::new();
+            let vs: Vec<_> = (0..n).map(|i| b.add_vertex(i as u64 % 5)).collect();
+            for (pins, w) in &nets {
+                if n > 0 {
+                    b.add_net(pins.iter().map(|&p| vs[p % n]), *w).unwrap();
+                }
+            }
+            let h = b.build().unwrap();
+            proptest::prop_assert_eq!(h.max_gain_bound(), scanned_gain_bound(&h));
+            let unit = h.to_unit_area();
+            proptest::prop_assert_eq!(unit.max_gain_bound(), scanned_gain_bound(&unit));
+            if n > 0 {
+                let fixed = h.with_fixed(VertexId::from_index(fix % n), Some(PartId::P1));
+                proptest::prop_assert_eq!(fixed.max_gain_bound(), scanned_gain_bound(&fixed));
+            }
+        }
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //! [`read`] reads its input whole, then makes one pass over the bytes:
 //! each token is split off and its digits read in the same scan, and
 //! each net goes straight into one [`HypergraphBuilder`] (vertex
-//! weights, which follow the nets, overwrite unit placeholders). It
-//! splits, trims and parses as `str::split_whitespace` and `str::parse`
-//! would on the lines of `BufRead::lines`, so it accepts and rejects the
-//! same inputs with the same errors, lines and messages: Unicode
-//! whitespace separates tokens, `+7` reads as 7, and a line of invalid
-//! UTF-8 is an I/O error. Lines that are pure ASCII, as real netlists
-//! are, skip UTF-8 decoding. One difference is by design: a reader that
-//! fails part-way fails the read before any line is parsed, where a
+//! weights, which follow the nets, overwrite unit placeholders). Its
+//! tokenizer splits, trims and parses as `str::split_whitespace` and
+//! `str::parse` would on the lines of `BufRead::lines`, so it accepts and
+//! rejects the same inputs with the same errors, lines and messages:
+//! Unicode whitespace separates tokens, `+7` reads as 7, and a line of
+//! invalid UTF-8 is an I/O error. One difference is by design: a reader
+//! that fails part-way fails the read before any line is parsed, where a
 //! line-by-line reader would first report a syntax error in an earlier
 //! line. The line-by-line reader it replaced is kept in the tests as its
 //! twin oracle.
@@ -29,10 +28,9 @@
 use std::io::Write;
 #[cfg(test)]
 use std::io::{BufRead, BufReader};
-use std::iter::Peekable;
 use std::path::Path;
-use std::str::SplitWhitespace;
 
+use super::text::{self, parse_field, Line, Token};
 use crate::error::{BuildError, ParseError};
 use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
@@ -108,8 +106,7 @@ impl HgrFormat {
 pub fn read<R: std::io::Read>(mut reader: R) -> Result<Hypergraph, ParseError> {
     let mut input = Vec::new();
     reader.read_to_end(&mut input)?;
-    // Lines as `BufRead::lines` splits them, numbered from 1.
-    let mut lines = input.split_inclusive(|&b| b == b'\n').zip(1usize..);
+    let mut lines = text::lines(&input);
     let (header_line_no, num_nets, num_vertices, fmt) = loop {
         let Some((bytes, line_no)) = lines.next() else {
             return Err(ParseError::syntax(1, "empty file: missing header"));
@@ -256,145 +253,6 @@ fn parse_header<'a>(
         }
     }
     Ok((num_nets, num_vertices, fmt))
-}
-
-/// One line, line ending included (it is whitespace). A line with a
-/// non-ASCII byte is checked to be UTF-8, as `BufRead::lines` checks
-/// every line, and is split and trimmed as a `str`.
-struct Line<'a> {
-    bytes: &'a [u8],
-    /// The line as text, if it is not pure ASCII.
-    unicode: Option<&'a str>,
-}
-
-impl<'a> Line<'a> {
-    fn new(bytes: &'a [u8]) -> Result<Self, ParseError> {
-        let unicode = if bytes.is_ascii() {
-            None
-        } else {
-            let text = std::str::from_utf8(bytes).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                )
-            })?;
-            Some(text)
-        };
-        Ok(Line { bytes, unicode })
-    }
-
-    /// The line without leading and trailing whitespace (`str::trim`).
-    fn trimmed(&self) -> &'a [u8] {
-        match self.unicode {
-            Some(text) => text.trim().as_bytes(),
-            None => {
-                let start = self.bytes.iter().position(|&b| !is_space(b));
-                let end = self.bytes.iter().rposition(|&b| !is_space(b));
-                match (start, end) {
-                    (Some(start), Some(end)) => &self.bytes[start..=end],
-                    _ => &[],
-                }
-            }
-        }
-    }
-
-    /// The whitespace-separated tokens (`str::split_whitespace`), or
-    /// `None` for a blank line or a `%` comment.
-    fn content(&self) -> Option<Peekable<Tokens<'a>>> {
-        let mut toks = match self.unicode {
-            Some(text) => Tokens::Unicode(text.split_whitespace()),
-            None => Tokens::Ascii(self.bytes),
-        }
-        .peekable();
-        match toks.peek() {
-            Some(first) if !first.text.starts_with(b"%") => Some(toks),
-            _ => None,
-        }
-    }
-}
-
-/// A token, and its value when it is 1 to 19 ASCII digits (below 10^19,
-/// so the value cannot overflow a `u64`).
-#[derive(Clone, Copy)]
-struct Token<'a> {
-    text: &'a [u8],
-    digits: Option<u64>,
-}
-
-impl Token<'_> {
-    /// The token as `str::parse` reads an unsigned integer.
-    fn parse<T: TryFrom<u64>>(self) -> Option<T> {
-        match self.digits {
-            Some(value) => T::try_from(value).ok(),
-            None => parse_uint(self.text),
-        }
-    }
-}
-
-/// The tokens of a [`Line`]: of a pure-ASCII line, split at its
-/// whitespace bytes with each token's digits read in the same scan; of
-/// any other, split as a `str`.
-enum Tokens<'a> {
-    /// The rest of an ASCII line.
-    Ascii(&'a [u8]),
-    Unicode(SplitWhitespace<'a>),
-}
-
-impl<'a> Iterator for Tokens<'a> {
-    type Item = Token<'a>;
-
-    fn next(&mut self) -> Option<Token<'a>> {
-        match self {
-            Tokens::Ascii(rest) => {
-                let start = rest.iter().position(|&b| !is_space(b))?;
-                let tail = &rest[start..];
-                let mut len = 0;
-                let mut value = 0u64;
-                let mut all_digits = true;
-                for &b in tail {
-                    if is_space(b) {
-                        break;
-                    }
-                    let digit = b.wrapping_sub(b'0');
-                    all_digits &= digit <= 9;
-                    value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
-                    len += 1;
-                }
-                *rest = &tail[len..];
-                Some(Token {
-                    text: &tail[..len],
-                    digits: (all_digits && len <= 19).then_some(value),
-                })
-            }
-            Tokens::Unicode(words) => words.next().map(|word| Token {
-                text: word.as_bytes(),
-                digits: None,
-            }),
-        }
-    }
-}
-
-/// The ASCII bytes `char::is_whitespace` accepts: `\t`, `\n`, vertical
-/// tab, form feed, `\r` and space.
-fn is_space(b: u8) -> bool {
-    matches!(b, b'\t'..=b'\r' | b' ')
-}
-
-/// A decimal integer as `str::parse` reads it for an unsigned type: an
-/// optional `+`, then one or more ASCII digits, in range.
-fn parse_uint<T: TryFrom<u64>>(tok: &[u8]) -> Option<T> {
-    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
-    if digits.is_empty() {
-        return None;
-    }
-    let mut n = 0u64;
-    for &b in digits {
-        if !b.is_ascii_digit() {
-            return None;
-        }
-        n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-    }
-    T::try_from(n).ok()
 }
 
 /// The line-by-line reader [`read`] replaced: one `String` per line and
@@ -613,20 +471,11 @@ pub fn write_path(h: &Hypergraph, path: impl AsRef<Path>) -> std::io::Result<()>
     write(h, &mut buf)
 }
 
-fn parse_field<T: TryFrom<u64>>(
-    tok: Option<Token<'_>>,
-    line: usize,
-    what: &str,
-) -> Result<T, ParseError> {
-    let tok = tok.ok_or_else(|| ParseError::syntax(line, format!("missing {what}")))?;
-    tok.parse()
-        .ok_or_else(|| ParseError::syntax(line, format!("{what} is not a valid integer")))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::io::twin::{corrupt_corpus, outcome, recipes, twin_input};
     use crate::HypergraphBuilder;
 
     fn weighted_sample() -> Hypergraph {
@@ -728,23 +577,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// What a read came to: the instance (weights and every net's weight
-    /// and pins, in order, plus the content digest), or the error's
-    /// variant and text (line and message).
-    fn outcome(result: Result<Hypergraph, ParseError>) -> Result<String, String> {
-        match result {
-            Ok(h) => {
-                let weights: Vec<u64> = h.vertices().map(|v| h.vertex_weight(v)).collect();
-                let nets: Vec<(u32, &[VertexId])> =
-                    h.nets().map(|e| (h.net_weight(e), h.net_pins(e))).collect();
-                Ok(format!("{:x} {weights:?} {nets:?}", h.content_digest()))
-            }
-            Err(e @ ParseError::Io(_)) => Err(format!("io: {e}")),
-            Err(e @ ParseError::Syntax { .. }) => Err(format!("syntax: {e}")),
-            Err(e @ ParseError::Build(_)) => Err(format!("build: {e}")),
-        }
-    }
-
     fn assert_twins_agree(bytes: &[u8]) {
         assert_eq!(
             outcome(read(bytes)),
@@ -752,18 +584,6 @@ mod tests {
             "input {:?}",
             String::from_utf8_lossy(bytes)
         );
-    }
-
-    /// Every file of the `tests/corrupt/` corpus at the repository root.
-    fn corrupt_corpus() -> Vec<Vec<u8>> {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corrupt");
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .collect();
-        files.sort();
-        assert!(!files.is_empty(), "empty corpus at {}", dir.display());
-        files.iter().map(|p| std::fs::read(p).unwrap()).collect()
     }
 
     /// Valid files of every format, then the corpus: the files the third
@@ -794,6 +614,10 @@ mod tests {
         files.extend(corrupt_corpus());
         files
     }
+
+    /// Bytes an edit writes half of the time: close to the format, plus
+    /// the lead bytes of multi-byte UTF-8 and a byte never in UTF-8.
+    const EDIT_BYTES: &[u8] = b"0123456789 +-%\n\r\t\x0b\xc2\xa0\xef\xff";
 
     /// Pieces of the token text: numbers (with `+`, `-`, leading zeros
     /// and past `u32` and `u64`), the format codes, comments, ASCII
@@ -834,44 +658,6 @@ mod tests {
         "é",
     ];
 
-    /// Bytes an edit writes half of the time: close to the format, plus
-    /// the lead bytes of multi-byte UTF-8 and a byte never in UTF-8.
-    const EDIT_BYTES: &[u8] = b"0123456789 +-%\n\r\t\x0b\xc2\xa0\xef\xff";
-
-    /// One twin input: random bytes, token text, or a seed file with one
-    /// to three bytes overwritten, inserted or deleted.
-    fn twin_input(files: &[Vec<u8>], (kind, raw, which, edits): TwinRecipe) -> Vec<u8> {
-        match kind {
-            0 => raw,
-            1 => raw
-                .iter()
-                .flat_map(|&b| PIECES[usize::from(b) % PIECES.len()].bytes())
-                .collect(),
-            _ => {
-                let mut bytes = files[which % files.len()].clone();
-                for (at, byte, op) in edits {
-                    let byte = if byte & 1 == 0 {
-                        EDIT_BYTES[usize::from(byte >> 1) % EDIT_BYTES.len()]
-                    } else {
-                        byte
-                    };
-                    let at = at % (bytes.len() + 1);
-                    match op {
-                        0 if at < bytes.len() => bytes[at] = byte,
-                        1 => bytes.insert(at, byte),
-                        _ if at < bytes.len() => {
-                            bytes.remove(at);
-                        }
-                        _ => bytes.push(byte),
-                    }
-                }
-                bytes
-            }
-        }
-    }
-
-    type TwinRecipe = (u8, Vec<u8>, usize, Vec<(usize, u8, u8)>);
-
     #[test]
     fn twins_agree_on_the_corrupt_corpus_and_special_lines() {
         for file in corrupt_corpus() {
@@ -911,21 +697,11 @@ mod tests {
         /// instance, or the same error at the same line with the same
         /// message, on the three input kinds of the parser fuzz suite.
         #[test]
-        fn one_pass_reader_matches_the_line_reader(
-            recipe in (
-                0u8..3,
-                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
-                proptest::prelude::any::<usize>(),
-                proptest::collection::vec(
-                    (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>(), 0u8..3),
-                    1..4,
-                ),
-            ),
-        ) {
+        fn one_pass_reader_matches_the_line_reader(recipe in recipes()) {
             thread_local! {
                 static FILES: Vec<Vec<u8>> = seed_files();
             }
-            let bytes = FILES.with(|files| twin_input(files, recipe));
+            let bytes = FILES.with(|files| twin_input(files, PIECES, EDIT_BYTES, recipe));
             proptest::prop_assert_eq!(outcome(read(&bytes[..])), outcome(read_reference(&bytes[..])));
         }
     }

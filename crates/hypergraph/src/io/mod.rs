@@ -21,3 +21,7 @@
 pub mod hgr;
 pub mod netd;
 pub mod partfile;
+mod text;
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod twin;

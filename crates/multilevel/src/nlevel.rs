@@ -10,10 +10,11 @@
 //! but both the contraction and the refinement are one vertex pair at a
 //! time:
 //!
-//! 1. re-point the context's [`NLevelWorkspace`] arenas (the dynamic
-//!    hypergraph view, memento stack, partition state, label/seed
-//!    buffers, and gain cache) at the input — no CSR rebuilds ever, and
-//!    on a warm context no allocations either;
+//! 1. build the run's own [`NLevelWorkspace`] (the dynamic hypergraph
+//!    view, memento stack, partition state, label/seed buffers, and gain
+//!    cache) on the input — no CSR rebuilds ever; the context lends only
+//!    its serial FM workspace, whose two gain containers the localized
+//!    refiner borrows;
 //! 2. run the rating-driven schedule ([`select_contractions`]) down to
 //!    the coarse-config stop size, one memento per contraction;
 //! 3. materialize the coarse core once and reuse the coarse backend's
@@ -33,10 +34,10 @@ use rand::SeedableRng;
 
 use crate::coarsen::cluster_cap;
 use crate::partitioner::{finish, MlConfig, MlPartitioner};
-use hypart_core::{
-    refine_localized, select_contractions, AuditError, AuditLevel, BalanceConstraint,
-    ContractionLimits, NLevelWorkspace, Outcome, RunCtx, StopReason,
+use hypart_core::nlevel::{
+    refine_localized, select_contractions, ContractionLimits, NLevelWorkspace,
 };
+use hypart_core::{AuditError, AuditLevel, BalanceConstraint, Outcome, RunCtx, StopReason};
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use hypart_trace::RunEvent;
 
@@ -67,10 +68,7 @@ pub(crate) fn run_nlevel(
 ) -> Outcome {
     let config = partitioner.config();
     let mut rng = SmallRng::seed_from_u64(ctx.seed);
-    // Borrow the n-level arenas for the duration of this run, so the
-    // view, the partition, and the context can be used independently;
-    // put back at the end (reuse changes no results, only allocations).
-    let mut ws = std::mem::take(&mut ctx.nlevel);
+    let mut ws = NLevelWorkspace::new();
     ws.dynhg.reset_from_csr(h);
     contract_phase(&mut ws, h, config, None, ctx);
 
@@ -80,24 +78,14 @@ pub(crate) fn run_nlevel(
     let mut audit_failure = None;
     let initial = partitioner.best_initial(&core, constraint, &mut rng, ctx, &mut audit_failure);
     ws.labels.clear();
-    ws.labels.resize(ws.dynhg.num_slots(), 0);
-    for (dense, part) in initial.iter().enumerate() {
-        ws.labels[ws.slot_of[dense].index()] = part.index() as u16;
+    ws.labels.resize(ws.dynhg.num_slots(), PartId::P0);
+    for (dense, &part) in initial.iter().enumerate() {
+        ws.labels[ws.slot_of[dense].index()] = part;
     }
-    ws.partition.reset(&ws.dynhg, 2, &ws.labels);
+    ws.partition.reset(&ws.dynhg, &ws.labels);
     refine_flat(&mut ws, constraint, config, &mut rng, ctx);
 
-    let outcome = uncontract_phase(
-        partitioner,
-        h,
-        &mut ws,
-        constraint,
-        &mut rng,
-        ctx,
-        audit_failure,
-    );
-    ctx.nlevel = ws;
-    outcome
+    uncontract_phase(partitioner, h, ws, constraint, &mut rng, ctx, audit_failure)
 }
 
 /// One n-level V-cycle: restricted (same-side) contraction from an
@@ -114,21 +102,16 @@ pub(crate) fn vcycle_nlevel(
 ) -> Outcome {
     let config = partitioner.config();
     let mut rng = SmallRng::seed_from_u64(ctx.seed);
-    let mut ws = std::mem::take(&mut ctx.nlevel);
+    let mut ws = NLevelWorkspace::new();
     ws.dynhg.reset_from_csr(h);
     contract_phase(&mut ws, h, config, Some(assignment), ctx);
 
     // Restricted contraction keeps every cluster on one side, so the
-    // input labels are already the coarse solution.
-    ws.labels.clear();
-    ws.labels
-        .extend(assignment.iter().map(|p| p.index() as u16));
-    ws.partition.reset(&ws.dynhg, 2, &ws.labels);
+    // input sides are already the coarse solution.
+    ws.partition.reset(&ws.dynhg, assignment);
     refine_flat(&mut ws, constraint, config, &mut rng, ctx);
 
-    let outcome = uncontract_phase(partitioner, h, &mut ws, constraint, &mut rng, ctx, None);
-    ctx.nlevel = ws;
-    outcome
+    uncontract_phase(partitioner, h, ws, constraint, &mut rng, ctx, None)
 }
 
 /// Flat refinement over every active vertex of the current view, at
@@ -197,13 +180,11 @@ fn contract_phase(
     }
     let limits = limits_for(h, config);
     let mut probe = ctx.probe();
-    let seed = ctx.seed;
     select_contractions(
         &mut ws.dynhg,
         &limits,
         restriction,
-        seed,
-        &mut ctx.coarsen.conn,
+        ctx.seed,
         &mut ws.contract,
         &mut probe,
     );
@@ -224,7 +205,7 @@ fn contract_phase(
 fn uncontract_phase(
     partitioner: &MlPartitioner,
     h: &Hypergraph,
-    ws: &mut NLevelWorkspace,
+    mut ws: NLevelWorkspace,
     constraint: &BalanceConstraint,
     rng: &mut SmallRng,
     ctx: &mut RunCtx<'_>,
@@ -274,7 +255,7 @@ fn uncontract_phase(
             ctx,
         );
         if ws.dynhg.num_active() >= next_flat {
-            total_moves += refine_flat(ws, constraint, config, rng, ctx);
+            total_moves += refine_flat(&mut ws, constraint, config, rng, ctx);
             next_flat = next_flat.saturating_mul(2);
         }
         if step_audit {
@@ -298,7 +279,7 @@ fn uncontract_phase(
     // far as their seed pair's neighborhood chains, so the finest level
     // deserves the same exhaustive pass the coarse backend ends with.
     if !stopped.is_stopped() {
-        total_moves += refine_flat(ws, constraint, config, rng, ctx);
+        total_moves += refine_flat(&mut ws, constraint, config, rng, ctx);
     }
     if ctx.sink.is_enabled() {
         ctx.sink.emit(RunEvent::UncontractionEnd {
@@ -307,12 +288,7 @@ fn uncontract_phase(
         });
     }
 
-    let assignment: Vec<PartId> = ws
-        .partition
-        .assignment()
-        .iter()
-        .map(|&p| if p == 0 { PartId::P0 } else { PartId::P1 })
-        .collect();
+    let assignment = ws.partition.into_assignment();
     debug_assert_eq!(assignment.len(), h.num_vertices());
     finish(h, assignment, constraint, stopped, audit_failure, ctx)
 }

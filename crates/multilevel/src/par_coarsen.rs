@@ -38,11 +38,15 @@
 //! pin arena, each lane stages its range in place, and dropped nets keep
 //! `len == 0` and are retained out afterwards — preserving the serial
 //! fine-net emission order that duplicate merging depends on.
+//!
+//! The window proposals, dirty-net stamps and staging offsets are this
+//! module's own per-level scratch; the shared [`CoarsenWorkspace`]
+//! carries only what the serial coarsener uses too.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use hypart_core::{BudgetProbe, CandInfo, CoarseNet, CoarsenWorkspace, MatchProposal, ParLane};
+use hypart_core::{BudgetProbe, CandInfo, CoarseNet, CoarsenWorkspace, ParLane};
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 
 use crate::coarsen::{
@@ -65,6 +69,29 @@ pub const PAR_COARSEN_MIN_VERTICES: usize = 512;
 
 /// Below this many nets the staging pass runs serially.
 pub const PAR_STAGE_MIN_NETS: usize = 1024;
+
+/// One speculative matching decision computed by a proposal lane from a
+/// frozen snapshot of the clustering state.
+///
+/// `key` is the serial candidate key of the chosen partner — a cluster
+/// id, or a vertex index tagged with the coarsener's pair bit — or one of
+/// the two sentinels. The serial commit validates the proposal against
+/// the live state and falls back to an exact serial scan when stale.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct MatchProposal {
+    /// Chosen candidate key, [`NONE`](MatchProposal::NONE) for "stay a
+    /// singleton", [`SKIP`](MatchProposal::SKIP) for "was already matched
+    /// at snapshot time".
+    key: u32,
+}
+
+impl MatchProposal {
+    /// The vertex had no admissible candidate in the snapshot: it becomes
+    /// a singleton cluster (unless the live state disagrees).
+    const NONE: u32 = u32::MAX;
+    /// The vertex was already matched when the snapshot was taken.
+    const SKIP: u32 = u32::MAX - 1;
+}
 
 /// Marks every scoring net of `v` dirty in the current window epoch.
 /// Non-scoring nets never contribute to connectivity, so their stamps
@@ -133,17 +160,6 @@ fn proposal_admissible(
     true
 }
 
-/// Advances the dirty-net epoch, clearing the stamps on wrap so a stale
-/// stamp can never alias a live epoch.
-#[inline]
-fn bump_epoch(epoch: &mut u32, stamps: &mut [u32]) {
-    if *epoch == u32::MAX {
-        stamps.fill(0);
-        *epoch = 0;
-    }
-    *epoch += 1;
-}
-
 /// Parallel counterpart of
 /// [`coarsen_once_with`](crate::coarsen::coarsen_once_with): one
 /// coarsening step using `lanes` proposal lanes.
@@ -178,9 +194,13 @@ pub fn coarsen_once_par_with<R: Rng>(
     let cap = cluster_cap(h);
 
     ws.begin_level(n);
-    if ws.net_stamp.len() < h.num_nets() {
-        ws.net_stamp.resize(h.num_nets(), 0);
-    }
+    // Per-net dirty stamp: `net_stamp[e] == epoch` iff a vertex incident
+    // to net `e` changed cluster membership during the current matching
+    // window. One epoch per window, so a level of at most `u32::MAX`
+    // vertices never wraps it.
+    let mut net_stamp = vec![0u32; h.num_nets()];
+    let mut epoch = 0u32;
+    let mut match_props: Vec<MatchProposal> = Vec::new();
     let CoarsenWorkspace {
         cluster_of,
         slot_of,
@@ -195,10 +215,6 @@ pub fn coarsen_once_par_with<R: Rng>(
         rep,
         builder,
         csr,
-        match_props,
-        net_stamp,
-        net_epoch,
-        net_off,
         ..
     } = ws;
     let mut num_clusters = 0u32;
@@ -240,8 +256,7 @@ pub fn coarsen_once_par_with<R: Rng>(
     while pos < order.len() {
         let end = (pos + window).min(order.len());
         let win = &order[pos..end];
-        bump_epoch(net_epoch, net_stamp);
-        let epoch = *net_epoch;
+        epoch += 1;
 
         // Proposal phase: every lane scores a disjoint chunk of the window
         // from a frozen `&` snapshot of the clustering state, writing into
@@ -261,7 +276,7 @@ pub fn coarsen_once_par_with<R: Rng>(
             let net_score_s: &[f64] = net_score;
             let chunk = win.len().div_ceil(lane_count).max(1);
             rayon::scope(|sc| {
-                let mut props_rest: &mut [MatchProposal] = match_props;
+                let mut props_rest: &mut [MatchProposal] = &mut match_props;
                 let mut win_rest: &[VertexId] = win;
                 for lane in lanes.iter_mut() {
                     if props_rest.is_empty() {
@@ -308,7 +323,7 @@ pub fn coarsen_once_par_with<R: Rng>(
             let v_info = vert_info[v.index()];
             let key = match_props[i].key;
             let valid = key != MatchProposal::SKIP
-                && (!deterministic || !nets_dirty(h, v, net_score, net_stamp, epoch))
+                && (!deterministic || !nets_dirty(h, v, net_score, &net_stamp, epoch))
                 && proposal_admissible(
                     key,
                     v_info,
@@ -352,9 +367,9 @@ pub fn coarsen_once_par_with<R: Rng>(
                 // Any decision changes v's slot; a pair merge changes the
                 // partner's too. Later proposals touching either must be
                 // recomputed.
-                mark_dirty(h, v, net_score, net_stamp, epoch);
+                mark_dirty(h, v, net_score, &mut net_stamp, epoch);
                 if let Some(u) = partner {
-                    mark_dirty(h, u, net_score, net_stamp, epoch);
+                    mark_dirty(h, u, net_score, &mut net_stamp, epoch);
                 }
             }
         }
@@ -371,9 +386,9 @@ pub fn coarsen_once_par_with<R: Rng>(
         // arena slice; lanes stage disjoint net ranges in place. Dropped
         // nets keep `len == 0` and are retained out below, preserving the
         // fine-net order. Arena gaps (from dedup) are harmless: merging
-        // and building only read each net's `range()` slice.
-        net_off.clear();
-        net_off.reserve(h.num_nets() + 1);
+        // and building only read each net's `range()` slice. Net `e`
+        // stages its coarse pins at `net_off[e]..net_off[e + 1]`.
+        let mut net_off = Vec::with_capacity(h.num_nets() + 1);
         let mut acc = 0u32;
         net_off.push(0);
         for e in h.nets() {
@@ -394,7 +409,7 @@ pub fn coarsen_once_par_with<R: Rng>(
         );
         {
             let cluster_of_s: &[u32] = cluster_of;
-            let net_off_s: &[u32] = net_off;
+            let net_off_s: &[u32] = &net_off;
             let per = h.num_nets().div_ceil(lane_count).max(1);
             rayon::scope(|sc| {
                 let mut nets_rest: &mut [CoarseNet] = nets;
@@ -536,14 +551,11 @@ pub fn build_hierarchy_par_with<R: Rng>(
 mod tests {
     use super::*;
     use crate::coarsen::{build_hierarchy_with, coarsen_once_with, CoarsenScheme};
-    use hypart_core::ensure_lanes;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn lanes_of(count: usize) -> Vec<ParLane> {
-        let mut lanes = Vec::new();
-        ensure_lanes(&mut lanes, count);
-        lanes
+        vec![ParLane::default(); count]
     }
 
     fn assert_same_level(a: &Option<CoarseLevel>, b: &Option<CoarseLevel>) {

@@ -30,9 +30,8 @@ use crate::coarsen::CoarseLevel;
 use crate::par_coarsen::build_hierarchy_par_with;
 use crate::partitioner::{emit_level_downs, finish, MlConfig, MlPartitioner};
 use hypart_core::{
-    derive_seed, ensure_lanes, generate_initial, refine_rounds_parallel, AuditError,
-    BalanceConstraint, Bisection, FmPartitioner, InitialSolution, Outcome, ParLane, RunCtx,
-    StopReason,
+    derive_seed, generate_initial, refine_rounds_parallel, AuditError, BalanceConstraint,
+    Bisection, FmPartitioner, InitialSolution, Outcome, ParLane, RunCtx, StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
 use hypart_trace::{MemorySink, NullSink, RunEvent, TraceSink};
@@ -64,8 +63,7 @@ impl MlPartitioner {
     ) -> Outcome {
         let config = self.config().clone();
         let lane_count = config.threads.max(1);
-        ensure_lanes(&mut ctx.lanes, lane_count);
-        let mut lanes = std::mem::take(&mut ctx.lanes);
+        let mut lanes = vec![ParLane::default(); lane_count];
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
         let mut probe = ctx.probe();
         let levels = build_hierarchy_par_with(
@@ -90,7 +88,7 @@ impl MlPartitioner {
             lane_count,
             &mut audit_failure,
         );
-        let out = parallel_uncoarsen(
+        parallel_uncoarsen(
             &config,
             h,
             &levels,
@@ -100,9 +98,7 @@ impl MlPartitioner {
             ctx,
             &mut lanes,
             audit_failure,
-        );
-        ctx.lanes = lanes;
-        out
+        )
     }
 
     /// Parallel counterpart of [`vcycle_with`](MlPartitioner::vcycle_with).
@@ -120,8 +116,7 @@ impl MlPartitioner {
         );
         let config = self.config().clone();
         let lane_count = config.threads.max(1);
-        ensure_lanes(&mut ctx.lanes, lane_count);
-        let mut lanes = std::mem::take(&mut ctx.lanes);
+        let mut lanes = vec![ParLane::default(); lane_count];
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
         let mut probe = ctx.probe();
         let levels = build_hierarchy_par_with(
@@ -147,7 +142,7 @@ impl MlPartitioner {
             coarse_assignment = next;
         }
 
-        let out = parallel_uncoarsen(
+        parallel_uncoarsen(
             &config,
             h,
             &levels,
@@ -157,9 +152,7 @@ impl MlPartitioner {
             ctx,
             &mut lanes,
             None,
-        );
-        ctx.lanes = lanes;
-        out
+        )
     }
 }
 

@@ -26,8 +26,8 @@ use rand::SeedableRng;
 
 use hypart_benchgen::ispd98_like;
 use hypart_core::{
-    ensure_lanes, AuditLevel, BalanceConstraint, Bisection, CancelToken, CoarsenWorkspace,
-    FaultPlan, Outcome, PartitionAuditor, RunCtx,
+    AuditLevel, BalanceConstraint, Bisection, CancelToken, CoarsenWorkspace, FaultPlan, Outcome,
+    ParLane, PartitionAuditor, RunCtx,
 };
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder, PartId, VertexId};
 use hypart_ml::coarsen::{coarsen_once_reference, CoarsenConfig, CoarsenScheme};
@@ -217,8 +217,7 @@ proptest! {
 
         for lane_count in [1usize, 2, 3, 8] {
             let mut ws = CoarsenWorkspace::new();
-            let mut lanes = Vec::new();
-            ensure_lanes(&mut lanes, lane_count);
+            let mut lanes = vec![ParLane::default(); lane_count];
             let par = coarsen_once_par_with(
                 &inst.graph, &cfg, restrict,
                 &mut SmallRng::seed_from_u64(seed), &mut ws, &mut lanes, true);

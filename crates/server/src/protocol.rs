@@ -745,13 +745,14 @@ pub enum Response {
         result: JobResult,
     },
     /// A typed failure: request parse errors, unknown digests, unknown
-    /// cancel targets, instance parse failures.
+    /// cancel targets, instance parse failures, a 2-way job whose every
+    /// start panicked.
     Error {
         /// Echoed job id, when the failing frame carried one.
         id: Option<u64>,
         /// Stable machine-readable code (`bad_request`, `parse`,
         /// `unknown_instance`, `unknown_job`, `overloaded`,
-        /// `stream_poisoned`, `rejected_too_large`).
+        /// `stream_poisoned`, `rejected_too_large`, `engine_panicked`).
         code: String,
         /// Human-readable detail.
         detail: String,

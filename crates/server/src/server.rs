@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hypart_core::{AuditLevel, BalanceConstraint, CancelToken, RunCtx};
+use hypart_core::{AllPanicked, AuditLevel, BalanceConstraint, CancelToken, RunCtx};
 use hypart_hypergraph::{io::hgr, Hypergraph, PartId};
 use hypart_kway::{recursive_bisection_with, KWayBalance, KWayPartition};
 use hypart_ml::{multi_start_with, MlConfig, MlPartitioner, MultiStartPlan};
@@ -996,50 +996,78 @@ fn worker_loop(shared: &Arc<Shared>) {
         if shared.config.worker_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.worker_delay_ms));
         }
-        let result = match &job.kind {
-            JobKind::Eval(req, h, digest) => eval_job(req, h, *digest),
-            JobKind::Partition(req, h, digest) => {
-                partition_job(req, h, *digest, &job, shared, &mut ctx_template)
+        run_job(&job, shared, &mut ctx_template);
+    }
+}
+
+/// Runs one admitted job, forgets its cancel entry and answers it: a
+/// result frame, or a typed error when no start of a 2-way job
+/// survived. Jobs run under `ctx_template`'s workspaces and fault plan.
+fn run_job(job: &Job, shared: &Arc<Shared>, ctx_template: &mut RunCtx<'static>) {
+    let result = match &job.kind {
+        JobKind::Eval(req, h, digest) => Ok(eval_job(req, h, *digest)),
+        JobKind::Partition(req, h, digest) => {
+            partition_job(req, h, *digest, job, shared, ctx_template)
+        }
+    };
+    shared
+        .cancels
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .remove(&(job.conn_id, job.id));
+    let result = match result {
+        Ok(result) => result,
+        Err(all) => {
+            // No start survived, so there is no partition to cache
+            // for replay: the job and any retries attached to its
+            // token get the same typed error.
+            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+            let error = |id| Response::Error {
+                id: Some(id),
+                code: "engine_panicked".to_string(),
+                detail: all.to_string(),
+            };
+            job.writer.send(&error(job.id));
+            if let Some(token) = job.request_token {
+                for waiter in shared.tokens.abandon(token) {
+                    waiter.writer.send(&error(waiter.id));
+                }
             }
-        };
-        shared
-            .cancels
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&(job.conn_id, job.id));
-        // Cache the result for idempotent replay *before* attempting
-        // delivery — a retry after a poisoned primary stream is exactly
-        // the case replay exists for.
-        let waiters = match job.request_token {
-            Some(token) => shared.tokens.complete(token, result.clone()),
-            None => Vec::new(),
-        };
-        let delivered = !job.writer.is_poisoned()
-            && job.writer.send(&Response::Result {
-                id: job.id,
-                result: result.clone(),
-            });
-        if delivered {
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // The connection writer poisoned mid-job (satellite of
-            // `JsonlSink::is_poisoned`): the trace the client saw is
-            // truncated, so the job is reported as aborted — the typed
-            // error below is best-effort (the writer usually being the
-            // very thing that failed).
-            shared.stats.stream_aborted.fetch_add(1, Ordering::Relaxed);
-            job.writer.send(&Response::Error {
-                id: Some(job.id),
-                code: "stream_poisoned".to_string(),
-                detail: "response stream failed mid-job; job aborted".to_string(),
-            });
+            return;
         }
-        for waiter in waiters {
-            waiter.writer.send(&Response::Result {
-                id: waiter.id,
-                result: result.clone(),
-            });
-        }
+    };
+    // Cache the result for idempotent replay *before* attempting
+    // delivery — a retry after a poisoned primary stream is exactly
+    // the case replay exists for.
+    let waiters = match job.request_token {
+        Some(token) => shared.tokens.complete(token, result.clone()),
+        None => Vec::new(),
+    };
+    let delivered = !job.writer.is_poisoned()
+        && job.writer.send(&Response::Result {
+            id: job.id,
+            result: result.clone(),
+        });
+    if delivered {
+        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+    } else {
+        // The connection writer poisoned mid-job (satellite of
+        // `JsonlSink::is_poisoned`): the trace the client saw is
+        // truncated, so the job is reported as aborted — the typed
+        // error below is best-effort (the writer usually being the
+        // very thing that failed).
+        shared.stats.stream_aborted.fetch_add(1, Ordering::Relaxed);
+        job.writer.send(&Response::Error {
+            id: Some(job.id),
+            code: "stream_poisoned".to_string(),
+            detail: "response stream failed mid-job; job aborted".to_string(),
+        });
+    }
+    for waiter in waiters {
+        waiter.writer.send(&Response::Result {
+            id: waiter.id,
+            result: result.clone(),
+        });
     }
 }
 
@@ -1070,7 +1098,7 @@ fn partition_job(
     job: &Job,
     shared: &Arc<Shared>,
     ctx_template: &mut RunCtx<'static>,
-) -> JobResult {
+) -> Result<JobResult, AllPanicked> {
     let sink = StreamSink {
         writer: Arc::clone(&job.writer),
         id: req.id,
@@ -1087,6 +1115,7 @@ fn partition_job(
         .with_sink(&sink)
         .with_cancel_token(job.token.clone())
         .with_audit(AuditLevel::Checkpoints)
+        .with_fault_plan(ctx_template.fault_plan().clone())
         .with_workspace(workspace)
         .with_coarsen_workspace(coarsen_ws);
     if let Some(ms) = req.budget_ms {
@@ -1096,7 +1125,7 @@ fn partition_job(
     let result = if req.k == 2 {
         bisection_job(req, h, digest, shared, &mut ctx)
     } else {
-        kway_job(req, h, digest, &shared.config.ml, &mut ctx)
+        Ok(kway_job(req, h, digest, &shared.config.ml, &mut ctx))
     };
     sink.flush();
     ctx_template.workspace = std::mem::take(&mut ctx.workspace);
@@ -1110,14 +1139,15 @@ fn partition_job(
 /// returns the partition `run_with` returns for the same seed. A cache
 /// hit is announced with one `hierarchy_reused` trace event and then
 /// replays bitwise the trace of a cold run — the determinism contract of
-/// [`MlPartitioner::run_from_hierarchy_with`].
+/// [`MlPartitioner::run_from_hierarchy_with`]. A job whose every start
+/// panicked has no partition and returns the sweep's [`AllPanicked`].
 fn bisection_job(
     req: &PartitionRequest,
     h: &Hypergraph,
     digest: u128,
     shared: &Arc<Shared>,
     ctx: &mut RunCtx<'_>,
-) -> JobResult {
+) -> Result<JobResult, AllPanicked> {
     let constraint = BalanceConstraint::with_fraction(h.total_vertex_weight(), req.fraction);
     let partitioner = MlPartitioner::new(shared.config.ml.clone());
     let key = HierarchyKey::new(digest, &shared.config.ml.coarsen, req.seed);
@@ -1145,13 +1175,9 @@ fn bisection_job(
         hierarchy: Some(&hierarchy),
         ..starts
     };
-    // A sweep without survivors is re-raised as a panic.
-    let swept = match multi_start_with(&partitioner, h, &constraint, &plan, ctx) {
-        Ok(swept) => swept,
-        Err(all) => panic!("{all}"),
-    };
+    let swept = multi_start_with(&partitioner, h, &constraint, &plan, ctx)?;
     let out = &swept.outcome;
-    JobResult {
+    Ok(JobResult {
         cut: out.cut,
         balanced: out.balanced,
         stopped: out.stopped,
@@ -1163,7 +1189,7 @@ fn bisection_job(
         assignment: req
             .include_assignment
             .then(|| part_assignment(&out.assignment)),
-    }
+    })
 }
 
 /// `k > 2` jobs go through recursive bisection; hierarchies differ per
@@ -1206,6 +1232,7 @@ mod tests {
     use super::*;
     use crate::protocol::write_frame;
     use hypart_benchgen::ispd98_like;
+    use hypart_core::FaultPlan;
     use hypart_trace::MemorySink;
 
     /// A writer that records every `write` call whole, or fails them all
@@ -1436,6 +1463,73 @@ mod tests {
         );
         // Far fewer writes than frames.
         assert!(events.len() >= 10 * writes.len());
+    }
+
+    /// A 2-way job whose every start panicked is answered with a typed
+    /// `engine_panicked` error naming the first payload, leaves no
+    /// cancel entry behind, and the worker goes on to the next job.
+    #[test]
+    fn a_two_way_job_whose_every_start_panicked_gets_a_typed_error() {
+        let server = Server::start(ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let writer = Arc::new(ConnWriter::new(listener.accept().unwrap().0));
+        let h = Arc::new(ispd98_like(1, 0.02, 1));
+        let job = |id: u64, kind: JobKind| {
+            let token = CancelToken::new();
+            let entry = (token.clone(), false);
+            shared.cancels.lock().unwrap().insert((0, id), entry);
+            Job {
+                conn_id: 0,
+                id,
+                writer: Arc::clone(&writer),
+                token,
+                request_token: None,
+                kind,
+            }
+        };
+        // An unbudgeted 2-way job runs one start: start 0.
+        let mut template = RunCtx::new(0).with_fault_plan(FaultPlan::panic_in_start(0));
+        let request = PartitionRequest::new(1, InstanceRef::Digest(0), 5);
+        let partition = job(1, JobKind::Partition(request, Arc::clone(&h), 0));
+        run_job(&partition, shared, &mut template);
+        let eval = EvalRequest {
+            id: 2,
+            instance: InstanceRef::Digest(0),
+            assignment: vec![0; h.num_vertices()],
+            k: 2,
+            fraction: 0.1,
+            request_token: None,
+        };
+        run_job(
+            &job(2, JobKind::Eval(eval, Arc::clone(&h), 0)),
+            shared,
+            &mut template,
+        );
+
+        let mut next = || {
+            let frame = read_frame(&mut client, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            Response::from_json(&frame.unwrap()).unwrap()
+        };
+        match next() {
+            Response::Error {
+                id: Some(1),
+                code,
+                detail,
+            } => {
+                assert_eq!(code, "engine_panicked");
+                assert!(
+                    detail.contains("injected fault: panic in start 0"),
+                    "{detail}"
+                );
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        assert!(matches!(next(), Response::Result { id: 2, .. }));
+        assert!(shared.cancels.lock().unwrap().is_empty());
+        assert_eq!(shared.stats.errors.load(Ordering::Relaxed), 1);
+        server.shutdown();
     }
 
     #[test]

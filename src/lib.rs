@@ -60,9 +60,8 @@ pub use hypart_trace as trace;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use hypart_core::{
-        BalanceConstraint, Bisection, CancelToken, ContractionLimits, ContractionMemento,
-        DynHypergraph, EngineKind, FmConfig, FmPartitioner, InsertionPolicy, NLevelPartition,
-        NLevelWorkspace, Outcome, RunCtx, SelectionRule, StopReason, TieBreak, ZeroDeltaPolicy,
+        BalanceConstraint, Bisection, CancelToken, EngineKind, FmConfig, FmPartitioner,
+        InsertionPolicy, Outcome, RunCtx, SelectionRule, StopReason, TieBreak, ZeroDeltaPolicy,
     };
     pub use hypart_eval::runner::{
         run_trials_with, FlatFmHeuristic, Heuristic, MlHeuristic, MultiStartHeuristic, Trial,

@@ -9,7 +9,9 @@
 use proptest::prelude::*;
 
 use hypart::benchgen::random_hypergraph;
-use hypart::core::select_contractions;
+use hypart::core::nlevel::{
+    select_contractions, ContractScratch, ContractionLimits, DynHypergraph, NLevelPartition,
+};
 use hypart::prelude::*;
 
 fn instance_params() -> impl Strategy<Value = (usize, usize, usize, u64, u64)> {
@@ -42,12 +44,8 @@ proptest! {
     #[test]
     fn contract_uncontract_is_identity_on_partitions((n, m, k, w, seed) in instance_params()) {
         let h = random_hypergraph(n, m, k, w, seed);
-        let labels: Vec<u16> = (0..n)
-            .map(|i| u16::from((seed >> (i % 48)) & 1 == 1))
-            .collect();
-        let sides: Vec<PartId> = labels
-            .iter()
-            .map(|&p| if p == 0 { PartId::P0 } else { PartId::P1 })
+        let sides: Vec<PartId> = (0..n)
+            .map(|i| if (seed >> (i % 48)) & 1 == 1 { PartId::P1 } else { PartId::P0 })
             .collect();
         let reference_cut = {
             let bis = Bisection::new(&h, sides.clone()).expect("valid assignment");
@@ -64,15 +62,14 @@ proptest! {
         };
         let ctx = RunCtx::new(seed);
         let mut probe = ctx.probe();
-        let mut scores = hypart::core::SparseScores::new();
-        let mut scratch = hypart::core::ContractScratch::new();
-        select_contractions(&mut d, &limits, Some(&sides), seed, &mut scores, &mut scratch, &mut probe);
+        let mut scratch = ContractScratch::new();
+        select_contractions(&mut d, &limits, Some(&sides), seed, &mut scratch, &mut probe);
         let mementos = scratch.mementos;
 
         // Every contraction stayed inside one side, so the per-slot input
-        // labels are still a valid labeling of the coarse state — and its
+        // sides are still a valid labeling of the coarse state — and its
         // cut must equal the flat partition's cut.
-        let mut partition = NLevelPartition::new(&d, 2, labels.clone());
+        let mut partition = NLevelPartition::new(&d, sides.clone());
         prop_assert_eq!(partition.cut(), reference_cut,
             "side-pure contraction must preserve the cut");
 
@@ -84,7 +81,7 @@ proptest! {
                 "uncontraction changed the cut");
         }
         prop_assert_eq!(partition.cut(), partition.recompute_cut(&d));
-        prop_assert_eq!(partition.assignment(), &labels[..],
+        prop_assert_eq!(partition.assignment(), &sides[..],
             "zero-refinement n-level must reproduce the input partition");
         d.validate_pristine(&h).expect("full undo must restore the pristine view");
     }
@@ -102,9 +99,8 @@ proptest! {
         };
         let ctx = RunCtx::new(seed ^ 0xA5A5);
         let mut probe = ctx.probe();
-        let mut scores = hypart::core::SparseScores::new();
-        let mut scratch = hypart::core::ContractScratch::new();
-        select_contractions(&mut d, &limits, None, seed, &mut scores, &mut scratch, &mut probe);
+        let mut scratch = ContractScratch::new();
+        select_contractions(&mut d, &limits, None, seed, &mut scratch, &mut probe);
         while let Some(m) = scratch.mementos.pop() {
             d.uncontract(&m);
         }
@@ -115,12 +111,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Reusing the context's [`NLevelWorkspace`] is behaviorally
-    /// invisible. The workspace is dirtied with unrelated work — the
-    /// 2-way driver on a different instance, then 4-way recursive
-    /// bisection of it, which resizes the arenas for every region's
-    /// induced subgraph — and a traced multi-start + V-cycle run on it
-    /// must be bitwise identical to the same run on a fresh context.
+    /// A context dirtied by n-level runs is behaviorally invisible. The
+    /// n-level driver builds its own workspace per run but borrows the
+    /// context's FM gain containers and runs the serial initial
+    /// portfolio on its workspaces. The context is dirtied with
+    /// unrelated work — the 2-way driver on a different instance, then
+    /// 4-way recursive bisection of it, which resizes the containers
+    /// for every region's induced subgraph — and a traced multi-start +
+    /// V-cycle run on it must be bitwise identical to the same run on a
+    /// fresh context.
     #[test]
     fn dirty_nlevel_workspace_is_behaviorally_invisible(
         (na, ma, ka, wa, seed_a) in instance_params(),

@@ -150,6 +150,24 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         )
         .expect("no start panics");
     });
+    // Random bucket insertion draws from the run's RNG on every gain
+    // container insert and update, so this golden pins the localized
+    // refiner's RNG-draw order; the LIFO goldens above draw only in the
+    // initial portfolio.
+    let nlevel_random = trace_of(&|sink| {
+        multi_start_with(
+            &MlPartitioner::new(
+                nlevel_config
+                    .clone()
+                    .with_refine(FmConfig::lifo().with_insertion(InsertionPolicy::Random)),
+            ),
+            &h,
+            &c,
+            &MultiStartPlan::count(1, 1),
+            &mut RunCtx::new(11).with_sink(sink),
+        )
+        .expect("no start panics");
+    });
 
     vec![
         ("trace_fm_ispd98.jsonl", flat),
@@ -160,6 +178,7 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         ("trace_nlevel_ispd98.jsonl", nlevel),
         ("trace_nlevel_kway_ispd98.jsonl", nlevel_kway),
         ("trace_nlevel_multistart_ispd98.jsonl", nlevel_multistart),
+        ("trace_nlevel_random_ispd98.jsonl", nlevel_random),
     ]
 }
 
