@@ -189,7 +189,7 @@ pub enum Command {
         /// Instance-cache capacity (parsed CSR instances, FIFO).
         instance_cache: usize,
         /// Hierarchy-cache capacity (coarsening hierarchies keyed by
-        /// `(digest, coarsen config, seed)`, FIFO).
+        /// `(digest, coarsen config, seed)`, 2Q admission).
         hierarchy_cache: usize,
         /// Admission cap on declared instance size: inline uploads
         /// declaring more cells are shed with a typed
@@ -272,7 +272,11 @@ CLIP and ML LIFO FM and writes a markdown comparison.
 `serve` runs the partitioning daemon (length-prefixed JSONL frames over
 TCP; see crates/server). It blocks until a client sends `shutdown`.
 `--max-cells N` sheds inline uploads declaring more cells before
-parsing them (0 = no cap).
+parsing them (0 = no cap). `--instance-cache N` keeps the N newest
+parsed instances. `--hierarchy-cache N` keeps at most N coarsening
+hierarchies, one per digest, coarsening config and seed: a quarter of
+them (at least 1) wait in probation for a second lookup, and the rest
+are ones that were looked up again. Both caches take N >= 1.
 `hypart-loadgen --self-host` exercises it end to end, and
 `hypart-loadgen --self-host --chaos SEED` soaks it through a
 deterministic fault-injecting proxy.
@@ -479,8 +483,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             addr: flag_value("--addr").unwrap_or("127.0.0.1:7077").to_string(),
             workers: parse_count("--workers", 2)?,
             queue: parse_count("--queue", 64)?,
-            instance_cache: parse_usize("--instance-cache", 16)?,
-            hierarchy_cache: parse_usize("--hierarchy-cache", 32)?,
+            instance_cache: parse_count("--instance-cache", 16)?,
+            hierarchy_cache: parse_count("--hierarchy-cache", 32)?,
             max_cells: parse_usize("--max-cells", 0)?,
         }),
         "experiment" => {
@@ -746,13 +750,15 @@ solution : {}
             println!("send a `shutdown` frame (or hypart-loadgen) to stop");
             let stats = server.wait();
             Ok(format!(
-                "daemon stopped\nsubmitted : {}\ncompleted : {}\nshed      : {}\nerrors    : {}\ncache     : {} instance hits, {} hierarchy hits\n",
+                "daemon stopped\nsubmitted : {}\ncompleted : {}\nshed      : {}\nerrors    : {}\ncache     : instances {} hits / {} misses, hierarchies {} hits / {} misses\n",
                 stats.submitted,
                 stats.completed,
                 stats.rejected_overload,
                 stats.errors,
                 stats.instance_hits,
+                stats.instance_misses,
                 stats.hierarchy_hits,
+                stats.hierarchy_misses,
             ))
         }
         Command::Experiment {
@@ -1518,6 +1524,10 @@ mod tests {
         }
         assert!(parse_args(&args(&["serve", "--workers", "0"])).is_err());
         assert!(parse_args(&args(&["serve", "--queue", "0"])).is_err());
+        for flag in ["--instance-cache", "--hierarchy-cache"] {
+            let err = parse_args(&args(&["serve", flag, "0"])).unwrap_err();
+            assert!(err.contains("must be at least 1"), "{flag}: {err}");
+        }
     }
 
     /// A flag the subcommand does not accept, or one missing its value,

@@ -3,7 +3,8 @@
 //! Drives a mixed workload — 2-way jobs (budgeted and not, traced and
 //! not), k-way jobs, evals, and digest re-queries that exercise both
 //! caches — from several client threads, then prints a one-screen
-//! summary of outcomes and daemon counters.
+//! summary of outcomes, daemon counters and, from a closing `ping`, how
+//! many instances and hierarchies the daemon's caches hold.
 //!
 //! With `--chaos SEED`, all client traffic is routed through the
 //! in-process [`ChaosProxy`] running the hostile plan for that seed:
@@ -234,6 +235,9 @@ fn run(opts: &Options) -> Result<(), String> {
     let stats = reporter
         .stats()
         .map_err(|e| format!("stats op failed: {e}"))?;
+    let health = reporter
+        .ping()
+        .map_err(|e| format!("ping op failed: {e}"))?;
 
     println!(
         "jobs:        {} finished, {} rejected, {} failed",
@@ -249,8 +253,13 @@ fn run(opts: &Options) -> Result<(), String> {
         stats.submitted, stats.completed, stats.rejected_overload, stats.errors
     );
     println!(
-        "instances:   {} hits / {} misses; hierarchies: {} hits / {} misses",
-        stats.instance_hits, stats.instance_misses, stats.hierarchy_hits, stats.hierarchy_misses
+        "instances:   {} hits / {} misses, {} cached; hierarchies: {} hits / {} misses, {} cached",
+        stats.instance_hits,
+        stats.instance_misses,
+        health.instances_cached,
+        stats.hierarchy_hits,
+        stats.hierarchy_misses,
+        health.hierarchies_cached
     );
     if opts.chaos.is_some() {
         println!(

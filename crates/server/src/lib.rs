@@ -5,7 +5,7 @@
 //! distributions, multi-start sweeps, same-instance re-queries under
 //! different balance tolerances. That traffic shape — heavy query volume
 //! over few netlists — is exactly what a long-running daemon amortizes:
-//! parse once, coarsen once, answer many.
+//! parse once, coarsen once per seed, answer many.
 //!
 //! This crate provides that daemon and its client:
 //!
@@ -14,9 +14,11 @@
 //!   client-chosen id so concurrent jobs multiplex on one connection;
 //! * [`queue`] — a bounded MPMC work queue that sheds overload instead
 //!   of buffering it (typed `rejected` responses carrying queue depth);
-//! * [`cache`] — one bounded FIFO cache type serving as the
-//!   digest-keyed instance cache and the
-//!   `(digest, coarsening config, seed)`-keyed hierarchy cache;
+//! * `cache` — the two bounded caches behind the daemon: the
+//!   digest-keyed instance cache, which evicts oldest-first, and the
+//!   `(digest, coarsening config, seed)`-keyed hierarchy cache, which
+//!   keeps a hierarchy once it is looked up again and lets one-shot
+//!   hierarchies pass through a small probation queue (2Q admission);
 //! * [`Server`] / [`ServerHandle`] — the daemon itself: an accept loop,
 //!   one reader thread per connection, and a fixed worker pool that
 //!   reuses engine workspaces across jobs;
@@ -53,7 +55,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod cache;
+mod cache;
 pub mod chaos;
 mod client;
 pub mod protocol;

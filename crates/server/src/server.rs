@@ -76,9 +76,14 @@ pub struct ServerConfig {
     /// Bounded queue capacity; submissions beyond it are shed with a
     /// typed `rejected` response.
     pub queue_capacity: usize,
-    /// Instances retained in the digest-keyed cache (FIFO).
+    /// Instances held in the digest-keyed cache, the oldest evicted
+    /// first (FIFO). A library caller's 0 is clamped to 1.
     pub instance_cache_capacity: usize,
-    /// Coarsening hierarchies retained (FIFO).
+    /// Coarsening hierarchies held at most, one per `(digest, coarsening
+    /// config, seed)`, under 2Q admission (DESIGN §10): a new hierarchy
+    /// waits in a probation queue of a quarter of them (at least 1), and
+    /// one looked up again there moves to the main queue, which holds the
+    /// rest. A library caller's 0 is clamped to 1.
     pub hierarchy_cache_capacity: usize,
     /// Engine configuration shared by all partition jobs. Part of the
     /// hierarchy-cache key, so reconfiguring the daemon never serves a

@@ -1,6 +1,6 @@
 //! Live-socket tests of the daemon: typed errors, cancellation,
-//! trace streaming, the hierarchy-cache trace contract,
-//! poisoned-stream aborts, and shutdown.
+//! trace streaming, the hierarchy-cache trace contract and admission
+//! rule, poisoned-stream aborts, and shutdown.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -10,8 +10,8 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use hypart_server::protocol::{
-    digest_to_hex, read_frame, write_frame, EvalRequest, InstanceRef, PartitionRequest, Request,
-    Response, DEFAULT_MAX_FRAME_BYTES,
+    digest_to_hex, read_frame, write_frame, EvalRequest, InstanceRef, JobResult, PartitionRequest,
+    Request, Response, DEFAULT_MAX_FRAME_BYTES,
 };
 use hypart_server::{Client, JobOutcome, Server, ServerConfig};
 use hypart_trace::{RunEvent, StopReason};
@@ -439,6 +439,140 @@ fn two_way_job_returns_the_library_partition() {
     }
     // The third job re-used the first job's hierarchy.
     assert_eq!(client.stats().unwrap().hierarchy_hits, 1);
+    server.shutdown();
+}
+
+/// Sends one 2-way job, traced and returning its assignment when
+/// `traced`, and returns its result and trace events.
+fn two_way(
+    client: &mut Client,
+    id: u64,
+    instance: InstanceRef,
+    seed: u64,
+    traced: bool,
+) -> (JobResult, Vec<RunEvent>) {
+    let mut req = PartitionRequest::new(id, instance, seed);
+    req.trace = traced;
+    req.include_assignment = traced;
+    client.send(&Request::Partition(req)).unwrap();
+    match client.wait_outcome(id).unwrap() {
+        JobOutcome::Finished { result, events } => (result, events),
+        other => panic!("job {id} (seed {seed}) failed: {other:?}"),
+    }
+}
+
+/// Asserts that `job` answered as the `cold` job did: the same result
+/// but for `hierarchy_reused`, and the cold trace, after one leading
+/// `hierarchy_reused` event when the job hit the cache.
+fn assert_answers_as_cold(
+    path: &str,
+    reused: bool,
+    job: &(JobResult, Vec<RunEvent>),
+    cold: &(JobResult, Vec<RunEvent>),
+) {
+    let (result, events) = job;
+    assert_eq!(result.hierarchy_reused, reused, "{path}");
+    let unflagged = JobResult {
+        hierarchy_reused: false,
+        ..result.clone()
+    };
+    assert_eq!(unflagged, cold.0, "{path}: result");
+    let trace = if reused {
+        match events.split_first() {
+            Some((RunEvent::HierarchyReused { levels }, rest)) => {
+                assert_eq!(*levels, cold.0.levels, "{path}");
+                rest
+            }
+            other => panic!("{path}: the trace must lead with hierarchy_reused, got {other:?}"),
+        }
+    } else {
+        &events[..]
+    };
+    assert_eq!(trace, &cold.1[..], "{path}: trace");
+}
+
+/// The determinism contract through every way the 2Q hierarchy cache
+/// answers a job: a ghost-admitted rebuild, a main hit and a probation
+/// hit return the cold job's cut and assignment, and their traces are
+/// the cold trace, with one leading `hierarchy_reused` on the two hits.
+/// At capacity 2 the probation, main and ghost queues hold one key
+/// each; the comments track them as P, M and G.
+#[test]
+fn every_hierarchy_admission_path_answers_as_the_cold_job() {
+    let server = Server::start(ServerConfig {
+        hierarchy_cache_capacity: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (s, a, b) = (11, 12, 13);
+
+    // Cold build: P[s].
+    let cold = two_way(
+        &mut client,
+        1,
+        InstanceRef::Inline(hgr_text(120, 21)),
+        s,
+        true,
+    );
+    assert!(!cold.0.hierarchy_reused);
+    assert!(!cold.1.is_empty());
+    let by_digest = InstanceRef::Digest(cold.0.digest);
+    let mut id = 1;
+    let mut job = |client: &mut Client, seed: u64| {
+        id += 1;
+        two_way(client, id, by_digest.clone(), seed, seed == s)
+    };
+
+    // a pushes s out of probation, leaving its key: P[a], G[s].
+    assert!(!job(&mut client, a).0.hierarchy_reused);
+    // s is rebuilt and admitted straight to main: M[s], P[a], G[].
+    assert_answers_as_cold("ghost-admitted rebuild", false, &job(&mut client, s), &cold);
+    assert_eq!(client.ping().unwrap().hierarchies_cached, 2);
+    // b pushes a out of probation (P[b], G[a]); s, in main, still hits.
+    assert!(!job(&mut client, b).0.hierarchy_reused);
+    assert_answers_as_cold("main hit", true, &job(&mut client, s), &cold);
+    // b's hit promotes it to main, which drops s without a ghost:
+    // M[b], P[], G[a].
+    assert!(job(&mut client, b).0.hierarchy_reused);
+    assert_eq!(client.ping().unwrap().hierarchies_cached, 1);
+    // s is built again into probation (P[s]), and hits there.
+    assert_answers_as_cold("second cold build", false, &job(&mut client, s), &cold);
+    assert_answers_as_cold("probation hit", true, &job(&mut client, s), &cold);
+
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.hierarchy_hits, stats.hierarchy_misses), (3, 5));
+    server.shutdown();
+}
+
+/// `hypart-loadgen`'s mix re-queries the upload's base seed and sends
+/// every other 2-way job with a fresh seed, whose hierarchy is never
+/// looked up again. A default daemon keeps the base seed's hierarchy
+/// through 20 such rounds, and holds only a probation queue's worth (8)
+/// of the fresh ones besides it; a FIFO cache would hold all 21.
+#[test]
+fn fresh_seed_hierarchies_only_pass_through_probation() {
+    let server = start_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let base = 1;
+    let upload = InstanceRef::Inline(hgr_text(150, 22));
+    let (uploaded, _) = two_way(&mut client, 1, upload, base, false);
+    let by_digest = InstanceRef::Digest(uploaded.digest);
+    for round in 0..20 {
+        let id = 2 + 2 * round;
+        let (fresh, _) = two_way(&mut client, id, by_digest.clone(), 1000 + round, false);
+        assert!(!fresh.hierarchy_reused, "round {round}: a fresh seed hit");
+        let (again, _) = two_way(&mut client, id + 1, by_digest.clone(), base, false);
+        assert!(
+            again.hierarchy_reused,
+            "round {round}: the base seed's hierarchy was dropped"
+        );
+    }
+    let cached = client.ping().unwrap().hierarchies_cached;
+    assert!(
+        cached <= 9,
+        "{cached} hierarchies held, at most 8 + 1 expected"
+    );
     server.shutdown();
 }
 
