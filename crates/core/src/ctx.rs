@@ -11,10 +11,10 @@
 //! * a shared atomic **cancellation token** ([`CancelToken`]) flippable
 //!   from another thread,
 //! * the **trace sink** receiving [`RunEvent`](hypart_trace::RunEvent)s,
-//! * the reusable [`FmWorkspace`] refinement scratch arenas and the
-//!   [`CoarsenWorkspace`](crate::CoarsenWorkspace) coarsening arenas of
-//!   the serial engines (the n-level and lane-parallel engines build
-//!   their own scratch per call),
+//! * the reusable [`FmWorkspace`] refinement scratch arenas of the
+//!   serial engines (the coarseners, the n-level and the lane-parallel
+//!   engines build their own scratch per call and drop it when the call
+//!   returns),
 //! * the RNG **seed**.
 //!
 //! Engines take `&mut RunCtx` in their canonical `*_with` entry points;
@@ -40,7 +40,6 @@ use std::time::{Duration, Instant};
 use hypart_trace::{NullSink, StopReason, TraceSink};
 
 use crate::audit::{AuditLevel, FaultPlan};
-use crate::coarsen_ws::CoarsenWorkspace;
 use crate::workspace::FmWorkspace;
 
 /// Number of moves between mid-pass deadline checks.
@@ -102,8 +101,6 @@ pub struct RunCtx<'s> {
     /// Reusable refinement scratch arenas, re-targeted by each engine
     /// invocation.
     pub workspace: FmWorkspace,
-    /// Reusable coarsening scratch arenas, re-pointed at each level.
-    pub coarsen: CoarsenWorkspace,
     /// Base RNG seed for the run.
     pub seed: u64,
     deadline: Option<Instant>,
@@ -137,7 +134,6 @@ impl<'s> RunCtx<'s> {
         RunCtx {
             sink: &NULL_SINK,
             workspace: FmWorkspace::new(),
-            coarsen: CoarsenWorkspace::new(),
             seed,
             deadline: None,
             cancel: CancelToken::new(),
@@ -151,7 +147,6 @@ impl<'s> RunCtx<'s> {
         RunCtx {
             sink,
             workspace: self.workspace,
-            coarsen: self.coarsen,
             seed: self.seed,
             deadline: self.deadline,
             cancel: self.cancel,
@@ -186,14 +181,6 @@ impl<'s> RunCtx<'s> {
     #[must_use]
     pub fn with_workspace(mut self, workspace: FmWorkspace) -> Self {
         self.workspace = workspace;
-        self
-    }
-
-    /// Replaces the coarsening workspace (e.g. to reuse arenas across
-    /// contexts).
-    #[must_use]
-    pub fn with_coarsen_workspace(mut self, coarsen: CoarsenWorkspace) -> Self {
-        self.coarsen = coarsen;
         self
     }
 

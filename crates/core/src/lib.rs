@@ -53,7 +53,6 @@ mod audit;
 mod balance;
 mod bisection;
 pub mod brute;
-mod coarsen_ws;
 mod config;
 mod ctx;
 mod engine;
@@ -64,6 +63,7 @@ pub mod nlevel;
 pub mod objective;
 mod par;
 mod par_refine;
+mod scores;
 mod sweep;
 mod workspace;
 
@@ -72,7 +72,6 @@ pub use audit::{
 };
 pub use balance::BalanceConstraint;
 pub use bisection::{Bisection, BisectionError};
-pub use coarsen_ws::{CandInfo, CoarseNet, CoarsenWorkspace, SparseScores};
 pub use config::{
     FmConfig, IllegalHeadPolicy, InitialSolution, InsertionPolicy, PassBestRule, SelectionRule,
     TieBreak, ZeroDeltaPolicy,
@@ -85,5 +84,6 @@ pub use initial::generate_initial;
 pub use nlevel::EngineKind;
 pub use par::{derive_seed, MoveProposal, ParLane};
 pub use par_refine::{refine_rounds_parallel, ParRefineOutcome, PAR_REFINE_MAX_ROUNDS};
+pub use scores::SparseScores;
 pub use sweep::{sweep_with, AllPanicked, Outcome, PanickedStart, Sweep, Trial};
 pub use workspace::FmWorkspace;

@@ -17,8 +17,8 @@
 
 use super::dynhg::DynHypergraph;
 use super::workspace::ContractScratch;
-use crate::coarsen_ws::SparseScores;
 use crate::ctx::BudgetProbe;
+use crate::scores::SparseScores;
 use hypart_hypergraph::{PartId, VertexId};
 
 /// Admissibility limits of the contraction schedule, lifted from the

@@ -15,7 +15,7 @@
 
 use super::dynhg::{ContractionMemento, DynHypergraph};
 use super::partition::NLevelPartition;
-use crate::coarsen_ws::SparseScores;
+use crate::scores::SparseScores;
 use hypart_hypergraph::{PartId, VertexId};
 
 /// Scratch of the rating-driven contraction schedule

@@ -13,7 +13,7 @@
 //! access to exactly one lane (disjoint `&mut` splits of the lane
 //! vector), so no lane is ever shared between threads.
 
-use crate::coarsen_ws::SparseScores;
+use crate::scores::SparseScores;
 use crate::workspace::FmWorkspace;
 
 /// One candidate move proposed by a refinement shard: move `vertex` to

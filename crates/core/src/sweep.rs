@@ -17,7 +17,6 @@ use hypart_trace::{RunEvent, StopReason};
 use crate::audit::AuditError;
 use crate::balance::BalanceConstraint;
 use crate::bisection::Bisection;
-use crate::coarsen_ws::CoarsenWorkspace;
 use crate::ctx::RunCtx;
 use crate::workspace::FmWorkspace;
 
@@ -178,9 +177,8 @@ pub fn sweep_with<'s>(
             Ok(out) => out,
             Err(payload) => {
                 // The start may have unwound mid-pass, leaving its
-                // workspaces in an unknown state.
+                // workspace in an unknown state.
                 ctx.workspace = FmWorkspace::new();
-                ctx.coarsen = CoarsenWorkspace::new();
                 ctx.sink.emit(RunEvent::StartAborted { index: i, seed });
                 sweep.panicked.push(PanickedStart {
                     index: i,

@@ -306,10 +306,16 @@ impl HypergraphBuilder {
         }
         self.fixed.clear();
         let name = std::mem::take(&mut self.name);
-        let net_pin_offsets = std::mem::replace(&mut self.net_pin_offsets, vec![0]);
-        let net_pin_list = std::mem::take(&mut self.net_pin_list);
-        let vertex_weights = std::mem::take(&mut self.vertex_weights);
-        let net_weights = std::mem::take(&mut self.net_weights);
+        let mut net_pin_offsets = std::mem::replace(&mut self.net_pin_offsets, vec![0]);
+        let mut net_pin_list = std::mem::take(&mut self.net_pin_list);
+        let mut vertex_weights = std::mem::take(&mut self.vertex_weights);
+        let mut net_weights = std::mem::take(&mut self.net_weights);
+        // The graph keeps these for its lifetime: drop what growth or
+        // `with_capacity`'s guess of 4 pins per net left spare.
+        net_pin_offsets.shrink_to_fit();
+        net_pin_list.shrink_to_fit();
+        vertex_weights.shrink_to_fit();
+        net_weights.shrink_to_fit();
         Ok(Hypergraph::from_parts_in(
             name,
             net_pin_offsets,

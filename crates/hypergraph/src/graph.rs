@@ -493,6 +493,26 @@ mod tests {
     }
 
     #[test]
+    fn built_graphs_keep_no_spare_capacity() {
+        // Nine pins per net against `with_capacity`'s guess of four, and
+        // vertex weights grown by doubling (4, 8, 16 slots for 10).
+        let mut b = HypergraphBuilder::with_capacity(0, 3);
+        for _ in 0..10 {
+            b.add_vertex(1);
+        }
+        for e in 0..3u32 {
+            b.add_net((0..9).map(|i| VertexId::new((i + e) % 10)), 1)
+                .unwrap();
+        }
+        let h = b.build().unwrap();
+        assert_eq!(h.net_pin_list.len(), 27);
+        assert_eq!(h.net_pin_list.capacity(), h.net_pin_list.len());
+        assert_eq!(h.net_pin_offsets.capacity(), h.net_pin_offsets.len());
+        assert_eq!(h.vertex_weights.capacity(), h.vertex_weights.len());
+        assert_eq!(h.net_weights.capacity(), h.net_weights.len());
+    }
+
+    #[test]
     fn max_gain_bound_is_weighted_degree() {
         let h = tiny();
         // v1 touches nets of weight 1, 5, 1 -> bound 7.

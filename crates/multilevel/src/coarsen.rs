@@ -15,9 +15,11 @@
 //! # Hot path
 //!
 //! Coarsening runs once per level of every start of every V-cycle, so the
-//! `*_with` entry points are allocation-free across calls: all scratch
-//! lives in a [`CoarsenWorkspace`] (carried on
-//! [`RunCtx`](hypart_core::RunCtx) next to the FM workspace).
+//! `*_with` entry points draw all their scratch from a
+//! [`CoarsenWorkspace`] and are allocation-free across the levels of one
+//! build, apart from the levels they return. The partitioner makes one
+//! workspace per hierarchy build and drops it before refinement starts,
+//! so the arenas never outlive the build that grew them.
 //! Per-vertex connectivity accumulates into a dense epoch-stamped score
 //! array with O(touched) reset instead of a `HashMap`, and identical
 //! coarse nets are merged by sorting 64-bit fingerprints of their pin
@@ -32,8 +34,8 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use hypart_core::{CandInfo, CoarseNet, CoarsenWorkspace};
-use hypart_hypergraph::{Hypergraph, HypergraphBuilder, NetId, PartId, VertexId};
+use hypart_core::SparseScores;
+use hypart_hypergraph::{CsrScratch, Hypergraph, HypergraphBuilder, NetId, PartId, VertexId};
 
 /// Matching scheme used by [`coarsen_once`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -85,6 +87,132 @@ impl Default for CoarsenConfig {
 
 pub use hypart_core::CoarseLevel;
 
+/// Packed admissibility record of one clustering candidate (a vertex or a
+/// formed cluster): weight, inherited fixed side, and restriction side in
+/// a single 16-byte load. The candidate scan is random-access bound;
+/// reading one packed record per candidate replaces three scattered array
+/// loads.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CandInfo {
+    /// Vertex or accumulated cluster weight.
+    pub(crate) weight: u64,
+    /// Fixed-partition side (inherited by clusters from their members).
+    pub(crate) fixed: Option<PartId>,
+    /// Restriction side; meaningful only in restricted coarsening, where
+    /// every vertex carries its current partition side.
+    pub(crate) side: PartId,
+}
+
+/// One surviving coarse net staged in the workspace pin arena: its pin
+/// range, accumulated weight, and the 64-bit fingerprint of its (sorted,
+/// deduplicated) pin slice used to group identical nets.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CoarseNet {
+    /// Start of the pin slice in [`CoarsenWorkspace::pin_arena`].
+    pub(crate) start: u32,
+    /// Number of pins in the slice.
+    pub(crate) len: u32,
+    /// Net weight (accumulated across merged identical nets).
+    pub(crate) weight: u32,
+    /// FNV-1a fingerprint of the sorted pin slice.
+    pub(crate) fp: u64,
+}
+
+impl CoarseNet {
+    /// The pin slice range as `usize` bounds.
+    #[inline]
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// Reusable scratch arenas of one hierarchy build.
+///
+/// A naive coarsener spends most of its time in allocator traffic: a
+/// fresh `HashMap` entry per candidate cluster, two `Vec` clones per
+/// unique coarse net, and new cluster arrays at every level. The
+/// workspace owns that scratch, grow-only, and the entry points re-point
+/// it at each level instead of reallocating it:
+///
+/// * the per-level clustering state (`cluster_of`, weights, fixed sides,
+///   restriction sides, the shuffled visit order);
+/// * a dense [`SparseScores`] accumulator in place of the per-vertex
+///   connectivity `HashMap`;
+/// * a pin arena plus fingerprint tables in place of the
+///   `HashMap<Vec<u32>, NetId>` identical-net merge;
+/// * a recycled [`HypergraphBuilder`] and [`CsrScratch`], so assembling
+///   the coarse graph reuses the builder's staging vectors and the CSR
+///   counting-pass scratch.
+///
+/// [`MlPartitioner`](crate::MlPartitioner) builds one per hierarchy
+/// (serial or lane-parallel) and drops it before refinement, so a start
+/// does not hold the arenas while it refines, and nothing holds them
+/// between starts. Reuse never changes results: a fresh workspace is
+/// what the plain entry points construct.
+#[derive(Clone, Debug, Default)]
+pub struct CoarsenWorkspace {
+    /// `cluster_of[v] = cluster id`, `u32::MAX` while unmatched.
+    pub(crate) cluster_of: Vec<u32>,
+    /// `slot_of[v]` = the connectivity slot pins of `v` accumulate into:
+    /// `n + v` while unmatched, then the cluster slot (first-choice) or
+    /// the dead slot `2n` (heavy-edge) once matched. Keeping this beside
+    /// `cluster_of` makes the per-pin slot lookup a single indexed load.
+    pub(crate) slot_of: Vec<u32>,
+    /// Per-net matching score of the current fine graph, `-1.0` for nets
+    /// excluded from matching (single-pin or over the size threshold).
+    pub(crate) net_score: Vec<f64>,
+    /// Packed admissibility record per fine vertex of the current level.
+    pub(crate) vert_info: Vec<CandInfo>,
+    /// Packed admissibility record per formed cluster.
+    pub(crate) cluster_info: Vec<CandInfo>,
+    /// Shuffled vertex visit order of the current level.
+    pub(crate) order: Vec<VertexId>,
+    /// Dense connectivity accumulator (slots: clusters then vertices).
+    pub(crate) conn: SparseScores,
+    /// Staged coarse pins of all surviving nets, back to back.
+    pub(crate) pin_arena: Vec<VertexId>,
+    /// One entry per surviving coarse net, in fine-net order.
+    pub(crate) nets: Vec<CoarseNet>,
+    /// Net indices sorted by (fingerprint, index) for duplicate grouping.
+    pub(crate) sort_idx: Vec<u32>,
+    /// `rep[i]` = index of the first net with identical pins to net `i`.
+    pub(crate) rep: Vec<u32>,
+    /// Recycled coarse-graph builder (left empty between levels).
+    pub(crate) builder: HypergraphBuilder,
+    /// Recycled CSR counting-pass scratch for the builder.
+    pub(crate) csr: CsrScratch,
+    /// Current-level restriction sides (V-cycle hierarchies only).
+    pub(crate) restrict: Vec<PartId>,
+    /// Next-level restriction sides, swapped with `restrict` per level.
+    pub(crate) restrict_next: Vec<PartId>,
+}
+
+impl CoarsenWorkspace {
+    /// Creates an empty workspace. Arenas grow on first use and are kept
+    /// until it is dropped.
+    pub fn new() -> Self {
+        CoarsenWorkspace::default()
+    }
+
+    /// Re-points the per-level arenas at a level with `n` fine vertices:
+    /// all vertices unmatched, no clusters formed, net staging empty.
+    /// Keeps every allocation.
+    pub(crate) fn begin_level(&mut self, n: usize) {
+        self.cluster_of.clear();
+        self.cluster_of.resize(n, u32::MAX);
+        self.slot_of.clear();
+        self.slot_of.extend(n as u32..2 * n as u32);
+        self.net_score.clear();
+        self.vert_info.clear();
+        self.cluster_info.clear();
+        self.pin_arena.clear();
+        self.nets.clear();
+        self.sort_idx.clear();
+        self.rep.clear();
+    }
+}
+
 /// Candidate keys: bit 31 tags an unmatched vertex (cluster-to-be); clear
 /// bit 31 to recover the vertex id. Untagged keys are formed cluster ids.
 pub(crate) const TAG: u32 = 1 << 31;
@@ -134,7 +262,7 @@ pub(crate) fn accumulate_conn(
     v: VertexId,
     slot_of: &[u32],
     net_score: &[f64],
-    conn: &mut hypart_core::SparseScores,
+    conn: &mut SparseScores,
     n: usize,
 ) {
     conn.begin(2 * n + 1);
@@ -155,7 +283,7 @@ pub(crate) fn accumulate_conn(
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_best(
-    conn: &hypart_core::SparseScores,
+    conn: &SparseScores,
     v: VertexId,
     v_info: CandInfo,
     vert_info: &[CandInfo],
@@ -1066,5 +1194,45 @@ mod tests {
             assert_eq!(fresh.graph.net_pins(e), reused.graph.net_pins(e));
             assert_eq!(fresh.graph.net_weight(e), reused.graph.net_weight(e));
         }
+    }
+
+    #[test]
+    fn begin_level_resets_but_keeps_capacity() {
+        let mut ws = CoarsenWorkspace::new();
+        ws.begin_level(4);
+        assert_eq!(ws.cluster_of, vec![u32::MAX; 4]);
+        ws.cluster_of[2] = 0;
+        ws.cluster_info.push(CandInfo {
+            weight: 7,
+            fixed: None,
+            side: PartId::P0,
+        });
+        ws.pin_arena.push(VertexId::new(1));
+        ws.nets.push(CoarseNet {
+            start: 0,
+            len: 1,
+            weight: 1,
+            fp: 0,
+        });
+        assert_eq!(ws.slot_of, vec![4, 5, 6, 7]);
+        let cap = ws.cluster_of.capacity();
+        ws.begin_level(3);
+        assert_eq!(ws.cluster_of, vec![u32::MAX; 3]);
+        assert_eq!(ws.slot_of, vec![3, 4, 5]);
+        assert!(ws.cluster_info.is_empty());
+        assert!(ws.pin_arena.is_empty());
+        assert!(ws.nets.is_empty());
+        assert_eq!(ws.cluster_of.capacity(), cap);
+    }
+
+    #[test]
+    fn coarse_net_range() {
+        let n = CoarseNet {
+            start: 5,
+            len: 3,
+            weight: 2,
+            fp: 42,
+        };
+        assert_eq!(n.range(), 5..8);
     }
 }

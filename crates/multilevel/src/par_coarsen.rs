@@ -46,12 +46,13 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use hypart_core::{BudgetProbe, CandInfo, CoarseNet, CoarsenWorkspace, ParLane};
+use hypart_core::{BudgetProbe, ParLane};
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 
 use crate::coarsen::{
     accumulate_conn, apply_decision, cluster_cap, fingerprint, merge_and_build, scan_best,
-    sort_dedup_pins, CoarseLevel, CoarsenConfig, TAG, UNMATCHED,
+    sort_dedup_pins, CandInfo, CoarseLevel, CoarseNet, CoarsenConfig, CoarsenWorkspace, TAG,
+    UNMATCHED,
 };
 
 /// Matching window size of deterministic mode. A thread-independent

@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coarsen::CoarseLevel;
+use crate::coarsen::{CoarseLevel, CoarsenWorkspace};
 use crate::par_coarsen::build_hierarchy_par_with;
 use crate::partitioner::{emit_level_downs, finish, MlConfig, MlPartitioner};
 use hypart_core::{
@@ -71,7 +71,7 @@ impl MlPartitioner {
             &config.coarsen,
             None,
             &mut rng,
-            &mut ctx.coarsen,
+            &mut CoarsenWorkspace::new(),
             &mut lanes,
             config.deterministic,
             &mut probe,
@@ -124,7 +124,7 @@ impl MlPartitioner {
             &config.coarsen,
             Some(assignment),
             &mut rng,
-            &mut ctx.coarsen,
+            &mut CoarsenWorkspace::new(),
             &mut lanes,
             config.deterministic,
             &mut probe,

@@ -4,7 +4,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coarsen::{build_hierarchy_with, CoarsenConfig};
+use crate::coarsen::{build_hierarchy, CoarsenConfig};
 use hypart_core::{
     generate_initial, AuditError, BalanceConstraint, Bisection, EngineKind, FmConfig,
     FmPartitioner, Hierarchy, InitialSolution, Outcome, PartitionAuditor, RunCtx, StopReason,
@@ -183,11 +183,11 @@ impl MlPartitioner {
     /// levels bitwise. No trace events are emitted here; the consuming
     /// [`run_from_hierarchy_with`](MlPartitioner::run_from_hierarchy_with)
     /// announces the levels so that cached and freshly built hierarchies
-    /// produce identical traces.
+    /// produce identical traces. The build makes its own coarsening
+    /// arenas and drops them on return: `ctx` lends it only the seed.
     pub fn coarsen_hierarchy_with(&self, h: &Hypergraph, ctx: &mut RunCtx<'_>) -> Hierarchy {
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
-        let levels =
-            build_hierarchy_with(h, &self.config.coarsen, None, &mut rng, &mut ctx.coarsen);
+        let levels = build_hierarchy(h, &self.config.coarsen, None, &mut rng);
         Hierarchy::new(levels)
     }
 
@@ -271,13 +271,7 @@ impl MlPartitioner {
             return self.vcycle_parallel_with(h, constraint, assignment, ctx);
         }
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
-        let levels = build_hierarchy_with(
-            h,
-            &self.config.coarsen,
-            Some(assignment),
-            &mut rng,
-            &mut ctx.coarsen,
-        );
+        let levels = build_hierarchy(h, &self.config.coarsen, Some(assignment), &mut rng);
         emit_level_downs(&levels, ctx.sink);
 
         // Project the current solution down the (restricted) hierarchy:

@@ -15,11 +15,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use hypart_core::CoarsenWorkspace;
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder, PartId, VertexId};
 use hypart_ml::coarsen::{
     build_hierarchy_reference, build_hierarchy_with, coarsen_once_reference, coarsen_once_with,
-    CoarseLevel, CoarsenConfig, CoarsenScheme,
+    CoarseLevel, CoarsenConfig, CoarsenScheme, CoarsenWorkspace,
 };
 
 /// One generated instance: a small hypergraph with messy nets (duplicate

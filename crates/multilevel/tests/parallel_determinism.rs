@@ -26,11 +26,11 @@ use rand::SeedableRng;
 
 use hypart_benchgen::ispd98_like;
 use hypart_core::{
-    AuditLevel, BalanceConstraint, Bisection, CancelToken, CoarsenWorkspace, FaultPlan, Outcome,
-    ParLane, PartitionAuditor, RunCtx,
+    AuditLevel, BalanceConstraint, Bisection, CancelToken, FaultPlan, Outcome, ParLane,
+    PartitionAuditor, RunCtx,
 };
 use hypart_hypergraph::{Hypergraph, HypergraphBuilder, PartId, VertexId};
-use hypart_ml::coarsen::{coarsen_once_reference, CoarsenConfig, CoarsenScheme};
+use hypart_ml::coarsen::{coarsen_once_reference, CoarsenConfig, CoarsenScheme, CoarsenWorkspace};
 use hypart_ml::{coarsen_once_par_with, MlConfig, MlPartitioner};
 use hypart_trace::{JsonlSink, MemorySink, RunEvent, StopReason};
 
@@ -311,8 +311,9 @@ fn injected_faults_do_not_break_determinism() {
 // Budgets and cross-thread cancellation.
 // ---------------------------------------------------------------------
 
-/// A heavier instance so a 50 ms budget actually expires mid-run on one
-/// core.
+/// A heavier instance, so that a run lasts long enough to be stopped
+/// mid-run: ~25 ms in a release build and ~100 ms in a debug build on a
+/// 2-core host.
 fn heavy_instance() -> Hypergraph {
     ispd98_like(2, 0.35, 0xB16)
 }
@@ -336,20 +337,33 @@ fn budget_stops_a_wide_deterministic_run_promptly() {
     let _serial = TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let h = heavy_instance();
     let c = constraint(&h);
-    let budget = Duration::from_millis(50);
+    let ml = MlPartitioner::new(MlConfig::default().with_threads(8));
+    let run = |ctx: RunCtx<'static>| {
+        let t0 = Instant::now();
+        let out = ml.run_with(&h, &c, &mut ctx.with_audit(AuditLevel::Checkpoints));
+        (out, t0.elapsed())
+    };
     let mut within_bound = false;
     let mut last = Duration::ZERO;
+    let mut budget = Duration::ZERO;
     for attempt in 0..TIMING_ATTEMPTS {
         if attempt > 0 {
             std::thread::sleep(TIMING_BACKOFF);
         }
-        let t0 = Instant::now();
-        let mut ctx = RunCtx::new(5)
-            .with_audit(AuditLevel::Checkpoints)
-            .with_budget(budget);
-        let out =
-            MlPartitioner::new(MlConfig::default().with_threads(8)).run_with(&h, &c, &mut ctx);
-        last = t0.elapsed();
+        // Half of an unbudgeted run of the same call, the faster of two,
+        // on this build and host: a fixed 50 ms expires mid-run in a debug
+        // build but outlasts the whole run in a release build. Taking the
+        // faster run keeps one slow measurement from stretching the
+        // budget past the whole run.
+        let mut whole = Duration::MAX;
+        for _ in 0..2 {
+            let (full, elapsed) = run(RunCtx::new(5));
+            assert_eq!(full.stopped, StopReason::Completed);
+            whole = whole.min(elapsed);
+        }
+        budget = whole / 2;
+        let (out, elapsed) = run(RunCtx::new(5).with_budget(budget));
+        last = elapsed;
         assert_eq!(out.stopped, StopReason::Deadline);
         // Best-so-far is still a legal full-size partition that verifies.
         assert_eq!(out.assignment.len(), h.num_vertices());

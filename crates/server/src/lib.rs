@@ -21,7 +21,7 @@
 //!   hierarchies pass through a small probation queue (2Q admission);
 //! * [`Server`] / [`ServerHandle`] — the daemon itself: an accept loop,
 //!   one reader thread per connection, and a fixed worker pool that
-//!   reuses engine workspaces across jobs;
+//!   reuses each worker's FM workspace across jobs;
 //! * [`Client`] — a blocking client that demultiplexes interleaved
 //!   responses per job id, with optional self-healing: a
 //!   [`RetryPolicy`] adds bounded reconnect-and-resubmit with

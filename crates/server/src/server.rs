@@ -993,9 +993,10 @@ fn submit(job: Job, shared: &Arc<Shared>) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    // Workspaces live for the worker's lifetime: arenas grown by one job
-    // are reused by the next, the same amortization the multi-start
-    // drivers get within a single run.
+    // The FM workspace lives for the worker's lifetime: arenas grown by
+    // one job are reused by the next, the same amortization the
+    // multi-start drivers get within a single run. Coarsening arenas
+    // live only as long as the hierarchy build that grows them.
     let mut ctx_template = RunCtx::new(0);
     while let Some(job) = shared.queue.pop() {
         if shared.config.worker_delay_ms > 0 {
@@ -1007,7 +1008,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// Runs one admitted job, forgets its cancel entry and answers it: a
 /// result frame, or a typed error when no start of a 2-way job
-/// survived. Jobs run under `ctx_template`'s workspaces and fault plan.
+/// survived. Jobs run under `ctx_template`'s FM workspace and fault plan.
 fn run_job(job: &Job, shared: &Arc<Shared>, ctx_template: &mut RunCtx<'static>) {
     let result = match &job.kind {
         JobKind::Eval(req, h, digest) => Ok(eval_job(req, h, *digest)),
@@ -1112,17 +1113,15 @@ fn partition_job(
         durable: job.request_token.is_some(),
         batch: RefCell::default(),
     };
-    // Move the worker's long-lived workspaces into this job's context
-    // and reclaim them afterwards.
+    // Move the worker's long-lived FM workspace into this job's context
+    // and reclaim it afterwards.
     let workspace = std::mem::take(&mut ctx_template.workspace);
-    let coarsen_ws = std::mem::take(&mut ctx_template.coarsen);
     let mut ctx = RunCtx::new(req.seed)
         .with_sink(&sink)
         .with_cancel_token(job.token.clone())
         .with_audit(AuditLevel::Checkpoints)
         .with_fault_plan(ctx_template.fault_plan().clone())
-        .with_workspace(workspace)
-        .with_coarsen_workspace(coarsen_ws);
+        .with_workspace(workspace);
     if let Some(ms) = req.budget_ms {
         ctx = ctx.with_budget(Duration::from_millis(ms));
     }
@@ -1134,7 +1133,6 @@ fn partition_job(
     };
     sink.flush();
     ctx_template.workspace = std::mem::take(&mut ctx.workspace);
-    ctx_template.coarsen = std::mem::take(&mut ctx.coarsen);
     result
 }
 
