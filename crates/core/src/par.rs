@@ -1,10 +1,8 @@
-//! Per-lane scratch state for the shared-memory parallel engine.
+//! Per-lane scratch state for the lane engine's round refiner.
 //!
-//! The parallel multilevel engine splits work into *lanes*: one lane per
-//! configured thread, each owning the scratch arenas its jobs need
-//! ([`FmWorkspace`] for refinement tries, a
-//! [`SparseScores`] accumulator for matching proposals, a proposal
-//! buffer for refinement rounds). The engine builds its lanes once per
+//! The round refiner ([`refine_rounds_parallel`]) splits each round's
+//! proposal scan into one shard per *lane*; each lane owns its shard's
+//! proposal buffer and panic flag. The engine builds its lanes once per
 //! run or V-cycle and reuses them across that call's levels; they never
 //! live on [`RunCtx`](crate::RunCtx), which carries only the serial
 //! engines' workspaces.
@@ -12,9 +10,8 @@
 //! Lanes are plain owned data. The engine lends each spawned job mutable
 //! access to exactly one lane (disjoint `&mut` splits of the lane
 //! vector), so no lane is ever shared between threads.
-
-use crate::scores::SparseScores;
-use crate::workspace::FmWorkspace;
+//!
+//! [`refine_rounds_parallel`]: crate::refine_rounds_parallel
 
 /// One candidate move proposed by a refinement shard: move `vertex` to
 /// the opposite side for a gain of `gain` *as seen in the frozen
@@ -30,11 +27,6 @@ pub struct MoveProposal {
 /// The scratch state owned by one parallel lane.
 #[derive(Clone, Debug, Default)]
 pub struct ParLane {
-    /// Refinement workspace for initial-portfolio tries run on this lane.
-    pub fm: FmWorkspace,
-    /// Connectivity accumulator for matching proposals computed on this
-    /// lane.
-    pub conn: SparseScores,
     /// Move proposals of the refinement shard this lane last scanned.
     pub moves: Vec<MoveProposal>,
     /// Whether this lane's shard panicked in the current round (set

@@ -29,8 +29,7 @@
 //! The proposal set is a pure function of the frozen snapshot, and the
 //! merged proposal list is identical for *any* shard count; the commit
 //! is serial with a total ordering key. Round refinement is therefore
-//! bitwise thread-count-invariant — deterministic and non-deterministic
-//! engine modes share this code; the modes differ only in coarsening.
+//! bitwise thread-count-invariant.
 //!
 //! # Fault isolation
 //!
@@ -114,8 +113,8 @@ fn propose_shard(
     }
 }
 
-/// Refines `bisection` in synchronized parallel move rounds using the
-/// context's lanes as shards (see the module docs for the round
+/// Refines `bisection` in synchronized parallel move rounds using
+/// `lanes` as shards (see the module docs for the round
 /// anatomy, determinism contract, and fault isolation).
 ///
 /// `lanes` must be non-empty; the shard count equals `lanes.len()`.

@@ -12,6 +12,10 @@
 //! coarsening (for V-cycles) additionally forbids clustering across the
 //! current partition boundary.
 //!
+//! This is the only level-by-level coarsener: the serial engine, the
+//! lane engine ([`MlConfig::threads`](crate::MlConfig::threads) `>= 1`)
+//! and every V-cycle build their hierarchies here, one vertex at a time.
+//!
 //! # Hot path
 //!
 //! Coarsening runs once per level of every start of every V-cycle, so the
@@ -93,35 +97,35 @@ pub use hypart_core::CoarseLevel;
 /// reading one packed record per candidate replaces three scattered array
 /// loads.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CandInfo {
+struct CandInfo {
     /// Vertex or accumulated cluster weight.
-    pub(crate) weight: u64,
+    weight: u64,
     /// Fixed-partition side (inherited by clusters from their members).
-    pub(crate) fixed: Option<PartId>,
+    fixed: Option<PartId>,
     /// Restriction side; meaningful only in restricted coarsening, where
     /// every vertex carries its current partition side.
-    pub(crate) side: PartId,
+    side: PartId,
 }
 
 /// One surviving coarse net staged in the workspace pin arena: its pin
 /// range, accumulated weight, and the 64-bit fingerprint of its (sorted,
 /// deduplicated) pin slice used to group identical nets.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct CoarseNet {
+struct CoarseNet {
     /// Start of the pin slice in [`CoarsenWorkspace::pin_arena`].
-    pub(crate) start: u32,
+    start: u32,
     /// Number of pins in the slice.
-    pub(crate) len: u32,
+    len: u32,
     /// Net weight (accumulated across merged identical nets).
-    pub(crate) weight: u32,
+    weight: u32,
     /// FNV-1a fingerprint of the sorted pin slice.
-    pub(crate) fp: u64,
+    fp: u64,
 }
 
 impl CoarseNet {
     /// The pin slice range as `usize` bounds.
     #[inline]
-    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+    fn range(&self) -> std::ops::Range<usize> {
         let start = self.start as usize;
         start..start + self.len as usize
     }
@@ -145,47 +149,46 @@ impl CoarseNet {
 ///   the coarse graph reuses the builder's staging vectors and the CSR
 ///   counting-pass scratch.
 ///
-/// [`MlPartitioner`](crate::MlPartitioner) builds one per hierarchy
-/// (serial or lane-parallel) and drops it before refinement, so a start
-/// does not hold the arenas while it refines, and nothing holds them
-/// between starts. Reuse never changes results: a fresh workspace is
-/// what the plain entry points construct.
+/// [`MlPartitioner`](crate::MlPartitioner) builds one per hierarchy and
+/// drops it before refinement, so a start does not hold the arenas while
+/// it refines, and nothing holds them between starts. Reuse never changes
+/// results: a fresh workspace is what the plain entry points construct.
 #[derive(Clone, Debug, Default)]
 pub struct CoarsenWorkspace {
     /// `cluster_of[v] = cluster id`, `u32::MAX` while unmatched.
-    pub(crate) cluster_of: Vec<u32>,
+    cluster_of: Vec<u32>,
     /// `slot_of[v]` = the connectivity slot pins of `v` accumulate into:
     /// `n + v` while unmatched, then the cluster slot (first-choice) or
     /// the dead slot `2n` (heavy-edge) once matched. Keeping this beside
     /// `cluster_of` makes the per-pin slot lookup a single indexed load.
-    pub(crate) slot_of: Vec<u32>,
+    slot_of: Vec<u32>,
     /// Per-net matching score of the current fine graph, `-1.0` for nets
     /// excluded from matching (single-pin or over the size threshold).
-    pub(crate) net_score: Vec<f64>,
+    net_score: Vec<f64>,
     /// Packed admissibility record per fine vertex of the current level.
-    pub(crate) vert_info: Vec<CandInfo>,
+    vert_info: Vec<CandInfo>,
     /// Packed admissibility record per formed cluster.
-    pub(crate) cluster_info: Vec<CandInfo>,
+    cluster_info: Vec<CandInfo>,
     /// Shuffled vertex visit order of the current level.
-    pub(crate) order: Vec<VertexId>,
+    order: Vec<VertexId>,
     /// Dense connectivity accumulator (slots: clusters then vertices).
-    pub(crate) conn: SparseScores,
+    conn: SparseScores,
     /// Staged coarse pins of all surviving nets, back to back.
-    pub(crate) pin_arena: Vec<VertexId>,
+    pin_arena: Vec<VertexId>,
     /// One entry per surviving coarse net, in fine-net order.
-    pub(crate) nets: Vec<CoarseNet>,
+    nets: Vec<CoarseNet>,
     /// Net indices sorted by (fingerprint, index) for duplicate grouping.
-    pub(crate) sort_idx: Vec<u32>,
+    sort_idx: Vec<u32>,
     /// `rep[i]` = index of the first net with identical pins to net `i`.
-    pub(crate) rep: Vec<u32>,
+    rep: Vec<u32>,
     /// Recycled coarse-graph builder (left empty between levels).
-    pub(crate) builder: HypergraphBuilder,
+    builder: HypergraphBuilder,
     /// Recycled CSR counting-pass scratch for the builder.
-    pub(crate) csr: CsrScratch,
+    csr: CsrScratch,
     /// Current-level restriction sides (V-cycle hierarchies only).
-    pub(crate) restrict: Vec<PartId>,
+    restrict: Vec<PartId>,
     /// Next-level restriction sides, swapped with `restrict` per level.
-    pub(crate) restrict_next: Vec<PartId>,
+    restrict_next: Vec<PartId>,
 }
 
 impl CoarsenWorkspace {
@@ -198,7 +201,7 @@ impl CoarsenWorkspace {
     /// Re-points the per-level arenas at a level with `n` fine vertices:
     /// all vertices unmatched, no clusters formed, net staging empty.
     /// Keeps every allocation.
-    pub(crate) fn begin_level(&mut self, n: usize) {
+    fn begin_level(&mut self, n: usize) {
         self.cluster_of.clear();
         self.cluster_of.resize(n, u32::MAX);
         self.slot_of.clear();
@@ -215,14 +218,14 @@ impl CoarsenWorkspace {
 
 /// Candidate keys: bit 31 tags an unmatched vertex (cluster-to-be); clear
 /// bit 31 to recover the vertex id. Untagged keys are formed cluster ids.
-pub(crate) const TAG: u32 = 1 << 31;
-pub(crate) const UNMATCHED: u32 = u32::MAX;
+const TAG: u32 = 1 << 31;
+const UNMATCHED: u32 = u32::MAX;
 
 /// FNV-1a over the raw pin words. Used only to *group* candidate
 /// identical nets — equal-fingerprint groups are verified by pin-slice
 /// comparison, so a collision costs a comparison, never correctness.
 #[inline]
-pub(crate) fn fingerprint(pins: &[VertexId]) -> u64 {
+fn fingerprint(pins: &[VertexId]) -> u64 {
     let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
     for &p in pins {
         fp ^= u64::from(p.raw());
@@ -244,7 +247,7 @@ pub(crate) fn cluster_cap(h: &Hypergraph) -> u64 {
 /// the cluster slot under FirstChoice (pins keep scoring the cluster),
 /// the dead slot under HeavyEdge (matched vertices leave the market).
 #[inline]
-pub(crate) fn matched_slot(scheme: CoarsenScheme, dead: u32, c: u32) -> u32 {
+fn matched_slot(scheme: CoarsenScheme, dead: u32, c: u32) -> u32 {
     match scheme {
         CoarsenScheme::FirstChoice => c,
         CoarsenScheme::HeavyEdge => dead,
@@ -257,7 +260,7 @@ pub(crate) fn matched_slot(scheme: CoarsenScheme, dead: u32, c: u32) -> u32 {
 /// heavy-edge, already-matched vertices (the dead slot) — both filtered
 /// out in the far smaller candidate scan.
 #[inline]
-pub(crate) fn accumulate_conn(
+fn accumulate_conn(
     h: &Hypergraph,
     v: VertexId,
     slot_of: &[u32],
@@ -282,7 +285,7 @@ pub(crate) fn accumulate_conn(
 /// which makes the winner independent of enumeration order).
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_best(
+fn scan_best(
     conn: &SparseScores,
     v: VertexId,
     v_info: CandInfo,
@@ -345,7 +348,7 @@ pub(crate) fn scan_best(
 /// singleton (`None`). Returns the pair partner when one was consumed.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_decision(
+fn apply_decision(
     scheme: CoarsenScheme,
     dead: u32,
     v: VertexId,
@@ -407,7 +410,7 @@ pub(crate) fn apply_decision(
 /// unique count. Coarse pin slices are overwhelmingly tiny; tiny sorting
 /// networks skip the general sort's dispatch overhead.
 #[inline]
-pub(crate) fn sort_dedup_pins(slice: &mut [VertexId]) -> usize {
+fn sort_dedup_pins(slice: &mut [VertexId]) -> usize {
     match slice.len() {
         0 | 1 => {}
         2 => {
@@ -439,12 +442,9 @@ pub(crate) fn sort_dedup_pins(slice: &mut [VertexId]) -> usize {
 }
 
 /// Merges identical staged coarse nets and assembles the coarse
-/// hypergraph through the recycled builder. Consumes the staging state
-/// produced by either the serial (compact) or the parallel (offset-
-/// addressed) staging pass: only each net's `range()` slice and the
-/// fine-net ordering of `nets` matter, so both produce identical graphs.
+/// hypergraph through the recycled builder.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_and_build(
+fn merge_and_build(
     h: &Hypergraph,
     coarse_n: usize,
     pin_arena: &[VertexId],

@@ -37,16 +37,11 @@
 pub mod coarsen;
 mod driver;
 mod nlevel;
-pub mod par_coarsen;
 mod parallel;
 mod partitioner;
 
 pub use driver::{multi_start_with, MultiStartOutcome, MultiStartPlan, Starts};
 pub use hypart_core::{EngineKind, Hierarchy, SharedHierarchy};
-pub use par_coarsen::{
-    build_hierarchy_par_with, coarsen_once_par_with, PAR_COARSEN_MIN_VERTICES, PAR_MATCH_WINDOW,
-    PAR_STAGE_MIN_NETS,
-};
 pub use parallel::PAR_REFINE_MIN_VERTICES;
 pub use partitioner::{MlConfig, MlPartitioner};
 

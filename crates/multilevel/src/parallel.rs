@@ -1,37 +1,40 @@
-//! The shared-memory parallel multilevel engine: parallel hierarchy
-//! construction, a parallel initial-partition portfolio, and parallel
-//! refinement by synchronized move rounds.
+//! The lane engine: the multilevel pipeline with a seeded parallel
+//! initial-partition portfolio and, on large levels, refinement by
+//! synchronized move rounds.
 //!
 //! Selected by [`MlConfig::threads`] `>= 1`; `threads == 0` keeps the
-//! serial legacy engine. The lane count is a *logical* knob: it shapes the
-//! work decomposition, while the physical worker count comes from the
-//! rayon pool. In deterministic mode ([`MlConfig::deterministic`], the
-//! default) the run is a pure function of `(graph, config, seed)` —
-//! independent of both the lane count and the physical thread count — so
-//! traces are bitwise identical at any `RAYON_NUM_THREADS`. In relaxed
-//! mode results may vary with the lane count but are always race-free and
-//! audit-clean: speculation reads frozen snapshots, and every state
-//! mutation happens on the serial commit path.
+//! serial engine. The lane count is a *logical* knob: it shapes the work
+//! decomposition, while the physical worker count comes from the rayon
+//! pool. The hierarchy is built by the serial coarsener and the levels
+//! are walked by the serial uncoarsening loop (`MlPartitioner::uncoarsen`);
+//! only the portfolio below and the round refiner
+//! ([`refine_rounds_parallel`]) on levels of at least
+//! [`PAR_REFINE_MIN_VERTICES`] vertices differ. A run is a pure function
+//! of `(graph, config, seed)`, independent of both the lane count and the
+//! physical thread count, so traces are bitwise identical at any
+//! `RAYON_NUM_THREADS`.
 //!
 //! Budgets, cancellation, auditing, and fault isolation flow through the
-//! same [`RunCtx`] plumbing as the serial engine: deadlines and cancel
-//! tokens are polled at level and round boundaries, the final whole-run
-//! audit checkpoint is identical, and a panicking portfolio try or
-//! refinement shard degrades the run to the best of the survivors
+//! same [`RunCtx`] plumbing as the serial engine: like the serial engine,
+//! the hierarchy build does not poll the budget; deadlines and cancel
+//! tokens are polled at level and round boundaries after it, the final
+//! whole-run audit checkpoint is identical, and a panicking portfolio try
+//! or refinement shard degrades the run to the best of the survivors
 //! ([`RunEvent::StartAborted`] / `ShardAborted`) instead of poisoning a
 //! lock or hanging the pool.
+//!
+//! [`refine_rounds_parallel`]: hypart_core::refine_rounds_parallel
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::coarsen::{CoarseLevel, CoarsenWorkspace};
-use crate::par_coarsen::build_hierarchy_par_with;
-use crate::partitioner::{emit_level_downs, finish, MlConfig, MlPartitioner};
+use crate::coarsen::build_hierarchy;
+use crate::partitioner::{emit_level_downs, MlConfig, MlPartitioner};
 use hypart_core::{
-    derive_seed, generate_initial, refine_rounds_parallel, AuditError, BalanceConstraint,
-    Bisection, FmPartitioner, InitialSolution, Outcome, ParLane, RunCtx, StopReason,
+    derive_seed, generate_initial, AuditError, BalanceConstraint, Bisection, FmPartitioner,
+    InitialSolution, Outcome, RunCtx,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
 use hypart_trace::{MemorySink, NullSink, RunEvent, TraceSink};
@@ -53,105 +56,34 @@ struct TryResult {
 }
 
 impl MlPartitioner {
-    /// Parallel counterpart of [`run_with`](MlPartitioner::run_with);
-    /// entered from it when [`MlConfig::threads`] `>= 1`.
+    /// The lane engine's start; entered from
+    /// [`run_with`](MlPartitioner::run_with) when [`MlConfig::threads`]
+    /// `>= 1`. Unlike the serial engine's split pipeline, one RNG seeded
+    /// with `ctx.seed` builds the hierarchy and then drives the flat
+    /// refinement of the small levels.
     pub(crate) fn run_parallel_with(
         &self,
         h: &Hypergraph,
         constraint: &BalanceConstraint,
         ctx: &mut RunCtx<'_>,
     ) -> Outcome {
-        let config = self.config().clone();
-        let lane_count = config.threads.max(1);
-        let mut lanes = vec![ParLane::default(); lane_count];
+        let config = self.config();
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
-        let mut probe = ctx.probe();
-        let levels = build_hierarchy_par_with(
-            h,
-            &config.coarsen,
-            None,
-            &mut rng,
-            &mut CoarsenWorkspace::new(),
-            &mut lanes,
-            config.deterministic,
-            &mut probe,
-        );
+        let levels = build_hierarchy(h, &config.coarsen, None, &mut rng);
         emit_level_downs(&levels, ctx.sink);
         let coarsest: &Hypergraph = levels.last().map_or(h, |l| &l.graph);
 
         let mut audit_failure = None;
-        let initial = parallel_initial(
-            &config,
-            coarsest,
-            constraint,
-            ctx,
-            lane_count,
-            &mut audit_failure,
-        );
-        parallel_uncoarsen(
-            &config,
+        let initial = parallel_initial(config, coarsest, constraint, ctx, &mut audit_failure);
+        self.uncoarsen(
             h,
             &levels,
             initial,
             constraint,
             &mut rng,
             ctx,
-            &mut lanes,
+            config.threads,
             audit_failure,
-        )
-    }
-
-    /// Parallel counterpart of [`vcycle_with`](MlPartitioner::vcycle_with).
-    pub(crate) fn vcycle_parallel_with(
-        &self,
-        h: &Hypergraph,
-        constraint: &BalanceConstraint,
-        assignment: &[PartId],
-        ctx: &mut RunCtx<'_>,
-    ) -> Outcome {
-        assert_eq!(
-            assignment.len(),
-            h.num_vertices(),
-            "assignment length mismatch"
-        );
-        let config = self.config().clone();
-        let lane_count = config.threads.max(1);
-        let mut lanes = vec![ParLane::default(); lane_count];
-        let mut rng = SmallRng::seed_from_u64(ctx.seed);
-        let mut probe = ctx.probe();
-        let levels = build_hierarchy_par_with(
-            h,
-            &config.coarsen,
-            Some(assignment),
-            &mut rng,
-            &mut CoarsenWorkspace::new(),
-            &mut lanes,
-            config.deterministic,
-            &mut probe,
-        );
-        emit_level_downs(&levels, ctx.sink);
-
-        // Project the current solution down the (restricted) hierarchy:
-        // every cluster is on one side by construction.
-        let mut coarse_assignment = assignment.to_vec();
-        for level in &levels {
-            let mut next = vec![PartId::P0; level.graph.num_vertices()];
-            for (fine, coarse) in level.map.iter().enumerate() {
-                next[coarse.index()] = coarse_assignment[fine];
-            }
-            coarse_assignment = next;
-        }
-
-        parallel_uncoarsen(
-            &config,
-            h,
-            &levels,
-            coarse_assignment,
-            constraint,
-            &mut rng,
-            ctx,
-            &mut lanes,
-            None,
         )
     }
 }
@@ -191,10 +123,10 @@ fn parallel_initial(
     coarsest: &Hypergraph,
     constraint: &BalanceConstraint,
     ctx: &mut RunCtx<'_>,
-    lane_count: usize,
     audit_failure: &mut Option<AuditError>,
 ) -> Vec<PartId> {
     let tries = MlConfig::INITIAL_TRIES;
+    let lane_count = config.threads.max(1);
     let engine = FmPartitioner::new(config.refine);
     let base_seed = ctx.seed;
     let traced = ctx.sink.is_enabled();
@@ -312,65 +244,4 @@ fn parallel_initial(
             assignment
         }
     }
-}
-
-/// Parallel counterpart of the serial uncoarsening loop: project level by
-/// level, refining large levels with the synchronized-round engine and
-/// small levels with the serial flat engine. Identical budget handling
-/// and final whole-run audit checkpoint to the serial path.
-#[allow(clippy::too_many_arguments)]
-fn parallel_uncoarsen<R: Rng>(
-    config: &MlConfig,
-    h: &Hypergraph,
-    levels: &[CoarseLevel],
-    coarsest_assignment: Vec<PartId>,
-    constraint: &BalanceConstraint,
-    rng: &mut R,
-    ctx: &mut RunCtx<'_>,
-    lanes: &mut [ParLane],
-    mut audit_failure: Option<AuditError>,
-) -> Outcome {
-    let engine = FmPartitioner::new(config.refine);
-    let mut assignment = coarsest_assignment;
-    let mut probe = ctx.probe();
-    let mut stopped = StopReason::Completed;
-
-    for i in (0..=levels.len()).rev() {
-        let graph: &Hypergraph = if i == 0 { h } else { &levels[i - 1].graph };
-        if i < levels.len() {
-            assignment = levels[i].project(&assignment);
-        }
-        if stopped.is_stopped() {
-            continue;
-        }
-        if let Some(reason) = probe.stop_now() {
-            stopped = reason;
-            ctx.sink.emit(RunEvent::BudgetExhausted { reason });
-            continue;
-        }
-        if ctx.sink.is_enabled() {
-            ctx.sink.emit(RunEvent::LevelUp {
-                level: i,
-                vertices: graph.num_vertices(),
-                nets: graph.num_nets(),
-            });
-        }
-        let mut bisection = match Bisection::new(graph, assignment) {
-            Ok(b) => b,
-            Err(e) => unreachable!("projected assignment is valid: {e}"),
-        };
-        if graph.num_vertices() >= PAR_REFINE_MIN_VERTICES {
-            let out = refine_rounds_parallel(&mut bisection, constraint, lanes, ctx);
-            if audit_failure.is_none() {
-                audit_failure = out.audit_failure;
-            }
-            stopped = out.stopped;
-        } else {
-            let (stop, failure) = engine.refine_with(&mut bisection, constraint, rng, ctx);
-            audit_failure = audit_failure.or(failure);
-            stopped = stop;
-        }
-        assignment = bisection.into_assignment();
-    }
-    finish(h, assignment, constraint, stopped, audit_failure, ctx)
 }

@@ -5,9 +5,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::coarsen::{build_hierarchy, CoarsenConfig};
+use crate::parallel::PAR_REFINE_MIN_VERTICES;
 use hypart_core::{
-    generate_initial, AuditError, BalanceConstraint, Bisection, EngineKind, FmConfig,
-    FmPartitioner, Hierarchy, InitialSolution, Outcome, PartitionAuditor, RunCtx, StopReason,
+    generate_initial, refine_rounds_parallel, AuditError, BalanceConstraint, Bisection, EngineKind,
+    FmConfig, FmPartitioner, Hierarchy, InitialSolution, Outcome, ParLane, PartitionAuditor,
+    RunCtx, StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId};
 use hypart_trace::{RunEvent, TraceSink};
@@ -33,22 +35,17 @@ pub struct MlConfig {
     pub refine: FmConfig,
     /// Coarsening parameters.
     pub coarsen: CoarsenConfig,
-    /// Number of parallel lanes of the shared-memory engine. `0` (the
-    /// default) selects the serial legacy engine; `>= 1` selects the
-    /// parallel engine with that many logical lanes (the physical worker
-    /// count comes from the rayon pool). In deterministic mode results
-    /// are identical for every lane count, so this is purely a
-    /// decomposition knob there. The parallel engine seeds initial try
+    /// Number of parallel lanes of the lane engine. `0` (the default)
+    /// selects the serial engine; `>= 1` selects the lane engine with
+    /// that many logical lanes (the physical worker count comes from the
+    /// rayon pool). The lane engine coarsens and uncoarsens like the
+    /// serial one, but runs its initial tries in parallel and refines
+    /// levels of at least [`PAR_REFINE_MIN_VERTICES`] vertices in
+    /// synchronized move rounds. Its results are identical for every lane
+    /// count, so this is purely a decomposition knob. It seeds initial try
     /// *t* with `derive_seed(seed, t)`, so even one lane does not return
     /// the serial engine's partition.
     pub threads: usize,
-    /// Whether the parallel engine must be bitwise deterministic: a pure
-    /// function of `(graph, config, seed)`, independent of the lane count
-    /// and the physical thread count (the default). When `false`,
-    /// speculation windows scale with the lane count and results may vary
-    /// with it — but stay race-free, legal, and audit-clean. Ignored by
-    /// the serial engine (`threads == 0`), which is always deterministic.
-    pub deterministic: bool,
     /// Which multilevel backend runs: the coarse-grained level-by-level
     /// hierarchy (the default) or the n-level single-pair contraction
     /// engine. The n-level backend is serial-only and ignores
@@ -62,7 +59,6 @@ impl Default for MlConfig {
             refine: FmConfig::lifo(),
             coarsen: CoarsenConfig::default(),
             threads: 0,
-            deterministic: true,
             engine: EngineKind::MlCoarse,
         }
     }
@@ -104,10 +100,16 @@ impl MlConfig {
         self
     }
 
-    /// Sets the determinism contract of the parallel engine
-    /// (builder-style).
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
+    /// Accepts only `true`: the lane engine is always deterministic.
+    /// Kept only because the benchmark package's `ml2_ibm18` workload
+    /// still calls it.
+    ///
+    /// # Panics
+    ///
+    /// If `deterministic` is `false`.
+    #[doc(hidden)]
+    pub fn with_deterministic(self, deterministic: bool) -> Self {
+        assert!(deterministic, "the lane engine has no relaxed mode");
         self
     }
 
@@ -244,6 +246,7 @@ impl MlPartitioner {
             constraint,
             &mut rng,
             ctx,
+            0,
             audit_failure,
         )
     }
@@ -251,7 +254,10 @@ impl MlPartitioner {
     /// The canonical V-cycle entry point: restricted coarsening that
     /// never clusters across the cut, then uncoarsening with refinement
     /// at every level starting from the projected solution — all under
-    /// the context's sink, workspace, seed, and budget.
+    /// the context's sink, workspace, seed, and budget. With lanes
+    /// ([`MlConfig::threads`] `>= 1`), levels of at least
+    /// [`PAR_REFINE_MIN_VERTICES`] vertices are refined in synchronized
+    /// move rounds.
     pub fn vcycle_with(
         &self,
         h: &Hypergraph,
@@ -266,9 +272,6 @@ impl MlPartitioner {
         );
         if self.config.engine == EngineKind::NLevel {
             return crate::nlevel::vcycle_nlevel(self, h, constraint, assignment, ctx);
-        }
-        if self.config.threads > 0 {
-            return self.vcycle_parallel_with(h, constraint, assignment, ctx);
         }
         let mut rng = SmallRng::seed_from_u64(ctx.seed);
         let levels = build_hierarchy(h, &self.config.coarsen, Some(assignment), &mut rng);
@@ -292,6 +295,7 @@ impl MlPartitioner {
             constraint,
             &mut rng,
             ctx,
+            self.config.threads,
             None,
         )
     }
@@ -338,8 +342,13 @@ impl MlPartitioner {
         }
     }
 
+    /// Projects `coarsest_assignment` up through `levels` to `h`,
+    /// refining at every level: with the synchronized-round refiner on
+    /// `lane_count` lanes where `lane_count >= 1` and the level has at
+    /// least [`PAR_REFINE_MIN_VERTICES`] vertices, and with flat FM on
+    /// `rng` otherwise.
     #[allow(clippy::too_many_arguments)]
-    fn uncoarsen<R: Rng>(
+    pub(crate) fn uncoarsen<R: Rng>(
         &self,
         h: &Hypergraph,
         levels: &[crate::coarsen::CoarseLevel],
@@ -347,9 +356,11 @@ impl MlPartitioner {
         constraint: &BalanceConstraint,
         rng: &mut R,
         ctx: &mut RunCtx<'_>,
+        lane_count: usize,
         mut audit_failure: Option<AuditError>,
     ) -> Outcome {
         let engine = FmPartitioner::new(self.config.refine);
+        let mut lanes = vec![ParLane::default(); lane_count];
         let mut assignment = coarsest_assignment;
         let mut probe = ctx.probe();
         let mut stopped = StopReason::Completed;
@@ -382,10 +393,16 @@ impl MlPartitioner {
                 Ok(b) => b,
                 Err(e) => unreachable!("projected assignment is valid: {e}"),
             };
-            let (stop, failure) = engine.refine_with(&mut bisection, constraint, rng, ctx);
-            audit_failure = audit_failure.or(failure);
-            // A stop inside the engine was already announced there.
-            stopped = stop;
+            // A stop inside either refiner was already announced there.
+            if !lanes.is_empty() && graph.num_vertices() >= PAR_REFINE_MIN_VERTICES {
+                let out = refine_rounds_parallel(&mut bisection, constraint, &mut lanes, ctx);
+                audit_failure = audit_failure.or(out.audit_failure);
+                stopped = out.stopped;
+            } else {
+                let (stop, failure) = engine.refine_with(&mut bisection, constraint, rng, ctx);
+                audit_failure = audit_failure.or(failure);
+                stopped = stop;
+            }
             assignment = bisection.into_assignment();
         }
         finish(h, assignment, constraint, stopped, audit_failure, ctx)

@@ -50,9 +50,9 @@ fn jsonl_schema_matches_golden_file() {
 }
 
 /// Engine-level golden traces on a small `ispd98_like` instance: flat FM,
-/// CLIP, multilevel, and recursive bisection each pin their full JSONL
-/// stream. These are
-/// the hot-path-optimization oracle — `FmWorkspace` reuse, per-rule bucket
+/// CLIP, multilevel, recursive bisection, n-level and the lane engine
+/// each pin their full JSONL stream. These are the
+/// hot-path-optimization oracle — `FmWorkspace` reuse, per-rule bucket
 /// sizing, and the O(touched) container clear must all be *behaviorally
 /// invisible*, so the streams have to stay bitwise identical.
 ///
@@ -169,6 +169,27 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         .expect("no start panics");
     });
 
+    // The lane engine at 2 lanes: its seeded initial portfolio, the round
+    // refiner on the 638-cell finest level, and flat FM with random
+    // insertion on the smaller levels, which draws from the RNG that
+    // built the hierarchy. One V-cycle pins the restricted build too.
+    let hl = ispd98_like(1, 0.05, 29);
+    let cl = BalanceConstraint::with_fraction(hl.total_vertex_weight(), 0.10);
+    let lanes = trace_of(&|sink| {
+        multi_start_with(
+            &MlPartitioner::new(
+                MlConfig::ml_lifo()
+                    .with_refine(FmConfig::lifo().with_insertion(InsertionPolicy::Random))
+                    .with_threads(2),
+            ),
+            &hl,
+            &cl,
+            &MultiStartPlan::count(1, 1),
+            &mut RunCtx::new(13).with_sink(sink),
+        )
+        .expect("no start panics");
+    });
+
     vec![
         ("trace_fm_ispd98.jsonl", flat),
         ("trace_clip_ispd98.jsonl", clip),
@@ -179,6 +200,7 @@ fn engine_traces() -> Vec<(&'static str, String)> {
         ("trace_nlevel_kway_ispd98.jsonl", nlevel_kway),
         ("trace_nlevel_multistart_ispd98.jsonl", nlevel_multistart),
         ("trace_nlevel_random_ispd98.jsonl", nlevel_random),
+        ("trace_lanes_random_ispd98.jsonl", lanes),
     ]
 }
 
